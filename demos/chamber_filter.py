@@ -5,7 +5,7 @@
 from pathlib import Path
 
 from gradedaut.algebraaut import aut_grad_alg
-from gradedaut.gitfan import aut_xhat, git_cone, orbit_cones, render_cone
+from gradedaut.gitfan import chamber_fixers, git_cone, orbit_cones, render_cone
 from gradedaut.inout import (FilterResult, ResultBundle, export_cas_script,
                              read_input)
 from gradedaut.validation import validate_presentation
@@ -23,10 +23,8 @@ print(f"\nchamber of w = {w}, rays:")
 print(render_cone(lam))
 
 stab = aut_grad_alg(ring, ideal)
-filtered = aut_xhat(stab, w)
-retained = tuple(i for i, t in enumerate(stab.triples)
-                 if t in filtered.triples)
-print(f"\n{len(filtered.triples)} of {len(stab.triples)} "
+retained = chamber_fixers(stab, lam)
+print(f"\n{len(retained)} of {len(stab.triples)} "
       f"weight symmetries fix the chamber")
 for i in retained:
     print(f"  triple {i + 1}: "

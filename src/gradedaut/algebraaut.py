@@ -11,7 +11,6 @@ polynomials in the matrix slots and join the earlier equation lists.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import StructuralError, ValidationError
@@ -147,18 +146,13 @@ class StabilizerPresentation:
     def slot_names(self):
         return self.base.slot_names()
 
-
-_POOL_STATE = {}
-
-
-def _pool_init(args):
-    _POOL_STATE["args"] = args
-
-
-def _stab_worker(idx: int):
-    base, ideal, components = _POOL_STATE["args"]
-    return stabilizer_ideal_for_triple(base, ideal, base.triples[idx],
-                                       dict(components))
+    def restrict(self, indices) -> "StabilizerPresentation":
+        """The presentation cut down to the triples at the given 0-based
+        indices, in that order."""
+        kept = tuple(self.triples[i] for i in indices)
+        return StabilizerPresentation(self.ring, self.ideal, self.base, kept,
+                                      self.degree_roster,
+                                      CombinedIdeal(tuple(t.ideal for t in kept)))
 
 
 def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal, jobs: int = 1,
@@ -167,12 +161,12 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal, jobs: int = 1,
 
     Refuses any input failing a validation flag, in particular an ideal
     meeting a component S_q for a generator weight q; the message names
-    the weight.
+    the weight.  `jobs` is accepted for compatibility; the work is serial.
     """
     report = validate_presentation(ring, ideal)
     if not report.ok:
         raise ValidationError("; ".join(report.messages) or "invalid input")
-    base = aut_ks(ring, jobs=jobs, term_bound=term_bound)
+    base = aut_ks(ring, term_bound=term_bound)
     roster = ideal_generator_degrees(ideal)
     components = {}
     for u in roster:
@@ -181,16 +175,9 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal, jobs: int = 1,
             v = t.weight_aut.apply(u)
             if v not in components:
                 components[v] = component_data(ideal, v)
-    if jobs > 1 and len(base.triples) > 1:
-        args = (base, ideal, components)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                 initargs=(args,)) as pool:
-            gen_lists = tuple(pool.map(_stab_worker, range(len(base.triples))))
-    else:
-        gen_lists = tuple(stabilizer_ideal_for_triple(base, ideal, t, components)
-                          for t in base.triples)
-    triples = tuple(StabilizerTriple(t, gens)
-                    for t, gens in zip(base.triples, gen_lists))
+    triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
+                        base, ideal, t, components))
+                    for t in base.triples)
     combined = CombinedIdeal(tuple(t.ideal for t in triples))
     return StabilizerPresentation(ring, ideal, base, triples, roster, combined)
 

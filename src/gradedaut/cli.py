@@ -6,9 +6,11 @@ equation presentations, `autxhat` applies the chamber filter, and
 `export` writes a CAS script.  Exit codes: 0 success, 1 validation
 failure, 2 parse failure, 3 resource-guard refusal.
 
-The default worker count comes from the GRADED_AUT_JOBS environment
-variable; `--jobs` overrides it.  All stdout output is a pure function
-of the input, so repeated runs are byte-identical.
+Each stage runs once per invocation.  The worker count, which only
+parallelises orbit-cone enumeration in `autxhat`, comes from the
+GRADED_AUT_JOBS environment variable; `--jobs` overrides it.  All stdout
+output is a pure function of the input, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from .algebraaut import aut_grad_alg, render_stabilizer
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .gitfan import aut_xhat, git_cone, render_cone
+from .gitfan import chamber_fixers, git_cone, render_cone
 from .inout import (FilterResult, ResultBundle, export_cas_script,
                     parse_input, read_input, report_from_text, write_report)
 from .ringaut import aut_ks, render_presentation
@@ -50,7 +51,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write a report (or the exported script) here")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes; default from GRADED_AUT_JOBS")
+                        help="worker processes for orbit-cone enumeration; "
+                        "default from GRADED_AUT_JOBS")
     top = argparse.ArgumentParser(
         prog="graded-aut",
         description="automorphism presentations of graded affine algebras")
@@ -104,10 +106,6 @@ def _emit(text: str, out_path):
 
 
 def _run(args) -> int:
-    start = time.perf_counter()
-    jobs = args.jobs if args.jobs is not None and args.jobs >= 1 \
-        else _default_jobs()
-
     if args.command == "export":
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -121,13 +119,10 @@ def _run(args) -> int:
             auts = tuple(a.display_matrix()
                          for a in aut_gen_weights(ring.degrees))
             if problem.ideal_gens:
-                stab = aut_grad_alg(ring, ideal, jobs=jobs)
-                bundle = ResultBundle(problem, report, auts, stab.base, stab,
-                                      timing=time.perf_counter() - start)
+                stab = aut_grad_alg(ring, ideal)
+                bundle = ResultBundle(problem, report, auts, stab.base, stab)
             else:
-                pres = aut_ks(ring, jobs=jobs)
-                bundle = ResultBundle(problem, report, auts, pres,
-                                      timing=time.perf_counter() - start)
+                bundle = ResultBundle(problem, report, auts, aut_ks(ring))
         _emit(export_cas_script(bundle, args.dialect), args.out)
         return 0
 
@@ -142,9 +137,7 @@ def _run(args) -> int:
         for msg in report.messages:
             print("note: " + msg)
         if args.out:
-            write_report(ResultBundle(
-                problem, report, timing=time.perf_counter() - start),
-                args.out)
+            write_report(ResultBundle(problem, report), args.out)
         return 0 if report.ok else 1
 
     if not report.grading_ok:
@@ -158,38 +151,35 @@ def _run(args) -> int:
             print(f"\nsymmetry {i}:")
             print(str(a))
         if args.out:
-            write_report(ResultBundle(
-                problem, report, displays,
-                timing=time.perf_counter() - start), args.out)
+            write_report(ResultBundle(problem, report, displays), args.out)
         return 0
 
     if args.command == "autks":
-        pres = aut_ks(ring, jobs=jobs)
+        pres = aut_ks(ring)
         print(render_presentation(pres))
         if args.out:
-            write_report(ResultBundle(
-                problem, report, displays, pres,
-                timing=time.perf_counter() - start), args.out)
+            write_report(ResultBundle(problem, report, displays, pres),
+                         args.out)
         return 0
 
     if args.command == "autgradalg":
-        stab = aut_grad_alg(ring, ideal, jobs=jobs)
+        stab = aut_grad_alg(ring, ideal)
         print(render_stabilizer(stab))
         if args.out:
-            write_report(ResultBundle(
-                problem, report, displays, stab.base, stab,
-                timing=time.perf_counter() - start), args.out)
+            write_report(ResultBundle(problem, report, displays, stab.base,
+                                      stab), args.out)
         return 0
 
     # autxhat: check the class and its chamber before the heavy stages
     coords = _w_coords(args, problem)
     faces = _faces_used(args, problem)
     w = problem.group().from_coordinates(coords)
+    jobs = args.jobs if args.jobs is not None and args.jobs >= 1 \
+        else _default_jobs()
     lam = git_cone(ring.degrees, w, faces, jobs=jobs)
-    stab = aut_grad_alg(ring, ideal, jobs=jobs)
-    filtered = aut_xhat(stab, w, faces, jobs=jobs)
-    retained = tuple(i for i, t in enumerate(stab.triples)
-                     if t in filtered.triples)
+    stab = aut_grad_alg(ring, ideal)
+    retained = chamber_fixers(stab, lam)
+    filtered = stab.restrict(retained)
     print(f"git chamber of w = {w}:")
     print(render_cone(lam))
     print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
@@ -198,8 +188,7 @@ def _run(args) -> int:
     if args.out:
         write_report(ResultBundle(
             problem, report, displays, stab.base, stab,
-            FilterResult(coords, retained, lam.rays),
-            timing=time.perf_counter() - start), args.out)
+            FilterResult(coords, retained, lam.rays)), args.out)
     return 0
 
 

@@ -10,41 +10,15 @@ no numerical tolerance enters anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from . import linalg
 from .errors import StructuralError
-
-
-def primitive(vector) -> tuple[int, ...]:
-    """Coprime integer vector with the same direction; zero stays zero."""
-    fr = [Fraction(x) for x in vector]
-    denom = 1
-    for f in fr:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+from .linalg import primitive
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _invert_rational(rows):
-    d = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(d)]
-           for i, r in enumerate(rows)]
-    R, pivots = linalg.rref(aug)
-    if pivots != [c for c in range(d)]:
-        raise StructuralError("matrix is singular")
-    return [row[d:] for row in R[:d]]
 
 
 def _dd_pointed(rows, d):
@@ -62,7 +36,7 @@ def _dd_pointed(rows, d):
             chosen_idx.append(i)
         if len(chosen) == d:
             break
-    inv = _invert_rational(chosen)
+    inv = linalg.inverse(chosen)
     rays = [primitive(tuple(inv[i][j] for i in range(d))) for j in range(d)]
     processed = list(chosen_idx)
     for ia, a in enumerate(rows):

@@ -19,7 +19,6 @@ from .algebraaut import StabilizerPresentation
 from .cones import RationalCone, cone_from_rays, equal_cones, intersect_cones
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
-from .ringaut import CombinedIdeal
 
 SUBSET_BOUND = 20
 
@@ -113,16 +112,19 @@ def map_cone(A, cone: RationalCone) -> RationalCone:
     return cone_from_rays([linalg.mat_vec(A, r) for r in cone.rays], cone.dim)
 
 
+def chamber_fixers(stab: StabilizerPresentation, lam: RationalCone):
+    """0-based indices of the triples whose free block maps the chamber
+    lam onto itself."""
+    return tuple(i for i, t in enumerate(stab.triples)
+                 if equal_cones(map_cone(t.weight_aut.free_block, lam), lam))
+
+
 def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None,
              subset_bound: int = SUBSET_BOUND, jobs: int = 1):
     """Filter the presentation down to the symmetries whose free block
     maps the chamber of w onto itself."""
     lam = git_cone(stab.ring.degrees, w, faces, subset_bound, jobs)
-    kept = tuple(t for t in stab.triples
-                 if equal_cones(map_cone(t.weight_aut.free_block, lam), lam))
-    return StabilizerPresentation(stab.ring, stab.ideal, stab.base, kept,
-                                  stab.degree_roster,
-                                  CombinedIdeal(tuple(t.ideal for t in kept)))
+    return stab.restrict(chamber_fixers(stab, lam))
 
 
 def render_cone(cone: RationalCone) -> str:

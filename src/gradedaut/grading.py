@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .errors import StructuralError
 
@@ -125,10 +123,6 @@ class GroupElement:
         return f"({free}; {tors})"
 
 
-def add_elements(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x + y
-
-
 @dataclass(frozen=True)
 class DegreeMatrix:
     """The generator degrees q_1, ..., q_r as columns."""
@@ -208,9 +202,8 @@ def check_effective(Q: DegreeMatrix) -> bool:
         rel = [0] * total
         rel[group.free_rank + j] = a
         cols.append(tuple(rel))
-    M = linalg.to_matrix(list(zip(*cols)), width=len(cols))
-    D, _, _ = linalg.smith_normal_form(M)
-    diag = [int(D[i, i]) for i in range(min(D.shape))]
+    D, _, _ = linalg.smith_normal_form(list(zip(*cols)))
+    diag = [D[i][i] for i in range(min(total, len(cols)))]
     return len(diag) >= total and all(d == 1 for d in diag[:total])
 
 
@@ -246,7 +239,7 @@ def _torsion_map_matrix(D_block, orders):
     rows = []
     for i in range(l):
         rows.append(list(D_block[i]) + [orders[j] if j == i else 0 for j in range(l)])
-    return linalg.to_matrix(rows, width=2 * l)
+    return rows
 
 
 def torsion_block_bijective(D_block, orders) -> bool:
@@ -261,7 +254,7 @@ def torsion_block_bijective(D_block, orders) -> bool:
         return True
     M = _torsion_map_matrix(D_block, orders)
     S, _, _ = linalg.smith_normal_form(M)
-    return all(int(S[i, i]) == 1 for i in range(l))
+    return all(S[i][i] == 1 for i in range(l))
 
 
 def invert_torsion_block(D_block, orders):
@@ -275,12 +268,11 @@ def invert_torsion_block(D_block, orders):
         return ()
     M = _torsion_map_matrix(D_block, orders)
     S, U, V = linalg.smith_normal_form(M)
-    if any(int(S[i, i]) != 1 for i in range(l)):
+    if any(S[i][i] != 1 for i in range(l)):
         raise StructuralError("torsion block is not invertible")
-    # M Z = I with Z = V [U ; 0]; the top l rows of Z solve D X = I mod orders
-    stacked = np.vstack([U, linalg.to_matrix([[0] * l for _ in range(l)], width=l)])
-    Z = V @ stacked
-    X = tuple(tuple(int(Z[i, j]) for j in range(l)) for i in range(l))
+    # M Z = I with Z = V [U ; 0]; the top l rows of Z, the top left l x l
+    # block of V times U, solve D X = I mod orders
+    X = linalg.mat_mul([row[:l] for row in V[:l]], U)
     return _reduce_rows(X, orders)
 
 
@@ -304,7 +296,7 @@ class GroupAutomorphism:
             raise StructuralError("mixing block must be l x k")
         if len(D) != l or any(len(r) != l for r in D):
             raise StructuralError("torsion block must be l x l")
-        if abs(linalg.det(linalg.to_matrix(A, width=k))) != 1:
+        if abs(linalg.det(A)) != 1:
             raise StructuralError("free block must have determinant +-1")
         for i in range(l):
             for j in range(l):
@@ -347,10 +339,8 @@ class GroupAutomorphism:
         return GroupAutomorphism(self.group, A, C, D)
 
     def inverse(self) -> "GroupAutomorphism":
-        k = self.group.free_rank
         orders = self.group.torsion_orders
-        Ainv_arr = linalg.unimodular_inverse(linalg.to_matrix(self.free_block, width=k))
-        Ainv = tuple(tuple(int(x) for x in row) for row in Ainv_arr)
+        Ainv = linalg.unimodular_inverse(self.free_block)
         Dinv = invert_torsion_block(self.torsion_block, orders)
         CA = linalg.mat_mul(linalg.mat_mul(Dinv, self.mixing_block), Ainv)
         Cinv = tuple(tuple(-x for x in row) for row in CA)
@@ -389,14 +379,3 @@ class GroupAutomorphism:
         return "\n".join("[" + "  ".join(str(x).rjust(w) for x in row) + "]"
                          for row in rows)
 
-
-def apply_automorphism(B: GroupAutomorphism, x: GroupElement) -> GroupElement:
-    return B.apply(x)
-
-
-def compose_automorphisms(B1: GroupAutomorphism, B2: GroupAutomorphism) -> GroupAutomorphism:
-    return B1.compose(B2)
-
-
-def inverse_automorphism(B: GroupAutomorphism) -> GroupAutomorphism:
-    return B.inverse()

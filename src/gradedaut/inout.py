@@ -7,15 +7,14 @@ can before failing, and `print_input` writes the canonical form back,
 so parse(print(p)) == p.
 
 Result bundles persist as JSON under the schema name "graded-aut/1";
-`read_report` undoes `write_report` exactly.  Timing is carried on the
-in-memory bundle only and never serialized, which keeps reports
-byte-stable across runs.
+`read_report` undoes `write_report` exactly.  The schema's "timing" key
+is always null, which keeps reports byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraaut import StabilizerPresentation, StabilizerTriple
@@ -475,8 +474,7 @@ class FilterResult:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Everything one run produced.  Later stages may be absent; timing
-    is informational only and never part of equality or serialization."""
+    """Everything one run produced.  Later stages may be absent."""
 
     problem: ProblemInput
     report: ValidationReport | None = None
@@ -484,15 +482,6 @@ class ResultBundle:
     presentation: AutPresentation | None = None
     stabilizer: StabilizerPresentation | None = None
     filter_result: FilterResult | None = None
-    timing: float | None = field(default=None, compare=False)
-
-
-def filtered_stabilizer(stab: StabilizerPresentation, retained):
-    """The presentation cut down to the retained triples."""
-    kept = tuple(stab.triples[i] for i in retained)
-    return StabilizerPresentation(stab.ring, stab.ideal, stab.base, kept,
-                                  stab.degree_roster,
-                                  CombinedIdeal(tuple(t.ideal for t in kept)))
 
 
 def _encode_poly(f: Polynomial):

@@ -1,37 +1,15 @@
 """Exact integer and rational matrix routines.
 
-Matrices are numpy arrays with dtype=object holding Python ints or
-Fractions, so every operation here is exact.  Row vectors passed around
-the rest of the package are plain tuples; the helpers at the top convert
-between the two shapes.
+A matrix is a list (or tuple) of rows, each row a sequence of Python
+ints or Fractions, so every operation here is exact.  Row vectors passed
+around the rest of the package are plain tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
-
-import numpy as np
-
-
-def to_matrix(rows, width: int | None = None) -> np.ndarray:
-    """Object-dtype 2d array from an iterable of rows.
-
-    `width` disambiguates the column count when `rows` is empty.
-    """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows.astype(object)
-    rows = [list(r) for r in rows]
-    if not rows:
-        return np.zeros((0, 0 if width is None else width), dtype=object)
-    return np.array(rows, dtype=object)
-
-
-def identity(n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0), dtype=object)
-    return np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                    dtype=object)
 
 
 def dot(u, v):
@@ -49,6 +27,21 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def primitive(vector) -> tuple[int, ...]:
+    """Coprime integer vector with the same direction; zero stays zero."""
+    fr = [Fraction(x) for x in vector]
+    denom = 1
+    for f in fr:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fr]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
 def exgcd(a: int, b: int):
     """Extended gcd: (g, x, y) with g = a*x + b*y and g >= 0."""
     x, y, u, v = 1, 0, 0, 1
@@ -64,34 +57,39 @@ def exgcd(a: int, b: int):
 
 def _rowop(M, i, j, a, b, c, d):
     # rows i, j replaced by (a*ri + b*rj, c*ri + d*rj); caller keeps ad-bc = +-1
-    ri, rj = M[i, :].copy(), M[j, :].copy()
-    M[i, :] = a * ri + b * rj
-    M[j, :] = c * ri + d * rj
+    ri, rj = M[i], M[j]
+    M[i] = [a * x + b * y for x, y in zip(ri, rj)]
+    M[j] = [c * x + d * y for x, y in zip(ri, rj)]
 
 
 def _colop(M, i, j, a, b, c, d):
-    ci, cj = M[:, i].copy(), M[:, j].copy()
-    M[:, i] = a * ci + b * cj
-    M[:, j] = c * ci + d * cj
+    for row in M:
+        x, y = row[i], row[j]
+        row[i] = a * x + b * y
+        row[j] = c * x + d * y
+
+
+def _identity(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
-    Returns (D, U, V) with U @ A @ V = D, U and V unimodular, and D
-    diagonal with nonnegative entries d_1 | d_2 | ... .
+    Returns row lists (D, U, V) with U A V = D, U and V unimodular, and
+    D diagonal with nonnegative entries d_1 | d_2 | ... .
     """
-    A = to_matrix(A)
-    m, n = A.shape
-    D = A.copy()
-    U = identity(m)
-    V = identity(n)
+    D = [list(row) for row in A]
+    m = len(D)
+    n = len(D[0]) if D else 0
+    U = _identity(m)
+    V = _identity(n)
     t = 0
     while t < min(m, n):
         piv = None
         for i in range(t, m):
             for j in range(t, n):
-                if D[i, j] != 0 and (piv is None or abs(D[i, j]) < abs(D[piv[0], piv[1]])):
+                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
                     piv = (i, j)
         if piv is None:
             break
@@ -103,9 +101,9 @@ def smith_normal_form(A):
             _colop(V, t, piv[1], 0, 1, 1, 0)
         while True:
             for i in range(t + 1, m):
-                if D[i, t] == 0:
+                if D[i][t] == 0:
                     continue
-                a, b = D[t, t], D[i, t]
+                a, b = D[t][t], D[i][t]
                 if b % a == 0:
                     q = b // a
                     _rowop(D, t, i, 1, 0, -q, 1)
@@ -115,9 +113,9 @@ def smith_normal_form(A):
                     _rowop(D, t, i, x, y, -(b // g), a // g)
                     _rowop(U, t, i, x, y, -(b // g), a // g)
             for j in range(t + 1, n):
-                if D[t, j] == 0:
+                if D[t][j] == 0:
                     continue
-                a, b = D[t, t], D[t, j]
+                a, b = D[t][t], D[t][j]
                 if b % a == 0:
                     q = b // a
                     _colop(D, t, j, 1, 0, -q, 1)
@@ -126,14 +124,14 @@ def smith_normal_form(A):
                     g, x, y = exgcd(a, b)
                     _colop(D, t, j, x, y, -(b // g), a // g)
                     _colop(V, t, j, x, y, -(b // g), a // g)
-            if all(D[i, t] == 0 for i in range(t + 1, m)) and \
-               all(D[t, j] == 0 for j in range(t + 1, n)):
+            if all(D[i][t] == 0 for i in range(t + 1, m)) and \
+               all(D[t][j] == 0 for j in range(t + 1, n)):
                 break
         # divisibility: d_t must divide everything below and to the right
         fixed = True
         for i in range(t + 1, m):
             for j in range(t + 1, n):
-                if D[i, j] % D[t, t] != 0:
+                if D[i][j] % D[t][t] != 0:
                     _rowop(D, t, i, 1, 1, 0, 1)
                     _rowop(U, t, i, 1, 1, 0, 1)
                     fixed = False
@@ -142,22 +140,21 @@ def smith_normal_form(A):
                 break
         if not fixed:
             continue
-        if D[t, t] < 0:
-            D[t, :] = -D[t, :]
-            U[t, :] = -U[t, :]
+        if D[t][t] < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
     return D, U, V
 
 
 def det(A) -> int:
     """Determinant of an integer matrix, by fraction-free elimination."""
-    A = to_matrix(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    M = [[int(x) for x in row] for row in A]
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("det needs a square matrix")
     if n == 0:
         return 1
-    M = [[int(x) for x in row] for row in A]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -175,6 +172,15 @@ def det(A) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[-1][-1]
+
+
+def unimodular_subset(vectors, k: int):
+    """Indices of the first k of `vectors`, in combinations order, that
+    form a lattice basis of Z^k (determinant +-1), or None."""
+    for subset in combinations(range(len(vectors)), k):
+        if abs(det([vectors[i] for i in subset])) == 1:
+            return subset
+    return None
 
 
 def rref(M):
@@ -258,36 +264,29 @@ def solve(M, b):
     return tuple(x)
 
 
+def inverse(rows):
+    """Rational inverse of a square matrix, as row lists of Fractions."""
+    d = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(d)]
+           for i, r in enumerate(rows)]
+    R, pivots = rref(aug)
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    return [row[d:] for row in R[:d]]
+
+
 def unimodular_inverse(A):
     """Integer inverse of an integer matrix with determinant +-1."""
-    A = to_matrix(A)
-    n = A.shape[0]
-    if n == 0:
-        return identity(0)
-    aug = [[int(A[i, j]) for j in range(n)] + [int(i == j) for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = [[R[i][n + j] for j in range(n)] for i in range(n)]
+    inv = inverse([[int(x) for x in row] for row in A])
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("matrix is not unimodular")
-    return np.array([[int(x) for x in row] for row in inv], dtype=object)
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def _primitive_ineq(coeffs, rhs):
     # joint primitive integer form of (coeffs, rhs), preserving direction
-    parts = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-    denom = 1
-    for p in parts:
-        denom = denom * p.denominator // gcd(denom, p.denominator)
-    ints = [int(p * denom) for p in parts]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
+    p = primitive(tuple(coeffs) + (rhs,))
+    return p[:-1], p[-1]
 
 
 def feasible_point(ineqs, nvars: int):

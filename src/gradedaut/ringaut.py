@@ -13,7 +13,6 @@ an affine variety over the rationals.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -362,18 +361,6 @@ def _build_triple(basis, admissible, mult_gens, term_bound):
     return AutTriple(matrix, admissible.aut, gens)
 
 
-_POOL_STATE = {}
-
-
-def _triple_worker(idx: int):
-    basis, admissibles, mult_gens, term_bound = _POOL_STATE["args"]
-    return _build_triple(basis, admissibles[idx], mult_gens, term_bound)
-
-
-def _pool_init(args):
-    _POOL_STATE["args"] = args
-
-
 def aut_ks(ring: GradedPolyRing, jobs: int = 1,
            term_bound: int = DET_TERM_BOUND) -> AutPresentation:
     """The full presentation: admissible weight symmetries, structured
@@ -381,6 +368,7 @@ def aut_ks(ring: GradedPolyRing, jobs: int = 1,
 
     Requires an effective pointed grading with a lattice basis among the
     free parts; the ideal of the algebra plays no role at this stage.
+    `jobs` is accepted for compatibility; the triples are built serially.
     """
     report = validate_presentation(ring)
     if not report.grading_ok:
@@ -389,23 +377,13 @@ def aut_ks(ring: GradedPolyRing, jobs: int = 1,
     auts = aut_gen_weights(ring.degrees)
     admissibles = admissible_automorphisms(auts, ring)
     mult_gens = tuple(multiplicativity_ideal(basis))
-    if jobs > 1 and len(admissibles) > 1:
-        args = (basis, admissibles, mult_gens, term_bound)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                 initargs=(args,)) as pool:
-            triples = tuple(pool.map(_triple_worker, range(len(admissibles))))
-    else:
-        triples = tuple(_build_triple(basis, adm, mult_gens, term_bound)
-                        for adm in admissibles)
+    triples = tuple(_build_triple(basis, adm, mult_gens, term_bound)
+                    for adm in admissibles)
     combined = CombinedIdeal(tuple(t.ideal for t in triples))
     return AutPresentation(ring, basis, _slot_ring(basis), triples, combined)
 
 
 # --- rendering ---------------------------------------------------------
-
-def render_element_list(elements) -> str:
-    return ", ".join(str(e) for e in elements)
-
 
 def render_presentation(pres: AutPresentation) -> str:
     """Plain-text report: variable weight table, then each triple with

@@ -11,7 +11,6 @@ every problem at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import linalg
 from .errors import ValidationError
@@ -51,18 +50,11 @@ class ValidationReport:
 
 def has_lattice_basis(ring: GradedPolyRing) -> bool:
     """Does some k-subset of the free parts have determinant +-1?"""
-    k = ring.grading.free_rank
-    if k == 0:
-        return True
     free = []
     for v in ring.degrees.free_parts():
         if v not in free:
             free.append(v)
-    for subset in combinations(free, k):
-        M = linalg.to_matrix(list(zip(*subset)), width=k)
-        if abs(linalg.det(M)) == 1:
-            return True
-    return False
+    return linalg.unimodular_subset(free, ring.grading.free_rank) is not None
 
 
 def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> ValidationReport:

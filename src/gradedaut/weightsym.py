@@ -11,7 +11,8 @@ candidate is then screened against the full weight set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import permutations, product
 
 from . import linalg
 from .errors import StructuralError, ValidationError
@@ -73,8 +74,14 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     """All grading-group automorphisms permuting the weight set.
 
     The result always forms a finite group containing the identity,
-    listed in canonical order.
+    listed in canonical order.  The search runs once per degree matrix;
+    later calls with an equal matrix return the same tuple.
     """
+    return _weight_symmetries(Q)
+
+
+@lru_cache(maxsize=32)
+def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     group = Q.group
     k = group.free_rank
     orders = group.torsion_orders
@@ -82,23 +89,14 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     s = len(weights)
     weight_set = set(weights)
 
-    basis_idx = None
-    for subset in combinations(range(s), k):
-        M = linalg.to_matrix(list(zip(*(weights[i].free_part for i in subset))), width=k)
-        if abs(linalg.det(M)) == 1:
-            basis_idx = subset
-            break
+    basis_idx = linalg.unimodular_subset([w.free_part for w in weights], k)
     if basis_idx is None:
         raise ValidationError(
             "the free parts of the weights contain no lattice basis; "
             "validate_presentation reports this precondition")
 
-    if k:
-        B0 = linalg.to_matrix(list(zip(*(weights[i].free_part for i in basis_idx))))
-        B0_inv = linalg.unimodular_inverse(B0)
-        B0_inv_rows = tuple(tuple(int(x) for x in row) for row in B0_inv)
-    else:
-        B0_inv_rows = ()
+    B0_inv_rows = linalg.unimodular_inverse(
+        list(zip(*(weights[i].free_part for i in basis_idx))))
     basis_tors = [weights[i].torsion_part for i in basis_idx]
 
     d_candidates = _torsion_block_candidates(group)
@@ -107,7 +105,7 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
         img_free_cols = [weights[i].free_part for i in images]
         M_rows = tuple(tuple(col[row] for col in img_free_cols) for row in range(k))
         A = linalg.mat_mul(M_rows, B0_inv_rows)
-        if abs(linalg.det(linalg.to_matrix(A, width=k))) != 1:
+        if abs(linalg.det(A)) != 1:
             continue
         img_tors_cols = [weights[i].torsion_part for i in images]
         for D in d_candidates:

@@ -84,7 +84,7 @@ def extendable_bijections(Q: DegreeMatrix):
             if sol is None or any(x.denominator != 1 for x in sol):
                 continue
             A = tuple(tuple(int(sol[i * k + t]) for t in range(k)) for i in range(k))
-            if abs(linalg.det(linalg.to_matrix(A, width=k))) != 1:
+            if abs(linalg.det(A)) != 1:
                 continue
         else:
             A = ()

@@ -174,11 +174,11 @@ def test_conic_oracle(conic):
     while len(cases) < 40:
         M = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
                   for _ in range(3))
-        if linalg.det(linalg.to_matrix(M, 3)) != 0:
+        if linalg.det(M) != 0:
             cases.append(M)
     hits = 0
     for M in cases:
-        det = linalg.det(linalg.to_matrix(M, 3))
+        det = linalg.det(M)
         values = [Fraction(M[i][j]) for i in range(3) for j in range(3)]
         values.append(1 / Fraction(det))
         vanish = all(g.substitute_values(values) == 0 for g in gens)

@@ -1,13 +1,18 @@
 """The command line front end, driven through main()."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from gradedaut import gitfan, weightsym
 from gradedaut.cli import main
 from gradedaut.inout import read_report
 
-DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "quadric8.toml")
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = str(ROOT / "demos" / "quadric8.toml")
 
 TINY = "vars = 2\nQ = [[1, 1]]\n\n[grading]\nfree_rank = 1\n"
 
@@ -124,6 +129,38 @@ def test_autxhat_w_flag(tmp_path, capsys):
     assert main(["autxhat", "--input", no_w, "--w", "1,9"]) == 2
     assert main(["autxhat", "--input", no_w, "--w", "a,b,c,d"]) == 2
     capsys.readouterr()
+
+
+def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
+    calls = {"orbit_cones": 0, "weight_search": 0}
+    orbit_cones = gitfan.orbit_cones
+    candidates = weightsym._torsion_block_candidates
+
+    def counted_orbit_cones(*args, **kwargs):
+        calls["orbit_cones"] += 1
+        return orbit_cones(*args, **kwargs)
+
+    def counted_candidates(group):
+        # called once at the top of every weight-symmetry search
+        calls["weight_search"] += 1
+        return candidates(group)
+
+    monkeypatch.setattr(gitfan, "orbit_cones", counted_orbit_cones)
+    monkeypatch.setattr(weightsym, "_torsion_block_candidates",
+                        counted_candidates)
+    weightsym._weight_symmetries.cache_clear()
+    assert main(["autxhat", "--input", DEMO]) == 0
+    capsys.readouterr()
+    assert calls == {"orbit_cones": 1, "weight_search": 1}
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, gradedaut.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_autxhat_rejects_non_effective(tmp_path, capsys):

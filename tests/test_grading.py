@@ -66,8 +66,7 @@ def effective_oracle(Q):
         return True
     g = 0
     for subset in combinations(range(len(cols)), total):
-        M = linalg.to_matrix([[cols[j][i] for j in subset] for i in range(total)],
-                             width=total)
+        M = [[cols[j][i] for j in subset] for i in range(total)]
         # permutation expansion, independent of the elimination code
         d = 0
         for perm in permutations(range(total)):
@@ -78,7 +77,7 @@ def effective_oracle(Q):
                         sign = -sign
             prod = 1
             for i in range(total):
-                prod *= int(M[i, perm[i]])
+                prod *= int(M[i][perm[i]])
             d += sign * prod
         g = g if d == 0 else (d if g == 0 else __import__("math").gcd(g, d))
     g = abs(g)
