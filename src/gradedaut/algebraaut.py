@@ -155,13 +155,13 @@ class StabilizerPresentation:
                                       CombinedIdeal(tuple(t.ideal for t in kept)))
 
 
-def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal, jobs: int = 1,
+def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
                  term_bound: int = DET_TERM_BOUND) -> StabilizerPresentation:
     """Full pipeline for the quotient algebra R = S/I.
 
     Refuses any input failing a validation flag, in particular an ideal
     meeting a component S_q for a generator weight q; the message names
-    the weight.  `jobs` is accepted for compatibility; the work is serial.
+    the weight.
     """
     report = validate_presentation(ring, ideal)
     if not report.ok:

@@ -7,7 +7,7 @@ equation presentations, `autxhat` applies the chamber filter, and
 failure, 2 parse failure, 3 resource-guard refusal.
 
 Each stage runs once per invocation.  The worker count, which only
-parallelises orbit-cone enumeration in `autxhat`, comes from the
+parallelises the orbit cones of user faces in `autxhat`, comes from the
 GRADED_AUT_JOBS environment variable; `--jobs` overrides it.  All stdout
 output is a pure function of the input, so repeated runs are
 byte-identical.
@@ -51,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write a report (or the exported script) here")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes for orbit-cone enumeration; "
+                        help="worker processes for user-faces orbit cones; "
                         "default from GRADED_AUT_JOBS")
     top = argparse.ArgumentParser(
         prog="graded-aut",

@@ -6,7 +6,10 @@ so cones see only the free parts of the weights.  A face family selects
 which subsets of weights span orbit cones; the default family is every
 nonempty subset, exact for the full coordinate space, while precomputed
 families can be passed through for quotients whose relevant faces were
-determined externally.
+determined externally.  The chamber of a class in all-subsets mode needs
+only the simplicial orbit cones (Carathéodory), so it is computed from
+the linearly independent subsets of at most k weights, one exact Cramer
+solve each, and one double description for their intersection.
 """
 
 from __future__ import annotations
@@ -16,20 +19,24 @@ from itertools import combinations
 
 from . import linalg
 from .algebraaut import StabilizerPresentation
-from .cones import RationalCone, cone_from_rays, equal_cones, intersect_cones
+from .cones import (RationalCone, cone_from_rays, equal_cones,
+                    generators_from_halfspaces)
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
 
 SUBSET_BOUND = 20
 
 
-def _face_family(Q: DegreeMatrix, faces, subset_bound: int):
+def _face_family(Q: DegreeMatrix, faces, subset_bound: int,
+                 simplicial: bool = False):
     r = Q.var_count
     if faces is None:
         if r > subset_bound:
             raise GuardError(
                 f"all-subsets enumeration over {r} weights exceeds the bound "
                 f"{subset_bound}; raise subset_bound or supply explicit faces")
+        if simplicial:
+            return _simplicial_family(Q)
         out = []
         for size in range(1, r + 1):
             out.extend(combinations(range(r), size))
@@ -48,6 +55,26 @@ def _face_family(Q: DegreeMatrix, faces, subset_bound: int):
             seen.add(key)
             out.append(tuple(i - 1 for i in key))
     return out
+
+
+def _simplicial_family(Q: DegreeMatrix):
+    """Subsets of at most k weights with linearly independent free parts,
+    plus the singleton of every weight whose free part is zero (its cone
+    is the origin)."""
+    free = [c.free_part for c in Q.columns]
+    out = [(i,) for i, v in enumerate(free) if not any(v)]
+    for size in range(1, Q.group.free_rank + 1):
+        out.extend(F for F in combinations(range(len(free)), size)
+                   if linalg.nonzero_minor([free[i] for i in F]) is not None)
+    return out
+
+
+def _in_simplicial_cone(vectors, w0) -> bool:
+    """w0 in the cone over linearly independent vectors, or over a single
+    zero vector, by one Cramer solve; the zero vector spans the origin,
+    which is the cone over no vectors."""
+    sol = linalg.cramer([v for v in vectors if any(v)], w0)
+    return sol is not None and all(x * sol[1] >= 0 for x in sol[0])
 
 
 def _forms_of(cone: RationalCone):
@@ -88,22 +115,36 @@ def weight_cone(Q: DegreeMatrix) -> RationalCone:
 def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
              subset_bound: int = SUBSET_BOUND, jobs: int = 1) -> RationalCone:
     """The chamber of w: intersection of the orbit cones containing the
-    free part of w."""
+    free part w0 of w.
+
+    With user faces these are the orbit cones of the faces.  In
+    all-subsets mode only simplicial orbit cones are tested: every orbit
+    cone containing w0 contains one over linearly independent weights
+    (or the origin, from a weight with zero free part) that contains w0
+    too, so both families cut out the same chamber.  A lone containing
+    cone is returned as it is, otherwise one double description over the
+    union of their forms gives the chamber in canonical form.  `jobs`
+    workers build the orbit cones of user faces.
+    """
     if w.group != Q.group:
         raise StructuralError("w lives in a different grading group")
     w0 = w.free_part
     if not weight_cone(Q).contains(w0):
         raise ValidationError("w is not an effective class")
     k = Q.group.free_rank
-    lam = None
-    for cone in orbit_cones(Q, faces, subset_bound, jobs):
-        if not cone.contains(w0):
-            continue
-        lam = cone if lam is None else intersect_cones(lam, cone)
-    if lam is None:
-        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        lam = cone_from_rays(units + [tuple(-u for u in v) for v in units], k)
-    return lam
+    if faces is None:
+        free = [c.free_part for c in Q.columns]
+        spans = ([free[i] for i in F]
+                 for F in _face_family(Q, None, subset_bound, simplicial=True))
+        containing = [cone_from_rays(vectors, k) for vectors in spans
+                      if _in_simplicial_cone(vectors, w0)]
+    else:
+        containing = [cone for cone in orbit_cones(Q, faces, subset_bound, jobs)
+                      if cone.contains(w0)]
+    if len(containing) == 1:
+        return containing[0]
+    forms = [f for cone in containing for f in cone.forms]
+    return cone_from_rays(generators_from_halfspaces(forms, k), k)
 
 
 def map_cone(A, cone: RationalCone) -> RationalCone:

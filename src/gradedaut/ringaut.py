@@ -361,14 +361,13 @@ def _build_triple(basis, admissible, mult_gens, term_bound):
     return AutTriple(matrix, admissible.aut, gens)
 
 
-def aut_ks(ring: GradedPolyRing, jobs: int = 1,
+def aut_ks(ring: GradedPolyRing,
            term_bound: int = DET_TERM_BOUND) -> AutPresentation:
     """The full presentation: admissible weight symmetries, structured
     matrices, and per-symmetry equation lists.
 
     Requires an effective pointed grading with a lattice basis among the
     free parts; the ideal of the algebra plays no role at this stage.
-    `jobs` is accepted for compatibility; the triples are built serially.
     """
     report = validate_presentation(ring)
     if not report.grading_ok:

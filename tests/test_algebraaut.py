@@ -187,11 +187,6 @@ def test_conic_oracle(conic):
     assert 0 < hits < len(cases)
 
 
-def test_jobs_parity(quadric8_ring, quadric8_ideal, quadric8_stab):
-    parallel = aut_grad_alg(quadric8_ring, quadric8_ideal, jobs=2)
-    assert parallel.triples == quadric8_stab.triples
-
-
 def test_render_stabilizer(quadric8_stab):
     text = render_stabilizer(quadric8_stab)
     assert "stabilizing conditions for triple 4" in text

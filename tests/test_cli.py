@@ -132,26 +132,26 @@ def test_autxhat_w_flag(tmp_path, capsys):
 
 
 def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"orbit_cones": 0, "weight_search": 0}
-    orbit_cones = gitfan.orbit_cones
+    calls = {"face_family": 0, "weight_search": 0}
+    face_family = gitfan._face_family
     candidates = weightsym._torsion_block_candidates
 
-    def counted_orbit_cones(*args, **kwargs):
-        calls["orbit_cones"] += 1
-        return orbit_cones(*args, **kwargs)
+    def counted_face_family(*args, **kwargs):
+        calls["face_family"] += 1
+        return face_family(*args, **kwargs)
 
     def counted_candidates(group):
         # called once at the top of every weight-symmetry search
         calls["weight_search"] += 1
         return candidates(group)
 
-    monkeypatch.setattr(gitfan, "orbit_cones", counted_orbit_cones)
+    monkeypatch.setattr(gitfan, "_face_family", counted_face_family)
     monkeypatch.setattr(weightsym, "_torsion_block_candidates",
                         counted_candidates)
     weightsym._weight_symmetries.cache_clear()
     assert main(["autxhat", "--input", DEMO]) == 0
     capsys.readouterr()
-    assert calls == {"orbit_cones": 1, "weight_search": 1}
+    assert calls == {"face_family": 1, "weight_search": 1}
 
 
 def test_cli_import_leaves_numpy_out():
@@ -207,16 +207,32 @@ def test_export_bad_dialect(capsys):
 
 
 def test_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
-    assert main(["autks", "--input", DEMO, "--jobs", "1"]) == 0
+    # workers only build user-faces orbit cones, so drive that mode
+    text = Path(DEMO).read_text().replace(
+        'mode = "all-subsets"',
+        'mode = "user-faces"\n'
+        'faces = [[1, 2, 3], [4, 5, 6], [1, 7], [2, 8], [1, 3, 5, 7]]')
+    path = _write(tmp_path, text)
+    workers = []
+    pool = gitfan.ProcessPoolExecutor
+
+    def counted_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(gitfan, "ProcessPoolExecutor", counted_pool)
+    assert main(["autxhat", "--input", path, "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    assert main(["autks", "--input", DEMO, "--jobs", "2"]) == 0
+    assert "git chamber of w" in serial
+    assert main(["autxhat", "--input", path, "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
     monkeypatch.setenv("GRADED_AUT_JOBS", "2")
-    assert main(["autks", "--input", DEMO]) == 0
+    assert main(["autxhat", "--input", path]) == 0
     assert capsys.readouterr().out == serial
     monkeypatch.setenv("GRADED_AUT_JOBS", "banana")
-    assert main(["autks", "--input", DEMO]) == 0
+    assert main(["autxhat", "--input", path]) == 0
     assert capsys.readouterr().out == serial
+    assert workers == [2, 2]
 
 
 def test_check_report_written(tmp_path):

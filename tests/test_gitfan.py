@@ -3,14 +3,21 @@ import random
 import pytest
 
 from gradedaut.algebraaut import aut_grad_alg
-from gradedaut.cones import cone_from_rays, equal_cones
+from gradedaut.cones import cone_from_rays, equal_cones, intersect_cones
 from gradedaut.errors import GuardError, StructuralError, ValidationError
-from gradedaut.gitfan import (aut_xhat, git_cone, map_cone, orbit_cones,
-                              render_cone, weight_cone)
+from gradedaut.gitfan import (SUBSET_BOUND, _face_family, aut_xhat, git_cone,
+                              map_cone, orbit_cones, render_cone, weight_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
 W_CHAMBER = (1, 9, 16)
+
+# ten weights in Z^3 on the plane x3 = 1
+CHAMBER10_ROWS = (
+    (1, 0, 0, -1, 0, 1, -1, 1, -1, 2),
+    (0, 1, 0, 0, -1, 1, -1, -1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +33,98 @@ def quadric8_cones(quadric8_Q):
 def zq(*weights):
     group = GradingGroup(1, ())
     return DegreeMatrix(tuple(group.element((w,), ()) for w in weights))
+
+
+def free_q(*weights):
+    group = GradingGroup(len(weights[0]), ())
+    return DegreeMatrix(tuple(group.element(w, ()) for w in weights))
+
+
+def reference_chamber(Q, w0, faces=None):
+    """Pairwise intersection of the orbit cones containing w0, the whole
+    space when none does."""
+    k = Q.group.free_rank
+    lam = None
+    for cone in orbit_cones(Q, faces):
+        if cone.contains(w0):
+            lam = cone if lam is None else intersect_cones(lam, cone)
+    if lam is None:
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        lam = cone_from_rays(units + [tuple(-u for u in v) for v in units], k)
+    return lam
+
+
+def random_configuration(rng):
+    """Weights in Z^k with entries in [-2, 2], some zero or opposite, and
+    an effective class: zero, a weight, or a nonnegative combination."""
+    k = rng.randint(1, 3)
+    weights = [tuple(rng.randint(-2, 2) for _ in range(k))
+               for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        weights.append((0,) * k)
+    if rng.random() < 0.3:
+        weights.append(tuple(-x for x in rng.choice(weights)))
+    rng.shuffle(weights)
+    kind = rng.randrange(3)
+    if kind == 0:
+        w0 = (0,) * k
+    elif kind == 1:
+        w0 = rng.choice(weights)
+    else:
+        coeffs = [rng.randint(0, 2) for _ in weights]
+        w0 = tuple(sum(c * q[t] for c, q in zip(coeffs, weights))
+                   for t in range(k))
+    return free_q(*weights), w0
+
+
+def test_git_cone_matches_all_orbit_cones():
+    rng = random.Random(11)
+    for _ in range(120):
+        Q, w0 = random_configuration(rng)
+        w = Q.group.element(w0, ())
+        assert git_cone(Q, w).rays == reference_chamber(Q, w0).rays, (Q, w0)
+
+
+def test_git_cone_user_faces_match_their_orbit_cones():
+    rng = random.Random(12)
+    for _ in range(60):
+        Q, w0 = random_configuration(rng)
+        r = Q.var_count
+        faces = [tuple(rng.sample(range(1, r + 1), rng.randint(1, r)))
+                 for _ in range(rng.randint(1, 4))]
+        w = Q.group.element(w0, ())
+        assert (git_cone(Q, w, faces).rays
+                == reference_chamber(Q, w0, faces).rays), (Q, w0, faces)
+
+
+def test_simplicial_family_size(quadric8_Q):
+    chamber10 = DegreeMatrix.from_rows(GradingGroup(3, ()), CHAMBER10_ROWS)
+    assert len(_face_family(chamber10, None, SUBSET_BOUND,
+                            simplicial=True)) == 163
+    assert len(_face_family(quadric8_Q, None, SUBSET_BOUND,
+                            simplicial=True)) == 88
+    # orbit_cones keeps every nonempty subset
+    assert len(_face_family(chamber10, None, SUBSET_BOUND)) == 2 ** 10 - 1
+    # a zero free part contributes its singleton, the origin
+    assert _face_family(zq(0, 1), None, SUBSET_BOUND, simplicial=True) == [
+        (0,), (1,)]
+
+
+def test_git_cone_zero_free_part():
+    Q = zq(-1, 0)
+    assert git_cone(Q, Q.group.element((0,), ())).rays == ()
+    assert git_cone(Q, Q.group.element((-2,), ())).rays == ((-1,),)
+
+
+def test_git_cone_user_faces_keep_their_cones():
+    Q = free_q((1, 0), (0, 1), (1, 1))
+    w = Q.group.element((1, 2), ())
+    quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
+    lam = git_cone(Q, w, faces=[(1, 2, 3)])
+    assert equal_cones(lam, quadrant)
+    # the lone containing orbit cone comes back as spanned by its face
+    assert lam.rays == ((0, 1), (1, 0), (1, 1))
+    assert git_cone(Q, w).rays == ((0, 1), (1, 1))
 
 
 def test_orbit_cones_quadric8(quadric8_Q, quadric8_cones):

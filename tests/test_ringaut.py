@@ -216,11 +216,6 @@ def test_torus_points_satisfy_identity_triple(quadric8_presentation):
             assert g.substitute_values(values) == 0
 
 
-def test_jobs_parity(quadric8_ring, quadric8_presentation):
-    parallel = aut_ks(quadric8_ring, jobs=2)
-    assert parallel.triples == quadric8_presentation.triples
-
-
 def test_combined_ideal_products():
     pres = aut_ks(zring(1, 2))
     combined = pres.combined_ideal
