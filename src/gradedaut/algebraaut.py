@@ -137,7 +137,10 @@ class StabilizerPresentation:
     base: AutPresentation
     triples: tuple
     degree_roster: tuple
-    combined_ideal: CombinedIdeal
+
+    @property
+    def combined_ideal(self) -> CombinedIdeal:
+        return CombinedIdeal(tuple(t.ideal for t in self.triples))
 
     @property
     def n(self) -> int:
@@ -149,10 +152,9 @@ class StabilizerPresentation:
     def restrict(self, indices) -> "StabilizerPresentation":
         """The presentation cut down to the triples at the given 0-based
         indices, in that order."""
-        kept = tuple(self.triples[i] for i in indices)
-        return StabilizerPresentation(self.ring, self.ideal, self.base, kept,
-                                      self.degree_roster,
-                                      CombinedIdeal(tuple(t.ideal for t in kept)))
+        return StabilizerPresentation(self.ring, self.ideal, self.base,
+                                      tuple(self.triples[i] for i in indices),
+                                      self.degree_roster)
 
 
 def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
@@ -178,8 +180,7 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
                         base, ideal, t, components))
                     for t in base.triples)
-    combined = CombinedIdeal(tuple(t.ideal for t in triples))
-    return StabilizerPresentation(ring, ideal, base, triples, roster, combined)
+    return StabilizerPresentation(ring, ideal, base, triples, roster)
 
 
 def render_stabilizer(pres: StabilizerPresentation) -> str:

@@ -3,39 +3,28 @@
 Subcommands mirror the library stages: `check` validates, `weights-aut`
 lists the grading-group symmetries, `autks` and `autgradalg` print the
 equation presentations, `autxhat` applies the chamber filter, and
-`export` writes a CAS script.  Exit codes: 0 success, 1 validation
+`export` writes a CAS script, from a saved report or from the bundle
+`autgradalg --out` would write.  Exit codes: 0 success, 1 validation
 failure, 2 parse failure, 3 resource-guard refusal.
 
-Each stage runs once per invocation.  The worker count, which only
-parallelises the orbit cones of user faces in `autxhat`, comes from the
-GRADED_AUT_JOBS environment variable; `--jobs` overrides it.  All stdout
-output is a pure function of the input, so repeated runs are
-byte-identical.
+Each command reads its input once and runs each stage once, serially,
+in one process.  All stdout output is a pure function of the input, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .algebraaut import aut_grad_alg, render_stabilizer
 from .errors import GuardError, InputError, StructuralError, ValidationError
 from .gitfan import chamber_fixers, git_cone, render_cone
 from .inout import (FilterResult, ResultBundle, export_cas_script,
-                    parse_input, read_input, report_from_text, write_report)
+                    parse_input, read_text, report_from_text, write_report)
 from .ringaut import aut_ks, render_presentation
 from .validation import validate_presentation
 from .weightsym import aut_gen_weights
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("GRADED_AUT_JOBS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -51,8 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write a report (or the exported script) here")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes for user-faces orbit cones; "
-                        "default from GRADED_AUT_JOBS")
+                        help="accepted and ignored: every stage is serial")
     top = argparse.ArgumentParser(
         prog="graded-aut",
         description="automorphism presentations of graded affine algebras")
@@ -106,27 +94,12 @@ def _emit(text: str, out_path):
 
 
 def _run(args) -> int:
-    if args.command == "export":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            bundle = report_from_text(text)
-        else:
-            problem = parse_input(text)
-            ring = problem.ring()
-            ideal = problem.ideal(ring)
-            report = validate_presentation(ring, ideal)
-            auts = tuple(a.display_matrix()
-                         for a in aut_gen_weights(ring.degrees))
-            if problem.ideal_gens:
-                stab = aut_grad_alg(ring, ideal)
-                bundle = ResultBundle(problem, report, auts, stab.base, stab)
-            else:
-                bundle = ResultBundle(problem, report, auts, aut_ks(ring))
-        _emit(export_cas_script(bundle, args.dialect), args.out)
+    text = read_text(args.input)
+    if args.command == "export" and text.lstrip().startswith("{"):
+        _emit(export_cas_script(report_from_text(text), args.dialect),
+              args.out)
         return 0
-
-    problem = read_input(args.input)
+    problem = parse_input(text)
     ring = problem.ring()
     ideal = problem.ideal(ring)
     report = validate_presentation(ring, ideal)
@@ -162,21 +135,22 @@ def _run(args) -> int:
                          args.out)
         return 0
 
-    if args.command == "autgradalg":
+    if args.command in ("autgradalg", "export"):
         stab = aut_grad_alg(ring, ideal)
-        print(render_stabilizer(stab))
-        if args.out:
-            write_report(ResultBundle(problem, report, displays, stab.base,
-                                      stab), args.out)
+        bundle = ResultBundle(problem, report, displays, stab.base, stab)
+        if args.command == "export":
+            _emit(export_cas_script(bundle, args.dialect), args.out)
+        else:
+            print(render_stabilizer(stab))
+            if args.out:
+                write_report(bundle, args.out)
         return 0
 
     # autxhat: check the class and its chamber before the heavy stages
     coords = _w_coords(args, problem)
     faces = _faces_used(args, problem)
     w = problem.group().from_coordinates(coords)
-    jobs = args.jobs if args.jobs is not None and args.jobs >= 1 \
-        else _default_jobs()
-    lam = git_cone(ring.degrees, w, faces, jobs=jobs)
+    lam = git_cone(ring.degrees, w, faces)
     stab = aut_grad_alg(ring, ideal)
     retained = chamber_fixers(stab, lam)
     filtered = stab.restrict(retained)

@@ -9,12 +9,12 @@ families can be passed through for quotients whose relevant faces were
 determined externally.  The chamber of a class in all-subsets mode needs
 only the simplicial orbit cones (Carathéodory), so it is computed from
 the linearly independent subsets of at most k weights, one exact Cramer
-solve each, and one double description for their intersection.
+solve each, and one double description for their intersection.  Every
+step runs serially in the calling process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from . import linalg
@@ -77,12 +77,7 @@ def _in_simplicial_cone(vectors, w0) -> bool:
     return sol is not None and all(x * sol[1] >= 0 for x in sol[0])
 
 
-def _forms_of(cone: RationalCone):
-    return cone.forms
-
-
-def orbit_cones(Q: DegreeMatrix, faces=None, subset_bound: int = SUBSET_BOUND,
-                jobs: int = 1):
+def orbit_cones(Q: DegreeMatrix, faces=None, subset_bound: int = SUBSET_BOUND):
     """Cones spanned by the free parts of the weights along each face,
     geometrically deduplicated, first occurrence kept.
 
@@ -92,17 +87,11 @@ def orbit_cones(Q: DegreeMatrix, faces=None, subset_bound: int = SUBSET_BOUND,
     family = _face_family(Q, faces, subset_bound)
     k = Q.group.free_rank
     cols = Q.columns
-    candidates = [cone_from_rays([cols[i].free_part for i in F], k)
-                  for F in family]
-    if jobs > 1 and len(candidates) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            keys = list(pool.map(_forms_of, candidates, chunksize=16))
-    else:
-        keys = [c.forms for c in candidates]
     out, seen = [], set()
-    for cone, key in zip(candidates, keys):
-        if key not in seen:
-            seen.add(key)
+    for F in family:
+        cone = cone_from_rays([cols[i].free_part for i in F], k)
+        if cone.forms not in seen:
+            seen.add(cone.forms)
             out.append(cone)
     return tuple(out)
 
@@ -113,7 +102,7 @@ def weight_cone(Q: DegreeMatrix) -> RationalCone:
 
 
 def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
-             subset_bound: int = SUBSET_BOUND, jobs: int = 1) -> RationalCone:
+             subset_bound: int = SUBSET_BOUND) -> RationalCone:
     """The chamber of w: intersection of the orbit cones containing the
     free part w0 of w.
 
@@ -123,8 +112,7 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
     (or the origin, from a weight with zero free part) that contains w0
     too, so both families cut out the same chamber.  A lone containing
     cone is returned as it is, otherwise one double description over the
-    union of their forms gives the chamber in canonical form.  `jobs`
-    workers build the orbit cones of user faces.
+    union of their forms gives the chamber in canonical form.
     """
     if w.group != Q.group:
         raise StructuralError("w lives in a different grading group")
@@ -139,7 +127,7 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
         containing = [cone_from_rays(vectors, k) for vectors in spans
                       if _in_simplicial_cone(vectors, w0)]
     else:
-        containing = [cone for cone in orbit_cones(Q, faces, subset_bound, jobs)
+        containing = [cone for cone in orbit_cones(Q, faces, subset_bound)
                       if cone.contains(w0)]
     if len(containing) == 1:
         return containing[0]
@@ -161,10 +149,10 @@ def chamber_fixers(stab: StabilizerPresentation, lam: RationalCone):
 
 
 def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None,
-             subset_bound: int = SUBSET_BOUND, jobs: int = 1):
+             subset_bound: int = SUBSET_BOUND):
     """Filter the presentation down to the symmetries whose free block
     maps the chamber of w onto itself."""
-    lam = git_cone(stab.ring.degrees, w, faces, subset_bound, jobs)
+    lam = git_cone(stab.ring.degrees, w, faces, subset_bound)
     return stab.restrict(chamber_fixers(stab, lam))
 
 

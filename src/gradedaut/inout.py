@@ -22,8 +22,8 @@ from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, default_names,
                           parse_polynomial, polynomial_to_str)
-from .ringaut import (AutPresentation, AutTriple, CombinedIdeal, SymbolicMatrix,
-                      _slot_ring, build_action_basis)
+from .ringaut import (AutPresentation, AutTriple, SymbolicMatrix, _slot_ring,
+                      build_action_basis)
 from .validation import ValidationReport
 
 SCHEMA = "graded-aut/1"
@@ -447,9 +447,24 @@ def parse_input(text: str) -> ProblemInput:
                         faces, mode)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; undecodable bytes raise InputError at
+    their line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is
+        # every byte of it
+        head = exc.object[:exc.start]
+        line_start = head.rfind(b"\n") + 1
+        col = len(head[line_start:].decode("utf-8")) + 1
+        raise InputError([(head.count(b"\n") + 1, col,
+                           f"not UTF-8 text: {exc.reason}")]) from None
+
+
 def read_input(path) -> ProblemInput:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input(fh.read())
+    return parse_input(read_text(path))
 
 
 # --- result bundles ----------------------------------------------------
@@ -579,9 +594,7 @@ def _decode_presentation(data) -> AutPresentation:
         pattern = tuple(tuple(int(x) for x in row) for row in t["pattern"])
         gens = tuple(_decode_poly(g) for g in t["equations"])
         triples.append(AutTriple(SymbolicMatrix(n, pattern), aut, gens))
-    triples = tuple(triples)
-    combined = CombinedIdeal(tuple(t.ideal for t in triples))
-    return AutPresentation(ring, basis, _slot_ring(basis), triples, combined)
+    return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
 
 
 def _encode_stabilizer(stab: StabilizerPresentation):
@@ -606,8 +619,7 @@ def _decode_stabilizer(data) -> StabilizerPresentation:
                            f"{len(base.triples)} triples")])
     triples = tuple(StabilizerTriple(t, tuple(_decode_poly(g) for g in gens))
                     for t, gens in zip(base.triples, gen_lists))
-    combined = CombinedIdeal(tuple(t.ideal for t in triples))
-    return StabilizerPresentation(ring, ideal, base, triples, roster, combined)
+    return StabilizerPresentation(ring, ideal, base, triples, roster)
 
 
 def bundle_to_data(bundle: ResultBundle) -> dict:
@@ -632,10 +644,23 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
 
 
 def bundle_from_data(data) -> ResultBundle:
+    """Decode a report; a missing key or a value of the wrong type
+    raises InputError."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA:
         found = data.get("schema") if isinstance(data, dict) else None
         raise InputError([(1, 1, f"unsupported report schema {found!r}; "
                            f"this build reads {SCHEMA!r}")])
+    try:
+        return _decode_bundle(data)
+    except KeyError as exc:
+        raise InputError([(1, 1, f"report has no key {exc.args[0]!r}")]) \
+            from None
+    except (TypeError, ValueError, AttributeError, IndexError,
+            ZeroDivisionError) as exc:
+        raise InputError([(1, 1, f"malformed report: {exc}")]) from None
+
+
+def _decode_bundle(data) -> ResultBundle:
     problem = _decode_problem(data["problem"])
     report = (None if data.get("validation") is None
               else _decode_report(data["validation"]))
@@ -671,8 +696,7 @@ def write_report(bundle: ResultBundle, path):
 
 
 def read_report(path) -> ResultBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_text(fh.read())
+    return report_from_text(read_text(path))
 
 
 # --- script export -----------------------------------------------------

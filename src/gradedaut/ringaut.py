@@ -323,7 +323,10 @@ class AutPresentation:
     basis: ActionBasis
     slot_ring: GradedPolyRing
     triples: tuple[AutTriple, ...]
-    combined_ideal: CombinedIdeal
+
+    @property
+    def combined_ideal(self) -> CombinedIdeal:
+        return CombinedIdeal(tuple(t.ideal for t in self.triples))
 
     @property
     def n(self) -> int:
@@ -378,8 +381,7 @@ def aut_ks(ring: GradedPolyRing,
     mult_gens = tuple(multiplicativity_ideal(basis))
     triples = tuple(_build_triple(basis, adm, mult_gens, term_bound)
                     for adm in admissibles)
-    combined = CombinedIdeal(tuple(t.ideal for t in triples))
-    return AutPresentation(ring, basis, _slot_ring(basis), triples, combined)
+    return AutPresentation(ring, basis, _slot_ring(basis), triples)
 
 
 # --- rendering ---------------------------------------------------------

@@ -9,12 +9,17 @@ import pytest
 
 from gradedaut import gitfan, weightsym
 from gradedaut.cli import main
-from gradedaut.inout import read_report
+from gradedaut.inout import (ResultBundle, export_cas_script, parse_input,
+                             read_report)
+from gradedaut.ringaut import aut_ks
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = str(ROOT / "demos" / "quadric8.toml")
 
 TINY = "vars = 2\nQ = [[1, 1]]\n\n[grading]\nfree_rank = 1\n"
+
+# weights (1, 1, 2) and no ideal: a composite degree-2 component
+NO_IDEAL = "vars = 3\nQ = [[1, 1, 2]]\n\n[grading]\nfree_rank = 1\n"
 
 # twenty-one pairwise distinct weights on the line x = 1, so every
 # component is one variable wide but the orbit cone enumeration is over
@@ -155,10 +160,12 @@ def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    # neither numpy nor any process pool machinery is loaded
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = "import sys, gradedaut.cli; sys.exit('numpy' in sys.modules)"
+    code = ("import sys, gradedaut.cli; sys.exit(any(m in sys.modules for m "
+            "in ('numpy', 'multiprocessing', 'concurrent.futures.process')))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0
 
@@ -207,20 +214,12 @@ def test_export_bad_dialect(capsys):
 
 
 def test_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
-    # workers only build user-faces orbit cones, so drive that mode
+    # --jobs is accepted and ignored and GRADED_AUT_JOBS is not read
     text = Path(DEMO).read_text().replace(
         'mode = "all-subsets"',
         'mode = "user-faces"\n'
         'faces = [[1, 2, 3], [4, 5, 6], [1, 7], [2, 8], [1, 3, 5, 7]]')
     path = _write(tmp_path, text)
-    workers = []
-    pool = gitfan.ProcessPoolExecutor
-
-    def counted_pool(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(gitfan, "ProcessPoolExecutor", counted_pool)
     assert main(["autxhat", "--input", path, "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert "git chamber of w" in serial
@@ -229,10 +228,48 @@ def test_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRADED_AUT_JOBS", "2")
     assert main(["autxhat", "--input", path]) == 0
     assert capsys.readouterr().out == serial
-    monkeypatch.setenv("GRADED_AUT_JOBS", "banana")
-    assert main(["autxhat", "--input", path]) == 0
-    assert capsys.readouterr().out == serial
-    assert workers == [2, 2]
+    assert main(["autxhat", "--input", path, "--jobs", "abc"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [None, NO_IDEAL], ids=["quadric8", "no-ideal"])
+def test_export_from_problem_matches_autgradalg_report(tmp_path, capsys, text):
+    path = DEMO if text is None else _write(tmp_path, text)
+    assert main(["export", "--input", path]) == 0
+    direct = capsys.readouterr().out
+    report = str(tmp_path / "bundle.json")
+    assert main(["autgradalg", "--input", path, "--out", report]) == 0
+    capsys.readouterr()
+    assert main(["export", "--input", report]) == 0
+    assert capsys.readouterr().out == direct
+    if text is not None:
+        # without an ideal the stabilizer layer adds nothing to the script
+        problem = parse_input(text)
+        bundle = ResultBundle(problem, presentation=aut_ks(problem.ring()))
+        assert export_cas_script(bundle) == direct
+
+
+def test_non_utf8_input_exit(tmp_path, capsys):
+    path = tmp_path / "latin1.toml"
+    path.write_bytes(b"vars = 2\nQ = [[1, 1]]\n# caf\xe9\n\n"
+                     b"[grading]\nfree_rank = 1\n")
+    for command in ("check", "export"):
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:3:6: not UTF-8 text")
+
+
+@pytest.mark.parametrize("doc", [
+    '{"schema": "graded-aut/1"}',
+    '{"schema": "graded-aut/1", "problem": []}',
+    '{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": "x"}}}',
+], ids=["no-problem", "problem-list", "free-rank-string"])
+def test_malformed_report_exit(tmp_path, capsys, doc):
+    path = _write(tmp_path, doc, "report.json")
+    assert main(["export", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1:1: ")
+    assert "Traceback" not in err
 
 
 def test_check_report_written(tmp_path):

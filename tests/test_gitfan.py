@@ -271,10 +271,6 @@ def test_map_cone(quadric8_group, quadric8_Q):
     assert not equal_cones(neg, lam)
 
 
-def test_orbit_cones_jobs_parity(quadric8_Q, quadric8_cones):
-    assert orbit_cones(quadric8_Q, jobs=2) == quadric8_cones
-
-
 def test_render_cone(quadric8_Q, quadric8_group):
     lam = git_cone(quadric8_Q, quadric8_group.element(W_CHAMBER, (0,)))
     text = render_cone(lam)

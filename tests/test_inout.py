@@ -17,7 +17,7 @@ from gradedaut.inout import (FilterResult, ProblemInput, ResultBundle,
                              read_input, read_report, report_from_text,
                              report_to_text, write_report)
 from gradedaut.polynomials import Polynomial, polynomial_to_str, default_names
-from gradedaut.ringaut import CombinedIdeal, aut_ks
+from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "quadric8.toml"
@@ -317,8 +317,7 @@ def test_export_respects_filter(quadric8_bundle):
 
 def test_export_empty_presentation(quadric8_bundle):
     pres = quadric8_bundle.presentation
-    empty = dataclasses.replace(pres, triples=(),
-                                combined_ideal=CombinedIdeal(()))
+    empty = dataclasses.replace(pres, triples=())
     bundle = ResultBundle(QUADRIC8_PROBLEM, presentation=empty)
     script = export_cas_script(bundle)
     assert "ring Sp = 0,(Y(1..64),Z),dp;" in script
