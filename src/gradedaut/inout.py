@@ -510,18 +510,10 @@ def _decode_poly(data) -> Polynomial:
     return Polynomial(terms)
 
 
-def _degree_rows(Q: DegreeMatrix):
-    k = Q.group.free_rank
-    l = Q.group.torsion_rank
-    rows = [tuple(c.free_part[i] for c in Q.columns) for i in range(k)]
-    rows += [tuple(c.torsion_part[j] for c in Q.columns) for j in range(l)]
-    return rows
-
-
 def _encode_ring(ring: GradedPolyRing):
     return {"free_rank": ring.grading.free_rank,
             "torsion": list(ring.grading.torsion_orders),
-            "Q": [list(r) for r in _degree_rows(ring.degrees)]}
+            "Q": [list(r) for r in ring.degrees.rows()]}
 
 
 def _decode_ring(data) -> GradedPolyRing:
@@ -644,8 +636,8 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
 
 
 def bundle_from_data(data) -> ResultBundle:
-    """Decode a report; a missing key or a value of the wrong type
-    raises InputError."""
+    """Decode a report; a missing key, a value of the wrong type or a
+    value an object rejects raises InputError."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA:
         found = data.get("schema") if isinstance(data, dict) else None
         raise InputError([(1, 1, f"unsupported report schema {found!r}; "
@@ -656,7 +648,7 @@ def bundle_from_data(data) -> ResultBundle:
         raise InputError([(1, 1, f"report has no key {exc.args[0]!r}")]) \
             from None
     except (TypeError, ValueError, AttributeError, IndexError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, StructuralError, ValidationError) as exc:
         raise InputError([(1, 1, f"malformed report: {exc}")]) from None
 
 

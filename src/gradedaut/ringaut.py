@@ -14,14 +14,16 @@ an affine variety over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate, permutations, product
+from math import factorial, prod
 
-from .errors import GuardError, StructuralError, ValidationError
+from .errors import GuardError, StructuralError
 from .grading import DegreeMatrix, GroupAutomorphism, GroupElement
 from .polynomials import (GradedPolyRing, Monomial, Polynomial, grlex_key,
                           monomial_basis, monomial_mul, polynomial_to_str)
-from .validation import validate_presentation
-from .weightsym import AdmissibleAut, admissible_automorphisms, aut_gen_weights
+from .validation import require_valid_grading
+from .weightsym import (admissible_automorphisms, aut_gen_weights,
+                        block_permutation)
 
 DET_TERM_BOUND = 10 ** 6
 
@@ -39,9 +41,6 @@ class ActionBasis:
     @property
     def n(self) -> int:
         return len(self.flat)
-
-    def block_start(self, i: int) -> int:
-        return sum(len(b) for b in self.blocks[:i])
 
     def block_of_flat(self, idx: int) -> int:
         for i, b in enumerate(self.blocks):
@@ -85,9 +84,6 @@ class SymbolicMatrix:
         """The 1-based Y indices present, row major."""
         return tuple(v for row in self.pattern for v in row if v)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.pattern[i][j]
-
     def __str__(self):
         cells = [[f"Y({v})" if v else "0" for v in row] for row in self.pattern]
         width = max(len(c) for row in cells for c in row)
@@ -96,89 +92,79 @@ class SymbolicMatrix:
 
 
 def structured_matrix(basis: ActionBasis, B: GroupAutomorphism) -> SymbolicMatrix:
-    """Zero pattern of a graded map for the weight symmetry B: slot
-    (i, j) survives exactly when deg(flat_j) = B(deg(flat_i))."""
-    weights = basis.weights
-    images = [B.apply(w) for w in weights]
-    block_map = []
-    for i, img in enumerate(images):
-        if img not in weights:
-            raise StructuralError("automorphism does not permute the weight set")
-        j = weights.index(img)
-        if len(basis.blocks[i]) != len(basis.blocks[j]):
-            raise StructuralError(
-                f"automorphism is not admissible: components at {weights[i]} and "
-                f"{img} have different dimensions")
-        block_map.append(j)
+    """Zero pattern of a graded map for the weight symmetry B: the rows
+    of block i are free exactly on the columns of the block B sends
+    block i to."""
+    block_map = block_permutation(B, basis.weights,
+                                  [len(b) for b in basis.blocks])
+    if block_map is None:
+        raise StructuralError("automorphism is not admissible: it pairs "
+                              "components of different dimensions")
+    starts = [0, *accumulate(len(b) for b in basis.blocks)]
     n = basis.n
     rows = []
-    for fi in range(n):
-        target = block_map[basis.block_of_flat(fi)]
-        start = basis.block_start(target)
-        allowed = set(range(start, start + len(basis.blocks[target])))
-        rows.append(tuple(fi * n + fj + 1 if fj in allowed else 0
-                          for fj in range(n)))
+    for i, j in enumerate(block_map):
+        for fi in range(starts[i], starts[i + 1]):
+            rows.append(tuple(fi * n + fj + 1 if starts[j] <= fj < starts[j + 1]
+                              else 0 for fj in range(n)))
     return SymbolicMatrix(n, tuple(rows))
 
 
-def _pattern_permutations(matrix: SymbolicMatrix, bound: int):
-    """Permutations supported by the nonzero pattern, with signs.
-
-    Yields (columns, sign) pairs; raises once more than `bound` are found.
-    """
-    n = matrix.n
-    out = []
-    cols = [0] * n
-    used = [False] * n
-
-    def place(i: int):
-        if i == n:
-            sign = 1
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if cols[a] > cols[b]:
-                        sign = -sign
-            out.append((tuple(cols), sign))
-            if len(out) > bound:
-                raise GuardError(
-                    f"symbolic determinant exceeds {bound} terms; raise the "
-                    "term bound to proceed")
-            return
-        for j in range(n):
-            if not used[j] and matrix.pattern[i][j]:
-                used[j] = True
-                cols[i] = j
-                place(i + 1)
-                used[j] = False
-
-    place(0)
-    return out
+def _sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)): (-1)^(n - cycles)."""
+    seen = set()
+    parity = len(perm)
+    for i in range(len(perm)):
+        if i not in seen:
+            parity -= 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if parity % 2 else 1
 
 
 def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND):
     """One vanishing generator per zero slot, then the invertibility
-    witness det(A) * Z - 1 expanded over the pattern."""
+    witness det(A) * Z - 1.
+
+    The rows grouped by support must form a block permutation of full
+    square blocks, of sizes k_i; det(A) then has prod(k_i!) terms, each
+    the sign of the block permutation times one Leibniz term per block.
+    The count is refused above `term_bound` before anything is expanded.
+    """
     n = matrix.n
     nvars = n * n + 1
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if matrix.pattern[i][j] == 0:
-                gens.append(Polynomial.variable(i * n + j, nvars))
-    perms = _pattern_permutations(matrix, term_bound)
-    if not perms:
-        raise StructuralError(
-            "structurally singular pattern: no invertible matrix has this "
-            "shape, the weight symmetry admits no graded map")
+    gens = [Polynomial.variable(i * n + j, nvars)
+            for i in range(n) for j in range(n) if matrix.pattern[i][j] == 0]
+    supports = {}
+    for i, row in enumerate(matrix.pattern):
+        supports.setdefault(tuple(j for j, v in enumerate(row) if v), []).append(i)
+    # square blocks with k_i rows each: disjoint exactly when they cover n columns
+    if (any(len(cols) != len(rows) for cols, rows in supports.items())
+            or len(set().union(*supports)) != n):
+        raise StructuralError("the zero pattern is not a block permutation "
+                              "of full square blocks")
+    count = prod(factorial(len(rows)) for rows in supports.values())
+    if count > term_bound:
+        raise GuardError(
+            f"symbolic determinant has {count} terms, above the bound "
+            f"{term_bound}; raise the term bound to proceed")
+    base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
+    sign = _sign([base[i] for i in range(n)])
+    blocks = [[(tuple(i * n + cols[p] for i, p in zip(rows, perm)), _sign(perm))
+               for perm in permutations(range(len(rows)))]
+              for cols, rows in supports.items()]
     terms = {}
-    for columns, sign in perms:
-        expo = [0] * nvars
-        for i, j in enumerate(columns):
-            expo[i * n + j] += 1
-        expo[n * n] = 1  # the witness variable Z
-        terms[tuple(expo)] = terms.get(tuple(expo), 0) + sign
-    det_gen = Polynomial(terms) - Polynomial.constant(1, nvars)
-    gens.append(det_gen)
+    for choice in product(*blocks):
+        expo = [0] * (n * n) + [1]  # the witness variable Z
+        term_sign = sign
+        for slots, block_sign in choice:
+            for v in slots:
+                expo[v] = 1
+            term_sign *= block_sign
+        terms[tuple(expo)] = term_sign
+    terms[(0,) * nvars] = -1
+    gens.append(Polynomial(terms))
     return gens
 
 
@@ -372,9 +358,7 @@ def aut_ks(ring: GradedPolyRing,
     Requires an effective pointed grading with a lattice basis among the
     free parts; the ideal of the algebra plays no role at this stage.
     """
-    report = validate_presentation(ring)
-    if not report.grading_ok:
-        raise ValidationError("; ".join(report.messages) or "invalid grading")
+    require_valid_grading(ring)
     basis = build_action_basis(ring)
     auts = aut_gen_weights(ring.degrees)
     admissibles = admissible_automorphisms(auts, ring)

@@ -4,8 +4,9 @@ A grading-group automorphism that permutes the set of generator weights
 is determined on the free side by where it sends one lattice basis drawn
 from the free parts.  The search below fixes such a basis once, runs
 through the injective placements of it inside the weight set, solves for
-the free block, and enumerates the finitely many torsion blocks; every
-candidate is then screened against the full weight set.
+the free block, and enumerates the finitely many torsion blocks, behind
+a guard on their predicted number; every candidate is then screened
+against the full weight set.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from math import prod
 
 from . import linalg
-from .errors import StructuralError, ValidationError
+from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupAutomorphism
 from .polynomials import GradedPolyRing, component_dimension
+
+# Torsion blocks the weight-symmetry search may try, one Smith normal
+# form each: (Z/3)^3 with its 3^9 = 19683 candidates stays below.
+TORSION_BLOCK_BOUND = 20000
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,20 @@ class WeightSet:
 
 
 def _torsion_block_candidates(group):
-    """All well defined bijective torsion blocks, in lexicographic order."""
+    """All well defined bijective torsion blocks, in lexicographic order.
+
+    Refuses before enumerating when the prod(a_i^l) candidates exceed
+    TORSION_BLOCK_BOUND.
+    """
     orders = group.torsion_orders
     l = len(orders)
     if l == 0:
         return [()]
+    count = prod(orders) ** l
+    if count > TORSION_BLOCK_BOUND:
+        raise GuardError(
+            f"weight symmetry search would try {count} torsion blocks, "
+            f"above the bound {TORSION_BLOCK_BOUND}")
     from .grading import torsion_block_bijective
     out = []
     for flat in product(*(range(orders[i]) for i in range(l) for _ in range(l))):
@@ -126,6 +141,22 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     return _canonical_sort(group, found)
 
 
+def block_permutation(B: GroupAutomorphism, weights, dims):
+    """Where B sends the weight blocks: block i lands in block
+    result[i], 0-based.  None when B pairs components of different
+    dimensions; StructuralError when B does not permute the weights."""
+    out = []
+    for i, w in enumerate(weights):
+        img = B.apply(w)
+        if img not in weights:
+            raise StructuralError("automorphism does not permute the weight set")
+        j = weights.index(img)
+        if dims[i] != dims[j]:
+            return None
+        out.append(j)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class AdmissibleAut:
     """A weight symmetry together with its induced block permutation."""
@@ -145,18 +176,7 @@ def admissible_automorphisms(auts, ring: GradedPolyRing) -> tuple[AdmissibleAut,
     dims = [component_dimension(ring, w) for w in weights]
     out = []
     for B in auts:
-        block_map = []
-        ok = True
-        for i, w in enumerate(weights):
-            img = B.apply(w)
-            if img not in weights:
-                raise StructuralError(
-                    "automorphism does not permute the weight set")
-            j = weights.index(img)
-            if dims[i] != dims[j]:
-                ok = False
-                break
-            block_map.append(j)
-        if ok:
-            out.append(AdmissibleAut(B, tuple(block_map)))
+        block_map = block_permutation(B, weights, dims)
+        if block_map is not None:
+            out.append(AdmissibleAut(B, block_map))
     return tuple(out)

@@ -263,7 +263,9 @@ def test_non_utf8_input_exit(tmp_path, capsys):
     '{"schema": "graded-aut/1"}',
     '{"schema": "graded-aut/1", "problem": []}',
     '{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": "x"}}}',
-], ids=["no-problem", "problem-list", "free-rank-string"])
+    '{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": 1, '
+    '"torsion": []}, "vars": 1, "Q": [[1]], "ideal": [], "mode": "foo"}}',
+], ids=["no-problem", "problem-list", "free-rank-string", "unknown-mode"])
 def test_malformed_report_exit(tmp_path, capsys, doc):
     path = _write(tmp_path, doc, "report.json")
     assert main(["export", "--input", path]) == 2

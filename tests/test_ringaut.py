@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradedaut import linalg
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Polynomial, polynomial_to_str
@@ -50,7 +52,6 @@ def test_action_basis_mixed_blocks():
     assert [len(block) for block in b.blocks] == [1, 2]
     assert b.block_of_flat(0) == 0
     assert b.block_of_flat(2) == 1
-    assert b.block_start(1) == 1
     assert b.flat_index((2, 0)) == 1
 
 
@@ -110,6 +111,65 @@ def test_zero_pattern_singular_pattern_rejected():
     m = SymbolicMatrix(2, ((1, 2), (0, 0)))
     with pytest.raises(StructuralError):
         zero_pattern_ideal(m)
+
+
+def test_zero_pattern_non_block_rejected():
+    # row supports {0, 1} and {1} overlap without forming square blocks
+    m = SymbolicMatrix(2, ((1, 2), (0, 4)))
+    with pytest.raises(StructuralError):
+        zero_pattern_ideal(m)
+
+
+def _block_pattern(rng, shuffle):
+    """A random block permutation of full square blocks of sizes 1-3,
+    not the identity on blocks; with `shuffle`, rows and columns are
+    also put in random order."""
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        # blocks of equal size trade places among themselves
+        by_size = {}
+        for b in range(len(sizes)):
+            by_size.setdefault(sizes[b], []).append(b)
+        target = list(range(len(sizes)))
+        for group in by_size.values():
+            moved = group[:]
+            rng.shuffle(moved)
+            for b, c in zip(group, moved):
+                target[b] = c
+        if target != list(range(len(sizes))):
+            break
+    row_block = [b for b in range(len(sizes)) for _ in range(sizes[b])]
+    col_block = row_block[:]
+    if shuffle:
+        rng.shuffle(row_block)
+        rng.shuffle(col_block)
+    n = len(row_block)
+    return SymbolicMatrix(n, tuple(
+        tuple(i * n + j + 1 if col_block[j] == target[row_block[i]] else 0
+              for j in range(n)) for i in range(n))), sizes
+
+
+def test_zero_pattern_det_matches_integer_det():
+    rng = random.Random(53)
+    for trial in range(60):
+        m, sizes = _block_pattern(rng, shuffle=trial % 2 == 1)
+        n = m.n
+        det_gen = zero_pattern_ideal(m)[-1]
+        expected_terms = math.prod(math.factorial(k) for k in sizes)
+        assert len(det_gen.terms) == expected_terms + 1
+        for _ in range(3):
+            values = [rng.randint(-3, 3) for _ in range(n * n)]
+            A = [[values[i * n + j] if m.pattern[i][j] else 0
+                  for j in range(n)] for i in range(n)]
+            point = [Fraction(v) for v in values] + [Fraction(1)]
+            assert det_gen.substitute_values(point) == linalg.det(A) - 1
+
+
+def test_aut_ks_refuses_ten_linear_variables():
+    with pytest.raises(GuardError) as info:
+        aut_ks(zring(*[1] * 10))
+    assert "3628800" in str(info.value)
+    assert "1000000" in str(info.value)
 
 
 def test_zero_pattern_term_guard():

@@ -4,11 +4,12 @@ import pytest
 
 from conftest import QUADRIC8_AUT_MATRICES
 from oracles import extendable_bijections, random_pointed_grading
-from gradedaut.errors import ValidationError
+from gradedaut import grading
+from gradedaut.errors import GuardError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing
-from gradedaut.weightsym import (WeightSet, admissible_automorphisms,
-                                 aut_gen_weights)
+from gradedaut.weightsym import (TORSION_BLOCK_BOUND, WeightSet,
+                                 admissible_automorphisms, aut_gen_weights)
 
 
 def test_weight_set_partition(quadric8_Q):
@@ -101,3 +102,21 @@ def test_admissible_rejects_dimension_mismatch():
     kept = {a.aut for a in adm}
     assert swap[0] not in kept
     assert any(a.aut.is_identity() for a in adm)
+
+
+def test_torsion_block_guard_refuses_before_enumerating(monkeypatch):
+    # (Z/3)^3 with its 3^9 candidate blocks stays below the bound
+    assert TORSION_BLOCK_BOUND >= 3 ** 9
+
+    def no_enumeration(*args):
+        raise AssertionError("a candidate block was tested before the guard")
+
+    monkeypatch.setattr(grading, "torsion_block_bijective", no_enumeration)
+    group = GradingGroup(1, (2, 2, 2, 2))
+    cols = [group.element((1,), (0, 0, 0, 0))]
+    cols += [group.element((1,), tuple(int(i == j) for j in range(4)))
+             for i in range(4)]
+    with pytest.raises(GuardError) as info:
+        aut_gen_weights(DegreeMatrix(tuple(cols)))
+    assert "65536" in str(info.value)
+    assert str(TORSION_BLOCK_BOUND) in str(info.value)
