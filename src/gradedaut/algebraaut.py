@@ -169,18 +169,12 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
     if not report.ok:
         raise ValidationError("; ".join(report.messages) or "invalid input")
     base = aut_ks(ring, term_bound=term_bound)
-    roster = ideal_generator_degrees(ideal)
     components = {}
-    for u in roster:
-        components[u] = component_data(ideal, u)
-        for t in base.triples:
-            v = t.weight_aut.apply(u)
-            if v not in components:
-                components[v] = component_data(ideal, v)
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
                         base, ideal, t, components))
                     for t in base.triples)
-    return StabilizerPresentation(ring, ideal, base, triples, roster)
+    return StabilizerPresentation(ring, ideal, base, triples,
+                                  ideal_generator_degrees(ideal))
 
 
 def render_stabilizer(pres: StabilizerPresentation) -> str:

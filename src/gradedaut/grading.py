@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from . import linalg
 from .errors import StructuralError
@@ -186,25 +187,36 @@ def degree_of_exponent(Q: DegreeMatrix, exponents) -> GroupElement:
     return total
 
 
-def check_effective(Q: DegreeMatrix) -> bool:
-    """Do the columns of Q generate K as a group?
+def subgroup_presentation(group: GradingGroup, elements):
+    """The index of the subgroup the elements generate, and a section.
 
-    Decided by the Smith normal form of the columns stacked next to the
-    torsion relations: the grading is effective exactly when the cokernel
-    of that integer matrix is trivial.
+    Decided by one Smith normal form of the elements, as columns, next
+    to the torsion relations; the index is the order of its cokernel, 0
+    when that is infinite.  At index 1 the section is an integer matrix
+    S, one row per element, with e_c = sum_j S[j][c] * elements[j] for
+    every unit vector e_c of K: a homomorphism sending elements[j] to
+    h_j has the display matrix H S, H the images as columns.  Otherwise
+    the section is None.
     """
-    group = Q.group
-    total = group.coordinate_count
-    if total == 0:
-        return True
-    cols = [c.coordinates for c in Q.columns]
+    n = group.coordinate_count
+    if n == 0:
+        return 1, tuple(() for _ in elements)
+    cols = [x.coordinates for x in elements]
     for j, a in enumerate(group.torsion_orders):
-        rel = [0] * total
-        rel[group.free_rank + j] = a
-        cols.append(tuple(rel))
-    D, _, _ = linalg.smith_normal_form(list(zip(*cols)))
-    diag = [D[i][i] for i in range(min(total, len(cols)))]
-    return len(diag) >= total and all(d == 1 for d in diag[:total])
+        cols.append(tuple(a * (i == group.free_rank + j) for i in range(n)))
+    if len(cols) < n:
+        return 0, None
+    D, U, V = linalg.smith_normal_form(list(zip(*cols)))
+    index = prod(D[i][i] for i in range(n))
+    if index != 1:
+        return index, None
+    # U [E | R] V = [I | 0], so [E | R] (V[:, :n] U) = I
+    return 1, linalg.mat_mul([row[:n] for row in V[:len(elements)]], U)
+
+
+def check_effective(Q: DegreeMatrix) -> bool:
+    """Do the columns of Q generate K as a group?"""
+    return subgroup_presentation(Q.group, Q.columns)[0] == 1
 
 
 def check_pointed(Q: DegreeMatrix) -> bool:

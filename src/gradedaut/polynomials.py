@@ -331,9 +331,6 @@ class GradedPolyRing:
     def parse(self, text: str) -> Polynomial:
         return parse_polynomial(text, self.var_names())
 
-    def show(self, f: Polynomial) -> str:
-        return polynomial_to_str(f, self.var_names())
-
 
 @dataclass(frozen=True)
 class Ideal:

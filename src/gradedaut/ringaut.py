@@ -100,6 +100,12 @@ def structured_matrix(basis: ActionBasis, B: GroupAutomorphism) -> SymbolicMatri
     if block_map is None:
         raise StructuralError("automorphism is not admissible: it pairs "
                               "components of different dimensions")
+    return _pattern(basis, block_map)
+
+
+def _pattern(basis: ActionBasis, block_map) -> SymbolicMatrix:
+    """The structured matrix of a block map: block i lands in block
+    block_map[i], 0-based."""
     starts = [0, *accumulate(len(b) for b in basis.blocks)]
     n = basis.n
     rows = []
@@ -284,19 +290,9 @@ class AutTriple:
 class CombinedIdeal:
     """The combined equations kept in factored form: one generator list
     per triple.  The vanishing locus is the union over the triples, the
-    same locus the product of the lists would cut out; consumers choose
-    between the factored form and explicit products."""
+    same locus the product of the lists would cut out."""
 
     factors: tuple[tuple[Polynomial, ...], ...]
-
-    def expand_pair(self, i: int, j: int, gen_bound: int = 10 ** 5):
-        """Generators of the product of factor ideals i and j."""
-        a, b = self.factors[i], self.factors[j]
-        if len(a) * len(b) > gen_bound:
-            raise GuardError(
-                f"pairwise product would have {len(a) * len(b)} generators, "
-                f"above the bound {gen_bound}")
-        return tuple(g * h for g in a for h in b)
 
 
 @dataclass(frozen=True)
@@ -321,10 +317,6 @@ class AutPresentation:
     def slot_names(self) -> tuple[str, ...]:
         return yz_names(self.basis.n)
 
-    def variable_weight_table(self):
-        """Degrees of Y(1), ..., Y(n^2), Z in roster order."""
-        return tuple(self.slot_ring.degrees.columns)
-
     def witness_degree(self) -> GroupElement:
         """Degree making each det * Z - 1 generator homogeneous; the
         combined roster instead grades Z by zero."""
@@ -345,7 +337,7 @@ def _slot_ring(basis: ActionBasis) -> GradedPolyRing:
 
 
 def _build_triple(basis, admissible, mult_gens, term_bound):
-    matrix = structured_matrix(basis, admissible.aut)
+    matrix = _pattern(basis, admissible.block_map)
     gens = tuple(zero_pattern_ideal(matrix, term_bound)) + tuple(mult_gens)
     return AutTriple(matrix, admissible.aut, gens)
 

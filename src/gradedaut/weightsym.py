@@ -1,79 +1,53 @@
 """The finite symmetry group of the generator weight configuration.
 
-A grading-group automorphism that permutes the set of generator weights
-is determined on the free side by where it sends one lattice basis drawn
-from the free parts.  The search below fixes such a basis once, runs
-through the injective placements of it inside the weight set, solves for
-the free block, and enumerates the finitely many torsion blocks, behind
-a guard on their predicted number; every candidate is then screened
-against the full weight set.
+An automorphism of K = Z^k + Z/a_1 + ... + Z/a_l is fixed by where it
+sends a generating set of K.  The set is drawn greedily: a lattice basis
+among the free parts of the weights, then further weights, then torsion
+unit vectors, each kept while it lowers the index of the subgroup
+generated so far.  The search runs through the images of the basis
+among the weights; each placement with |det| = 1 forces the free part of
+every later generator's image, which leaves the weights of that free
+part (or every torsion element, for a unit vector) as its candidates.
+Every tuple of distinct images gives one matrix through the section of
+the generating set, kept when it is an automorphism permuting the
+weights.  The predicted number of tuples is refused above a bound before
+anything is placed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import prod
+from math import perm, prod
 
 from . import linalg
 from .errors import GuardError, StructuralError, ValidationError
-from .grading import DegreeMatrix, GroupAutomorphism
+from .grading import DegreeMatrix, GroupAutomorphism, subgroup_presentation
 from .polynomials import GradedPolyRing, component_dimension
 
-# Torsion blocks the weight-symmetry search may try, one Smith normal
-# form each: (Z/3)^3 with its 3^9 = 19683 candidates stays below.
-TORSION_BLOCK_BOUND = 20000
+# Generator image tuples the weight-symmetry search may try.
+PLACEMENT_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Distinct generator weights with their variable occurrences."""
-
-    weights: tuple
-    occurrences: tuple[tuple[int, ...], ...]  # 1-based variable indices
-
-    @classmethod
-    def from_degree_matrix(cls, Q: DegreeMatrix) -> "WeightSet":
-        weights = []
-        occ = []
-        for idx, q in enumerate(Q.columns, start=1):
-            if q in weights:
-                occ[weights.index(q)].append(idx)
-            else:
-                weights.append(q)
-                occ.append([idx])
-        return cls(tuple(weights), tuple(tuple(o) for o in occ))
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
-def _torsion_block_candidates(group):
-    """All well defined bijective torsion blocks, in lexicographic order.
-
-    Refuses before enumerating when the prod(a_i^l) candidates exceed
-    TORSION_BLOCK_BOUND.
-    """
-    orders = group.torsion_orders
-    l = len(orders)
-    if l == 0:
-        return [()]
-    count = prod(orders) ** l
-    if count > TORSION_BLOCK_BOUND:
-        raise GuardError(
-            f"weight symmetry search would try {count} torsion blocks, "
-            f"above the bound {TORSION_BLOCK_BOUND}")
-    from .grading import torsion_block_bijective
-    out = []
-    for flat in product(*(range(orders[i]) for i in range(l) for _ in range(l))):
-        D = tuple(tuple(flat[i * l + j] for j in range(l)) for i in range(l))
-        if any((orders[j] * D[i][j]) % orders[i] != 0 for i in range(l) for j in range(l)):
-            continue
-        if torsion_block_bijective(D, orders):
-            out.append(D)
-    return out
+def _generating_set(group, weights, basis):
+    """Generators of K: the basis, then weights, then torsion unit
+    vectors, each kept while it lowers the subgroup index; returned with
+    the section of their presentation."""
+    n, k = group.coordinate_count, group.free_rank
+    unit_vectors = [group.from_coordinates([int(i == k + j) for i in range(n)])
+                    for j in range(group.torsion_rank)]
+    gens = list(basis)
+    index, section = subgroup_presentation(group, gens)
+    for x in [w for w in weights if w not in basis] + unit_vectors:
+        if index == 1:
+            break
+        trial = subgroup_presentation(group, gens + [x])
+        if trial[0] < index:
+            gens.append(x)
+            index, section = trial
+    return tuple(gens), section
 
 
 def _canonical_sort(group, auts):
@@ -100,8 +74,7 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     group = Q.group
     k = group.free_rank
     orders = group.torsion_orders
-    weights = WeightSet.from_degree_matrix(Q).weights
-    s = len(weights)
+    weights = Q.distinct_weights()
     weight_set = set(weights)
 
     basis_idx = linalg.unimodular_subset([w.free_part for w in weights], k)
@@ -109,31 +82,41 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
         raise ValidationError(
             "the free parts of the weights contain no lattice basis; "
             "validate_presentation reports this precondition")
+    gens, section = _generating_set(group, weights,
+                                    [weights[i] for i in basis_idx])
+    # the generators that are not weights are torsion unit vectors, whose
+    # images range over the whole torsion subgroup
+    units = sum(g not in weight_set for g in gens)
+    shared = max(Counter(w.free_part for w in weights).values())
+    count = (perm(len(weights), k) * shared ** (len(gens) - k - units)
+             * prod(orders) ** units)
+    if count > PLACEMENT_BOUND:
+        raise GuardError(
+            f"weight symmetry search would try {count} generator images, "
+            f"above the bound {PLACEMENT_BOUND}")
+    torsion = [group.element((0,) * k, t)
+               for t in product(*(range(a) for a in orders))] if units else []
 
-    B0_inv_rows = linalg.unimodular_inverse(
-        list(zip(*(weights[i].free_part for i in basis_idx))))
-    basis_tors = [weights[i].torsion_part for i in basis_idx]
-
-    d_candidates = _torsion_block_candidates(group)
+    basis_inv = linalg.unimodular_inverse(
+        list(zip(*(g.free_part for g in gens[:k]))))
     found = set()
-    for images in permutations(range(s), k):
-        img_free_cols = [weights[i].free_part for i in images]
-        M_rows = tuple(tuple(col[row] for col in img_free_cols) for row in range(k))
-        A = linalg.mat_mul(M_rows, B0_inv_rows)
+    for placed in permutations(weights, k):
+        A = linalg.mat_mul(tuple(zip(*(w.free_part for w in placed))), basis_inv)
         if abs(linalg.det(A)) != 1:
             continue
-        img_tors_cols = [weights[i].torsion_part for i in images]
-        for D in d_candidates:
-            # mixing block from C * B0 = image torsion - D * basis torsion
-            y_cols = []
-            for t in range(k):
-                dt = linalg.mat_vec(D, basis_tors[t])
-                y_cols.append(tuple(a - b for a, b in zip(img_tors_cols[t], dt)))
-            y_rows = tuple(tuple(col[row] for col in y_cols)
-                           for row in range(len(orders)))
-            C = linalg.mat_mul(y_rows, B0_inv_rows)
+        choices = []
+        for g in gens[k:]:
+            free = linalg.mat_vec(A, g.free_part)
+            pool = weights if g in weight_set else torsion
+            choices.append([x for x in pool if x.free_part == free])
+        for rest in product(*choices):
+            images = placed + rest
+            if len(set(images)) < len(images):
+                continue
+            matrix = linalg.mat_mul(tuple(zip(*(x.coordinates for x in images))),
+                                    section)
             try:
-                cand = GroupAutomorphism(group, A, C, D)
+                cand = GroupAutomorphism.from_display(group, matrix)
             except StructuralError:
                 continue
             if all(cand.apply(w) in weight_set for w in weights):

@@ -1,5 +1,6 @@
 """The command line front end, driven through main()."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -139,21 +140,19 @@ def test_autxhat_w_flag(tmp_path, capsys):
 def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
     calls = {"face_family": 0, "weight_search": 0}
     face_family = gitfan._face_family
-    candidates = weightsym._torsion_block_candidates
+    search = weightsym._weight_symmetries.__wrapped__
 
     def counted_face_family(*args, **kwargs):
         calls["face_family"] += 1
         return face_family(*args, **kwargs)
 
-    def counted_candidates(group):
-        # called once at the top of every weight-symmetry search
+    def counted_search(Q):
         calls["weight_search"] += 1
-        return candidates(group)
+        return search(Q)
 
     monkeypatch.setattr(gitfan, "_face_family", counted_face_family)
-    monkeypatch.setattr(weightsym, "_torsion_block_candidates",
-                        counted_candidates)
-    weightsym._weight_symmetries.cache_clear()
+    monkeypatch.setattr(weightsym, "_weight_symmetries",
+                        functools.lru_cache(maxsize=32)(counted_search))
     assert main(["autxhat", "--input", DEMO]) == 0
     capsys.readouterr()
     assert calls == {"face_family": 1, "weight_search": 1}

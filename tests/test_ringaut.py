@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedaut import linalg
+from gradedaut import linalg, ringaut, weightsym
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Polynomial, polynomial_to_str
@@ -231,6 +231,21 @@ def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     assert pres.combined_ideal.factors == tuple(t.ideal for t in pres.triples)
 
 
+def test_aut_ks_maps_blocks_once(monkeypatch, quadric8_ring):
+    # the block map stored by the admissibility filter builds the matrix
+    calls = []
+    block_permutation = weightsym.block_permutation
+
+    def counted(*args):
+        calls.append(args[0])
+        return block_permutation(*args)
+
+    monkeypatch.setattr(weightsym, "block_permutation", counted)
+    monkeypatch.setattr(ringaut, "block_permutation", counted)
+    pres = aut_ks(quadric8_ring)
+    assert calls == [t.weight_aut for t in pres.triples]
+
+
 def test_aut_ks_single_variable():
     pres = aut_ks(zring(1))
     assert len(pres.triples) == 1
@@ -280,12 +295,7 @@ def test_combined_ideal_products():
     pres = aut_ks(zring(1, 2))
     combined = pres.combined_ideal
     assert len(combined.factors) == 1
-    gens = combined.factors[0]
-    prods = combined.expand_pair(0, 0)
-    assert len(prods) == len(gens) ** 2
-    assert prods[0] == gens[0] * gens[0]
-    with pytest.raises(GuardError):
-        combined.expand_pair(0, 0, gen_bound=10)
+    assert combined.factors[0] == pres.triples[0].ideal
 
 
 def test_render_presentation(quadric8_presentation):

@@ -1,26 +1,18 @@
 import random
+import time
+from itertools import product
+from math import perm
 
 import pytest
 
 from conftest import QUADRIC8_AUT_MATRICES
 from oracles import extendable_bijections, random_pointed_grading
-from gradedaut import grading
 from gradedaut.errors import GuardError, ValidationError
-from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
+from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
+                               check_effective)
 from gradedaut.polynomials import GradedPolyRing
-from gradedaut.weightsym import (TORSION_BLOCK_BOUND, WeightSet,
-                                 admissible_automorphisms, aut_gen_weights)
-
-
-def test_weight_set_partition(quadric8_Q):
-    ws = WeightSet.from_degree_matrix(quadric8_Q)
-    assert ws.size == 8
-    assert ws.occurrences == tuple((i,) for i in range(1, 9))
-    z = GradingGroup(1)
-    Q = DegreeMatrix(tuple(z.element((v,)) for v in (1, 2, 1)))
-    ws = WeightSet.from_degree_matrix(Q)
-    assert ws.size == 2
-    assert ws.occurrences == ((1, 3), (2,))
+from gradedaut.weightsym import (PLACEMENT_BOUND, admissible_automorphisms,
+                                 aut_gen_weights)
 
 
 def test_quadric8_weight_symmetries(quadric8_Q, quadric8_group):
@@ -104,19 +96,44 @@ def test_admissible_rejects_dimension_mismatch():
     assert any(a.aut.is_identity() for a in adm)
 
 
-def test_torsion_block_guard_refuses_before_enumerating(monkeypatch):
-    # (Z/3)^3 with its 3^9 candidate blocks stays below the bound
-    assert TORSION_BLOCK_BOUND >= 3 ** 9
+def _torsion_cube(orders):
+    # weights (1; 0) and (1; e_i) in Z + Z/a_1 + ... + Z/a_l
+    group = GradingGroup(1, orders)
+    cols = [group.element((1,), (0,) * len(orders))]
+    cols += [group.element((1,), tuple(int(i == j) for j in range(len(orders))))
+             for i in range(len(orders))]
+    return DegreeMatrix(tuple(cols))
 
-    def no_enumeration(*args):
-        raise AssertionError("a candidate block was tested before the guard")
 
-    monkeypatch.setattr(grading, "torsion_block_bijective", no_enumeration)
-    group = GradingGroup(1, (2, 2, 2, 2))
-    cols = [group.element((1,), (0, 0, 0, 0))]
-    cols += [group.element((1,), tuple(int(i == j) for j in range(4)))
-             for i in range(4)]
+def test_torsion_cubes_permute_their_weights():
+    # every permutation of the weights extends: 4! and 5!
+    start = time.perf_counter()
+    assert len(aut_gen_weights(_torsion_cube((3, 3, 3)))) == 24
+    assert time.perf_counter() - start < 0.5
+    assert len(aut_gen_weights(_torsion_cube((2, 2, 2, 2)))) == 120
+
+
+def test_placement_guard_refuses_before_placing(monkeypatch):
+    def no_image(*args):
+        raise AssertionError("an image was tried before the guard")
+
+    monkeypatch.setattr(GroupAutomorphism, "from_display", no_image)
+    z4 = GradingGroup(4)
+    vectors = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    vectors += [v for v in product(range(3), repeat=4) if sum(v) > 1][:36]
+    assert len(set(vectors)) == 40
     with pytest.raises(GuardError) as info:
-        aut_gen_weights(DegreeMatrix(tuple(cols)))
-    assert "65536" in str(info.value)
-    assert str(TORSION_BLOCK_BOUND) in str(info.value)
+        aut_gen_weights(DegreeMatrix(tuple(z4.element(v) for v in vectors)))
+    assert str(perm(40, 4)) in str(info.value)
+    assert str(PLACEMENT_BOUND) in str(info.value)
+
+
+def test_effective_torsion_gradings_match_oracle():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 200:
+        Q = random_pointed_grading(rng, kmax=2, lmax=2, rmax=4)
+        if not Q.group.torsion_orders or not check_effective(Q):
+            continue
+        assert set(aut_gen_weights(Q)) == extendable_bijections(Q)
+        checked += 1
