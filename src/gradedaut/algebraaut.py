@@ -85,7 +85,7 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
                 "symmetry cannot change component dimensions")
         position = {m: i for i, m in enumerate(tgt.monomials)}
         for row in src.ideal_basis:
-            f = Polynomial({m: c for m, c in zip(src.monomials, row) if c})
+            f = Polynomial._of({m: c for m, c in zip(src.monomials, row) if c})
             image = substitute_polynomial(basis, f, triple.matrix)
             coeffs = [Polynomial.zero()] * tgt.dimension
             for mono, poly in image.items():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebraaut import StabilizerPresentation, StabilizerTriple
 from .errors import InputError, StructuralError, ValidationError
@@ -504,10 +505,9 @@ def _encode_poly(f: Polynomial):
 
 
 def _decode_poly(data) -> Polynomial:
-    terms = {}
-    for mono, frac in data:
-        terms[tuple(int(e) for e in mono)] = Fraction(int(frac[0]), int(frac[1]))
-    return Polynomial(terms)
+    # the checking constructor is the one pass over the exponents
+    return Polynomial({tuple(mono): Fraction(int(frac[0]), int(frac[1]))
+                       for mono, frac in data})
 
 
 def _encode_ring(ring: GradedPolyRing):
@@ -669,8 +669,48 @@ def _decode_bundle(data) -> ResultBundle:
     return ResultBundle(problem, report, weight_auts, pres, stab, filt)
 
 
+def _json_chunks(value, out: list, pad: str):
+    """Append the text json.dumps(value, indent=2) gives to `out`, in
+    pieces; `pad` is the newline and indentation of value's own line."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if type(value) is list and set(map(type, value)) == {int}:
+            # exponent vectors, most of a report: the repr of a list of
+            # ints is "[" + its items joined by ", " + "]"
+            out.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
+                       + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        out.append(json.dumps(value))
+
+
 def report_to_text(bundle: ResultBundle) -> str:
-    return json.dumps(bundle_to_data(bundle), indent=2) + "\n"
+    """The report as JSON with two-space indentation, the bytes of
+    json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
+    out = []
+    _json_chunks(bundle_to_data(bundle), out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def report_from_text(text: str) -> ResultBundle:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 
 from . import linalg
 from .errors import InputError, StructuralError, ValidationError
@@ -39,16 +40,31 @@ class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
+        """The checking constructor: the exponents must be nonnegative
+        ints, in tuples of one length; zero coefficients are dropped."""
         clean = {}
         for mono, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                clean[tuple(int(e) for e in mono)] = c
-        lengths = {len(m) for m in clean}
-        if len(lengths) > 1:
+                clean[tuple(mono)] = c
+        if len(set(map(len, clean))) > 1:
             raise StructuralError("mixed exponent lengths in one polynomial")
+        if not set(map(type, chain.from_iterable(clean))) <= {int}:
+            raise StructuralError("exponents must be integers")
+        if min(chain.from_iterable(clean), default=0) < 0:
+            raise StructuralError("negative exponent in a polynomial")
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, clean: dict) -> "Polynomial":
+        """The trusted constructor for arithmetic inside the package:
+        `clean` maps int tuples of one length to nonzero Fractions and
+        becomes the terms as it is."""
+        f = object.__new__(cls)
+        f.terms = clean
+        f._hash = None
+        return f
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -88,11 +104,15 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return Polynomial(terms)
+            s = terms.get(mono, 0) + c
+            if s:
+                terms[mono] = s
+            else:
+                del terms[mono]
+        return Polynomial._of(terms)
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -101,14 +121,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial({m: c * other for m, c in self.terms.items()})
+            if not other:
+                return Polynomial._of({})
+            return Polynomial._of({m: c * other for m, c in self.terms.items()})
         self._check_compatible(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = monomial_mul(m1, m2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(terms)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return Polynomial._of({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -160,35 +182,25 @@ def default_names(nvars: int, stem: str = "T") -> tuple[str, ...]:
     return tuple(f"{stem}({i + 1})" for i in range(nvars))
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def polynomial_to_str(f: Polynomial, names) -> str:
     """Canonical rendering: terms in descending order, `*` products,
     `^` powers, unit coefficients suppressed."""
     if f.is_zero():
         return "0"
     names = list(names)
+    positions = range(len(next(iter(f.terms))))
     chunks = []
-    for idx, (mono, coeff) in enumerate(f.sorted_terms()):
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = _format_coeff(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_format_coeff(mag)] + factors)
-        if idx == 0:
-            chunks.append(("-" if coeff < 0 else "") + body)
-        else:
-            chunks.append(("- " if coeff < 0 else "+ ") + body)
+    for mono, coeff in f.sorted_terms():
+        num, den = coeff.numerator, coeff.denominator
+        factors = [names[i] if mono[i] == 1 else f"{names[i]}^{mono[i]}"
+                   for i in compress(positions, mono)]
+        if den != 1:
+            factors.insert(0, f"{abs(num)}/{den}")
+        elif abs(num) != 1 or not factors:
+            factors.insert(0, str(abs(num)))
+        chunks.append(("- " if num < 0 else "+ ") + "*".join(factors))
+    first = chunks[0]
+    chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
     return " ".join(chunks)
 
 

@@ -14,7 +14,8 @@ an affine variety over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from fractions import Fraction
+from itertools import accumulate, combinations, permutations, product
 from math import factorial, prod
 
 from .errors import GuardError, StructuralError
@@ -116,17 +117,14 @@ def _pattern(basis: ActionBasis, block_map) -> SymbolicMatrix:
     return SymbolicMatrix(n, tuple(rows))
 
 
-def _sign(perm) -> int:
-    """Sign of a permutation of range(len(perm)): (-1)^(n - cycles)."""
-    seen = set()
-    parity = len(perm)
-    for i in range(len(perm)):
-        if i not in seen:
-            parity -= 1
-            while i not in seen:
-                seen.add(i)
-                i = perm[i]
-    return -1 if parity % 2 else 1
+def _signed_permutations(k: int):
+    """The permutations of range(k) in lexicographic order, each with its
+    sign.  Their Lehmer codes (c_0, ..., c_{k-1}), c_i < k - i the number
+    of later entries below entry i, run through the same order, and the
+    sign is (-1)^(c_0 + ... + c_{k-1}), the parity of the inversions."""
+    codes = product(*(range(k - i) for i in range(k)))
+    return [(perm, -1 if c % 2 else 1)
+            for perm, c in zip(permutations(range(k)), map(sum, codes))]
 
 
 def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND):
@@ -156,10 +154,13 @@ def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND)
             f"symbolic determinant has {count} terms, above the bound "
             f"{term_bound}; raise the term bound to proceed")
     base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
-    sign = _sign([base[i] for i in range(n)])
-    blocks = [[(tuple(i * n + cols[p] for i, p in zip(rows, perm)), _sign(perm))
-               for perm in permutations(range(len(rows)))]
+    # the sign of the block permutation, from its inversions
+    inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
+    sign = -1 if inversions % 2 else 1
+    blocks = [[(tuple(i * n + cols[p] for i, p in zip(rows, perm)), s)
+               for perm, s in _signed_permutations(len(rows))]
               for cols, rows in supports.items()]
+    one, minus_one = Fraction(1), Fraction(-1)
     terms = {}
     for choice in product(*blocks):
         expo = [0] * (n * n) + [1]  # the witness variable Z
@@ -168,9 +169,9 @@ def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND)
             for v in slots:
                 expo[v] = 1
             term_sign *= block_sign
-        terms[tuple(expo)] = term_sign
-    terms[(0,) * nvars] = -1
-    gens.append(Polynomial(terms))
+        terms[tuple(expo)] = one if term_sign > 0 else minus_one
+    terms[(0,) * nvars] = minus_one
+    gens.append(Polynomial._of(terms))
     return gens
 
 

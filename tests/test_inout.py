@@ -10,12 +10,13 @@ import pytest
 from conftest import QUADRIC8_GEN, QUADRIC8_ROWS
 
 from gradedaut.algebraaut import aut_grad_alg
+from gradedaut.cli import main
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
 from gradedaut.inout import (FilterResult, ProblemInput, ResultBundle,
-                             export_cas_script, parse_input, print_input,
-                             read_input, read_report, report_from_text,
-                             report_to_text, write_report)
+                             _json_chunks, bundle_to_data, export_cas_script,
+                             parse_input, print_input, read_input, read_report,
+                             report_from_text, report_to_text, write_report)
 from gradedaut.polynomials import Polynomial, polynomial_to_str, default_names
 from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation
@@ -259,6 +260,63 @@ def test_report_files(tmp_path, quadric8_bundle):
     data = json.loads(first)
     assert data["schema"] == "graded-aut/1"
     assert data["timing"] is None
+
+
+_STRINGS = ("", "plain", 'quote " and \\ backslash', "tab\tnew\nline",
+            "\x01\x1f control", "caf\u00e9 \u2202 \U0001d538", "/slash/")
+_LEAVES = (True, False, None, 0, -7, 10 ** 40, -(10 ** 40) + 1, 2.5,
+           *_STRINGS)
+_INTS = (0, 1, 2, -3, 10 ** 39 + 7, -(10 ** 40))
+
+
+def _random_tree(rng, depth=0):
+    roll = rng.random()
+    if depth == 4 or roll < 0.25:
+        return rng.choice(_LEAVES)
+    if roll < 0.5:  # lists of ints take the writer's own path
+        items = [rng.choice(_INTS) for _ in range(rng.randint(0, 6))]
+        if items and rng.random() < 0.2:
+            items[rng.randrange(len(items))] = rng.choice((True, False, None))
+        return items
+    if roll < 0.75:
+        return [_random_tree(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {rng.choice(_STRINGS) + str(i): _random_tree(rng, depth + 1)
+            for i in range(rng.randint(0, 4))}
+
+
+def test_report_writer_matches_json_dumps():
+    rng = random.Random(37)
+    for _ in range(300):
+        tree = _random_tree(rng)
+        out = []
+        _json_chunks(tree, out, "\n")
+        assert "".join(out) == json.dumps(tree, indent=2)
+
+
+# one report per benchmark problem: the one the benchmark writes, else
+# the autxhat report, else (no class w) the weight-symmetry report; the
+# large determinant reports are covered by weights112's
+BENCH_REPORTS = {"chamber10.toml": "autxhat", "dense_quadric8.toml": "weights-aut",
+                 "linear10.toml": "weights-aut", "quadric8.toml": "autxhat",
+                 "torsion.toml": "autxhat", "weights112.toml": "autgradalg",
+                 "weights112x12.toml": "autxhat"}
+
+
+def test_bench_reports_match_json_dumps(tmp_path, capsys):
+    problems = DEMO.parent.parent / "bench" / "problems"
+    assert sorted(p.name for p in problems.glob("*.toml")) == sorted(BENCH_REPORTS)
+    for name, command in BENCH_REPORTS.items():
+        path = tmp_path / (name + ".json")
+        assert main([command, "--input", str(problems / name),
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text(encoding="utf-8")
+        bundle = read_report(path)
+        # compared as flags: a diff of two 37 MB strings takes minutes
+        same = text == json.dumps(bundle_to_data(bundle), indent=2) + "\n"
+        assert same, f"{command} report of {name} differs from json.dumps"
+        same = report_to_text(bundle) == text
+        assert same, f"{command} report of {name} does not round-trip"
 
 
 def test_report_schema_errors(quadric8_bundle):

@@ -7,11 +7,14 @@ import pytest
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
+from gradedaut.inout import (ProblemInput, ResultBundle, bundle_from_data,
+                             bundle_to_data)
 from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    annihilator_forms, component_dimension,
                                    default_names, degree_of, distinct_term_degrees,
                                    ideal_component_basis, monomial_basis,
                                    parse_polynomial, polynomial_to_str)
+from gradedaut.ringaut import aut_ks
 
 
 def T(i, nvars=8):
@@ -78,6 +81,102 @@ def test_parse_errors_carry_positions():
         parse_polynomial("T(1) * * T(2)", names)
     with pytest.raises(InputError):
         parse_polynomial("T(1) T(2)", names)
+
+
+def _reference_to_str(f, names):
+    """The renderer as first written: every exponent of every term is
+    scanned and coefficients are compared as Fractions."""
+    if f.is_zero():
+        return "0"
+    chunks = []
+    ordered = sorted(f.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                     reverse=True)
+    for idx, (mono, coeff) in enumerate(ordered):
+        factors = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                factors.append(names[i])
+            elif e > 1:
+                factors.append(f"{names[i]}^{e}")
+        mag = abs(coeff)
+        shown = (str(mag.numerator) if mag.denominator == 1
+                 else f"{mag.numerator}/{mag.denominator}")
+        if not factors:
+            body = shown
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([shown] + factors)
+        if idx == 0:
+            chunks.append(("-" if coeff < 0 else "") + body)
+        else:
+            chunks.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(chunks)
+
+
+def test_rendering_matches_reference():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        names = default_names(nvars, rng.choice("TY"))
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            mono = tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in range(nvars))
+            terms[mono] = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 7)))
+        f = Polynomial(terms)
+        assert polynomial_to_str(f, names) == _reference_to_str(f, names)
+        if f.is_zero():
+            seen.add("zero")
+            continue
+        coeffs = f.terms.values()
+        cases = {"constant": (0,) * nvars in f.terms,
+                 "power": any(max(m) > 1 for m in f.terms),
+                 "fraction": any(c.denominator > 1 for c in coeffs),
+                 "unit": any(abs(c) == 1 for c in coeffs),
+                 "negative lead": f.sorted_terms()[0][1] < 0}
+        seen.update(case for case, hit in cases.items() if hit)
+    assert seen == {"zero", "constant", "power", "fraction", "negative lead",
+                    "unit"}
+
+
+def _tiny_report_data():
+    """A report on Q[T(1), T(2)], both of degree 1: its last equation is
+    Y(1)*Y(4)*Z - Y(2)*Y(3)*Z - 1 in five slot variables."""
+    problem = ProblemInput(1, (), 2, ((1, 1),))
+    bundle = ResultBundle(problem, presentation=aut_ks(problem.ring()))
+    return bundle_to_data(bundle)
+
+
+def test_checking_constructor_boundary():
+    names = default_names(2)
+    # zero coefficients are dropped, on every checked path
+    assert Polynomial({(1, 0): 0, (0, 1): Fraction(2)}).terms == {(0, 1): 2}
+    assert Polynomial.constant(0, 2).is_zero()
+    f = parse_polynomial("T(1) - T(1) + 0*T(2) + 2*T(2)", names)
+    assert f.terms == {(0, 1): 2}
+    data = _tiny_report_data()
+    det = data["presentation"]["triples"][0]["equations"][-1]
+    assert len(det) == 3
+    det[0][1] = [0, 1]
+    decoded = bundle_from_data(data).presentation.triples[0].ideal[-1]
+    assert len(decoded.terms) == 2
+    assert all(type(e) is int for m in decoded.terms for e in m)
+    # mixed arity, negative and non-int exponents are rejected
+    with pytest.raises(StructuralError, match="mixed exponent lengths"):
+        Polynomial({(1, 0): 1, (1,): 1})
+    with pytest.raises(StructuralError, match="negative exponent"):
+        Polynomial({(1, -1): 1})
+    with pytest.raises(StructuralError, match="must be integers"):
+        Polynomial({(1, 0.5): 1})
+    with pytest.raises(StructuralError, match="different variable rosters"):
+        parse_polynomial("T(1) + 1", names) + parse_polynomial("T(1)", names[:1])
+    for bad in ([0, 0, 0, 0, 0, 0], [2, 0, 0, -1, 0], [2, 0, 0, "1", 0],
+                [2, 0, 0, 1.5, 0], [2, 0, 0, True, 0], 7):
+        data = _tiny_report_data()
+        data["presentation"]["triples"][0]["equations"][-1][1][0] = bad
+        with pytest.raises(InputError, match="malformed report"):
+            bundle_from_data(data)
 
 
 def test_degree_of(quadric8_ring):
