@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .algebraaut import StabilizerPresentation, StabilizerTriple
@@ -589,10 +590,11 @@ def _decode_presentation(data) -> AutPresentation:
     return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
 
 
-def _encode_stabilizer(stab: StabilizerPresentation):
+def _encode_stabilizer(stab: StabilizerPresentation, base: dict):
+    """`base` is the encoded stab.base."""
     roster = [list(u.free_part) + list(u.torsion_part)
               for u in stab.degree_roster]
-    return {"base": _encode_presentation(stab.base),
+    return {"base": base,
             "ideal": [_encode_poly(g) for g in stab.ideal.generators],
             "roster": roster,
             "stabilizer_gens": [[_encode_poly(g) for g in t.stabilizer_gens]
@@ -615,6 +617,17 @@ def _decode_stabilizer(data) -> StabilizerPresentation:
 
 
 def bundle_to_data(bundle: ResultBundle) -> dict:
+    """The report as a JSON tree.  When the stabilizer's base is the
+    presentation itself, as the CLI builds it, one encoded dict stands
+    under both keys."""
+    pres = (None if bundle.presentation is None
+            else _encode_presentation(bundle.presentation))
+    stab = bundle.stabilizer
+    stab_data = None
+    if stab is not None:
+        base = (pres if stab.base is bundle.presentation
+                else _encode_presentation(stab.base))
+        stab_data = _encode_stabilizer(stab, base)
     return {
         "schema": SCHEMA,
         "problem": _encode_problem(bundle.problem),
@@ -622,10 +635,8 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
                        else _encode_report(bundle.report)),
         "weight_symmetries": [[list(r) for r in m]
                               for m in bundle.weight_auts],
-        "presentation": (None if bundle.presentation is None
-                         else _encode_presentation(bundle.presentation)),
-        "stabilizer": (None if bundle.stabilizer is None
-                       else _encode_stabilizer(bundle.stabilizer)),
+        "presentation": pres,
+        "stabilizer": stab_data,
         "filter": (None if bundle.filter_result is None
                    else {"w": list(bundle.filter_result.w),
                          "retained": list(bundle.filter_result.retained),
@@ -669,37 +680,83 @@ def _decode_bundle(data) -> ResultBundle:
     return ResultBundle(problem, report, weight_auts, pres, stab, filt)
 
 
-def _json_chunks(value, out: list, pad: str):
+# _DIGITS turns a byte 0..9 into its ASCII digit and any other byte
+# into a non-digit
+_DIGITS = b"0123456789" + b"x" * 246
+
+
+def _json_chunks(value, out: list, pad: str, spans=None, templates=None):
     """Append the text json.dumps(value, indent=2) gives to `out`, in
-    pieces; `pad` is the newline and indentation of value's own line."""
+    pieces; `pad` is the newline and indentation of value's own line.
+
+    `spans` maps the id() of each dict written so far to its pad and its
+    pieces' slice of `out`; the tree outlives the call, so ids are
+    unique.  A dict met again is written as those pieces, re-indented.
+    Strings are written escaped, so every newline in a piece starts a
+    line, and its indentation is in the same piece.  `templates` holds
+    one bytearray per (length, pad) of digit vectors."""
+    if spans is None:
+        spans, templates = {}, {}
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = pad + "  "
         if type(value) is list and set(map(type, value)) == {int}:
-            # exponent vectors, most of a report: the repr of a list of
-            # ints is "[" + its items joined by ", " + "]"
+            try:
+                digits = bytes(value).translate(_DIGITS)
+            except ValueError:  # an entry outside 0..255
+                digits = b""
+            if digits.isdigit():
+                # exponent vectors, most of a report: one digit per entry,
+                # written into a template of the vector's text
+                text = templates.get((len(value), pad))
+                if text is None:
+                    text = templates[len(value), pad] = bytearray(
+                        "[" + inner + ("," + inner).join("0" * len(value))
+                        + pad + "]", "ascii")
+                step = len(inner) + 2
+                text[step - 1::step] = digits
+                out.append(text.decode("ascii"))
+                return
+            # the repr of a list of ints is "[" + its items joined by
+            # ", " + "]"
             out.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
                        + pad + "]")
             return
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _json_chunks(item, out, inner)
+            _json_chunks(item, out, inner, spans, templates)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
+        span = spans.get(id(value))
+        if span is not None:
+            first_pad, start, stop = span
+            if len(pad) >= len(first_pad):
+                # a one-character pattern is the fastest replace
+                old, new = "\n", "\n" + pad[len(first_pad):]
+            else:
+                old, new = first_pad, pad
+            # piece by piece: one replace on the joined pieces is about
+            # as fast and raised the peak RSS of weights112's
+            # `autgradalg --out` from 109 to 121 MB
+            out.extend(map(str.replace, out[start:stop], repeat(old),
+                           repeat(new)))
+            return
+        start = len(out)
         inner = pad + "  "
         sep = "{" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, out, inner)
+            _json_chunks(item, out, inner, spans, templates)
             sep = "," + inner
         out.append(pad + "}")
+        spans[id(value)] = (pad, start, len(out))
     else:
         out.append(json.dumps(value))
 

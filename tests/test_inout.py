@@ -1,6 +1,7 @@
 """Problem files, result bundles, and the script export."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "quadric8.toml"
+BENCH_PROBLEMS = DEMO.parent.parent / "bench" / "problems"
 
 QUADRIC8_PROBLEM = ProblemInput(3, (2,), 8, QUADRIC8_ROWS, (QUADRIC8_GEN,),
                                 (1, 9, 16, 0))
@@ -269,28 +271,105 @@ _LEAVES = (True, False, None, 0, -7, 10 ** 40, -(10 ** 40) + 1, 2.5,
 _INTS = (0, 1, 2, -3, 10 ** 39 + 7, -(10 ** 40))
 
 
-def _random_tree(rng, depth=0):
+def _random_tree(rng, depth=0, shared=None):
+    """A JSON tree; a dict already finished may stand again anywhere
+    later in the same tree, as the CLI's presentation does."""
+    if shared is None:
+        shared = []
     roll = rng.random()
-    if depth == 4 or roll < 0.25:
+    if depth == 4 or roll < 0.2:
         return rng.choice(_LEAVES)
-    if roll < 0.5:  # lists of ints take the writer's own path
+    if roll < 0.3:  # lists of ints take the writer's own path
         items = [rng.choice(_INTS) for _ in range(rng.randint(0, 6))]
         if items and rng.random() < 0.2:
             items[rng.randrange(len(items))] = rng.choice((True, False, None))
         return items
-    if roll < 0.75:
-        return [_random_tree(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    return {rng.choice(_STRINGS) + str(i): _random_tree(rng, depth + 1)
+    if roll < 0.4:  # exponent-like digit vectors, some with one odd entry
+        items = [rng.randrange(10) for _ in range(rng.randint(20, 70))]
+        if rng.random() < 0.5:
+            odd = rng.choice((10, -1, True, False, 10 ** 40 + 3))
+            items[rng.randrange(len(items))] = odd
+        return items
+    if roll < 0.45 and shared:
+        return rng.choice(shared)
+    if roll < 0.7:
+        return [_random_tree(rng, depth + 1, shared)
+                for _ in range(rng.randint(0, 4))]
+    tree = {rng.choice(_STRINGS) + str(i): _random_tree(rng, depth + 1, shared)
             for i in range(rng.randint(0, 4))}
+    shared.append(tree)
+    return tree
+
+
+def _writer_cases(tree):
+    """The writer paths a tree exercises: repeated dicts (deeper or
+    shallower than first met, holding an escaped newline), digit
+    vectors of length 20 or more, and long lists that must fall back
+    because of a 10, a negative, a bool or a big int."""
+    cases, first = set(), {}
+
+    def walk(value, depth):
+        if isinstance(value, dict) and value:
+            if id(value) in first:
+                cases.add("deeper" if depth > first[id(value)] else
+                          "shallower" if depth < first[id(value)] else "same")
+                if "\\n" in json.dumps(value):
+                    cases.add("escaped")
+                return
+            first[id(value)] = depth
+            for item in value.values():
+                walk(item, depth + 1)
+        elif isinstance(value, list):
+            if len(value) >= 20 and all(isinstance(x, int) for x in value):
+                odd = [x for x in value if type(x) is bool or not 0 <= x < 10]
+                cases.add("digits" if not odd else
+                          "bool" if type(odd[0]) is bool else
+                          "negative" if odd[0] < 0 else
+                          "ten" if odd[0] == 10 else "big")
+            for item in value:
+                walk(item, depth + 1)
+
+    walk(tree, 0)
+    return cases
 
 
 def test_report_writer_matches_json_dumps():
     rng = random.Random(37)
-    for _ in range(300):
+    seen = set()
+    for _ in range(400):
         tree = _random_tree(rng)
+        seen |= _writer_cases(tree)
         out = []
         _json_chunks(tree, out, "\n")
         assert "".join(out) == json.dumps(tree, indent=2)
+    assert seen >= {"deeper", "shallower", "escaped", "digits", "bool",
+                    "negative", "ten", "big"}
+
+
+def test_composite_report_writer(tmp_path):
+    problem = read_input(BENCH_PROBLEMS / "weights112x12.toml")
+    ring = problem.ring()
+    ideal = problem.ideal(ring)
+    stab = aut_grad_alg(ring, ideal)
+    displays = tuple(t.weight_aut.display_matrix() for t in stab.base.triples)
+    shared = ResultBundle(problem, validate_presentation(ring, ideal),
+                          displays, stab.base, stab)
+    data = bundle_to_data(shared)
+    assert data["presentation"] is data["stabilizer"]["base"]
+    path = tmp_path / "shared.json"
+    write_report(shared, path)
+    copied = read_report(path)
+    assert copied.presentation == copied.stabilizer.base
+    assert copied.presentation is not copied.stabilizer.base
+    pres = stab.base
+    other = dataclasses.replace(shared, presentation=dataclasses.replace(
+        pres, triples=pres.triples + pres.triples))
+    for bundle in (shared, copied, other):
+        text = report_to_text(bundle)
+        assert text == json.dumps(bundle_to_data(bundle), indent=2) + "\n"
+        write_report(bundle, path)
+        assert path.read_text(encoding="utf-8") == text
+    assert report_to_text(copied) == report_to_text(shared)
 
 
 # one report per benchmark problem: the one the benchmark writes, else
@@ -303,13 +382,23 @@ BENCH_REPORTS = {"chamber10.toml": "autxhat", "dense_quadric8.toml": "weights-au
 
 
 def test_bench_reports_match_json_dumps(tmp_path, capsys):
-    problems = DEMO.parent.parent / "bench" / "problems"
+    problems = BENCH_PROBLEMS
     assert sorted(p.name for p in problems.glob("*.toml")) == sorted(BENCH_REPORTS)
+    # the digests the benchmark froze for the reports it writes
+    expected = json.loads((problems.parent / "expected.json").read_text())
+    frozen = {key: op["out"] for ops in expected.values()
+              for key, op in ops.items() if op["out"] is not None}
+    checked = []
     for name, command in BENCH_REPORTS.items():
         path = tmp_path / (name + ".json")
         assert main([command, "--input", str(problems / name),
                      "--out", str(path)]) == 0
         capsys.readouterr()
+        key = f"{command} {name} --out {Path(name).stem}.report.json"
+        if key in frozen:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == frozen[key], f"{key}: report bytes changed"
+            checked.append(key)
         text = path.read_text(encoding="utf-8")
         bundle = read_report(path)
         # compared as flags: a diff of two 37 MB strings takes minutes
@@ -317,6 +406,7 @@ def test_bench_reports_match_json_dumps(tmp_path, capsys):
         assert same, f"{command} report of {name} differs from json.dumps"
         same = report_to_text(bundle) == text
         assert same, f"{command} report of {name} does not round-trip"
+    assert sorted(checked) == sorted(frozen)
 
 
 def test_report_schema_errors(quadric8_bundle):
