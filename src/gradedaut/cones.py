@@ -128,26 +128,6 @@ class RationalCone:
     def is_pointed(self) -> bool:
         return linalg.rank([list(f) for f in self.forms]) == self.dim
 
-    def lineality_basis(self):
-        if not self.forms:
-            return tuple(tuple(int(i == j) for j in range(self.dim))
-                         for i in range(self.dim))
-        return tuple(primitive(v)
-                     for v in linalg.nullspace([list(f) for f in self.forms],
-                                               ncols=self.dim))
-
-    def extremal_rays(self):
-        """The irredundant generators, defined for pointed cones: rays
-        whose active halfspaces cut a one-dimensional face."""
-        if not self.is_pointed():
-            raise StructuralError("extremal rays ask for a pointed cone")
-        out = []
-        for r in self.rays:
-            active = [list(f) for f in self.forms if _dot(f, r) == 0]
-            if linalg.rank(active) == self.dim - 1:
-                out.append(r)
-        return tuple(sorted(out))
-
 
 def cone_from_rays(vectors, dim: int) -> RationalCone:
     rays = set()

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .algebraaut import StabilizerPresentation, StabilizerTriple
 from .errors import InputError, StructuralError, ValidationError
@@ -601,8 +602,8 @@ def _encode_stabilizer(stab: StabilizerPresentation, base: dict):
                                 for t in stab.triples]}
 
 
-def _decode_stabilizer(data) -> StabilizerPresentation:
-    base = _decode_presentation(data["base"])
+def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
+    """`base` is the decoded data["base"]."""
     ring = base.ring
     ideal = Ideal(ring, tuple(_decode_poly(g) for g in data["ideal"]))
     roster = tuple(ring.grading.from_coordinates(c) for c in data["roster"])
@@ -663,16 +664,40 @@ def bundle_from_data(data) -> ResultBundle:
         raise InputError([(1, 1, f"malformed report: {exc}")]) from None
 
 
+def _same_presentation(raw, decoded_from) -> bool:
+    """Whether the raw presentation `raw` decodes to what `decoded_from`
+    decoded to.
+
+    Plain `==` takes true and 1.0 for 1.  That is harmless in every field
+    read through int(), which is every field but the exponents: the
+    checking Polynomial constructor rejects an exponent that is not an
+    int, so those of `raw` are checked by type.  `decoded_from` decoded,
+    so an equal `raw` has the shape this walk expects."""
+    if raw != decoded_from:
+        return False
+    terms = chain.from_iterable(chain.from_iterable(
+        t["equations"] for t in raw["triples"]))
+    return set(map(type, chain.from_iterable(map(itemgetter(0), terms)))) \
+        <= {int}
+
+
 def _decode_bundle(data) -> ResultBundle:
     problem = _decode_problem(data["problem"])
     report = (None if data.get("validation") is None
               else _decode_report(data["validation"]))
     weight_auts = tuple(tuple(tuple(int(x) for x in row) for row in m)
                         for m in data.get("weight_symmetries", []))
-    pres = (None if data.get("presentation") is None
-            else _decode_presentation(data["presentation"]))
-    stab = (None if data.get("stabilizer") is None
-            else _decode_stabilizer(data["stabilizer"]))
+    pres_data = data.get("presentation")
+    pres = None if pres_data is None else _decode_presentation(pres_data)
+    stab_data = data.get("stabilizer")
+    stab = None
+    if stab_data is not None:
+        # the CLI writes the stabilizer's base as a copy of the presentation
+        base_data = stab_data["base"]
+        base = (pres if pres is not None
+                and _same_presentation(base_data, pres_data)
+                else _decode_presentation(base_data))
+        stab = _decode_stabilizer(stab_data, base)
     fdata = data.get("filter")
     filt = (None if fdata is None
             else FilterResult(tuple(fdata["w"]), tuple(fdata["retained"]),
@@ -761,13 +786,17 @@ def _json_chunks(value, out: list, pad: str, spans=None, templates=None):
         out.append(json.dumps(value))
 
 
-def report_to_text(bundle: ResultBundle) -> str:
-    """The report as JSON with two-space indentation, the bytes of
-    json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
+def _report_pieces(bundle: ResultBundle) -> list[str]:
     out = []
     _json_chunks(bundle_to_data(bundle), out, "\n")
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def report_to_text(bundle: ResultBundle) -> str:
+    """The report as JSON with two-space indentation, the bytes of
+    json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
+    return "".join(_report_pieces(bundle))
 
 
 def report_from_text(text: str) -> ResultBundle:
@@ -780,8 +809,11 @@ def report_from_text(text: str) -> ResultBundle:
 
 
 def write_report(bundle: ResultBundle, path):
+    """Write report_to_text(bundle) to `path`, piece by piece: joining
+    first would hold the text twice, as pieces and as one string."""
+    pieces = _report_pieces(bundle)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_text(bundle))
+        fh.writelines(pieces)
 
 
 def read_report(path) -> ResultBundle:

@@ -1,6 +1,9 @@
 """The command line front end, driven through main()."""
 
 import functools
+import gc
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedaut import gitfan, weightsym
+from gradedaut import cli, gitfan, weightsym
 from gradedaut.cli import main
 from gradedaut.inout import (ResultBundle, export_cas_script, parse_input,
                              read_report)
@@ -280,3 +283,55 @@ def test_check_report_written(tmp_path):
     assert bundle.report.ok
     assert bundle.presentation is None
     assert bundle.weight_auts == ()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_gc_state(tmp_path, capsys, monkeypatch, enabled):
+    during = []
+    validate = cli.validate_presentation
+
+    def recording(*args):
+        during.append(gc.isenabled())
+        return validate(*args)
+
+    monkeypatch.setattr(cli, "validate_presentation", recording)
+    wide = _write(tmp_path, WIDE)
+    bad = _write(tmp_path, "vars = 2\n", "bad.toml")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in ((["check", "--input", DEMO], 0),
+                           (["check", "--input", bad], 2),
+                           (["autxhat", "--input", wide, "--w", "1,1"], 3)):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert during == [False, False]
+
+
+def test_bench_ops_match_frozen_stdout(tmp_path, capsys):
+    """Every op of the benchmark, run in-process: its exit code and the
+    sha256 of its stdout are the ones frozen in bench/expected.json."""
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+    problems = ROOT / "bench" / "problems"
+    for workload, ops in expected.items():
+        work = tmp_path / workload
+        work.mkdir()
+        # an export of a report runs after the op that writes it
+        for key in sorted(ops, key=lambda k: " report:" in k):
+            command, source, *out = key.split(" ")
+            if source.startswith("report:"):
+                argv = [command, "--input",
+                        str(work / source.removeprefix("report:"))]
+            else:
+                argv = [command, "--input", str(problems / source)]
+            if out:
+                assert out[0] == "--out"
+                argv += ["--out", str(work / out[1])]
+            code = main(argv + ["--jobs", "1"])
+            stdout = capsys.readouterr().out.encode("utf-8")
+            assert code == ops[key]["exit"], key
+            digest = hashlib.sha256(stdout).hexdigest()
+            assert digest == ops[key]["stdout"], f"{key}: stdout changed"

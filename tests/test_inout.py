@@ -359,17 +359,72 @@ def test_composite_report_writer(tmp_path):
     path = tmp_path / "shared.json"
     write_report(shared, path)
     copied = read_report(path)
-    assert copied.presentation == copied.stabilizer.base
-    assert copied.presentation is not copied.stabilizer.base
+    assert copied.presentation is copied.stabilizer.base
     pres = stab.base
+    equal = dataclasses.replace(shared, presentation=dataclasses.replace(pres))
+    assert equal.presentation == pres and equal.presentation is not pres
     other = dataclasses.replace(shared, presentation=dataclasses.replace(
         pres, triples=pres.triples + pres.triples))
-    for bundle in (shared, copied, other):
+    for bundle in (shared, copied, equal, other):
         text = report_to_text(bundle)
         assert text == json.dumps(bundle_to_data(bundle), indent=2) + "\n"
         write_report(bundle, path)
         assert path.read_text(encoding="utf-8") == text
     assert report_to_text(copied) == report_to_text(shared)
+
+
+def _cli_report(tmp_path, capsys):
+    """The JSON tree of quadric8's `autgradalg --out` report."""
+    path = tmp_path / "cli.json"
+    assert main(["autgradalg", "--input", str(DEMO), "--out", str(path)]) == 0
+    capsys.readouterr()
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _first_term(pres_data):
+    """The first term of the first equation: [exponents, [num, den]]."""
+    return next(t for tr in pres_data["triples"] for g in tr["equations"]
+                for t in g)
+
+
+@pytest.mark.parametrize("section", ["base", "presentation"])
+@pytest.mark.parametrize("one", [True, 1.0], ids=["true", "float"])
+def test_report_exponent_must_be_int(tmp_path, capsys, section, one):
+    # equal under ==, so only a type-strict comparison tells them apart
+    data = _cli_report(tmp_path, capsys)
+    pres = (data["stabilizer"]["base"] if section == "base"
+            else data["presentation"])
+    mono = _first_term(pres)[0]
+    mono[mono.index(1)] = one
+    assert data["presentation"] == data["stabilizer"]["base"]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1:1: malformed report: ")
+    assert "exponents must be integers" in err
+
+
+def test_report_base_shared_unless_distinct(tmp_path, capsys):
+    data = _cli_report(tmp_path, capsys)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    shared = read_report(path)
+    assert shared.stabilizer.base is shared.presentation
+    assert main(["export", "--input", str(path)]) == 0
+    before = capsys.readouterr().out
+    _first_term(data["stabilizer"]["base"])[1][0] = 7
+    path.write_text(json.dumps(data), encoding="utf-8")
+    bundle = read_report(path)
+    base, pres = bundle.stabilizer.base, bundle.presentation
+    assert base != pres
+    assert Fraction(7) in base.triples[0].ideal[0].terms.values()
+    assert Fraction(7) not in pres.triples[0].ideal[0].terms.values()
+    assert main(["export", "--input", str(path)]) == 0
+    after = capsys.readouterr().out
+    assert after == export_cas_script(bundle) != before
+    names = base.slot_names()
+    assert polynomial_to_str(base.triples[0].ideal[0], names) in after
 
 
 # one report per benchmark problem: the one the benchmark writes, else
