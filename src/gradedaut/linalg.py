@@ -3,13 +3,18 @@
 A matrix is a list (or tuple) of rows, each row a sequence of Python
 ints or Fractions, so every operation here is exact.  Row vectors passed
 around the rest of the package are plain tuples.
+
+Elimination is fraction-free: each row is scaled to integers by the lcm
+of its denominators, which changes no reduced echelon form, and is then
+reduced by integer cross-multiplication with its content divided out.
+Fractions are built once, for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 def dot(u, v):
@@ -27,16 +32,18 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its entries' denominators: ints only."""
+    scale = lcm(*(x.denominator for x in row))
+    if scale == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def primitive(vector) -> tuple[int, ...]:
     """Coprime integer vector with the same direction; zero stays zero."""
-    fr = [Fraction(x) for x in vector]
-    denom = 1
-    for f in fr:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints = _integer_row(vector)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
@@ -221,27 +228,34 @@ def rref(M):
     Returns (rows, pivot_columns) where rows is a list of lists of
     Fractions.
     """
-    R = [[Fraction(x) for x in row] for row in M]
+    R = [_integer_row(row) for row in M]
     nrows = len(R)
     ncols = len(R[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        p = next((i for i in range(r, nrows) if R[i][c]), None)
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        inv = Fraction(1) / R[r][c]
-        R[r] = [x * inv for x in R[r]]
+        top = R[r]
+        a = top[c]
         for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+            f = R[i][c]
+            if i != r and f:
+                # a nonzero multiple of the rational update, made primitive
+                row = [a * x - f * y for x, y in zip(R[i], top)]
+                g = gcd(*row)
+                R[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return R, pivots
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row]
+           for row, c in zip(R, pivots)]
+    out += [[zero] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
 def rank(M) -> int:
@@ -299,7 +313,7 @@ def solve(M, b):
 def inverse(rows):
     """Rational inverse of a square matrix, as row lists of Fractions."""
     d = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(d)]
+    aug = [list(r) + [int(i == j) for j in range(d)]
            for i, r in enumerate(rows)]
     R, pivots = rref(aug)
     if pivots != list(range(d)):

@@ -1,6 +1,11 @@
 """Sparse multivariate polynomials over the rationals, graded pieces of
 polynomial rings, and linear algebra inside graded ideal components.
 
+Monomial bases come from a descent on plain ints: the positive weight
+functional is scaled to a primitive integer vector, so each budget and
+step is an int, and the remaining degree is a coordinate tuple whose
+torsion entries are read modulo the orders at the end.
+
 Monomials are plain exponent tuples.  The canonical term order used for
 every printed or listed output is graded lexicographic, largest first,
 with the first variable strongest; all listings in this package are
@@ -392,26 +397,33 @@ def _monomial_basis_cached(ring: GradedPolyRing, w: GroupElement):
         raise ValidationError(
             "grading is not pointed; graded components may be infinite "
             "dimensional and monomial enumeration would not terminate")
-    cols = ring.degrees.columns
+    # a positive multiple of phi on ints: every budget and step below is
+    # an int, and the floors of their quotients do not change
+    phi = linalg.primitive(phi)
+    cols = [q.coordinates for q in ring.degrees.columns]
+    steps = [linalg.dot(phi, q.free_part) for q in ring.degrees.columns]
     r = ring.variable_count
-    phi_vals = [linalg.dot(phi, q.free_part) for q in cols]
+    k = ring.grading.free_rank
+    orders = ring.grading.torsion_orders
     out = []
     expo = [0] * r
 
-    def descend(i: int, remaining: GroupElement, budget: Fraction):
-        if budget < 0:
-            return
+    def descend(i: int, remaining: tuple, budget: int):
         if i == r:
-            if remaining.is_zero():
+            if not any(remaining[:k]) and all(
+                    x % a == 0 for x, a in zip(remaining[k:], orders)):
                 out.append(tuple(expo))
             return
-        top = int(budget / phi_vals[i])
-        for e in range(top, -1, -1):
+        col, step = cols[i], steps[i]
+        for e in range(budget // step, -1, -1):
             expo[i] = e
-            descend(i + 1, remaining - cols[i].scale(e), budget - e * phi_vals[i])
+            descend(i + 1, tuple(x - e * y for x, y in zip(remaining, col)),
+                    budget - e * step)
         expo[i] = 0
 
-    descend(0, w, linalg.dot(phi, w.free_part))
+    budget = linalg.dot(phi, w.free_part)
+    if budget >= 0:
+        descend(0, w.coordinates, budget)
     out.sort(key=grlex_key, reverse=True)
     return tuple(out)
 

@@ -4,14 +4,19 @@ An automorphism of K = Z^k + Z/a_1 + ... + Z/a_l is fixed by where it
 sends a generating set of K.  The set is drawn greedily: a lattice basis
 among the free parts of the weights, then further weights, then torsion
 unit vectors, each kept while it lowers the index of the subgroup
-generated so far.  The search runs through the images of the basis
-among the weights; each placement with |det| = 1 forces the free part of
-every later generator's image, which leaves the weights of that free
-part (or every torsion element, for a unit vector) as its candidates.
-Every tuple of distinct images gives one matrix through the section of
-the generating set, kept when it is an automorphism permuting the
-weights.  The predicted number of tuples is refused above a bound before
-anything is placed.
+generated so far.  The search places the images of the basis among the
+weights one column at a time.  A symmetry permutes the weights, so its
+free block permutes the free parts with their multiplicities: once the
+first j images are placed, every free part whose coordinates in the
+basis use only the first j basis vectors must land on a free part of
+the same multiplicity, and a partial placement is dropped at the first
+one that does not.  Each full placement with |det| = 1 forces the free
+part of every later generator's image, which leaves the weights of that
+free part (or every torsion element, for a unit vector) as its
+candidates.  Every tuple of distinct images gives one matrix through
+the section of the generating set, kept when it is an automorphism
+permuting the weights.  The predicted number of tuples is refused above
+a bound before anything is placed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import perm, prod
 
 from . import linalg
@@ -76,8 +81,10 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     orders = group.torsion_orders
     weights = Q.distinct_weights()
     weight_set = set(weights)
+    frees = [w.free_part for w in weights]
+    multiplicity = Counter(frees)
 
-    basis_idx = linalg.unimodular_subset([w.free_part for w in weights], k)
+    basis_idx = linalg.unimodular_subset(frees, k)
     if basis_idx is None:
         raise ValidationError(
             "the free parts of the weights contain no lattice basis; "
@@ -87,8 +94,8 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     # the generators that are not weights are torsion unit vectors, whose
     # images range over the whole torsion subgroup
     units = sum(g not in weight_set for g in gens)
-    shared = max(Counter(w.free_part for w in weights).values())
-    count = (perm(len(weights), k) * shared ** (len(gens) - k - units)
+    count = (perm(len(weights), k)
+             * max(multiplicity.values()) ** (len(gens) - k - units)
              * prod(orders) ** units)
     if count > PLACEMENT_BOUND:
         raise GuardError(
@@ -100,17 +107,18 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     basis_inv = linalg.unimodular_inverse(
         list(zip(*(g.free_part for g in gens[:k]))))
     found = set()
-    for placed in permutations(weights, k):
-        A = linalg.mat_mul(tuple(zip(*(w.free_part for w in placed))), basis_inv)
+    for placed in _placements(frees, multiplicity, basis_inv):
+        A = linalg.mat_mul(tuple(zip(*(frees[i] for i in placed))), basis_inv)
         if abs(linalg.det(A)) != 1:
             continue
+        head = tuple(weights[i] for i in placed)
         choices = []
         for g in gens[k:]:
             free = linalg.mat_vec(A, g.free_part)
             pool = weights if g in weight_set else torsion
             choices.append([x for x in pool if x.free_part == free])
         for rest in product(*choices):
-            images = placed + rest
+            images = head + rest
             if len(set(images)) < len(images):
                 continue
             matrix = linalg.mat_mul(tuple(zip(*(x.coordinates for x in images))),
@@ -122,6 +130,36 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
             if all(cand.apply(w) in weight_set for w in weights):
                 found.add(cand)
     return _canonical_sort(group, found)
+
+
+def _placements(frees, multiplicity, basis_inv):
+    """Index tuples of distinct basis images among the free parts, one
+    column at a time: once column j is placed, every free part whose
+    basis coordinates end at index j must land on a free part of the
+    same multiplicity."""
+    # checks[j]: (coordinates up to j, multiplicity); the zero free part
+    # is fixed by every placement
+    checks = [[] for _ in basis_inv]
+    for v, m in multiplicity.items():
+        c = linalg.mat_vec(basis_inv, v)
+        last = max((i for i, x in enumerate(c) if x), default=None)
+        if last is not None:
+            checks[last].append((c[:last + 1], m))
+
+    def extend(placed):
+        j = len(placed)
+        if j == len(checks):
+            yield placed
+            return
+        for i in range(len(frees)):
+            if i in placed:
+                continue
+            trial = placed + (i,)
+            rows = tuple(zip(*(frees[t] for t in trial)))
+            if all(multiplicity.get(linalg.mat_vec(rows, c)) == m
+                   for c, m in checks[j]):
+                yield from extend(trial)
+    return extend(())
 
 
 def block_permutation(B: GroupAutomorphism, weights, dims):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from gradedaut import linalg
 
 
@@ -160,3 +162,118 @@ def test_positive_functional():
     assert linalg.positive_functional([(0, 0)], 2) is None
     assert linalg.positive_functional([()], 0) is None
     assert linalg.positive_functional([], 0) == ()
+
+
+def _reference_rref(M):
+    """Gauss-Jordan elimination over Fractions, pivot by pivot."""
+    R = [[Fraction(x) for x in row] for row in M]
+    nrows = len(R)
+    ncols = len(R[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = Fraction(1) / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def _reference_nullspace(M):
+    R, pivots = _reference_rref(M)
+    ncols = len(R[0])
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -R[r][f]
+            basis.append(tuple(v))
+    return basis
+
+
+def _reference_inverse(rows):
+    d = len(rows)
+    R, pivots = _reference_rref([list(r) + [Fraction(int(i == j)) for j in range(d)]
+                                 for i, r in enumerate(rows)])
+    if pivots != list(range(d)):
+        return None
+    return [row[d:] for row in R[:d]]
+
+
+def _random_entry(rng, kind):
+    if kind == "big":
+        return rng.randint(-10 ** 40, 10 ** 40) if rng.random() < 0.7 else 0
+    x = rng.randint(-4, 4) if rng.random() < 0.7 else 0
+    if kind == "rational":
+        return Fraction(x, rng.randint(1, 6))
+    return x
+
+
+def _random_matrix(rng):
+    """Integer, rational or 40-digit entries in wide, tall and square
+    shapes, with zero rows and rows that repeat combinations of others."""
+    kind = rng.choice(("int", "rational", "big"))
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    M = [[_random_entry(rng, kind) for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            M[i] = [0] * n
+        elif roll < 0.3 and i:
+            a, b = rng.randint(-2, 2), rng.choice((1, -1, Fraction(1, 3)))
+            src1, src2 = M[rng.randrange(i)], M[rng.randrange(i)]
+            M[i] = [a * x + b * y for x, y in zip(src1, src2)]
+    return kind, M
+
+
+def test_fraction_free_elimination_matches_fraction_loop():
+    rng = random.Random(1020)
+    seen = set()
+    for _ in range(3000):
+        kind, M = _random_matrix(rng)
+        R, pivots = linalg.rref(M)
+        assert (R, pivots) == _reference_rref(M)
+        assert all(type(x) is Fraction for row in R for x in row)
+        assert linalg.rank(M) == len(pivots)
+        basis = linalg.nullspace(M)
+        assert basis == _reference_nullspace(M)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        m, n = len(M), len(M[0])
+        seen.add((kind, "wide" if n > m else "tall" if m > n else "square",
+                  len(pivots) < min(m, n)))
+        if m == n:
+            expected = _reference_inverse(M)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    linalg.inverse(M)
+            else:
+                inv = linalg.inverse(M)
+                assert inv == expected
+                assert all(type(x) is Fraction for row in inv for x in row)
+    # every entry kind met every shape, at full and deficient rank
+    assert len(seen) == 18
+    assert linalg.rref([]) == ([], [])
+
+
+def test_primitive_on_ints_fractions_zero_and_negatives():
+    assert linalg.primitive((4, -6, 0)) == (2, -3, 0)
+    assert linalg.primitive((-3, 0)) == (-1, 0)
+    assert linalg.primitive((Fraction(1, 2), Fraction(-1, 3), 2)) == (3, -2, 12)
+    assert linalg.primitive((Fraction(-4, 6), Fraction(2, 3))) == (-1, 1)
+    assert linalg.primitive((0, 0, 0)) == (0, 0, 0)
+    assert linalg.primitive((Fraction(0), 0)) == (0, 0)
+    assert linalg.primitive(()) == ()
+    assert all(type(x) is int
+               for x in linalg.primitive((Fraction(5, 7), Fraction(-10, 7))))

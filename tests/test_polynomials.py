@@ -4,16 +4,19 @@ from itertools import product
 
 import pytest
 
+from oracles import random_pointed_grading
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
-from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
+from gradedaut.grading import (DegreeMatrix, GradingGroup, degree_of_exponent,
+                               positive_weight_functional)
 from gradedaut.inout import (ProblemInput, ResultBundle, bundle_from_data,
                              bundle_to_data)
 from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    annihilator_forms, component_dimension,
                                    default_names, degree_of, distinct_term_degrees,
-                                   ideal_component_basis, monomial_basis,
-                                   parse_polynomial, polynomial_to_str)
+                                   grlex_key, ideal_component_basis,
+                                   monomial_basis, parse_polynomial,
+                                   polynomial_to_str)
 from gradedaut.ringaut import aut_ks
 
 
@@ -220,6 +223,57 @@ def test_monomial_basis_refuses_unpointed():
         DegreeMatrix((z.element((1,)), z.element((-1,)))))
     with pytest.raises(ValidationError):
         monomial_basis(ring, z.element((0,)))
+
+
+def _reference_monomial_basis(ring, w):
+    """The descent on GroupElements and Fraction budgets."""
+    phi = positive_weight_functional(ring.degrees)
+    cols = ring.degrees.columns
+    r = ring.variable_count
+    phi_vals = [linalg.dot(phi, q.free_part) for q in cols]
+    out = []
+    expo = [0] * r
+
+    def descend(i, remaining, budget):
+        if budget < 0:
+            return
+        if i == r:
+            if remaining.is_zero():
+                out.append(tuple(expo))
+            return
+        top = int(budget / phi_vals[i])
+        for e in range(top, -1, -1):
+            expo[i] = e
+            descend(i + 1, remaining - cols[i].scale(e), budget - e * phi_vals[i])
+        expo[i] = 0
+
+    descend(0, w, linalg.dot(phi, w.free_part))
+    out.sort(key=grlex_key, reverse=True)
+    return tuple(out)
+
+
+def test_integer_descent_matches_group_element_descent():
+    rng = random.Random(1030)
+    seen = {"torsion": 0, "phi with denominators": 0, "empty": 0}
+    for _ in range(60):
+        Q = random_pointed_grading(rng, kmax=3, lmax=2, rmax=5)
+        ring = GradedPolyRing.from_degree_matrix(Q)
+        seen["torsion"] += bool(Q.group.torsion_orders)
+        seen["phi with denominators"] += any(
+            x.denominator != 1 for x in positive_weight_functional(Q))
+        degrees = [ring.grading.zero()]
+        for _ in range(3):
+            u = ring.grading.zero()
+            for q in rng.sample(Q.columns, rng.randint(1, min(3, len(Q.columns)))):
+                u = u + q.scale(rng.randint(1, 2))
+            degrees += [u, u + ring.grading.element(
+                (0,) * Q.group.free_rank,
+                tuple(rng.randrange(a) for a in Q.group.torsion_orders))]
+        for u in degrees:
+            basis = monomial_basis(ring, u)
+            assert basis == _reference_monomial_basis(ring, u)
+            seen["empty"] += not basis
+    assert min(seen.values()) >= 10, seen
 
 
 def naive_basis_oracle(ring, w):

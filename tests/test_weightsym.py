@@ -1,18 +1,21 @@
 import random
 import time
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 from math import perm
 
 import pytest
 
 from conftest import QUADRIC8_AUT_MATRICES
 from oracles import extendable_bijections, random_pointed_grading
-from gradedaut.errors import GuardError, ValidationError
+from gradedaut import linalg
+from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                check_effective)
 from gradedaut.polynomials import GradedPolyRing
-from gradedaut.weightsym import (PLACEMENT_BOUND, admissible_automorphisms,
-                                 aut_gen_weights)
+from gradedaut.weightsym import (PLACEMENT_BOUND, _canonical_sort,
+                                 _generating_set, _weight_symmetries,
+                                 admissible_automorphisms, aut_gen_weights)
 
 
 def test_quadric8_weight_symmetries(quadric8_Q, quadric8_group):
@@ -137,3 +140,130 @@ def test_effective_torsion_gradings_match_oracle():
             continue
         assert set(aut_gen_weights(Q)) == extendable_bijections(Q)
         checked += 1
+
+
+def _reference_symmetries(Q):
+    """The search without column pruning: every placement of the basis
+    images is multiplied out and kept when |det| = 1 (no guard)."""
+    group = Q.group
+    k = group.free_rank
+    orders = group.torsion_orders
+    weights = Q.distinct_weights()
+    weight_set = set(weights)
+    basis_idx = linalg.unimodular_subset([w.free_part for w in weights], k)
+    gens, section = _generating_set(group, weights,
+                                    [weights[i] for i in basis_idx])
+    units = sum(g not in weight_set for g in gens)
+    torsion = [group.element((0,) * k, t)
+               for t in product(*(range(a) for a in orders))] if units else []
+    basis_inv = linalg.unimodular_inverse(
+        list(zip(*(g.free_part for g in gens[:k]))))
+    found = set()
+    for placed in permutations(weights, k):
+        A = linalg.mat_mul(tuple(zip(*(w.free_part for w in placed))), basis_inv)
+        if abs(linalg.det(A)) != 1:
+            continue
+        choices = []
+        for g in gens[k:]:
+            free = linalg.mat_vec(A, g.free_part)
+            pool = weights if g in weight_set else torsion
+            choices.append([x for x in pool if x.free_part == free])
+        for rest in product(*choices):
+            images = placed + rest
+            if len(set(images)) < len(images):
+                continue
+            matrix = linalg.mat_mul(tuple(zip(*(x.coordinates for x in images))),
+                                    section)
+            try:
+                cand = GroupAutomorphism.from_display(group, matrix)
+            except StructuralError:
+                continue
+            if all(cand.apply(w) in weight_set for w in weights):
+                found.add(cand)
+    return _canonical_sort(group, found)
+
+
+def _random_grading(rng):
+    """Weights with a lattice basis among their free parts, drawn from a
+    small pool of free parts so that some of them repeat; neither
+    pointed nor effective by construction."""
+    while True:
+        k = rng.randint(1, 3)
+        orders = tuple(rng.choice((2, 3)) for _ in range(rng.randint(0, 2)))
+        group = GradingGroup(k, orders)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(k))
+                for _ in range(rng.randint(k, 5))]
+        cols = tuple(group.element(rng.choice(pool),
+                                   tuple(rng.randrange(a) for a in orders))
+                     for _ in range(rng.randint(k, 6)))
+        Q = DegreeMatrix(cols)
+        if linalg.unimodular_subset(Q.free_parts(), k) is not None:
+            return Q
+
+
+def test_column_pruning_matches_full_placement_loop():
+    rng = random.Random(1010)
+    seen = Counter()
+    for _ in range(1500):
+        Q = _random_grading(rng)
+        assert _weight_symmetries.__wrapped__(Q) == _reference_symmetries(Q)
+        frees = [w.free_part for w in Q.distinct_weights()]
+        seen["torsion"] += bool(Q.group.torsion_orders)
+        seen["non-effective"] += not check_effective(Q)
+        seen["repeated free parts"] += len(set(frees)) < len(frees)
+    assert min(seen.values()) >= 100, seen
+
+
+def _free_block_guard(monkeypatch):
+    """Make from_display insist that the free block of every candidate
+    is unimodular and permutes the free parts with their multiplicities."""
+    real = GroupAutomorphism.from_display.__func__
+    state = {}
+
+    def checked(cls, group, matrix):
+        k = group.free_rank
+        A = tuple(tuple(row[:k]) for row in matrix[:k])
+        assert abs(linalg.det(A)) == 1
+        frees = state["frees"]
+        assert Counter(linalg.mat_vec(A, v) for v in frees) == Counter(frees)
+        return real(cls, group, matrix)
+
+    monkeypatch.setattr(GroupAutomorphism, "from_display", classmethod(checked))
+    return state
+
+
+def test_only_full_placements_that_permute_free_parts_are_tried(monkeypatch):
+    e = lambda group, free, *tors: group.element(free, tors)
+    z2z3 = GradingGroup(2, (3,))
+    # free parts e1 twice and e2 three times: swapping them breaks the
+    # multiplicities; e1, e2 three times each: e1, e2 -> e1, e1 is singular
+    cases = [
+        DegreeMatrix(tuple(e(z2z3, f, t) for f, ts in (((1, 0), (0, 1)),
+                                                       ((0, 1), (0, 1, 2)))
+                           for t in ts)),
+        DegreeMatrix(tuple(e(z2z3, f, t) for f in ((1, 0), (0, 1))
+                           for t in (0, 1, 2))),
+    ]
+    rng = random.Random(1011)
+    cases += [_random_grading(rng) for _ in range(300)]
+    expected = [_reference_symmetries(Q) for Q in cases]
+    state = _free_block_guard(monkeypatch)
+    for Q, auts in zip(cases, expected):
+        state["frees"] = [w.free_part for w in Q.distinct_weights()]
+        assert _weight_symmetries.__wrapped__(Q) == auts
+
+
+def test_eighteen_weights_in_z4_are_pruned_early():
+    # perm(18, 4) = 73440 basis placements; the full loop multiplies out
+    # and takes the determinant of every one of them
+    z4 = GradingGroup(4)
+    vectors = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    vectors += [v for v in product(range(3), repeat=4) if sum(v) > 1][:14]
+    Q = DegreeMatrix(tuple(z4.element(v) for v in vectors))
+    start = time.perf_counter()
+    auts = _weight_symmetries.__wrapped__(Q)
+    assert time.perf_counter() - start < 0.5
+    # the identity and the swap of the last two coordinates
+    assert [a.free_block for a in auts] == [
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))]
