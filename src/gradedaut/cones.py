@@ -126,6 +126,7 @@ class RationalCone:
         return all(_dot(f, x) >= 0 for f in self.forms)
 
     def is_pointed(self) -> bool:
+        """True when the cone contains no line: its forms have full rank."""
         return linalg.rank([list(f) for f in self.forms]) == self.dim
 
 

@@ -329,6 +329,7 @@ class GroupAutomorphism:
         return cls(group, eye(k), tuple((0,) * k for _ in range(l)), eye(l))
 
     def is_identity(self) -> bool:
+        """True for the identity automorphism of the group."""
         return self == GroupAutomorphism.identity(self.group)
 
     def apply(self, x: GroupElement) -> GroupElement:

@@ -166,6 +166,7 @@ class Polynomial:
                       reverse=True)
 
     def total_degree(self) -> int:
+        """The largest total degree of a term; 0 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=0)
 
     def substitute_values(self, values):
@@ -183,6 +184,50 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
+class DeterminantWitness(Polynomial):
+    """det(A) * Z - 1 for an n x n matrix A of slot variables, variable
+    i*n + j holding A[i][j] and variable n*n holding Z, kept in closed
+    form: `signed` lists the Leibniz terms of det(A) as (column of each
+    row, sign), ascending.
+
+    Each term is one slot per row times Z, so ascending column tuples are
+    the canonical, descending grlex order of the exponent vectors, and
+    the constant -1 comes after them.  `terms` is left unset until it is
+    read and is then expanded in that order.
+    """
+
+    __slots__ = ("n", "signed")
+
+    def __init__(self, n: int, signed):
+        self.n = n
+        self.signed = signed
+        self._hash = None
+
+    def __getattr__(self, name):
+        # only reached while the `terms` slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        n = self.n
+        one, minus_one = Fraction(1), Fraction(-1)
+        rows = range(0, n * n, n)
+        terms = {}
+        for cols, sign in self.signed:
+            expo = [0] * (n * n) + [1]
+            for i, c in zip(rows, cols):
+                expo[i + c] = 1
+            terms[tuple(expo)] = one if sign > 0 else minus_one
+        terms[(0,) * (n * n + 1)] = minus_one
+        self.terms = terms
+        return terms
+
+    def is_zero(self) -> bool:
+        return False
+
+    def sorted_terms(self):
+        """Terms largest-first: the expansion is built in that order."""
+        return list(self.terms.items())
+
+
 def default_names(nvars: int, stem: str = "T") -> tuple[str, ...]:
     return tuple(f"{stem}({i + 1})" for i in range(nvars))
 
@@ -190,6 +235,8 @@ def default_names(nvars: int, stem: str = "T") -> tuple[str, ...]:
 def polynomial_to_str(f: Polynomial, names) -> str:
     """Canonical rendering: terms in descending order, `*` products,
     `^` powers, unit coefficients suppressed."""
+    if type(f) is DeterminantWitness:
+        return _witness_to_str(f, names)
     if f.is_zero():
         return "0"
     names = list(names)
@@ -204,6 +251,22 @@ def polynomial_to_str(f: Polynomial, names) -> str:
         elif abs(num) != 1 or not factors:
             factors.insert(0, str(abs(num)))
         chunks.append(("- " if num < 0 else "+ ") + "*".join(factors))
+    first = chunks[0]
+    chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
+    return " ".join(chunks)
+
+
+def _witness_to_str(f: DeterminantWitness, names) -> str:
+    """`polynomial_to_str` of a witness, read off its sorted Leibniz
+    terms: one slot name per row, then Z, then the constant."""
+    n = f.n
+    names = tuple(names)
+    rows = [names[i:i + n] for i in range(0, n * n, n)]
+    z = "*" + names[n * n]
+    chunks = [("- " if sign < 0 else "+ ")
+              + "*".join(map(tuple.__getitem__, rows, cols)) + z
+              for cols, sign in f.signed]
+    chunks.append("- 1")
     first = chunks[0]
     chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
     return " ".join(chunks)

@@ -9,19 +9,24 @@ witness variable Z whose equation det * Z = 1 keeps the matrix
 invertible.  Together with the equations forcing multiplicativity on
 composite basis monomials this presents the graded automorphisms of S as
 an affine variety over the rationals.
+
+The witness det * Z - 1 is kept in closed form, as its sorted Leibniz
+terms (a `DeterminantWitness`): it is printed from them, and its
+exponent vectors are expanded only when something reads them, as a
+report does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, prod
 
 from .errors import GuardError, StructuralError
 from .grading import DegreeMatrix, GroupAutomorphism, GroupElement
-from .polynomials import (GradedPolyRing, Monomial, Polynomial, grlex_key,
-                          monomial_basis, monomial_mul, polynomial_to_str)
+from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
+                          Polynomial, grlex_key, monomial_basis, monomial_mul,
+                          polynomial_to_str)
 from .validation import require_valid_grading
 from .weightsym import (admissible_automorphisms, aut_gen_weights,
                         block_permutation)
@@ -117,14 +122,16 @@ def _pattern(basis: ActionBasis, block_map) -> SymbolicMatrix:
     return SymbolicMatrix(n, tuple(rows))
 
 
-def _signed_permutations(k: int):
-    """The permutations of range(k) in lexicographic order, each with its
-    sign.  Their Lehmer codes (c_0, ..., c_{k-1}), c_i < k - i the number
-    of later entries below entry i, run through the same order, and the
-    sign is (-1)^(c_0 + ... + c_{k-1}), the parity of the inversions."""
+def _signed_permutations(items):
+    """The permutations of the ascending sequence `items` (length k) in
+    lexicographic order, each with its sign.  Their Lehmer codes
+    (c_0, ..., c_{k-1}), c_i < k - i the number of later entries below
+    entry i, run through the same order, and the sign is
+    (-1)^(c_0 + ... + c_{k-1}), the parity of the inversions."""
+    k = len(items)
     codes = product(*(range(k - i) for i in range(k)))
     return [(perm, -1 if c % 2 else 1)
-            for perm, c in zip(permutations(range(k)), map(sum, codes))]
+            for perm, c in zip(permutations(items), map(sum, codes))]
 
 
 def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND):
@@ -134,7 +141,9 @@ def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND)
     The rows grouped by support must form a block permutation of full
     square blocks, of sizes k_i; det(A) then has prod(k_i!) terms, each
     the sign of the block permutation times one Leibniz term per block.
-    The count is refused above `term_bound` before anything is expanded.
+    The count is refused above `term_bound` before any term is listed.
+    The witness is a `DeterminantWitness`: its terms as (column of each
+    row, sign), sorted ascending, which is the canonical term order.
     """
     n = matrix.n
     nvars = n * n + 1
@@ -156,22 +165,17 @@ def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND)
     base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
     # the sign of the block permutation, from its inversions
     inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
-    sign = -1 if inversions % 2 else 1
-    blocks = [[(tuple(i * n + cols[p] for i, p in zip(rows, perm)), s)
-               for perm, s in _signed_permutations(len(rows))]
-              for cols, rows in supports.items()]
-    one, minus_one = Fraction(1), Fraction(-1)
-    terms = {}
-    for choice in product(*blocks):
-        expo = [0] * (n * n) + [1]  # the witness variable Z
-        term_sign = sign
-        for slots, block_sign in choice:
-            for v in slots:
-                expo[v] = 1
-            term_sign *= block_sign
-        terms[tuple(expo)] = one if term_sign > 0 else minus_one
-    terms[(0,) * nvars] = minus_one
-    gens.append(Polynomial._of(terms))
+    signed = [((), -1 if inversions % 2 else 1)]
+    for cols in supports:
+        block = _signed_permutations(cols)
+        signed = [(a + b, sa * sb) for a, sa in signed for b, sb in block]
+    # the columns above follow the rows block by block
+    order = [i for rows in supports.values() for i in rows]
+    if order != list(range(n)):
+        where = sorted(range(n), key=order.__getitem__)
+        signed = [(tuple(map(a.__getitem__, where)), s) for a, s in signed]
+    signed.sort()
+    gens.append(DeterminantWitness(n, signed))
     return gens
 
 

@@ -1,13 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
 from gradedaut import linalg, ringaut, weightsym
+from gradedaut.cli import main
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
-from gradedaut.polynomials import GradedPolyRing, Polynomial, polynomial_to_str
+from gradedaut.polynomials import (DeterminantWitness, GradedPolyRing,
+                                   Polynomial, polynomial_to_str)
 from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                build_action_basis, multiplicativity_ideal,
                                render_presentation, structured_matrix,
@@ -16,6 +20,9 @@ from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
 
 from conftest import QUADRIC8_AUT_MATRICES
 from oracles import torus_character
+
+DENSE_QUADRIC8 = (Path(__file__).resolve().parent.parent
+                  / "bench" / "problems" / "dense_quadric8.toml")
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +172,108 @@ def test_zero_pattern_det_matches_integer_det():
             assert det_gen.substitute_values(point) == linalg.det(A) - 1
 
 
-def test_aut_ks_refuses_ten_linear_variables():
+def _reference_witness(matrix):
+    """det(A) * Z - 1 expanded term by term into a plain Polynomial: the
+    sign of the block permutation times one Leibniz term per block, each
+    sign counted from the inversions of its permutation."""
+    n = matrix.n
+    supports = {}
+    for i, row in enumerate(matrix.pattern):
+        supports.setdefault(tuple(j for j, v in enumerate(row) if v), []).append(i)
+    base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
+    inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
+    sign = -1 if inversions % 2 else 1
+    blocks = []
+    for cols, rows in supports.items():
+        block = []
+        for perm in permutations(range(len(rows))):
+            odd = sum(perm[a] > perm[b]
+                      for a, b in combinations(range(len(perm)), 2)) % 2
+            block.append((tuple(i * n + cols[p] for i, p in zip(rows, perm)),
+                          -1 if odd else 1))
+        blocks.append(block)
+    terms = {}
+    for choice in product(*blocks):
+        expo = [0] * (n * n) + [1]  # the witness variable Z
+        term_sign = sign
+        for slots, block_sign in choice:
+            for v in slots:
+                expo[v] = 1
+            term_sign *= block_sign
+        terms[tuple(expo)] = Fraction(term_sign)
+    terms[(0,) * (n * n + 1)] = Fraction(-1)
+    return Polynomial(terms)
+
+
+def test_witness_matches_eager_expansion(quadric8_presentation):
+    rng = random.Random(53)
+    matrices = [_block_pattern(rng, shuffle=trial % 2 == 1)[0]
+                for trial in range(60)]
+    n = 8
+    matrices.append(SymbolicMatrix(n, tuple(tuple(i * n + j + 1 for j in range(n))
+                                            for i in range(n))))
+    matrices.extend(t.matrix for t in quadric8_presentation.triples)
+    for matrix in matrices:
+        witness = zero_pattern_ideal(matrix)[-1]
+        reference = _reference_witness(matrix)
+        names = yz_names(matrix.n)
+        assert type(witness) is DeterminantWitness
+        assert not witness.is_zero()
+        # compared as flags: a diff of 40321 terms takes minutes to print;
+        # printed from the closed form, before anything is expanded
+        printed = (polynomial_to_str(witness, names)
+                   == polynomial_to_str(reference, names))
+        ordered = witness.sorted_terms() == reference.sorted_terms()
+        expanded = witness.terms == reference.terms
+        assert (printed, ordered, expanded) == (True, True, True), str(matrix)
+        assert witness == reference and reference == witness
+        assert hash(witness) == hash(reference)
+
+
+def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
+    expanded = []
+    expand = DeterminantWitness.__getattr__
+
+    def counted(self, name):
+        expanded.append(name)
+        return expand(self, name)
+
+    monkeypatch.setattr(DeterminantWitness, "__getattr__", counted)
+    problem = str(DENSE_QUADRIC8)
+    assert main(["autks", "--input", problem]) == 0
+    printed = capsys.readouterr().out
+    assert expanded == []
+    lazy = tmp_path / "lazy.json"
+    assert main(["autks", "--input", problem, "--out", str(lazy)]) == 0
+    same = capsys.readouterr().out == printed
+    assert same, "--out changes stdout"
+    assert expanded == ["terms"]
+
+    # the same run with the witness expanded eagerly into a plain Polynomial
+    def eager(matrix, term_bound=ringaut.DET_TERM_BOUND):
+        return zero_pattern_ideal(matrix, term_bound)[:-1] + [_reference_witness(matrix)]
+
+    monkeypatch.setattr(ringaut, "zero_pattern_ideal", eager)
+    reference = tmp_path / "eager.json"
+    assert main(["autks", "--input", problem, "--out", str(reference)]) == 0
+    # compared as flags: a diff of two 2 MB outputs takes minutes to print
+    same = capsys.readouterr().out == printed
+    assert same, "the eager witness prints differently"
+    same = lazy.read_bytes() == reference.read_bytes()
+    assert same, "the lazy witness writes a different report"
+
+
+def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
+    with pytest.raises(GuardError) as info:
+        aut_ks(zring(*[1] * 10))
+    assert "3628800" in str(info.value)
+    assert "1000000" in str(info.value)
+
+    # the refusal comes before a single Leibniz term is listed
+    def no_terms(items):
+        raise AssertionError("determinant terms listed before the guard")
+
+    monkeypatch.setattr(ringaut, "_signed_permutations", no_terms)
     with pytest.raises(GuardError) as info:
         aut_ks(zring(*[1] * 10))
     assert "3628800" in str(info.value)
