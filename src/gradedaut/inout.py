@@ -14,11 +14,12 @@ is always null, which keeps reports byte-stable across runs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .algebraaut import StabilizerPresentation, StabilizerTriple
 from .errors import InputError, StructuralError, ValidationError
@@ -506,10 +507,32 @@ def _encode_poly(f: Polynomial):
     return [[list(m), [c.numerator, c.denominator]] for m, c in f.sorted_terms()]
 
 
+def _int(x) -> int:
+    """A report's integer: a JSON number without fraction or exponent.
+    int() would take 1.5 for 1 and true for 1."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, found {json.dumps(x)[:40]}")
+    return x
+
+
+def _ints(xs) -> tuple[int, ...]:
+    return tuple(map(_int, xs))
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(_ints, rows))
+
+
+@lru_cache(maxsize=1024)
+def _fraction(num: int, den: int) -> Fraction:
+    # reports repeat a few coefficients, mostly 1 and -1
+    return Fraction(num, den)
+
+
 def _decode_poly(data) -> Polynomial:
     # the checking constructor is the one pass over the exponents
-    return Polynomial({tuple(mono): Fraction(int(frac[0]), int(frac[1]))
-                       for mono, frac in data})
+    return Polynomial({tuple(mono): _fraction(_int(num), _int(den))
+                       for mono, (num, den) in data})
 
 
 def _encode_ring(ring: GradedPolyRing):
@@ -519,9 +542,8 @@ def _encode_ring(ring: GradedPolyRing):
 
 
 def _decode_ring(data) -> GradedPolyRing:
-    group = GradingGroup(int(data["free_rank"]),
-                         tuple(int(a) for a in data["torsion"]))
-    Q = DegreeMatrix.from_rows(group, data["Q"])
+    group = GradingGroup(_int(data["free_rank"]), _ints(data["torsion"]))
+    Q = DegreeMatrix.from_rows(group, _int_rows(data["Q"]))
     return GradedPolyRing.from_degree_matrix(Q)
 
 
@@ -538,14 +560,13 @@ def _encode_problem(p: ProblemInput):
 def _decode_problem(data) -> ProblemInput:
     faces = data.get("faces")
     return ProblemInput(
-        int(data["grading"]["free_rank"]),
-        tuple(int(a) for a in data["grading"]["torsion"]),
-        int(data["vars"]),
-        tuple(tuple(int(x) for x in r) for r in data["Q"]),
+        _int(data["grading"]["free_rank"]),
+        _ints(data["grading"]["torsion"]),
+        _int(data["vars"]),
+        _int_rows(data["Q"]),
         tuple(data["ideal"]),
-        None if data.get("w") is None else tuple(int(x) for x in data["w"]),
-        None if faces is None else tuple(tuple(int(i) for i in f)
-                                         for f in faces),
+        None if data.get("w") is None else _ints(data["w"]),
+        None if faces is None else _int_rows(faces),
         data.get("mode", "all-subsets"))
 
 
@@ -561,8 +582,12 @@ def _encode_report(report: ValidationReport):
 
 
 def _decode_report(data) -> ValidationReport:
-    return ValidationReport(*(bool(data[flag]) for flag in _REPORT_FLAGS),
-                            messages=tuple(data["messages"]))
+    flags = [data[flag] for flag in _REPORT_FLAGS]
+    for flag, value in zip(_REPORT_FLAGS, flags):
+        if type(value) is not bool:
+            raise TypeError(f"validation flag {flag} must be true or false, "
+                            f"found {json.dumps(value)}")
+    return ValidationReport(*flags, messages=tuple(data["messages"]))
 
 
 def _encode_presentation(pres: AutPresentation):
@@ -578,14 +603,15 @@ def _encode_presentation(pres: AutPresentation):
 def _decode_presentation(data) -> AutPresentation:
     ring = _decode_ring(data["ring"])
     basis = build_action_basis(ring)
-    n = int(data["n"])
+    n = _int(data["n"])
     if basis.n != n:
         raise InputError([(1, 1, f"presentation section is inconsistent: "
                            f"stored n = {n}, ring gives n = {basis.n}")])
     triples = []
     for t in data["triples"]:
-        aut = GroupAutomorphism.from_display(ring.grading, t["weight_aut"])
-        pattern = tuple(tuple(int(x) for x in row) for row in t["pattern"])
+        aut = GroupAutomorphism.from_display(ring.grading,
+                                             _int_rows(t["weight_aut"]))
+        pattern = _int_rows(t["pattern"])
         gens = tuple(_decode_poly(g) for g in t["equations"])
         triples.append(AutTriple(SymbolicMatrix(n, pattern), aut, gens))
     return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
@@ -606,7 +632,8 @@ def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
     """`base` is the decoded data["base"]."""
     ring = base.ring
     ideal = Ideal(ring, tuple(_decode_poly(g) for g in data["ideal"]))
-    roster = tuple(ring.grading.from_coordinates(c) for c in data["roster"])
+    roster = tuple(ring.grading.from_coordinates(c)
+                   for c in _int_rows(data["roster"]))
     gen_lists = data["stabilizer_gens"]
     if len(gen_lists) != len(base.triples):
         raise InputError([(1, 1, "stabilizer section is inconsistent: "
@@ -664,44 +691,26 @@ def bundle_from_data(data) -> ResultBundle:
         raise InputError([(1, 1, f"malformed report: {exc}")]) from None
 
 
-def _same_presentation(raw, decoded_from) -> bool:
-    """Whether the raw presentation `raw` decodes to what `decoded_from`
-    decoded to.
-
-    Plain `==` takes true and 1.0 for 1.  That is harmless in every field
-    read through int(), which is every field but the exponents: the
-    checking Polynomial constructor rejects an exponent that is not an
-    int, so those of `raw` are checked by type.  `decoded_from` decoded,
-    so an equal `raw` has the shape this walk expects."""
-    if raw != decoded_from:
-        return False
-    terms = chain.from_iterable(chain.from_iterable(
-        t["equations"] for t in raw["triples"]))
-    return set(map(type, chain.from_iterable(map(itemgetter(0), terms)))) \
-        <= {int}
-
-
 def _decode_bundle(data) -> ResultBundle:
     problem = _decode_problem(data["problem"])
     report = (None if data.get("validation") is None
               else _decode_report(data["validation"]))
-    weight_auts = tuple(tuple(tuple(int(x) for x in row) for row in m)
-                        for m in data.get("weight_symmetries", []))
+    weight_auts = tuple(map(_int_rows, data.get("weight_symmetries", [])))
     pres_data = data.get("presentation")
     pres = None if pres_data is None else _decode_presentation(pres_data)
     stab_data = data.get("stabilizer")
     stab = None
     if stab_data is not None:
-        # the CLI writes the stabilizer's base as a copy of the presentation
+        # _report_json returns one object for a base whose text is the
+        # presentation's, as the CLI writes it
         base_data = stab_data["base"]
-        base = (pres if pres is not None
-                and _same_presentation(base_data, pres_data)
+        base = (pres if pres is not None and base_data is pres_data
                 else _decode_presentation(base_data))
         stab = _decode_stabilizer(stab_data, base)
     fdata = data.get("filter")
     filt = (None if fdata is None
-            else FilterResult(tuple(fdata["w"]), tuple(fdata["retained"]),
-                              tuple(tuple(r) for r in fdata["chamber_rays"])))
+            else FilterResult(_ints(fdata["w"]), _ints(fdata["retained"]),
+                              _int_rows(fdata["chamber_rays"])))
     return ResultBundle(problem, report, weight_auts, pres, stab, filt)
 
 
@@ -799,9 +808,88 @@ def report_to_text(bundle: ResultBundle) -> str:
     return "".join(_report_pieces(bundle))
 
 
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+_CHUNK = 1 << 16
+
+
+def _members(text: str, idx: int, read_object):
+    """The JSON object that starts at text[idx] and the index after it.
+    A member value that is an object is read by read_object(idx), any
+    other by json.  ValueError on a shape this does not expect."""
+    out = {}
+    idx = _SPACE.match(text, idx + 1).end()
+    if text.startswith("}", idx):
+        return out, idx + 1
+    while text.startswith('"', idx):
+        key, idx = _DECODER.raw_decode(text, idx)
+        idx = _SPACE.match(text, idx).end()
+        if not text.startswith(":", idx):
+            break
+        idx = _SPACE.match(text, idx + 1).end()
+        out[key], idx = (read_object(idx) if text.startswith("{", idx)
+                         else _DECODER.raw_decode(text, idx))
+        idx = _SPACE.match(text, idx).end()
+        if text.startswith("}", idx):
+            return out, idx + 1
+        if not text.startswith(",", idx):
+            break
+        idx = _SPACE.match(text, idx + 1).end()
+    raise ValueError("not a report's shape")
+
+
+def _reindented(text: str, idx: int, start: int, stop: int):
+    """The index after text[start:stop], with two spaces added after each
+    newline, if that copy stands at text[idx]; else None.  Compared a
+    slice at a time, so the whole copy is never built."""
+    for k in range(start, stop, _CHUNK):
+        piece = text[k:min(k + _CHUNK, stop)].replace("\n", "\n  ")
+        if not text.startswith(piece, idx):
+            return None
+        idx += len(piece)
+    return idx
+
+
+def _report_json(text: str):
+    """json.loads(text), reading the stabilizer's base once.
+
+    The top two object levels are walked here, keys and leaves are
+    json's.  A value one level down whose text is that of an earlier
+    top-level object with each newline followed by two more spaces, as
+    `_json_chunks` writes the base, is that object, not parsed again.
+    The two texts hold the same values of the same types: a JSON string
+    holds no raw newline, so only whitespace differs.  Any other shape
+    and any error go to json.loads, so values and diagnostics are
+    json's."""
+    objects = []  # (start, stop, value) of each top-level object
+
+    def level2(idx):
+        for start, stop, value in reversed(objects):
+            end = _reindented(text, idx, start, stop)
+            if end is not None:
+                return value, end
+        return _DECODER.raw_decode(text, idx)
+
+    def level1(idx):
+        value, end = _members(text, idx, level2)
+        objects.append((idx, end, value))
+        return value, end
+
+    try:
+        idx = _SPACE.match(text).end()
+        if not text.startswith("{", idx):
+            raise ValueError("not an object")
+        data, idx = _members(text, idx, level1)
+        if _SPACE.match(text, idx).end() != len(text):
+            raise ValueError("text after the object")
+        return data
+    except ValueError:
+        return json.loads(text)
+
+
 def report_from_text(text: str) -> ResultBundle:
     try:
-        data = json.loads(text)
+        data = _report_json(text)
     except json.JSONDecodeError as exc:
         raise InputError([(exc.lineno, exc.colno,
                            f"not valid JSON: {exc.msg}")]) from None

@@ -54,10 +54,12 @@ class Polynomial:
                 clean[tuple(mono)] = c
         if len(set(map(len, clean))) > 1:
             raise StructuralError("mixed exponent lengths in one polynomial")
-        if not set(map(type, chain.from_iterable(clean))) <= {int}:
-            raise StructuralError("exponents must be integers")
-        if min(chain.from_iterable(clean), default=0) < 0:
-            raise StructuralError("negative exponent in a polynomial")
+        # one pass: a Python loop is faster here than a type set and a min
+        for e in chain.from_iterable(clean):
+            if type(e) is not int or e < 0:
+                if set(map(type, chain.from_iterable(clean))) <= {int}:
+                    raise StructuralError("negative exponent in a polynomial")
+                raise StructuralError("exponents must be integers")
         self.terms = clean
         self._hash = None
 

@@ -15,7 +15,8 @@ from gradedaut.cli import main
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
 from gradedaut.inout import (FilterResult, ProblemInput, ResultBundle,
-                             _json_chunks, bundle_to_data, export_cas_script,
+                             _json_chunks, _report_json, bundle_to_data,
+                             export_cas_script,
                              parse_input, print_input, read_input, read_report,
                              report_from_text, report_to_text, write_report)
 from gradedaut.polynomials import Polynomial, polynomial_to_str, default_names
@@ -425,6 +426,100 @@ def test_report_base_shared_unless_distinct(tmp_path, capsys):
     assert after == export_cas_script(bundle) != before
     names = base.slot_names()
     assert polynomial_to_str(base.triples[0].ideal[0], names) in after
+
+
+@pytest.mark.parametrize("edit", ["coefficient", "flag", "n"])
+def test_report_integers_and_flags_are_strict(tmp_path, capsys, edit):
+    # int() and bool() read all three as valid values: 1.5 as 1, "no" as
+    # true, 8.0 as 8
+    data = _cli_report(tmp_path, capsys)
+    if edit == "coefficient":
+        for pres in (data["presentation"], data["stabilizer"]["base"]):
+            _first_term(pres)[1] = [1.5, 1]
+        found = "expected an integer, found 1.5"
+    elif edit == "flag":
+        data["validation"]["effective"] = "no"
+        found = 'validation flag effective must be true or false, found "no"'
+    else:
+        for pres in (data["presentation"], data["stabilizer"]["base"]):
+            pres["n"] = float(pres["n"])
+        found = "expected an integer, found 8.0"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}:1:1: malformed report: {found}\n"
+
+
+def test_report_json_matches_json_loads():
+    """A tree, and under a second key a copy one level deeper: written
+    compact, with indent 2 and 4, and with the copy edited, the loader
+    reads what json.loads reads.  The copy is the tree's own object
+    exactly when the tree is an object whose text, with two spaces added
+    after each newline, is the copy's text."""
+    rng = random.Random(41)
+    shared = unshared = 0
+    for _ in range(300):
+        tree = _random_tree(rng)
+        doc = {"tree": tree, "holder": {"copy": tree}}
+        for indent in (None, 2, 4):
+            pad = "\n" + " " * (indent or 0)
+            original = json.dumps(tree, indent=indent).replace("\n", pad)
+            copy = json.dumps(tree, indent=indent).replace("\n", pad + pad[1:])
+            text = json.dumps(doc, indent=indent)
+            at = text.rindex('"copy": ') + len('"copy": ')
+            assert text[at:at + len(copy)] == copy
+            texts = [(text, original.replace("\n", "\n  ") == copy)]
+            if copy[0] in "{[":  # same value, other whitespace
+                texts.append((text[:at + 1] + " " + text[at + 1:], False))
+            digit = next((i for i, c in enumerate(copy) if c.isdigit()), None)
+            if digit is not None:  # another value
+                bumped = str(int(copy[digit]) % 9 + 1)
+                texts.append((text[:at + digit] + bumped
+                              + text[at + digit + 1:], False))
+            for case, same in texts:
+                data = _report_json(case)
+                assert data == json.loads(case)
+                if isinstance(tree, (dict, list)):  # leaves may be singletons
+                    is_shared = data["holder"]["copy"] is data["tree"]
+                    assert is_shared == (same and isinstance(tree, dict))
+                    shared += is_shared
+                    unshared += not is_shared and isinstance(tree, dict)
+    assert shared > 50 and unshared > 50
+
+
+def test_report_json_diagnostics(tmp_path, capsys):
+    """Each prefix and some one-byte corruptions of a small CLI report:
+    where json.loads fails, report_from_text fails with its (line, col,
+    message); elsewhere the loader reads what json.loads reads."""
+    problem = tmp_path / "one.toml"
+    problem.write_text("vars = 1\nQ = [\n    [1],\n]\n\n[grading]\n"
+                       "free_rank = 1\ntorsion = []\n", encoding="utf-8")
+    path = tmp_path / "one.json"
+    assert main(["autgradalg", "--input", str(problem),
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    data = _report_json(text)
+    assert data["stabilizer"]["base"] is data["presentation"]
+    rng = random.Random(43)
+    cases = [text[:k] for k in range(len(text))]
+    cases += [text[:k] + c + text[k + 1:]
+              for k in rng.sample(range(len(text)), 400)
+              for c in rng.sample('{}[]:,"0 \nxe-', 3)]
+    failed = 0
+    for case in cases:
+        try:
+            expected = json.loads(case)
+        except json.JSONDecodeError as exc:
+            failed += 1
+            with pytest.raises(InputError) as info:
+                report_from_text(case)
+            assert list(info.value.diagnostics) == [
+                (exc.lineno, exc.colno, f"not valid JSON: {exc.msg}")]
+        else:
+            assert _report_json(case) == expected
+    assert failed > len(text)
 
 
 # one report per benchmark problem: the one the benchmark writes, else
