@@ -1,52 +1,57 @@
 """Exact computation of graded-automorphism groups of finitely generated
-graded algebras, with GIT-cone filtering and CAS script export."""
+graded algebras, with GIT-cone filtering and CAS script export.
 
-from gradedaut.algebraaut import (StabilizerPresentation, StabilizerTriple,
-                                  aut_grad_alg, component_data,
-                                  ideal_generator_degrees, render_stabilizer)
-from gradedaut.cones import (RationalCone, cone_from_rays, dual_cone,
-                             equal_cones, intersect_cones)
-from gradedaut.errors import (GradedAutError, GuardError, InputError,
-                              StructuralError, ValidationError)
-from gradedaut.gitfan import (aut_xhat, git_cone, map_cone, orbit_cones,
-                              render_cone, weight_cone)
-from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
-                               GroupElement, check_effective, check_pointed,
-                               degree_of_exponent, positive_weight_functional)
-from gradedaut.inout import (FilterResult, ProblemInput, ResultBundle,
-                             export_cas_script, parse_input, print_input,
-                             read_input, read_report, write_report)
-from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
-                                   component_dimension, degree_of,
-                                   is_homogeneous, monomial_basis,
-                                   parse_polynomial, polynomial_to_str)
-from gradedaut.ringaut import (ActionBasis, AutPresentation, AutTriple,
-                               CombinedIdeal, aut_ks, build_action_basis,
-                               render_presentation, structured_matrix,
-                               zero_pattern_ideal)
-from gradedaut.validation import (ValidationReport, require_valid_grading,
-                                  validate_presentation)
-from gradedaut.weightsym import aut_gen_weights
+The public names load lazily (PEP 562): `import gradedaut` imports no
+submodule, and the first access to a name imports the module that
+defines it, so a caller loads only the stages it uses."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionBasis", "AutPresentation", "AutTriple", "CombinedIdeal",
-    "DegreeMatrix", "FilterResult", "GradedAutError", "GradedPolyRing",
-    "GradingGroup", "GroupAutomorphism", "GroupElement", "GuardError",
-    "Ideal", "InputError", "Polynomial", "ProblemInput", "RationalCone",
-    "ResultBundle", "StabilizerPresentation", "StabilizerTriple",
-    "StructuralError", "ValidationError", "ValidationReport",
-    "aut_gen_weights", "aut_grad_alg", "aut_ks", "aut_xhat",
-    "build_action_basis", "check_effective", "check_pointed",
-    "component_data", "component_dimension", "cone_from_rays",
-    "degree_of", "degree_of_exponent", "dual_cone", "equal_cones",
-    "export_cas_script", "git_cone", "ideal_generator_degrees",
-    "intersect_cones", "is_homogeneous", "map_cone", "monomial_basis",
-    "orbit_cones", "parse_input", "parse_polynomial",
-    "polynomial_to_str", "positive_weight_functional", "print_input",
-    "read_input", "read_report", "render_cone", "render_presentation",
-    "render_stabilizer", "require_valid_grading", "structured_matrix",
-    "validate_presentation", "weight_cone", "write_report",
-    "zero_pattern_ideal",
-]
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in (
+    ("algebraaut", ("StabilizerPresentation", "StabilizerTriple",
+                    "aut_grad_alg", "component_data",
+                    "ideal_generator_degrees", "render_stabilizer")),
+    ("cones", ("RationalCone", "cone_from_rays", "dual_cone", "equal_cones",
+               "intersect_cones")),
+    ("errors", ("GradedAutError", "GuardError", "InputError",
+                "StructuralError", "ValidationError")),
+    ("gitfan", ("aut_xhat", "git_cone", "map_cone", "orbit_cones",
+                "render_cone", "weight_cone")),
+    ("grading", ("DegreeMatrix", "GradingGroup", "GroupAutomorphism",
+                 "GroupElement", "check_effective", "check_pointed",
+                 "degree_of_exponent", "positive_weight_functional")),
+    ("inout", ("FilterResult", "ProblemInput", "ResultBundle",
+               "export_cas_script", "parse_input", "print_input",
+               "read_input", "read_report", "write_report")),
+    ("polynomials", ("GradedPolyRing", "Ideal", "Polynomial",
+                     "component_dimension", "degree_of", "is_homogeneous",
+                     "monomial_basis", "parse_polynomial",
+                     "polynomial_to_str")),
+    ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple",
+                 "CombinedIdeal", "aut_ks", "build_action_basis",
+                 "render_presentation", "structured_matrix",
+                 "zero_pattern_ideal")),
+    ("validation", ("ValidationReport", "require_valid_grading",
+                    "validate_presentation")),
+    ("weightsym", ("aut_gen_weights",)),
+) for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # an unknown name raises AttributeError, so `from gradedaut import
+    # linalg` falls back to importing the submodule
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

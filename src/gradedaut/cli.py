@@ -9,7 +9,9 @@ failure, 2 parse failure, 3 resource-guard refusal.
 
 Each command reads its input once and runs each stage once, serially,
 in one process.  All stdout output is a pure function of the input, so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  Each command imports only the
+stages it runs: `check` never loads the symmetry, equation or chamber
+modules.
 """
 
 from __future__ import annotations
@@ -18,14 +20,10 @@ import argparse
 import gc
 import sys
 
-from .algebraaut import aut_grad_alg, render_stabilizer
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .gitfan import chamber_fixers, git_cone, render_cone
 from .inout import (FilterResult, ResultBundle, export_cas_script,
                     parse_input, read_text, report_from_text, write_report)
-from .ringaut import aut_ks, render_presentation
 from .validation import validate_presentation
-from .weightsym import aut_gen_weights
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -116,6 +114,7 @@ def _run(args) -> int:
 
     if not report.grading_ok:
         raise ValidationError("; ".join(report.messages) or "invalid grading")
+    from .weightsym import aut_gen_weights
     auts = aut_gen_weights(ring.degrees)
     displays = tuple(a.display_matrix() for a in auts)
 
@@ -129,6 +128,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "autks":
+        from .ringaut import aut_ks, render_presentation
         pres = aut_ks(ring)
         print(render_presentation(pres))
         if args.out:
@@ -136,6 +136,7 @@ def _run(args) -> int:
                          args.out)
         return 0
 
+    from .algebraaut import aut_grad_alg, render_stabilizer
     if args.command in ("autgradalg", "export"):
         stab = aut_grad_alg(ring, ideal)
         bundle = ResultBundle(problem, report, displays, stab.base, stab)
@@ -150,6 +151,7 @@ def _run(args) -> int:
     # autxhat: check the class and its chamber before the heavy stages
     coords = _w_coords(args, problem)
     faces = _faces_used(args, problem)
+    from .gitfan import chamber_fixers, git_cone, render_cone
     w = problem.group().from_coordinates(coords)
     lam = git_cone(ring.degrees, w, faces)
     stab = aut_grad_alg(ring, ideal)

@@ -142,10 +142,12 @@ def cone_from_rays(vectors, dim: int) -> RationalCone:
 
 
 def dual_cone(cone: RationalCone) -> RationalCone:
+    """The dual cone: the forms nonnegative on `cone`, as rays."""
     return cone_from_rays(cone.forms, cone.dim)
 
 
 def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
+    """The intersection of two cones in one dimension, from their forms."""
     if a.dim != b.dim:
         raise StructuralError("cones live in different dimensions")
     gens = generators_from_halfspaces(tuple(a.forms) + tuple(b.forms), a.dim)

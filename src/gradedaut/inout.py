@@ -21,14 +21,15 @@ from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-from .algebraaut import StabilizerPresentation, StabilizerTriple
 from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, default_names,
                           parse_polynomial, polynomial_to_str)
-from .ringaut import (AutPresentation, AutTriple, SymbolicMatrix, _slot_ring,
-                      build_action_basis)
 from .validation import ValidationReport
+
+# AutPresentation and StabilizerPresentation, named in annotations, are
+# imported by the decoders when they run, so that parsing a problem file
+# loads neither ringaut nor algebraaut
 
 SCHEMA = "graded-aut/1"
 MODES = ("all-subsets", "user-faces")
@@ -523,6 +524,15 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_ints, rows))
 
 
+def _strs(xs) -> tuple[str, ...]:
+    """A report's list of strings.  tuple() would split a bare string
+    into characters and take the keys of an object."""
+    if type(xs) is not list or any(type(x) is not str for x in xs):
+        raise TypeError("expected a list of strings, found "
+                        f"{json.dumps(xs)[:40]}")
+    return tuple(xs)
+
+
 @lru_cache(maxsize=1024)
 def _fraction(num: int, den: int) -> Fraction:
     # reports repeat a few coefficients, mostly 1 and -1
@@ -564,7 +574,7 @@ def _decode_problem(data) -> ProblemInput:
         _ints(data["grading"]["torsion"]),
         _int(data["vars"]),
         _int_rows(data["Q"]),
-        tuple(data["ideal"]),
+        _strs(data["ideal"]),
         None if data.get("w") is None else _ints(data["w"]),
         None if faces is None else _int_rows(faces),
         data.get("mode", "all-subsets"))
@@ -587,7 +597,7 @@ def _decode_report(data) -> ValidationReport:
         if type(value) is not bool:
             raise TypeError(f"validation flag {flag} must be true or false, "
                             f"found {json.dumps(value)}")
-    return ValidationReport(*flags, messages=tuple(data["messages"]))
+    return ValidationReport(*flags, messages=_strs(data["messages"]))
 
 
 def _encode_presentation(pres: AutPresentation):
@@ -601,6 +611,8 @@ def _encode_presentation(pres: AutPresentation):
 
 
 def _decode_presentation(data) -> AutPresentation:
+    from .ringaut import (AutPresentation, AutTriple, SymbolicMatrix,
+                          _slot_ring, build_action_basis)
     ring = _decode_ring(data["ring"])
     basis = build_action_basis(ring)
     n = _int(data["n"])
@@ -630,6 +642,7 @@ def _encode_stabilizer(stab: StabilizerPresentation, base: dict):
 
 def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
     """`base` is the decoded data["base"]."""
+    from .algebraaut import StabilizerPresentation, StabilizerTriple
     ring = base.ring
     ideal = Ideal(ring, tuple(_decode_poly(g) for g in data["ideal"]))
     roster = tuple(ring.grading.from_coordinates(c)

@@ -161,15 +161,101 @@ def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
     assert calls == {"face_family": 1, "weight_search": 1}
 
 
-def test_cli_import_leaves_numpy_out():
-    # neither numpy nor any process pool machinery is loaded
+def _fresh_python(code, *args):
+    """Run `code` in a fresh interpreter on ./src; stdout is dropped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          stdout=subprocess.DEVNULL, timeout=60).returncode
+
+
+def test_cli_import_leaves_numpy_out():
+    # neither numpy nor any process pool machinery is loaded
     code = ("import sys, gradedaut.cli; sys.exit(any(m in sys.modules for m "
             "in ('numpy', 'multiprocessing', 'concurrent.futures.process')))")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    assert _fresh_python(code) == 0
+
+
+# runs each argv of the JSON list argv[1] through main, then writes the
+# exit code and the loaded gradedaut submodules after each to argv[2]
+MODULES_AFTER = """
+import json, sys
+from gradedaut.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    seen.append([code, sorted(m.removeprefix("gradedaut.") for m in
+                              sys.modules if m.startswith("gradedaut."))])
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_each_command_loads_only_its_stages(tmp_path):
+    check = ["cli", "errors", "grading", "inout", "linalg", "polynomials",
+             "validation"]
+    weights = sorted(check + ["weightsym"])
+    autks = sorted(weights + ["ringaut"])
+    autgradalg = sorted(autks + ["algebraaut"])
+    autxhat = sorted(autgradalg + ["cones", "gitfan"])
+    report, seen = str(tmp_path / "autxhat.json"), tmp_path / "seen.json"
+    runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
+            ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
+            ["autxhat", "--input", DEMO, "--out", report],
+            ["export", "--input", report]]
+    # one interpreter runs the commands in order, so the sets only grow
+    assert _fresh_python(MODULES_AFTER, json.dumps(runs), str(seen)) == 0
+    assert json.loads(seen.read_text()) == [
+        [0, check], [0, weights], [0, autks], [0, autgradalg],
+        [0, autxhat], [0, autxhat]]
+    # an export of a report alone decodes presentations, not chambers
+    assert _fresh_python(MODULES_AFTER, json.dumps(runs[-1:]),
+                         str(seen)) == 0
+    assert json.loads(seen.read_text()) == [[0, autgradalg]]
+
+
+PUBLIC_NAMES = [
+    "ActionBasis", "AutPresentation", "AutTriple", "CombinedIdeal",
+    "DegreeMatrix", "FilterResult", "GradedAutError", "GradedPolyRing",
+    "GradingGroup", "GroupAutomorphism", "GroupElement", "GuardError",
+    "Ideal", "InputError", "Polynomial", "ProblemInput", "RationalCone",
+    "ResultBundle", "StabilizerPresentation", "StabilizerTriple",
+    "StructuralError", "ValidationError", "ValidationReport",
+    "aut_gen_weights", "aut_grad_alg", "aut_ks", "aut_xhat",
+    "build_action_basis", "check_effective", "check_pointed",
+    "component_data", "component_dimension", "cone_from_rays",
+    "degree_of", "degree_of_exponent", "dual_cone", "equal_cones",
+    "export_cas_script", "git_cone", "ideal_generator_degrees",
+    "intersect_cones", "is_homogeneous", "map_cone", "monomial_basis",
+    "orbit_cones", "parse_input", "parse_polynomial",
+    "polynomial_to_str", "positive_weight_functional", "print_input",
+    "read_input", "read_report", "render_cone", "render_presentation",
+    "render_stabilizer", "require_valid_grading", "structured_matrix",
+    "validate_presentation", "weight_cone", "write_report",
+    "zero_pattern_ideal",
+]
+
+
+def test_package_namespace_is_lazy():
+    # importing the package loads no submodule; a submodule name is not
+    # a public name, so `from gradedaut import linalg` imports it
+    code = ("import sys, gradedaut\n"
+            "loaded = [m for m in sys.modules if m.startswith('gradedaut.')]\n"
+            "from gradedaut import linalg\n"
+            "sys.exit(loaded != [] or linalg.__name__ != 'gradedaut.linalg')")
+    assert _fresh_python(code) == 0
+    import gradedaut
+    assert gradedaut.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(gradedaut, name)
+        assert obj.__module__.startswith("gradedaut.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from gradedaut import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gradedaut.no_such_name
 
 
 def test_autxhat_rejects_non_effective(tmp_path, capsys):

@@ -451,6 +451,24 @@ def test_report_integers_and_flags_are_strict(tmp_path, capsys, edit):
     assert err == f"{path}:1:1: malformed report: {found}\n"
 
 
+@pytest.mark.parametrize("key, value, found", [
+    ("ideal", "T(1)", '"T(1)"'),
+    ("ideal", ["T(1)", 1], '["T(1)", 1]'),
+    ("messages", "ok", '"ok"'),
+    ("messages", ["ok", 2], '["ok", 2]'),
+], ids=["ideal-string", "ideal-number", "messages-string", "messages-number"])
+def test_report_string_lists_are_strict(tmp_path, capsys, key, value, found):
+    # tuple() reads a bare string as its characters: "ok" as ("o", "k")
+    data = _cli_report(tmp_path, capsys)
+    data["problem" if key == "ideal" else "validation"][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{path}:1:1: malformed report: expected a list of "
+                   f"strings, found {found}\n")
+
+
 def test_report_json_matches_json_loads():
     """A tree, and under a second key a copy one level deeper: written
     compact, with indent 2 and 4, and with the copy edited, the loader
