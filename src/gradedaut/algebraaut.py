@@ -18,9 +18,8 @@ from .grading import GroupElement
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, annihilator_forms,
                           degree_of, ideal_component_basis, monomial_basis,
                           polynomial_to_str)
-from .ringaut import (DET_TERM_BOUND, AutPresentation, AutTriple,
-                      CombinedIdeal, aut_ks, render_presentation,
-                      substitute_polynomial)
+from .ringaut import (AutPresentation, AutTriple, CombinedIdeal, aut_ks,
+                      render_presentation, substitute_polynomial)
 from .validation import validate_presentation
 
 
@@ -157,8 +156,7 @@ class StabilizerPresentation:
                                       self.degree_roster)
 
 
-def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
-                 term_bound: int = DET_TERM_BOUND) -> StabilizerPresentation:
+def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal) -> StabilizerPresentation:
     """Full pipeline for the quotient algebra R = S/I.
 
     Refuses any input failing a validation flag, in particular an ideal
@@ -168,7 +166,7 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal,
     report = validate_presentation(ring, ideal)
     if not report.ok:
         raise ValidationError("; ".join(report.messages) or "invalid input")
-    base = aut_ks(ring, term_bound=term_bound)
+    base = aut_ks(ring)
     components = {}
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
                         base, ideal, t, components))

@@ -7,11 +7,10 @@ equation presentations, `autxhat` applies the chamber filter, and
 `autgradalg --out` would write.  Exit codes: 0 success, 1 validation
 failure, 2 parse failure, 3 resource-guard refusal.
 
-Each command reads its input once and runs each stage once, serially,
-in one process.  All stdout output is a pure function of the input, so
-repeated runs are byte-identical.  Each command imports only the
-stages it runs: `check` never loads the symmetry, equation or chamber
-modules.
+Each command reads its input once and runs serially in one process.
+All stdout output is a pure function of the input, so repeated runs
+are byte-identical.  Each command imports only the stages it runs:
+`check` never loads the symmetry, equation or chamber modules.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import gc
 import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .inout import (FilterResult, ResultBundle, export_cas_script,
+from .inout import (MODES, FilterResult, ResultBundle, export_cas_script,
                     parse_input, read_text, report_from_text, write_report)
 from .validation import validate_presentation
 
@@ -32,10 +31,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="problem file (export also accepts a report)")
     common.add_argument("--w", metavar="LIST",
                         help="class to filter by, comma-separated integers")
-    common.add_argument("--mode", choices=("all-subsets", "user-faces"),
+    common.add_argument("--mode", choices=MODES,
                         help="orbit cone enumeration mode")
-    common.add_argument("--dialect", default="singular-like", metavar="NAME",
-                        help="export dialect")
     common.add_argument("--out", metavar="PATH",
                         help="write a report (or the exported script) here")
     common.add_argument("--jobs", type=int, metavar="N",
@@ -95,8 +92,7 @@ def _emit(text: str, out_path):
 def _run(args) -> int:
     text = read_text(args.input)
     if args.command == "export" and text.lstrip().startswith("{"):
-        _emit(export_cas_script(report_from_text(text), args.dialect),
-              args.out)
+        _emit(export_cas_script(report_from_text(text)), args.out)
         return 0
     problem = parse_input(text)
     ring = problem.ring()
@@ -141,7 +137,7 @@ def _run(args) -> int:
         stab = aut_grad_alg(ring, ideal)
         bundle = ResultBundle(problem, report, displays, stab.base, stab)
         if args.command == "export":
-            _emit(export_cas_script(bundle, args.dialect), args.out)
+            _emit(export_cas_script(bundle), args.out)
         else:
             print(render_stabilizer(stab))
             if args.out:

@@ -24,17 +24,18 @@ from .cones import (RationalCone, cone_from_rays, equal_cones,
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
 
+# Weights an all-subsets face family may range over; read when the
+# guard runs.
 SUBSET_BOUND = 20
 
 
-def _face_family(Q: DegreeMatrix, faces, subset_bound: int,
-                 simplicial: bool = False):
+def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
     r = Q.var_count
     if faces is None:
-        if r > subset_bound:
+        if r > SUBSET_BOUND:
             raise GuardError(
                 f"all-subsets enumeration over {r} weights exceeds the bound "
-                f"{subset_bound}; raise subset_bound or supply explicit faces")
+                f"{SUBSET_BOUND} (gitfan.SUBSET_BOUND); supply explicit faces")
         if simplicial:
             return _simplicial_family(Q)
         out = []
@@ -77,14 +78,14 @@ def _in_simplicial_cone(vectors, w0) -> bool:
     return sol is not None and all(x * sol[1] >= 0 for x in sol[0])
 
 
-def orbit_cones(Q: DegreeMatrix, faces=None, subset_bound: int = SUBSET_BOUND):
+def orbit_cones(Q: DegreeMatrix, faces=None):
     """Cones spanned by the free parts of the weights along each face,
     geometrically deduplicated, first occurrence kept.
 
     Faces use 1-based weight indices, matching the printed variable
     numbering; None selects every nonempty subset.
     """
-    family = _face_family(Q, faces, subset_bound)
+    family = _face_family(Q, faces)
     k = Q.group.free_rank
     cols = Q.columns
     out, seen = [], set()
@@ -101,8 +102,7 @@ def weight_cone(Q: DegreeMatrix) -> RationalCone:
                           Q.group.free_rank)
 
 
-def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
-             subset_bound: int = SUBSET_BOUND) -> RationalCone:
+def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     """The chamber of w: intersection of the orbit cones containing the
     free part w0 of w.
 
@@ -123,11 +123,11 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None,
     if faces is None:
         free = [c.free_part for c in Q.columns]
         spans = ([free[i] for i in F]
-                 for F in _face_family(Q, None, subset_bound, simplicial=True))
+                 for F in _face_family(Q, None, simplicial=True))
         containing = [cone_from_rays(vectors, k) for vectors in spans
                       if _in_simplicial_cone(vectors, w0)]
     else:
-        containing = [cone for cone in orbit_cones(Q, faces, subset_bound)
+        containing = [cone for cone in orbit_cones(Q, faces)
                       if cone.contains(w0)]
     if len(containing) == 1:
         return containing[0]
@@ -148,11 +148,10 @@ def chamber_fixers(stab: StabilizerPresentation, lam: RationalCone):
                  if equal_cones(map_cone(t.weight_aut.free_block, lam), lam))
 
 
-def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None,
-             subset_bound: int = SUBSET_BOUND):
+def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None):
     """Filter the presentation down to the symmetries whose free block
     maps the chamber of w onto itself."""
-    lam = git_cone(stab.ring.degrees, w, faces, subset_bound)
+    lam = git_cone(stab.ring.degrees, w, faces)
     return stab.restrict(chamber_fixers(stab, lam))
 
 

@@ -545,6 +545,19 @@ def _decode_poly(data) -> Polynomial:
                        for mono, (num, den) in data})
 
 
+def _decode_polys(data, nvars: int) -> tuple[Polynomial, ...]:
+    """A list of polynomials in `nvars` variables.  The constructor gives
+    each polynomial one exponent length, so one term per polynomial is
+    measured."""
+    polys = tuple(map(_decode_poly, data))
+    for f in polys:
+        mono = next(iter(f.terms), None)
+        if mono is not None and len(mono) != nvars:
+            raise ValueError(f"an equation has {len(mono)} exponents per "
+                             f"term in a ring of {nvars} variables")
+    return polys
+
+
 def _encode_ring(ring: GradedPolyRing):
     return {"free_rank": ring.grading.free_rank,
             "torsion": list(ring.grading.torsion_orders),
@@ -611,8 +624,8 @@ def _encode_presentation(pres: AutPresentation):
 
 
 def _decode_presentation(data) -> AutPresentation:
-    from .ringaut import (AutPresentation, AutTriple, SymbolicMatrix,
-                          _slot_ring, build_action_basis)
+    from .ringaut import (AutPresentation, AutTriple, _slot_ring,
+                          build_action_basis, structured_matrix)
     ring = _decode_ring(data["ring"])
     basis = build_action_basis(ring)
     n = _int(data["n"])
@@ -623,9 +636,12 @@ def _decode_presentation(data) -> AutPresentation:
     for t in data["triples"]:
         aut = GroupAutomorphism.from_display(ring.grading,
                                              _int_rows(t["weight_aut"]))
-        pattern = _int_rows(t["pattern"])
-        gens = tuple(_decode_poly(g) for g in t["equations"])
-        triples.append(AutTriple(SymbolicMatrix(n, pattern), aut, gens))
+        matrix = structured_matrix(basis, aut)
+        if _int_rows(t["pattern"]) != matrix.pattern:
+            raise ValueError("a triple's pattern is not the structured "
+                             "matrix of its weight symmetry")
+        gens = _decode_polys(t["equations"], n * n + 1)
+        triples.append(AutTriple(matrix, aut, gens))
     return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
 
 
@@ -652,7 +668,8 @@ def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
         raise InputError([(1, 1, "stabilizer section is inconsistent: "
                            f"{len(gen_lists)} generator lists for "
                            f"{len(base.triples)} triples")])
-    triples = tuple(StabilizerTriple(t, tuple(_decode_poly(g) for g in gens))
+    nvars = base.n * base.n + 1
+    triples = tuple(StabilizerTriple(t, _decode_polys(gens, nvars))
                     for t, gens in zip(base.triples, gen_lists))
     return StabilizerPresentation(ring, ideal, base, triples, roster)
 
@@ -709,6 +726,9 @@ def _decode_bundle(data) -> ResultBundle:
     report = (None if data.get("validation") is None
               else _decode_report(data["validation"]))
     weight_auts = tuple(map(_int_rows, data.get("weight_symmetries", [])))
+    group = problem.group()
+    for m in weight_auts:
+        GroupAutomorphism.from_display(group, m)
     pres_data = data.get("presentation")
     pres = None if pres_data is None else _decode_presentation(pres_data)
     stab_data = data.get("stabilizer")
@@ -721,10 +741,31 @@ def _decode_bundle(data) -> ResultBundle:
                 else _decode_presentation(base_data))
         stab = _decode_stabilizer(stab_data, base)
     fdata = data.get("filter")
-    filt = (None if fdata is None
-            else FilterResult(_ints(fdata["w"]), _ints(fdata["retained"]),
-                              _int_rows(fdata["chamber_rays"])))
+    filt = None
+    if fdata is not None:
+        exported = stab if stab is not None else pres
+        filt = _decode_filter(fdata, group,
+                              0 if exported is None else len(exported.triples))
     return ResultBundle(problem, report, weight_auts, pres, stab, filt)
+
+
+def _decode_filter(data, group: GradingGroup,
+                   triple_count: int) -> FilterResult:
+    """The filter section: a class of the group, chamber rays in its
+    free part, and increasing indices of the triples export writes."""
+    k = group.free_rank
+    filt = FilterResult(_ints(data["w"]), _ints(data["retained"]),
+                        _int_rows(data["chamber_rays"]))
+    if len(filt.w) != k + group.torsion_rank:
+        raise ValueError(f"filter w has {len(filt.w)} coordinates, the "
+                         f"group {k + group.torsion_rank}")
+    if any(len(r) != k for r in filt.chamber_rays):
+        raise ValueError(f"a chamber ray does not have {k} coordinates")
+    kept = (-1, *filt.retained, triple_count)
+    if any(a >= b for a, b in zip(kept, kept[1:])):
+        raise ValueError(f"retained {list(filt.retained)} is not increasing "
+                         f"indices below {triple_count} triples")
+    return filt
 
 
 # _DIGITS turns a byte 0..9 into its ASCII digit and any other byte
@@ -923,13 +964,10 @@ def read_report(path) -> ResultBundle:
 
 # --- script export -----------------------------------------------------
 
-def export_cas_script(bundle: ResultBundle, dialect: str = "singular-like") -> str:
-    """A ready-to-run script declaring the slot ring and every equation
-    list, with dimension and absolute-decomposition commands at the end.
-    The output is a pure function of the bundle."""
-    if dialect != "singular-like":
-        raise ValidationError(f"unsupported export dialect {dialect!r}; "
-                              "this build writes singular-like")
+def export_cas_script(bundle: ResultBundle) -> str:
+    """A ready-to-run singular-like script declaring the slot ring and
+    every equation list, with dimension and absolute-decomposition
+    commands at the end.  The output is a pure function of the bundle."""
     if bundle.stabilizer is not None:
         pres = bundle.stabilizer.base
         items = list(enumerate(t.ideal for t in bundle.stabilizer.triples))

@@ -31,6 +31,8 @@ from .validation import require_valid_grading
 from .weightsym import (admissible_automorphisms, aut_gen_weights,
                         block_permutation)
 
+# Leibniz terms the determinant witness may have.  Like every guard
+# bound it is read when the guard runs, so a caller may set it.
 DET_TERM_BOUND = 10 ** 6
 
 
@@ -134,14 +136,14 @@ def _signed_permutations(items):
             for perm, c in zip(permutations(items), map(sum, codes))]
 
 
-def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND):
+def zero_pattern_ideal(matrix: SymbolicMatrix):
     """One vanishing generator per zero slot, then the invertibility
     witness det(A) * Z - 1.
 
     The rows grouped by support must form a block permutation of full
     square blocks, of sizes k_i; det(A) then has prod(k_i!) terms, each
     the sign of the block permutation times one Leibniz term per block.
-    The count is refused above `term_bound` before any term is listed.
+    The count is refused above `DET_TERM_BOUND` before any term is listed.
     The witness is a `DeterminantWitness`: its terms as (column of each
     row, sign), sorted ascending, which is the canonical term order.
     """
@@ -158,10 +160,10 @@ def zero_pattern_ideal(matrix: SymbolicMatrix, term_bound: int = DET_TERM_BOUND)
         raise StructuralError("the zero pattern is not a block permutation "
                               "of full square blocks")
     count = prod(factorial(len(rows)) for rows in supports.values())
-    if count > term_bound:
+    if count > DET_TERM_BOUND:
         raise GuardError(
             f"symbolic determinant has {count} terms, above the bound "
-            f"{term_bound}; raise the term bound to proceed")
+            f"{DET_TERM_BOUND} (ringaut.DET_TERM_BOUND)")
     base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
     # the sign of the block permutation, from its inversions
     inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
@@ -341,14 +343,13 @@ def _slot_ring(basis: ActionBasis) -> GradedPolyRing:
     return GradedPolyRing(n * n + 1, group, DegreeMatrix(tuple(cols)))
 
 
-def _build_triple(basis, admissible, mult_gens, term_bound):
+def _build_triple(basis, admissible, mult_gens):
     matrix = _pattern(basis, admissible.block_map)
-    gens = tuple(zero_pattern_ideal(matrix, term_bound)) + tuple(mult_gens)
+    gens = tuple(zero_pattern_ideal(matrix)) + tuple(mult_gens)
     return AutTriple(matrix, admissible.aut, gens)
 
 
-def aut_ks(ring: GradedPolyRing,
-           term_bound: int = DET_TERM_BOUND) -> AutPresentation:
+def aut_ks(ring: GradedPolyRing) -> AutPresentation:
     """The full presentation: admissible weight symmetries, structured
     matrices, and per-symmetry equation lists.
 
@@ -360,7 +361,7 @@ def aut_ks(ring: GradedPolyRing,
     auts = aut_gen_weights(ring.degrees)
     admissibles = admissible_automorphisms(auts, ring)
     mult_gens = tuple(multiplicativity_ideal(basis))
-    triples = tuple(_build_triple(basis, adm, mult_gens, term_bound)
+    triples = tuple(_build_triple(basis, adm, mult_gens)
                     for adm in admissibles)
     return AutPresentation(ring, basis, _slot_ring(basis), triples)
 

@@ -32,7 +32,8 @@ from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupAutomorphism, subgroup_presentation
 from .polynomials import GradedPolyRing, component_dimension
 
-# Generator image tuples the weight-symmetry search may try.
+# Generator image tuples the weight-symmetry search may try; read when
+# the guard runs.
 PLACEMENT_BOUND = 10 ** 6
 
 
@@ -100,7 +101,7 @@ def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     if count > PLACEMENT_BOUND:
         raise GuardError(
             f"weight symmetry search would try {count} generator images, "
-            f"above the bound {PLACEMENT_BOUND}")
+            f"above the bound {PLACEMENT_BOUND} (weightsym.PLACEMENT_BOUND)")
     torsion = [group.element((0,) * k, t)
                for t in product(*(range(a) for a in orders))] if units else []
 

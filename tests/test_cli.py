@@ -297,8 +297,9 @@ def test_export_to_file_and_from_report(tmp_path, capsys):
 
 
 def test_export_bad_dialect(capsys):
-    assert main(["export", "--input", DEMO, "--dialect", "maple"]) == 1
-    assert "unsupported export dialect" in capsys.readouterr().err
+    # export writes one dialect and takes no option to name it
+    assert main(["export", "--input", DEMO, "--dialect", "maple"]) == 2
+    assert "unrecognized arguments: --dialect" in capsys.readouterr().err
 
 
 def test_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
@@ -360,6 +361,46 @@ def test_malformed_report_exit(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:1:1: ")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def quadric8_autxhat_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("autxhat") / "report.json"
+    assert main(["autxhat", "--input", DEMO, "--out", str(path)]) == 0
+    return path.read_text()
+
+
+# two exponents per term in a ring of 8 * 8 + 1 slot variables
+SHORT_EQUATION = [[[1, 2], [1, 1]]]
+
+# each edit leaves a report the parser takes but the decoders must refuse
+REPORT_HOLES = {
+    "retained-past-end": lambda d: d["filter"].update(retained=[7]),
+    "retained-negative": lambda d: d["filter"].update(retained=[-1]),
+    "retained-repeated": lambda d: d["filter"].update(retained=[0, 0]),
+    "filter-w-arity": lambda d: d["filter"].update(w=[1, 9, 16]),
+    "chamber-ray-arity": lambda d: d["filter"]["chamber_rays"][0].append(0),
+    "equation-arity": lambda d: d["presentation"]["triples"][0].update(
+        equations=[SHORT_EQUATION]),
+    "stabilizer-gen-arity": lambda d: d["stabilizer"]["stabilizer_gens"][0]
+    .append(SHORT_EQUATION),
+    "weight-symmetry-shape": lambda d: d["weight_symmetries"].__setitem__(
+        0, [[5]]),
+    "pattern-of-other-triple": lambda d: d["stabilizer"]["base"]["triples"][0]
+    .update(pattern=d["stabilizer"]["base"]["triples"][1]["pattern"]),
+}
+
+
+@pytest.mark.parametrize("hole", REPORT_HOLES)
+def test_export_refuses_inconsistent_report(tmp_path, capsys,
+                                            quadric8_autxhat_report, hole):
+    data = json.loads(quadric8_autxhat_report)
+    REPORT_HOLES[hole](data)
+    path = _write(tmp_path, json.dumps(data, indent=2), "report.json")
+    assert main(["export", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}:1:1: malformed report: ")
+    assert captured.out == ""
 
 
 def test_check_report_written(tmp_path):

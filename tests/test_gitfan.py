@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from gradedaut import gitfan
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cones import cone_from_rays, equal_cones, intersect_cones
 from gradedaut.errors import GuardError, StructuralError, ValidationError
-from gradedaut.gitfan import (SUBSET_BOUND, _face_family, aut_xhat, git_cone,
-                              map_cone, orbit_cones, render_cone, weight_cone)
+from gradedaut.gitfan import (_face_family, aut_xhat, git_cone, map_cone,
+                              orbit_cones, render_cone, weight_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
@@ -107,15 +108,12 @@ def test_git_cone_user_faces_match_their_orbit_cones():
 
 def test_simplicial_family_size(quadric8_Q):
     chamber10 = DegreeMatrix.from_rows(GradingGroup(3, ()), CHAMBER10_ROWS)
-    assert len(_face_family(chamber10, None, SUBSET_BOUND,
-                            simplicial=True)) == 163
-    assert len(_face_family(quadric8_Q, None, SUBSET_BOUND,
-                            simplicial=True)) == 88
+    assert len(_face_family(chamber10, None, simplicial=True)) == 163
+    assert len(_face_family(quadric8_Q, None, simplicial=True)) == 88
     # orbit_cones keeps every nonempty subset
-    assert len(_face_family(chamber10, None, SUBSET_BOUND)) == 2 ** 10 - 1
+    assert len(_face_family(chamber10, None)) == 2 ** 10 - 1
     # a zero free part contributes its singleton, the origin
-    assert _face_family(zq(0, 1), None, SUBSET_BOUND, simplicial=True) == [
-        (0,), (1,)]
+    assert _face_family(zq(0, 1), None, simplicial=True) == [(0,), (1,)]
 
 
 def test_git_cone_zero_free_part():
@@ -163,13 +161,17 @@ def test_orbit_cones_small_examples():
     assert not line.is_pointed()
 
 
-def test_orbit_cones_subset_guard():
-    with pytest.raises(GuardError):
+def test_orbit_cones_subset_guard(monkeypatch):
+    with pytest.raises(GuardError, match="SUBSET_BOUND"):
         orbit_cones(zq(*([1] * 21)))
     nine = zq(*([1] * 9))
-    with pytest.raises(GuardError):
-        orbit_cones(nine, subset_bound=8)
     assert len(orbit_cones(nine)) == 1
+    # the guard reads the constant when it runs
+    monkeypatch.setattr(gitfan, "SUBSET_BOUND", 8)
+    with pytest.raises(GuardError, match="9 weights exceeds the bound 8"):
+        orbit_cones(nine)
+    with pytest.raises(GuardError):
+        git_cone(nine, nine.group.element((1,), ()))
     assert len(orbit_cones(zq(*([1] * 21)), faces=[(1, 2), (21,)])) == 1
 
 

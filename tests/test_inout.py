@@ -641,8 +641,11 @@ def test_export_empty_presentation(quadric8_bundle):
     assert "dim" not in script
 
 
-def test_export_errors(quadric8_bundle):
-    with pytest.raises(ValidationError, match="unsupported export dialect"):
-        export_cas_script(quadric8_bundle, dialect="maple")
+def test_export_errors(quadric8_bundle, capsys):
+    # the dialect the script is written in is not an option, not even by
+    # its own name
+    assert main(["export", "--input", str(DEMO),
+                 "--dialect", "singular-like"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="no presentation"):
         export_cas_script(ResultBundle(QUADRIC8_PROBLEM))

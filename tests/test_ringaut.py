@@ -250,8 +250,8 @@ def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
     assert expanded == ["terms"]
 
     # the same run with the witness expanded eagerly into a plain Polynomial
-    def eager(matrix, term_bound=ringaut.DET_TERM_BOUND):
-        return zero_pattern_ideal(matrix, term_bound)[:-1] + [_reference_witness(matrix)]
+    def eager(matrix):
+        return zero_pattern_ideal(matrix)[:-1] + [_reference_witness(matrix)]
 
     monkeypatch.setattr(ringaut, "zero_pattern_ideal", eager)
     reference = tmp_path / "eager.json"
@@ -280,13 +280,18 @@ def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
     assert "1000000" in str(info.value)
 
 
-def test_zero_pattern_term_guard():
+def test_zero_pattern_term_guard(monkeypatch):
     n = 3
     full = SymbolicMatrix(n, tuple(tuple(i * n + j + 1 for j in range(n))
                                    for i in range(n)))
-    with pytest.raises(GuardError):
-        zero_pattern_ideal(full, term_bound=3)
     assert len(zero_pattern_ideal(full)) == 1
+    # the guard reads the constant when it runs
+    monkeypatch.setattr(ringaut, "DET_TERM_BOUND", 5)
+    with pytest.raises(GuardError, match=r"6 terms, above the bound 5 "
+                       r"\(ringaut.DET_TERM_BOUND\)"):
+        zero_pattern_ideal(full)
+    with pytest.raises(GuardError, match="6 terms"):
+        aut_ks(zring(1, 1, 1))
 
 
 def test_multiplicativity_empty_for_variable_blocks(quadric8_basis):

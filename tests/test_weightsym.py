@@ -8,7 +8,7 @@ import pytest
 
 from conftest import QUADRIC8_AUT_MATRICES
 from oracles import extendable_bijections, random_pointed_grading
-from gradedaut import linalg
+from gradedaut import linalg, weightsym
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                check_effective)
@@ -129,6 +129,19 @@ def test_placement_guard_refuses_before_placing(monkeypatch):
         aut_gen_weights(DegreeMatrix(tuple(z4.element(v) for v in vectors)))
     assert str(perm(40, 4)) in str(info.value)
     assert str(PLACEMENT_BOUND) in str(info.value)
+
+
+def test_placement_bound_read_when_guard_runs(monkeypatch):
+    z2 = GradingGroup(2)
+    Q = DegreeMatrix(tuple(z2.element(v) for v in ((1, 0), (0, 1), (1, 1))))
+    # perm(3, 2) = 6 images of the basis; a cached result skips the search
+    _weight_symmetries.cache_clear()
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 5)
+    with pytest.raises(GuardError, match=r"6 generator images, above the "
+                       r"bound 5 \(weightsym.PLACEMENT_BOUND\)"):
+        aut_gen_weights(Q)
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 6)
+    assert len(aut_gen_weights(Q)) == 2
 
 
 def test_effective_torsion_gradings_match_oracle():
