@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError
 from .grading import GroupElement
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, annihilator_forms,
                           degree_of, ideal_component_basis, monomial_basis,
                           polynomial_to_str)
-from .ringaut import (AutPresentation, AutTriple, CombinedIdeal, aut_ks,
-                      render_presentation, substitute_polynomial)
+from .ringaut import (AutPresentation, AutTriple, CombinedIdeal,
+                      render_presentation, ring_presentation,
+                      substitute_polynomial)
 from .validation import validate_presentation
+from .weightsym import aut_gen_weights
 
 
 def ideal_generator_degrees(ideal: Ideal) -> tuple[GroupElement, ...]:
@@ -164,14 +166,20 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal) -> StabilizerPresentation:
     the weight.
     """
     report = validate_presentation(ring, ideal)
-    if not report.ok:
-        raise ValidationError("; ".join(report.messages) or "invalid input")
-    base = aut_ks(ring)
+    report.require(report.ok)
+    return stabilizer_presentation(
+        ring_presentation(ring, aut_gen_weights(ring.degrees)), ideal)
+
+
+def stabilizer_presentation(base: AutPresentation,
+                            ideal: Ideal) -> StabilizerPresentation:
+    """The presentation of `aut_grad_alg` from the ring presentation
+    `base` of the ideal's ring; nothing is validated again."""
     components = {}
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
                         base, ideal, t, components))
                     for t in base.triples)
-    return StabilizerPresentation(ring, ideal, base, triples,
+    return StabilizerPresentation(base.ring, ideal, base, triples,
                                   ideal_generator_degrees(ideal))
 
 

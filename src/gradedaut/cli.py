@@ -7,7 +7,8 @@ equation presentations, `autxhat` applies the chamber filter, and
 `autgradalg --out` would write.  Exit codes: 0 success, 1 validation
 failure, 2 parse failure, 3 resource-guard refusal.
 
-Each command reads its input once and runs serially in one process.
+Each command reads its input once, validates once and runs each stage
+once on the product of the stage before, serially in one process.
 All stdout output is a pure function of the input, so repeated runs
 are byte-identical.  Each command imports only the stages it runs:
 `check` never loads the symmetry, equation or chamber modules.
@@ -89,6 +90,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+# how far along the pipeline each command runs: 1 weight symmetries,
+# 2 ring presentation, 3 stabilizer, 4 chamber filter
+_DEPTH = {"check": 0, "weights-aut": 1, "autks": 2, "autgradalg": 3,
+          "export": 3, "autxhat": 4}
+
+
 def _run(args) -> int:
     text = read_text(args.input)
     if args.command == "export" and text.lstrip().startswith("{"):
@@ -98,71 +105,60 @@ def _run(args) -> int:
     ring = problem.ring()
     ideal = problem.ideal(ring)
     report = validate_presentation(ring, ideal)
+    depth = _DEPTH[args.command]
+    displays, pres, stab, chamber = (), None, None, None
 
     if args.command == "check":
         for label, flag in report.flag_items():
             print(f"{label}: {'pass' if flag else 'FAIL'}")
         for msg in report.messages:
             print("note: " + msg)
-        if args.out:
-            write_report(ResultBundle(problem, report), args.out)
-        return 0 if report.ok else 1
-
-    if not report.grading_ok:
-        raise ValidationError("; ".join(report.messages) or "invalid grading")
-    from .weightsym import aut_gen_weights
-    auts = aut_gen_weights(ring.degrees)
-    displays = tuple(a.display_matrix() for a in auts)
-
+    if depth >= 1:
+        report.require(report.grading_ok)
+        from .weightsym import aut_gen_weights
+        auts = aut_gen_weights(ring.degrees)
+        displays = tuple(a.display_matrix() for a in auts)
     if args.command == "weights-aut":
         print(f"{len(auts)} weight symmetries")
         for i, a in enumerate(auts, start=1):
             print(f"\nsymmetry {i}:")
             print(str(a))
-        if args.out:
-            write_report(ResultBundle(problem, report, displays), args.out)
-        return 0
-
+    if depth >= 4:
+        # the class and its chamber come before the ideal gate and the
+        # heavy stages
+        coords = _w_coords(args, problem)
+        faces = _faces_used(args, problem)
+        from .gitfan import chamber_fixers, git_cone, render_cone
+        w = problem.group().from_coordinates(coords)
+        lam = git_cone(ring.degrees, w, faces)
+    if depth >= 3:
+        report.require(report.ok)
+    if depth >= 2:
+        from .ringaut import render_presentation, ring_presentation
+        pres = ring_presentation(ring, auts)
     if args.command == "autks":
-        from .ringaut import aut_ks, render_presentation
-        pres = aut_ks(ring)
         print(render_presentation(pres))
-        if args.out:
-            write_report(ResultBundle(problem, report, displays, pres),
-                         args.out)
-        return 0
+    if depth >= 3:
+        from .algebraaut import render_stabilizer, stabilizer_presentation
+        stab = stabilizer_presentation(pres, ideal)
+    if args.command == "autgradalg":
+        print(render_stabilizer(stab))
+    if depth >= 4:
+        retained = chamber_fixers(stab, lam)
+        filtered = stab.restrict(retained)
+        print(f"git chamber of w = {w}:")
+        print(render_cone(lam))
+        print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
+              "symmetries fix the chamber\n")
+        print(render_stabilizer(filtered))
+        chamber = FilterResult(coords, retained, lam.rays)
 
-    from .algebraaut import aut_grad_alg, render_stabilizer
-    if args.command in ("autgradalg", "export"):
-        stab = aut_grad_alg(ring, ideal)
-        bundle = ResultBundle(problem, report, displays, stab.base, stab)
-        if args.command == "export":
-            _emit(export_cas_script(bundle), args.out)
-        else:
-            print(render_stabilizer(stab))
-            if args.out:
-                write_report(bundle, args.out)
-        return 0
-
-    # autxhat: check the class and its chamber before the heavy stages
-    coords = _w_coords(args, problem)
-    faces = _faces_used(args, problem)
-    from .gitfan import chamber_fixers, git_cone, render_cone
-    w = problem.group().from_coordinates(coords)
-    lam = git_cone(ring.degrees, w, faces)
-    stab = aut_grad_alg(ring, ideal)
-    retained = chamber_fixers(stab, lam)
-    filtered = stab.restrict(retained)
-    print(f"git chamber of w = {w}:")
-    print(render_cone(lam))
-    print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
-          "symmetries fix the chamber\n")
-    print(render_stabilizer(filtered))
-    if args.out:
-        write_report(ResultBundle(
-            problem, report, displays, stab.base, stab,
-            FilterResult(coords, retained, lam.rays)), args.out)
-    return 0
+    bundle = ResultBundle(problem, report, displays, pres, stab, chamber)
+    if args.command == "export":
+        _emit(export_cas_script(bundle), args.out)
+    elif args.out:
+        write_report(bundle, args.out)
+    return 1 if args.command == "check" and not report.ok else 0
 
 
 def main(argv=None) -> int:

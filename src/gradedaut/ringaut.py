@@ -357,8 +357,13 @@ def aut_ks(ring: GradedPolyRing) -> AutPresentation:
     free parts; the ideal of the algebra plays no role at this stage.
     """
     require_valid_grading(ring)
+    return ring_presentation(ring, aut_gen_weights(ring.degrees))
+
+
+def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
+    """The presentation of `aut_ks` from the weight symmetries `auts`
+    of the ring's degree matrix; the ring is not validated again."""
     basis = build_action_basis(ring)
-    auts = aut_gen_weights(ring.degrees)
     admissibles = admissible_automorphisms(auts, ring)
     mult_gens = tuple(multiplicativity_ideal(basis))
     triples = tuple(_build_triple(basis, adm, mult_gens)

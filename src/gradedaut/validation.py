@@ -39,6 +39,11 @@ class ValidationReport:
         return (self.grading_ok and self.generators_homogeneous
                 and self.contained_in_square and self.variable_components_trivial)
 
+    def require(self, verdict: bool) -> None:
+        """Raise every message unless `verdict` (`grading_ok` or `ok`) holds."""
+        if not verdict:
+            raise ValidationError("; ".join(self.messages))
+
     def flag_items(self):
         return (("effective", self.effective),
                 ("pointed", self.pointed),
@@ -107,6 +112,5 @@ def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> V
 def require_valid_grading(ring: GradedPolyRing):
     """Raise unless the ideal-free flags pass."""
     report = validate_presentation(ring)
-    if not report.grading_ok:
-        raise ValidationError("; ".join(report.messages))
+    report.require(report.grading_ok)
     return report

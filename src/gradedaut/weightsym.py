@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import perm, prod
 
@@ -69,14 +68,9 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     """All grading-group automorphisms permuting the weight set.
 
     The result always forms a finite group containing the identity,
-    listed in canonical order.  The search runs once per degree matrix;
-    later calls with an equal matrix return the same tuple.
+    listed in canonical order.  Each call searches, refusing first
+    when the predicted count exceeds `PLACEMENT_BOUND`.
     """
-    return _weight_symmetries(Q)
-
-
-@lru_cache(maxsize=32)
-def _weight_symmetries(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     group = Q.group
     k = group.free_rank
     orders = group.torsion_orders

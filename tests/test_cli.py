@@ -1,6 +1,5 @@
 """The command line front end, driven through main()."""
 
-import functools
 import gc
 import hashlib
 import json
@@ -11,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gradedaut import cli, gitfan, weightsym
+from gradedaut import (algebraaut, cli, gitfan, ringaut, validation,
+                       weightsym)
 from gradedaut.cli import main
 from gradedaut.inout import (ResultBundle, export_cas_script, parse_input,
                              read_report)
@@ -140,34 +140,126 @@ def test_autxhat_w_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_autxhat_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"face_family": 0, "weight_search": 0}
-    face_family = gitfan._face_family
-    search = weightsym._weight_symmetries.__wrapped__
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return fn(*args, **kwargs)
+    return counted
 
-    def counted_face_family(*args, **kwargs):
-        calls["face_family"] += 1
-        return face_family(*args, **kwargs)
 
-    def counted_search(Q):
-        calls["weight_search"] += 1
-        return search(Q)
+def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
+    calls = {}
+    for module, name in ((validation, "validate_presentation"),
+                         (weightsym, "aut_gen_weights"),
+                         (ringaut, "build_action_basis"),
+                         (gitfan, "_face_family"),
+                         (algebraaut, "component_data")):
+        fn = getattr(module, name)
+        counted = _counting(calls, name, fn)
+        # rebind every module-level reference, `from .x import f` too
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("gradedaut.") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    report = str(tmp_path / "autxhat.json")
+    runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
+            ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
+            ["autxhat", "--input", DEMO, "--out", report],
+            ["export", "--input", DEMO], ["export", "--input", report]]
+    for argv in runs:
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        # component_data once per distinct degree: its second argument
+        degrees = [args[1] for args in calls.pop("component_data", [])]
+        assert len(degrees) == len(set(degrees)), argv
+        assert all(len(c) == 1 for c in calls.values()), (argv, calls)
 
-    monkeypatch.setattr(gitfan, "_face_family", counted_face_family)
-    monkeypatch.setattr(weightsym, "_weight_symmetries",
-                        functools.lru_cache(maxsize=32)(counted_search))
-    assert main(["autxhat", "--input", DEMO]) == 0
-    capsys.readouterr()
-    assert calls == {"face_family": 1, "weight_search": 1}
+
+# Z + Z/2 with both weights (1; 0): the weights miss the torsion
+NON_EFFECTIVE = ("vars = 2\nQ = [[1, 1], [0, 0]]\n\n"
+                 "[grading]\nfree_rank = 1\ntorsion = [2]\n")
+# T(1)^2 spans the component in the weight of T(2)
+IDEAL_MEETS_VARIABLE = ('vars = 2\nQ = [[1, 2]]\nideal = ["T(1)^2"]\n'
+                        "w = [1]\n\n[grading]\nfree_rank = 1\n")
+# ten variables of weight (1, 0) give 10! * 2! determinant terms, and
+# T(11)^2 spans the component in the weight of T(12)
+IDEAL_MEETS_VARIABLE_DET = (
+    "vars = 12\nQ = [\n    [" + "1, " * 10 + "0, 0],\n    ["
+    + "0, " * 10 + '1, 2],\n]\nideal = ["T(11)^2"]\n\n'
+    "[grading]\nfree_rank = 2\n")
+NOT_GENERATED = "error: the generator degrees do not generate the grading group"
+COMPONENT = "error: the ideal has a nontrivial component in the generator degree"
+DET_REFUSED = ("refused: symbolic determinant has {} terms, above the bound "
+               "1000000 (ringaut.DET_TERM_BOUND)")
+
+
+@pytest.mark.parametrize("text, argv, code, first_line", [
+    (NON_EFFECTIVE, ["weights-aut"], 1, NOT_GENERATED),
+    (NON_EFFECTIVE, ["autks"], 1, NOT_GENERATED),
+    (IDEAL_MEETS_VARIABLE, ["autks"], 0, ""),
+    (IDEAL_MEETS_VARIABLE, ["autgradalg"], 1, COMPONENT + " (2) (dimension 1)"),
+    (IDEAL_MEETS_VARIABLE, ["export"], 1, COMPONENT + " (2) (dimension 1)"),
+    (IDEAL_MEETS_VARIABLE, ["autxhat"], 1, COMPONENT + " (2) (dimension 1)"),
+    (IDEAL_MEETS_VARIABLE, ["autxhat", "--w", "a"], 2,
+     "{input}:1:1: --w must be a comma-separated integer list, got 'a'"),
+    (IDEAL_MEETS_VARIABLE, ["autxhat", "--w=-1"], 1,
+     "error: w is not an effective class"),
+    (IDEAL_MEETS_VARIABLE_DET, ["autks"], 3, DET_REFUSED.format(7257600)),
+    (IDEAL_MEETS_VARIABLE_DET, ["autgradalg"], 1,
+     COMPONENT + " (0, 2) (dimension 1)"),
+    (None, ["autks"], 3, DET_REFUSED.format(3628800)),
+])
+def test_refusal_order(tmp_path, capsys, text, argv, code, first_line):
+    """The grading gate, then the search; for autxhat the class and its
+    chamber; then the ideal gate, then the determinant guard."""
+    path = (_write(tmp_path, text) if text is not None
+            else str(ROOT / "bench" / "problems" / "linear10.toml"))
+    assert main([argv[0], "--input", path, *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert (err.splitlines() or [""])[0] == first_line.format(input=path)
+
+
+def test_search_guard_precedes_ideal_gate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 1)
+    path = _write(tmp_path, IDEAL_MEETS_VARIABLE)
+    assert main(["autgradalg", "--input", path]) == 3
+    assert capsys.readouterr().err == (
+        "refused: weight symmetry search would try 2 generator images, "
+        "above the bound 1 (weightsym.PLACEMENT_BOUND)\n")
+
+
+def _on_src(args, stdout):
+    """Run a fresh interpreter with `args` on ./src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          timeout=60)
 
 
 def _fresh_python(code, *args):
     """Run `code` in a fresh interpreter on ./src; stdout is dropped."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          stdout=subprocess.DEVNULL, timeout=60).returncode
+    return _on_src(["-c", code, *args], subprocess.DEVNULL).returncode
+
+
+# sha256 of the stdout of each library demo
+DEMO_STDOUT = {
+    "chamber_filter.py":
+        "460f5d209ac703d44c8260d21b4b4dcf7536a41848a638ebd9a8f3ce78abc65b",
+    "quotient_stabilizer.py":
+        "ed9f60cb168e55a307f23225472b50461a57d79e9f680b87ffa79a01d4de3769",
+    "ring_presentation.py":
+        "aea91b2dbd1256c580324d2e204bb95f38e4c615e251ffb3184fd3beeee031fd",
+    "weight_symmetries.py":
+        "968d3fc61be016a72fedacafe1c97b494a09aec2c5dfcf394cb6b0b2034000b1",
+}
+
+
+@pytest.mark.parametrize("demo", DEMO_STDOUT)
+def test_demo_stdout(demo):
+    run = _on_src([str(ROOT / "demos" / demo)], subprocess.PIPE)
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT[demo]
 
 
 def test_cli_import_leaves_numpy_out():

@@ -67,3 +67,38 @@ def test_lattice_basis_cases(quadric8_Q):
     torsion_only = GradingGroup(0, (2,))
     Q0 = DegreeMatrix((torsion_only.element((), (1,)),))
     assert has_lattice_basis(GradedPolyRing.from_degree_matrix(Q0))
+
+
+# per flag: weights over Z (+ torsion), ideal generators, and every flag
+# the input fails; a bad relation always fails the component flag too
+FLAG_FAILURES = {
+    "effective": ((1, (2,)), ((1, 1), (0, 0)), (), {"effective"}),
+    "pointed": ((1, ()), ((1, -1),), (), {"pointed"}),
+    "generators homogeneous": (
+        (1, ()), ((1, 2),), ("T(1)^2 + T(1)^3",),
+        {"generators homogeneous", "trivial components in generator degrees"}),
+    "relations in square of maximal ideal": (
+        (1, ()), ((1, 2),), ("T(2)",),
+        {"relations in square of maximal ideal",
+         "trivial components in generator degrees"}),
+    "trivial components in generator degrees": (
+        (1, ()), ((1, 2),), ("T(1)^2",),
+        {"trivial components in generator degrees"}),
+    "lattice basis among free parts": (
+        (1, ()), ((2, 3),), (), {"lattice basis among free parts"}),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_FAILURES)
+def test_each_failing_flag_adds_a_message(flag):
+    (free_rank, torsion), rows, gens, failing = FLAG_FAILURES[flag]
+    Q = DegreeMatrix.from_rows(GradingGroup(free_rank, torsion), rows)
+    ring = GradedPolyRing.from_degree_matrix(Q)
+    report = validate_presentation(
+        ring, Ideal(ring, tuple(ring.parse(g) for g in gens)))
+    assert {label for label, ok in report.flag_items() if not ok} == failing
+    assert len(report.messages) == len(failing)
+    assert all(report.messages)
+    with pytest.raises(ValidationError) as info:
+        report.require(report.ok)
+    assert str(info.value) == "; ".join(report.messages)

@@ -14,8 +14,8 @@ from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                check_effective)
 from gradedaut.polynomials import GradedPolyRing
 from gradedaut.weightsym import (PLACEMENT_BOUND, _canonical_sort,
-                                 _generating_set, _weight_symmetries,
-                                 admissible_automorphisms, aut_gen_weights)
+                                 _generating_set, admissible_automorphisms,
+                                 aut_gen_weights)
 
 
 def test_quadric8_weight_symmetries(quadric8_Q, quadric8_group):
@@ -134,14 +134,18 @@ def test_placement_guard_refuses_before_placing(monkeypatch):
 def test_placement_bound_read_when_guard_runs(monkeypatch):
     z2 = GradingGroup(2)
     Q = DegreeMatrix(tuple(z2.element(v) for v in ((1, 0), (0, 1), (1, 1))))
-    # perm(3, 2) = 6 images of the basis; a cached result skips the search
-    _weight_symmetries.cache_clear()
+    # perm(3, 2) = 6 images of the basis; every call runs the guard, so
+    # lowering the bound refuses a matrix that was already searched
+    refusal = (r"6 generator images, above the bound 5 "
+               r"\(weightsym.PLACEMENT_BOUND\)")
     monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 5)
-    with pytest.raises(GuardError, match=r"6 generator images, above the "
-                       r"bound 5 \(weightsym.PLACEMENT_BOUND\)"):
+    with pytest.raises(GuardError, match=refusal):
         aut_gen_weights(Q)
     monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 6)
     assert len(aut_gen_weights(Q)) == 2
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 5)
+    with pytest.raises(GuardError, match=refusal):
+        aut_gen_weights(Q)
 
 
 def test_effective_torsion_gradings_match_oracle():
@@ -219,7 +223,7 @@ def test_column_pruning_matches_full_placement_loop():
     seen = Counter()
     for _ in range(1500):
         Q = _random_grading(rng)
-        assert _weight_symmetries.__wrapped__(Q) == _reference_symmetries(Q)
+        assert aut_gen_weights(Q) == _reference_symmetries(Q)
         frees = [w.free_part for w in Q.distinct_weights()]
         seen["torsion"] += bool(Q.group.torsion_orders)
         seen["non-effective"] += not check_effective(Q)
@@ -263,7 +267,7 @@ def test_only_full_placements_that_permute_free_parts_are_tried(monkeypatch):
     state = _free_block_guard(monkeypatch)
     for Q, auts in zip(cases, expected):
         state["frees"] = [w.free_part for w in Q.distinct_weights()]
-        assert _weight_symmetries.__wrapped__(Q) == auts
+        assert aut_gen_weights(Q) == auts
 
 
 def test_eighteen_weights_in_z4_are_pruned_early():
@@ -274,7 +278,7 @@ def test_eighteen_weights_in_z4_are_pruned_early():
     vectors += [v for v in product(range(3), repeat=4) if sum(v) > 1][:14]
     Q = DegreeMatrix(tuple(z4.element(v) for v in vectors))
     start = time.perf_counter()
-    auts = _weight_symmetries.__wrapped__(Q)
+    auts = aut_gen_weights(Q)
     assert time.perf_counter() - start < 0.5
     # the identity and the swap of the last two coordinates
     assert [a.free_block for a in auts] == [
