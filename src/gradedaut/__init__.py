@@ -30,10 +30,9 @@ _MODULE_OF = {name: module for module, names in (
                      "component_dimension", "degree_of", "is_homogeneous",
                      "monomial_basis", "parse_polynomial",
                      "polynomial_to_str")),
-    ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple",
-                 "CombinedIdeal", "aut_ks", "build_action_basis",
-                 "render_presentation", "structured_matrix",
-                 "zero_pattern_ideal")),
+    ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple", "aut_ks",
+                 "build_action_basis", "render_presentation",
+                 "structured_matrix", "zero_pattern_ideal")),
     ("validation", ("ValidationReport", "require_valid_grading",
                     "validate_presentation")),
     ("weightsym", ("aut_gen_weights",)),

@@ -18,9 +18,8 @@ from .grading import GroupElement
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, annihilator_forms,
                           degree_of, ideal_component_basis, monomial_basis,
                           polynomial_to_str)
-from .ringaut import (AutPresentation, AutTriple, CombinedIdeal,
-                      render_presentation, ring_presentation,
-                      substitute_polynomial)
+from .ringaut import (AutPresentation, AutTriple, render_presentation,
+                      ring_presentation, substitute_polynomial)
 from .validation import validate_presentation
 from .weightsym import aut_gen_weights
 
@@ -138,10 +137,6 @@ class StabilizerPresentation:
     base: AutPresentation
     triples: tuple
     degree_roster: tuple
-
-    @property
-    def combined_ideal(self) -> CombinedIdeal:
-        return CombinedIdeal(tuple(t.ideal for t in self.triples))
 
     @property
     def n(self) -> int:

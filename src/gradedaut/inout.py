@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
-from .polynomials import (GradedPolyRing, Ideal, Polynomial, default_names,
+from .polynomials import (GradedPolyRing, Ideal, Polynomial, _line_col,
+                          _long_integer_message, default_names,
                           parse_polynomial, polynomial_to_str)
 from .validation import ValidationReport
 
@@ -119,164 +120,113 @@ def print_input(p: ProblemInput) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    """Character cursor with 1-based line and column tracking."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_space(self, newlines: bool):
-        while not self.eof():
-            ch = self.peek()
-            if ch in " \t" or (newlines and ch in "\r\n"):
-                self.take()
-            elif ch == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.take()
-            else:
-                return
-
-    def skip_line(self):
-        while not self.eof() and self.take() != "\n":
-            pass
-
-    def read_bare(self) -> str:
-        out = []
-        while not self.eof():
-            ch = self.peek()
-            if ch.isalnum() or ch in "_-":
-                out.append(self.take())
-            else:
-                break
-        return "".join(out)
+# the problem-file scanner's patterns, each matched at an offset
+_BLANK = re.compile(r"[ \t]*(?:#[^\n]*)?")  # blanks and a comment, in a line
+_GAP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks, newlines, comments
+_BARE = re.compile(r"[\w-]*")  # isalnum() characters, _ and -
+_INT = re.compile(r"-?\d*")  # \d is what int() reads as a digit
+_QUOTED = re.compile(r'"[^"\n]*')  # a string up to its closing quote
 
 
-def _read_value(rd: _Reader, diags: list):
-    """One value: integer, quoted string, or array; arrays span lines."""
-    line, col = rd.line, rd.col
-    if rd.eof() or rd.peek() in "\r\n":
-        diags.append((line, col, "missing value"))
-        return None
-    ch = rd.peek()
+def _at(text: str, pos: int, message: str):
+    """The diagnostic `message` at text[pos]."""
+    return (*_line_col(text, pos), message)
+
+
+def _read_value(text: str, pos: int, diags: list):
+    """The value at text[pos], an integer, quoted string, or array
+    (arrays span lines), or None after a diagnostic; and the offset
+    after what was read."""
+    ch = text[pos:pos + 1]
+    if ch in ("", "\r", "\n"):
+        diags.append(_at(text, pos, "missing value"))
+        return None, pos
     if ch == '"':
-        rd.take()
-        out = []
-        while True:
-            if rd.eof() or rd.peek() == "\n":
-                diags.append((line, col, "unterminated string"))
-                return None
-            c = rd.take()
-            if c == '"':
-                return "".join(out)
-            out.append(c)
+        end = _QUOTED.match(text, pos).end()
+        if text.startswith('"', end):
+            return text[pos + 1:end], end + 1
+        diags.append(_at(text, pos, "unterminated string"))
+        return None, end
     if ch == "[":
-        rd.take()
         items = []
-        while True:
-            rd.skip_space(newlines=True)
-            if rd.eof():
-                diags.append((line, col, "unterminated array"))
-                return None
-            if rd.peek() == "]":
-                rd.take()
-                return items
-            items.append(_read_value(rd, diags))
-            rd.skip_space(newlines=True)
-            if rd.eof():
-                diags.append((line, col, "unterminated array"))
-                return None
-            nxt = rd.peek()
-            if nxt == ",":
-                rd.take()
-            elif nxt != "]":
-                diags.append((rd.line, rd.col,
-                              f"expected ',' or ']' in array, found {nxt!r}"))
-                return None
-    if ch == "-" or ch.isdigit():
-        digits = []
-        if ch == "-":
-            digits.append(rd.take())
-        while not rd.eof() and rd.peek().isdigit():
-            digits.append(rd.take())
-        text = "".join(digits)
-        if text in ("", "-"):
-            diags.append((line, col, "malformed integer"))
-            return None
-        return int(text)
-    diags.append((line, col, f"unexpected character {ch!r} in value"))
-    rd.take()
-    return None
+        end = _GAP.match(text, pos + 1).end()
+        while end < len(text) and text[end] != "]":
+            value, end = _read_value(text, end, diags)
+            items.append(value)
+            end = _GAP.match(text, end).end()
+            if text.startswith(",", end):
+                end = _GAP.match(text, end + 1).end()
+            elif end < len(text) and text[end] != "]":
+                diags.append(_at(text, end, "expected ',' or ']' in array, "
+                                 f"found {text[end]!r}"))
+                return None, end
+        if end == len(text):
+            diags.append(_at(text, pos, "unterminated array"))
+            return None, end
+        return items, end + 1
+    end = _INT.match(text, pos).end()
+    if end == pos:
+        diags.append(_at(text, pos, f"unexpected character {ch!r} in value"))
+        return None, pos + 1
+    if end == pos + 1 and ch == "-":
+        diags.append(_at(text, pos, "malformed integer"))
+        return None, end
+    try:
+        return int(text[pos:end]), end
+    except ValueError:
+        diags.append(_at(text, pos, _long_integer_message()))
+        return None, end
 
 
 def _read_entries(text: str):
-    """Raw scan: `full.key -> (value, line, col)` plus syntax diagnostics."""
-    rd = _Reader(text)
+    """Raw scan: `full.key -> (value, line, col)` plus syntax
+    diagnostics.  After a syntax error the scan goes on at the next
+    line."""
     entries = {}
     diags = []
     section = ""
+    pos = 0
     while True:
-        rd.skip_space(newlines=True)
-        if rd.eof():
-            break
-        line, col = rd.line, rd.col
-        if rd.peek() == "[":
-            rd.take()
-            name = rd.read_bare()
-            if not name or rd.eof() or rd.peek() != "]":
-                diags.append((line, col, "malformed section header"))
-                rd.skip_line()
-                continue
-            rd.take()
-            section = name
-            rd.skip_space(newlines=False)
-            if not rd.eof() and rd.peek() not in "\r\n":
-                diags.append((rd.line, rd.col,
-                              "unexpected text after section header"))
-                rd.skip_line()
-            continue
-        key = rd.read_bare()
-        if not key:
-            diags.append((line, col, f"unexpected character {rd.peek()!r}"))
-            rd.skip_line()
-            continue
-        rd.skip_space(newlines=False)
-        if rd.eof() or rd.peek() != "=":
-            diags.append((rd.line, rd.col, f"expected '=' after key {key!r}"))
-            rd.skip_line()
-            continue
-        rd.take()
-        rd.skip_space(newlines=False)
-        value = _read_value(rd, diags)
-        full = f"{section}.{key}" if section else key
-        if full in entries:
-            diags.append((line, col, f"duplicate key {full!r}"))
+        pos = _GAP.match(text, pos).end()
+        if pos == len(text):
+            return entries, diags
+        start = pos
+        if text[start] == "[":
+            pos = _BARE.match(text, start + 1).end()
+            if pos == start + 1 or not text.startswith("]", pos):
+                diags.append(_at(text, start, "malformed section header"))
+            else:
+                section = text[start + 1:pos]
+                pos = _BLANK.match(text, pos + 1).end()
+                if text[pos:pos + 1] in ("", "\r", "\n"):
+                    continue
+                diags.append(_at(text, pos,
+                                 "unexpected text after section header"))
         else:
-            entries[full] = (value, line, col)
-        rd.skip_space(newlines=False)
-        if not rd.eof() and rd.peek() not in "\r\n":
-            diags.append((rd.line, rd.col,
-                          f"unexpected text after the value of {full!r}"))
-            rd.skip_line()
-    return entries, diags
+            pos = _BARE.match(text, start).end()
+            key = text[start:pos]
+            pos = _BLANK.match(text, pos).end()
+            if not key:
+                diags.append(_at(text, start,
+                                 f"unexpected character {text[start]!r}"))
+            elif not text.startswith("=", pos):
+                diags.append(_at(text, pos, f"expected '=' after key {key!r}"))
+            else:
+                pos = _BLANK.match(text, pos + 1).end()
+                value, pos = _read_value(text, pos, diags)
+                full = f"{section}.{key}" if section else key
+                line, col = _line_col(text, start)
+                if full in entries:
+                    diags.append((line, col, f"duplicate key {full!r}"))
+                else:
+                    entries[full] = (value, line, col)
+                pos = _BLANK.match(text, pos).end()
+                if text[pos:pos + 1] in ("", "\r", "\n"):
+                    continue
+                diags.append(_at(text, pos, "unexpected text after the "
+                                 f"value of {full!r}"))
+        # skip to the end of the line
+        pos = text.find("\n", pos) + 1 or len(text)
 
 
 _KNOWN_KEYS = ("grading.free_rank", "grading.torsion", "vars", "Q",
@@ -581,8 +531,9 @@ def _encode_problem(p: ProblemInput):
 
 
 def _decode_problem(data) -> ProblemInput:
+    """The problem section, checked as the problem file it prints."""
     faces = data.get("faces")
-    return ProblemInput(
+    p = ProblemInput(
         _int(data["grading"]["free_rank"]),
         _ints(data["grading"]["torsion"]),
         _int(data["vars"]),
@@ -591,6 +542,12 @@ def _decode_problem(data) -> ProblemInput:
         None if data.get("w") is None else _ints(data["w"]),
         None if faces is None else _int_rows(faces),
         data.get("mode", "all-subsets"))
+    try:
+        parse_input(print_input(p))
+    except InputError as exc:
+        raise ValueError("problem section: " + "; ".join(
+            msg for _, _, msg in exc.diagnostics)) from None
+    return p
 
 
 _REPORT_FLAGS = ("effective", "pointed", "generators_homogeneous",
@@ -658,11 +615,14 @@ def _encode_stabilizer(stab: StabilizerPresentation, base: dict):
 
 def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
     """`base` is the decoded data["base"]."""
-    from .algebraaut import StabilizerPresentation, StabilizerTriple
+    from .algebraaut import (StabilizerPresentation, StabilizerTriple,
+                             ideal_generator_degrees)
     ring = base.ring
     ideal = Ideal(ring, tuple(_decode_poly(g) for g in data["ideal"]))
     roster = tuple(ring.grading.from_coordinates(c)
                    for c in _int_rows(data["roster"]))
+    if roster != ideal_generator_degrees(ideal):
+        raise ValueError("roster is not the degrees of the ideal's generators")
     gen_lists = data["stabilizer_gens"]
     if len(gen_lists) != len(base.triples):
         raise InputError([(1, 1, "stabilizer section is inconsistent: "
@@ -723,6 +683,7 @@ def bundle_from_data(data) -> ResultBundle:
 
 def _decode_bundle(data) -> ResultBundle:
     problem = _decode_problem(data["problem"])
+    ring = problem.ring()
     report = (None if data.get("validation") is None
               else _decode_report(data["validation"]))
     weight_auts = tuple(map(_int_rows, data.get("weight_symmetries", [])))
@@ -731,6 +692,8 @@ def _decode_bundle(data) -> ResultBundle:
         GroupAutomorphism.from_display(group, m)
     pres_data = data.get("presentation")
     pres = None if pres_data is None else _decode_presentation(pres_data)
+    if pres is not None and pres.ring != ring:
+        raise ValueError("the presentation's ring is not the problem's")
     stab_data = data.get("stabilizer")
     stab = None
     if stab_data is not None:
@@ -739,7 +702,11 @@ def _decode_bundle(data) -> ResultBundle:
         base_data = stab_data["base"]
         base = (pres if pres is not None and base_data is pres_data
                 else _decode_presentation(base_data))
+        if base.ring != ring:
+            raise ValueError("the stabilizer base's ring is not the problem's")
         stab = _decode_stabilizer(stab_data, base)
+        if stab.ideal != problem.ideal(ring):
+            raise ValueError("the stabilizer's ideal is not the problem's")
     fdata = data.get("filter")
     filt = None
     if fdata is not None:
@@ -947,6 +914,9 @@ def report_from_text(text: str) -> ResultBundle:
     except json.JSONDecodeError as exc:
         raise InputError([(exc.lineno, exc.colno,
                            f"not valid JSON: {exc.msg}")]) from None
+    except ValueError:  # json's int() refused a number as too long
+        raise InputError([(1, 1, "malformed report: "
+                           + _long_integer_message())]) from None
     return bundle_from_data(data)
 
 

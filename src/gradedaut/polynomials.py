@@ -15,6 +15,8 @@ sorted by it so identical inputs print identically.
 from __future__ import annotations
 
 import re
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -295,15 +297,36 @@ def _tokenize(text: str):
     return tokens
 
 
+@lru_cache(maxsize=1)
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line of text.  A problem file asks for the
+    positions of one text many times in a row."""
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
 def _line_col(text: str, pos: int):
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last if last >= 0 else pos + 1
+    """The 1-based line and column of text[pos]."""
+    starts = _line_starts(text)
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
 
 
 def _err(text: str, pos: int, message: str) -> InputError:
     line, col = _line_col(text, pos)
     return InputError([(line, col, message)])
+
+
+def _long_integer_message() -> str:
+    """The diagnostic for an integer literal that int() refuses as too
+    long."""
+    return f"integer longer than {sys.get_int_max_str_digits()} digits"
+
+
+def _int_token(text: str, tok) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise _err(text, tok[2], _long_integer_message()) from None
 
 
 def parse_polynomial(text: str, names) -> Polynomial:
@@ -335,11 +358,14 @@ def parse_polynomial(text: str, names) -> Polynomial:
         tok = peek()
         if tok[0] == "int":
             take()
-            num = int(tok[1])
+            num = _int_token(text, tok)
             if peek()[0] == "op" and peek()[1] == "/":
                 take()
                 den_tok = take("int")
-                return Polynomial.constant(Fraction(num, int(den_tok[1])), nvars), None
+                den = _int_token(text, den_tok)
+                if den == 0:
+                    raise _err(text, den_tok[2], "division by zero")
+                return Polynomial.constant(Fraction(num, den), nvars), None
             return Polynomial.constant(num, nvars), None
         if tok[0] == "name":
             take()
@@ -355,7 +381,7 @@ def parse_polynomial(text: str, names) -> Polynomial:
             if peek()[0] == "op" and peek()[1] == "^":
                 take()
                 exp_tok = take("int")
-                return base, int(exp_tok[1])
+                return base, _int_token(text, exp_tok)
             return base, 1
         raise _err(text, tok[2], f"expected a term, found {tok[1]!r}" if tok[1]
                    else "expected a term, found end of input")

@@ -258,21 +258,23 @@ def multiplicativity_ideal(basis: ActionBasis):
     the flat basis, the image of m and the product of the images of m'
     and m'' are expanded over T-monomials and matched coefficient by
     coefficient; generators are the differences, product side minus
-    direct side, deduplicated in scan order.
+    direct side, deduplicated in scan order.  A composite m without
+    such a pair is matched against the product of the images of its
+    variables, which fix every row (Hausen-Keicher-Wolf).
     """
     n = basis.n
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
-        pairs = []
-        for fa in range(n):
-            for fb in range(fa, n):
-                if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
-                    pairs.append((fa, fb))
-        for fa, fb in pairs:
-            direct = generic_row_image(basis, fm)
-            prod = _ys_mul(generic_row_image(basis, fa),
-                           generic_row_image(basis, fb))
+        pairs = [(fa, fb) for fa in range(n) for fb in range(fa, n)
+                 if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono]
+        products = (_ys_mul(generic_row_image(basis, fa),
+                            generic_row_image(basis, fb)) for fa, fb in pairs)
+        if not pairs and sum(mono) > 1:
+            products = [substitute_polynomial(
+                basis, Polynomial.from_term(mono, 1))]
+        direct = generic_row_image(basis, fm)
+        for prod in products:
             keys = sorted(set(direct) | set(prod), key=grlex_key, reverse=True)
             for mu in keys:
                 zero = Polynomial.zero()
@@ -294,28 +296,15 @@ class AutTriple:
 
 
 @dataclass(frozen=True)
-class CombinedIdeal:
-    """The combined equations kept in factored form: one generator list
-    per triple.  The vanishing locus is the union over the triples, the
-    same locus the product of the lists would cut out."""
-
-    factors: tuple[tuple[Polynomial, ...], ...]
-
-
-@dataclass(frozen=True)
 class AutPresentation:
     """Everything the polynomial-ring stage produces: the coordinate
-    ring of matrix slots, one triple per admissible weight symmetry, and
-    the combined equations."""
+    ring of matrix slots and one triple, with its equations, per
+    admissible weight symmetry."""
 
     ring: GradedPolyRing
     basis: ActionBasis
     slot_ring: GradedPolyRing
     triples: tuple[AutTriple, ...]
-
-    @property
-    def combined_ideal(self) -> CombinedIdeal:
-        return CombinedIdeal(tuple(t.ideal for t in self.triples))
 
     @property
     def n(self) -> int:

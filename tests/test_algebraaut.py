@@ -79,7 +79,6 @@ def test_quadric8_shape(quadric8_stab):
     assert len(pres.triples) == 4
     assert all(len(t.stabilizer_gens) == 3 for t in pres.triples)
     assert all(len(t.ideal) == 60 for t in pres.triples)
-    assert pres.combined_ideal.factors == tuple(t.ideal for t in pres.triples)
     assert len(pres.degree_roster) == 1
 
 

@@ -308,7 +308,7 @@ def test_each_command_loads_only_its_stages(tmp_path):
 
 
 PUBLIC_NAMES = [
-    "ActionBasis", "AutPresentation", "AutTriple", "CombinedIdeal",
+    "ActionBasis", "AutPresentation", "AutTriple",
     "DegreeMatrix", "FilterResult", "GradedAutError", "GradedPolyRing",
     "GradingGroup", "GroupAutomorphism", "GroupElement", "GuardError",
     "Ideal", "InputError", "Polynomial", "ProblemInput", "RationalCone",

@@ -26,6 +26,8 @@ from gradedaut.validation import validate_presentation
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "quadric8.toml"
 BENCH_PROBLEMS = DEMO.parent.parent / "bench" / "problems"
 
+TINY = "vars = 2\nQ = [[1, 1]]\n\n[grading]\nfree_rank = 1\n"
+
 QUADRIC8_PROBLEM = ProblemInput(3, (2,), 8, QUADRIC8_ROWS, (QUADRIC8_GEN,),
                                 (1, 9, 16, 0))
 
@@ -223,6 +225,77 @@ def test_comments_and_trailing_commas():
     p = parse_input(text)
     assert p.var_count == 3
     assert p.rows == ((1, 1, 1),)
+
+
+# what the mutations insert: the file syntax, and characters that
+# str.isdigit() or str.isalnum() take but int() or the grammar do not
+MUTATION_ALPHABET = list(" \t\n\r#[]=,\"-_0129TQvw()*+^/") + ["²", "١", "é"]
+
+
+def _mutated(rng, text):
+    """text after one to three seeded insertions, deletions,
+    replacements or splices."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif op == 2:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i + 1:]
+        else:
+            a = rng.randrange(len(text))
+            text = text[:i] + text[a:a + rng.randint(1, 20)] + text[i:]
+    return text
+
+
+def test_parse_input_survives_mutations():
+    """Every mutated problem file parses to a problem that prints and
+    reads back as itself, or raises InputError; nothing else."""
+    rng = random.Random(16)
+    parsed = refused = 0
+    for path in [DEMO, *sorted(BENCH_PROBLEMS.glob("*.toml"))]:
+        base = path.read_text(encoding="utf-8")
+        for _ in range(400):
+            try:
+                p = parse_input(_mutated(rng, base))
+            except InputError:
+                refused += 1
+                continue
+            parsed += 1
+            assert parse_input(print_input(p)) == p
+    assert parsed > 500 and refused > 1000
+
+
+@pytest.mark.parametrize("value, col, message", [
+    ("²", 8, "unexpected character '²' in value"),
+    ("1" * 4301, 8, "integer longer than 4300 digits"),
+    ("-", 8, "malformed integer"),
+], ids=["superscript", "long", "bare-minus"])
+def test_integer_values_exit_2(tmp_path, capsys, value, col, message):
+    # '²'.isdigit() holds, but int('²') fails
+    path = tmp_path / "problem.toml"
+    path.write_text(TINY.replace("vars = 2", f"vars = {value}"),
+                    encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:1:{col}: {message}\n"
+
+
+def test_long_integer_in_generator_exits_2(tmp_path, capsys):
+    path = tmp_path / "problem.toml"
+    path.write_text(DEMO.read_text().replace(
+        QUADRIC8_GEN, "1" * 4301 + "*T(1)*T(6)"), encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{path}:11:1: ideal generator 1: integer longer than "
+                   "4300 digits\n")
+
+
+def test_zero_denominator_in_generator():
+    text = DEMO.read_text().replace(QUADRIC8_GEN, "1/0*T(1)*T(6)")
+    with pytest.raises(InputError, match="ideal generator 1: division by zero"):
+        parse_input(text)
 
 
 def test_problem_input_rejects_inconsistent_mode():
@@ -467,6 +540,57 @@ def test_report_string_lists_are_strict(tmp_path, capsys, key, value, found):
     err = capsys.readouterr().err
     assert err == (f"{path}:1:1: malformed report: expected a list of "
                    f"strings, found {found}\n")
+
+
+@pytest.mark.parametrize("edit, found", [
+    ("vars", "problem section: Q row 1 has 8 entries, expected vars = 5; "
+     "ideal generator 1: unknown variable 'T(6)'"),
+    ("Q", "problem section: Q row 1 has 2 entries, expected vars = 8"),
+    ("ring", "the presentation's ring is not the problem's"),
+    ("base", "the stabilizer base's ring is not the problem's"),
+    ("ideal", "the stabilizer's ideal is not the problem's"),
+    ("roster", "roster is not the degrees of the ideal's generators"),
+])
+def test_report_parts_must_agree(tmp_path, capsys, edit, found):
+    """Each part decodes on its own, but they describe different
+    problems."""
+    data = _cli_report(tmp_path, capsys)
+    problem = data["problem"]
+    if edit == "vars":
+        problem["vars"] = 5
+    elif edit == "Q":
+        problem["Q"] = [row[:2] for row in problem["Q"]]
+    elif edit == "ring":
+        problem["Q"] = [[row[1], row[0], *row[2:]] for row in problem["Q"]]
+    elif edit == "base":
+        # a base that decodes on its own, for another ring
+        other, out = tmp_path / "tiny.toml", tmp_path / "tiny.json"
+        other.write_text(TINY, encoding="utf-8")
+        assert main(["autks", "--input", str(other), "--out", str(out)]) == 0
+        capsys.readouterr()
+        data["stabilizer"]["base"] = json.loads(out.read_text())["presentation"]
+    elif edit == "ideal":
+        problem["ideal"] = ["T(1)"]
+    else:
+        data["stabilizer"]["roster"] *= 2
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}:1:1: malformed report: {found}\n"
+    assert captured.out == ""
+
+
+def test_long_integer_in_report_exits_2(tmp_path, capsys):
+    text = json.dumps(_cli_report(tmp_path, capsys))
+    assert '"n": 8,' in text
+    path = tmp_path / "edited.json"
+    path.write_text(text.replace('"n": 8,', '"n": ' + "8" * 4301 + ",", 1),
+                    encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{path}:1:1: malformed report: integer longer than "
+                   "4300 digits\n")
 
 
 def test_report_json_matches_json_loads():

@@ -314,6 +314,49 @@ def test_multiplicativity_frozen_equations():
     ]
 
 
+def qring(*rows):
+    group = GradingGroup(len(rows), ())
+    return GradedPolyRing.from_degree_matrix(DegreeMatrix.from_rows(group, rows))
+
+
+def test_multiplicativity_fixes_composites_without_a_pair():
+    """P(1,1,3): T(1)^3 has no factorization inside the basis, since 2 is
+    no generator weight.  Swapping the rows of T(1)^3 and T(3), with
+    Z = -1 for the determinant, satisfies the zero pattern and the
+    witness, but it is no ring map: it sends T(1)^3 to T(3), not to the
+    cube of the image of T(1)."""
+    pres = aut_ks(zring(1, 1, 3))
+    basis, n = pres.basis, pres.n
+    assert [len(t.ideal) for t in pres.triples] == [233]
+    cube, t3 = basis.flat_index((3, 0, 0)), basis.flat_index((0, 0, 1))
+    image = list(range(n))
+    image[cube], image[t3] = t3, cube
+    values = [Fraction(0)] * (n * n + 1)
+    for i, j in enumerate(image):
+        values[i * n + j] = Fraction(1)
+    values[n * n] = Fraction(-1)
+    triple = pres.triples[0]
+    assert all(g.substitute_values(values) == 0
+               for g in zero_pattern_ideal(triple.matrix))
+    assert any(g.substitute_values(values) != 0 for g in triple.ideal)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 1, 3),),
+    ((1, 1, 0, -2), (0, 0, 1, 1)),  # the Hirzebruch surface F_2
+    ((1, 1, 0, -3), (0, 0, 1, 1)),  # F_3
+    *((w,) for w in sorted({tuple(sorted(random.Random(seed).choices(
+        range(1, 5), k=3))) for seed in range(12)})),
+], ids=str)
+def test_multiplicativity_mentions_every_composite_row(rows):
+    basis = build_action_basis(qring(*rows))
+    n = basis.n
+    mentioned = {i // n for g in multiplicativity_ideal(basis)
+                 for mono in g.terms for i, e in enumerate(mono) if e}
+    assert all(f in mentioned for f, mono in enumerate(basis.flat)
+               if sum(mono) > 1)
+
+
 def test_substitution_against_identity_pattern(quadric8_basis, quadric8_group,
                                                quadric8_ideal):
     m = structured_matrix(quadric8_basis,
@@ -341,7 +384,6 @@ def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     assert cols[64].is_zero()
     group = quadric8_ring.grading
     assert pres.witness_degree() == group.element((0, 0, -8), (0,))
-    assert pres.combined_ideal.factors == tuple(t.ideal for t in pres.triples)
 
 
 def test_aut_ks_maps_blocks_once(monkeypatch, quadric8_ring):
@@ -402,13 +444,6 @@ def test_torus_points_satisfy_identity_triple(quadric8_presentation):
         values[n * n] = 1 / det
         for g in identity_triple.ideal:
             assert g.substitute_values(values) == 0
-
-
-def test_combined_ideal_products():
-    pres = aut_ks(zring(1, 2))
-    combined = pres.combined_ideal
-    assert len(combined.factors) == 1
-    assert combined.factors[0] == pres.triples[0].ideal
 
 
 def test_render_presentation(quadric8_presentation):
