@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, _line_col,
-                          _long_integer_message, default_names,
+                          _line_starts, _long_integer_message, default_names,
                           parse_polynomial, polynomial_to_str)
 from .validation import ValidationReport
 
@@ -128,24 +128,20 @@ _INT = re.compile(r"-?\d*")  # \d is what int() reads as a digit
 _QUOTED = re.compile(r'"[^"\n]*')  # a string up to its closing quote
 
 
-def _at(text: str, pos: int, message: str):
-    """The diagnostic `message` at text[pos]."""
-    return (*_line_col(text, pos), message)
-
-
 def _read_value(text: str, pos: int, diags: list):
     """The value at text[pos], an integer, quoted string, or array
     (arrays span lines), or None after a diagnostic; and the offset
-    after what was read."""
+    after what was read.  Diagnostics go to `diags` as (offset,
+    message)."""
     ch = text[pos:pos + 1]
     if ch in ("", "\r", "\n"):
-        diags.append(_at(text, pos, "missing value"))
+        diags.append((pos, "missing value"))
         return None, pos
     if ch == '"':
         end = _QUOTED.match(text, pos).end()
         if text.startswith('"', end):
             return text[pos + 1:end], end + 1
-        diags.append(_at(text, pos, "unterminated string"))
+        diags.append((pos, "unterminated string"))
         return None, end
     if ch == "[":
         items = []
@@ -157,24 +153,24 @@ def _read_value(text: str, pos: int, diags: list):
             if text.startswith(",", end):
                 end = _GAP.match(text, end + 1).end()
             elif end < len(text) and text[end] != "]":
-                diags.append(_at(text, end, "expected ',' or ']' in array, "
-                                 f"found {text[end]!r}"))
+                diags.append((end, "expected ',' or ']' in array, "
+                              f"found {text[end]!r}"))
                 return None, end
         if end == len(text):
-            diags.append(_at(text, pos, "unterminated array"))
+            diags.append((pos, "unterminated array"))
             return None, end
         return items, end + 1
     end = _INT.match(text, pos).end()
     if end == pos:
-        diags.append(_at(text, pos, f"unexpected character {ch!r} in value"))
+        diags.append((pos, f"unexpected character {ch!r} in value"))
         return None, pos + 1
     if end == pos + 1 and ch == "-":
-        diags.append(_at(text, pos, "malformed integer"))
+        diags.append((pos, "malformed integer"))
         return None, end
     try:
         return int(text[pos:end]), end
     except ValueError:
-        diags.append(_at(text, pos, _long_integer_message()))
+        diags.append((pos, _long_integer_message()))
         return None, end
 
 
@@ -189,44 +185,45 @@ def _read_entries(text: str):
     while True:
         pos = _GAP.match(text, pos).end()
         if pos == len(text):
-            return entries, diags
+            break
         start = pos
         if text[start] == "[":
             pos = _BARE.match(text, start + 1).end()
             if pos == start + 1 or not text.startswith("]", pos):
-                diags.append(_at(text, start, "malformed section header"))
+                diags.append((start, "malformed section header"))
             else:
                 section = text[start + 1:pos]
                 pos = _BLANK.match(text, pos + 1).end()
                 if text[pos:pos + 1] in ("", "\r", "\n"):
                     continue
-                diags.append(_at(text, pos,
-                                 "unexpected text after section header"))
+                diags.append((pos, "unexpected text after section header"))
         else:
             pos = _BARE.match(text, start).end()
             key = text[start:pos]
             pos = _BLANK.match(text, pos).end()
             if not key:
-                diags.append(_at(text, start,
-                                 f"unexpected character {text[start]!r}"))
+                diags.append((start, f"unexpected character {text[start]!r}"))
             elif not text.startswith("=", pos):
-                diags.append(_at(text, pos, f"expected '=' after key {key!r}"))
+                diags.append((pos, f"expected '=' after key {key!r}"))
             else:
                 pos = _BLANK.match(text, pos + 1).end()
                 value, pos = _read_value(text, pos, diags)
                 full = f"{section}.{key}" if section else key
-                line, col = _line_col(text, start)
                 if full in entries:
-                    diags.append((line, col, f"duplicate key {full!r}"))
+                    diags.append((start, f"duplicate key {full!r}"))
                 else:
-                    entries[full] = (value, line, col)
+                    entries[full] = (value, start)
                 pos = _BLANK.match(text, pos).end()
                 if text[pos:pos + 1] in ("", "\r", "\n"):
                     continue
-                diags.append(_at(text, pos, "unexpected text after the "
-                                 f"value of {full!r}"))
+                diags.append((pos, "unexpected text after the "
+                              f"value of {full!r}"))
         # skip to the end of the line
         pos = text.find("\n", pos) + 1 or len(text)
+    starts = _line_starts(text)
+    return ({key: (value, *_line_col(starts, at))
+             for key, (value, at) in entries.items()},
+            [(*_line_col(starts, at), message) for at, message in diags])
 
 
 _KNOWN_KEYS = ("grading.free_rank", "grading.torsion", "vars", "Q",

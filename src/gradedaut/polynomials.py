@@ -297,22 +297,20 @@ def _tokenize(text: str):
     return tokens
 
 
-@lru_cache(maxsize=1)
 def _line_starts(text: str) -> list[int]:
-    """The offset of each line of text.  A problem file asks for the
-    positions of one text many times in a row."""
+    """The offset at which each line of text starts."""
     return [0, *(m.end() for m in re.finditer("\n", text))]
 
 
-def _line_col(text: str, pos: int):
-    """The 1-based line and column of text[pos]."""
-    starts = _line_starts(text)
+def _line_col(starts: list[int], pos: int):
+    """The 1-based line and column of offset pos, from the line starts
+    of its text."""
     line = bisect_right(starts, pos)
     return line, pos - starts[line - 1] + 1
 
 
 def _err(text: str, pos: int, message: str) -> InputError:
-    line, col = _line_col(text, pos)
+    line, col = _line_col(_line_starts(text), pos)
     return InputError([(line, col, message)])
 
 

@@ -136,6 +136,13 @@ def _signed_permutations(items):
             for perm, c in zip(permutations(items), map(sum, codes))]
 
 
+def _require_det_terms(count: int):
+    if count > DET_TERM_BOUND:
+        raise GuardError(
+            f"symbolic determinant has {count} terms, above the bound "
+            f"{DET_TERM_BOUND} (ringaut.DET_TERM_BOUND)")
+
+
 def zero_pattern_ideal(matrix: SymbolicMatrix):
     """One vanishing generator per zero slot, then the invertibility
     witness det(A) * Z - 1.
@@ -159,11 +166,7 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
             or len(set().union(*supports)) != n):
         raise StructuralError("the zero pattern is not a block permutation "
                               "of full square blocks")
-    count = prod(factorial(len(rows)) for rows in supports.values())
-    if count > DET_TERM_BOUND:
-        raise GuardError(
-            f"symbolic determinant has {count} terms, above the bound "
-            f"{DET_TERM_BOUND} (ringaut.DET_TERM_BOUND)")
+    _require_det_terms(prod(factorial(len(rows)) for rows in supports.values()))
     base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
     # the sign of the block permutation, from its inversions
     inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
@@ -250,6 +253,19 @@ def substitute_polynomial(basis: ActionBasis, f: Polynomial,
     return result
 
 
+def _match_rows(direct, prod, seen, out):
+    """Append product minus direct side, one generator per T-monomial in
+    descending grlex order, skipping zeros and generators seen before."""
+    keys = sorted(set(direct) | set(prod), key=grlex_key, reverse=True)
+    for mu in keys:
+        zero = Polynomial.zero()
+        gen = prod.get(mu, zero) - direct.get(mu, zero)
+        if gen.is_zero() or gen in seen:
+            continue
+        seen.add(gen)
+        out.append(gen)
+
+
 def multiplicativity_ideal(basis: ActionBasis):
     """Coefficient equations forcing images of composite basis monomials
     to equal products of images of their factors.
@@ -258,31 +274,43 @@ def multiplicativity_ideal(basis: ActionBasis):
     the flat basis, the image of m and the product of the images of m'
     and m'' are expanded over T-monomials and matched coefficient by
     coefficient; generators are the differences, product side minus
-    direct side, deduplicated in scan order.  A composite m without
-    such a pair is matched against the product of the images of its
-    variables, which fix every row (Hausen-Keicher-Wolf).
+    direct side, deduplicated in scan order.  Composites without such a
+    pair are left to `variable_product_ideal`.
     """
     n = basis.n
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
-        pairs = [(fa, fb) for fa in range(n) for fb in range(fa, n)
-                 if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono]
-        products = (_ys_mul(generic_row_image(basis, fa),
-                            generic_row_image(basis, fb)) for fa, fb in pairs)
-        if not pairs and sum(mono) > 1:
-            products = [substitute_polynomial(
-                basis, Polynomial.from_term(mono, 1))]
         direct = generic_row_image(basis, fm)
-        for prod in products:
-            keys = sorted(set(direct) | set(prod), key=grlex_key, reverse=True)
-            for mu in keys:
-                zero = Polynomial.zero()
-                gen = prod.get(mu, zero) - direct.get(mu, zero)
-                if gen.is_zero() or gen in seen:
-                    continue
-                seen.add(gen)
-                out.append(gen)
+        for fa in range(n):
+            for fb in range(fa, n):
+                if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
+                    _match_rows(direct,
+                                _ys_mul(generic_row_image(basis, fa),
+                                        generic_row_image(basis, fb)),
+                                seen, out)
+    return out
+
+
+def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
+    """Equations for the composite basis monomials m (total degree > 1)
+    that are no product of two basis monomials, e.g. T(1)^3 in P(1,1,3):
+    the row of m must equal the product of the rows of its variables,
+    which fix every row (Hausen-Keicher-Wolf).  Both sides keep only the
+    slots `matrix` leaves free, so each product has no more terms than
+    the structured rows allow."""
+    flat = set(basis.flat)
+    out = []
+    seen = set()
+    for fm, mono in enumerate(basis.flat):
+        if sum(mono) < 2 or any(all(a <= b for a, b in zip(d, mono))
+                                and tuple(b - a for a, b in zip(d, mono)) in flat
+                                for d in basis.flat):
+            continue
+        _match_rows(generic_row_image(basis, fm, matrix),
+                    substitute_polynomial(basis, Polynomial.from_term(mono, 1),
+                                          matrix),
+                    seen, out)
     return out
 
 
@@ -334,7 +362,8 @@ def _slot_ring(basis: ActionBasis) -> GradedPolyRing:
 
 def _build_triple(basis, admissible, mult_gens):
     matrix = _pattern(basis, admissible.block_map)
-    gens = tuple(zero_pattern_ideal(matrix)) + tuple(mult_gens)
+    gens = (*zero_pattern_ideal(matrix), *mult_gens,
+            *variable_product_ideal(basis, matrix))
     return AutTriple(matrix, admissible.aut, gens)
 
 
@@ -354,6 +383,8 @@ def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
     of the ring's degree matrix; the ring is not validated again."""
     basis = build_action_basis(ring)
     admissibles = admissible_automorphisms(auts, ring)
+    # every structured matrix has the same determinant term count
+    _require_det_terms(prod(factorial(len(b)) for b in basis.blocks))
     mult_gens = tuple(multiplicativity_ideal(basis))
     triples = tuple(_build_triple(basis, adm, mult_gens)
                     for adm in admissibles)

@@ -15,7 +15,8 @@ from gradedaut.polynomials import (DeterminantWitness, GradedPolyRing,
 from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                build_action_basis, multiplicativity_ideal,
                                render_presentation, structured_matrix,
-                               substitute_polynomial, yz_names,
+                               substitute_polynomial,
+                               variable_product_ideal, yz_names,
                                zero_pattern_ideal)
 
 from conftest import QUADRIC8_AUT_MATRICES
@@ -35,10 +36,11 @@ def quadric8_presentation(quadric8_ring):
     return aut_ks(quadric8_ring)
 
 
-def zring(*weights):
-    group = GradingGroup(1, ())
-    cols = tuple(group.element((w,), ()) for w in weights)
-    return GradedPolyRing.from_degree_matrix(DegreeMatrix(cols))
+def zring(*rows):
+    """The ring graded by Z^k, k = len(rows), whose degree matrix has
+    these rows."""
+    group = GradingGroup(len(rows), ())
+    return GradedPolyRing.from_degree_matrix(DegreeMatrix.from_rows(group, rows))
 
 
 def test_action_basis_quadric8(quadric8_basis):
@@ -53,7 +55,7 @@ def test_action_basis_quadric8(quadric8_basis):
 
 
 def test_action_basis_mixed_blocks():
-    ring = zring(1, 2)
+    ring = zring((1, 2))
     b = build_action_basis(ring)
     assert b.flat == ((1, 0), (2, 0), (0, 1))
     assert [len(block) for block in b.blocks] == [1, 2]
@@ -265,7 +267,7 @@ def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
 
 def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
     with pytest.raises(GuardError) as info:
-        aut_ks(zring(*[1] * 10))
+        aut_ks(zring((1,) * 10))
     assert "3628800" in str(info.value)
     assert "1000000" in str(info.value)
 
@@ -275,7 +277,7 @@ def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
 
     monkeypatch.setattr(ringaut, "_signed_permutations", no_terms)
     with pytest.raises(GuardError) as info:
-        aut_ks(zring(*[1] * 10))
+        aut_ks(zring((1,) * 10))
     assert "3628800" in str(info.value)
     assert "1000000" in str(info.value)
 
@@ -291,7 +293,7 @@ def test_zero_pattern_term_guard(monkeypatch):
                        r"\(ringaut.DET_TERM_BOUND\)"):
         zero_pattern_ideal(full)
     with pytest.raises(GuardError, match="6 terms"):
-        aut_ks(zring(1, 1, 1))
+        aut_ks(zring((1, 1, 1)))
 
 
 def test_multiplicativity_empty_for_variable_blocks(quadric8_basis):
@@ -299,7 +301,7 @@ def test_multiplicativity_empty_for_variable_blocks(quadric8_basis):
 
 
 def test_multiplicativity_frozen_equations():
-    basis = build_action_basis(zring(1, 2))
+    basis = build_action_basis(zring((1, 2)))
     gens = multiplicativity_ideal(basis)
     names = yz_names(3)
     assert [polynomial_to_str(g, names) for g in gens] == [
@@ -314,20 +316,17 @@ def test_multiplicativity_frozen_equations():
     ]
 
 
-def qring(*rows):
-    group = GradingGroup(len(rows), ())
-    return GradedPolyRing.from_degree_matrix(DegreeMatrix.from_rows(group, rows))
-
-
 def test_multiplicativity_fixes_composites_without_a_pair():
     """P(1,1,3): T(1)^3 has no factorization inside the basis, since 2 is
     no generator weight.  Swapping the rows of T(1)^3 and T(3), with
     Z = -1 for the determinant, satisfies the zero pattern and the
     witness, but it is no ring map: it sends T(1)^3 to T(3), not to the
     cube of the image of T(1)."""
-    pres = aut_ks(zring(1, 1, 3))
+    pres = aut_ks(zring((1, 1, 3)))
     basis, n = pres.basis, pres.n
-    assert [len(t.ideal) for t in pres.triples] == [233]
+    # 20 zero slots, the witness, and 5 equations for each of the 4
+    # cubes in T(1), T(2): one per surviving slot of its row
+    assert [len(t.ideal) for t in pres.triples] == [41]
     cube, t3 = basis.flat_index((3, 0, 0)), basis.flat_index((0, 0, 1))
     image = list(range(n))
     image[cube], image[t3] = t3, cube
@@ -349,12 +348,42 @@ def test_multiplicativity_fixes_composites_without_a_pair():
         range(1, 5), k=3))) for seed in range(12)})),
 ], ids=str)
 def test_multiplicativity_mentions_every_composite_row(rows):
-    basis = build_action_basis(qring(*rows))
+    basis = build_action_basis(zring(*rows))
     n = basis.n
-    mentioned = {i // n for g in multiplicativity_ideal(basis)
+    identity = GroupAutomorphism.identity(basis.ring.grading)
+    gens = (multiplicativity_ideal(basis)
+            + variable_product_ideal(basis, structured_matrix(basis, identity)))
+    mentioned = {i // n for g in gens
                  for mono in g.terms for i, e in enumerate(mono) if e}
     assert all(f in mentioned for f, mono in enumerate(basis.flat)
                if sum(mono) > 1)
+
+
+def test_variable_products_stay_in_the_structured_rows():
+    """P(1,1,7) passes the determinant guard (2! * 9! terms).  Its eight
+    composites T(1)^a * T(2)^b, a + b = 7, expand only over the two free
+    slots of each variable row: one equation per degree-7 monomial and
+    one for the T(3) column, 8 * 9 in all."""
+    basis = build_action_basis(zring((1, 1, 7)))
+    group = basis.ring.grading
+    matrix = structured_matrix(basis, GroupAutomorphism.identity(group))
+    gens = variable_product_ideal(basis, matrix)
+    assert len(gens) == 72
+    assert sum(len(g.terms) for g in gens) == 192
+
+
+def test_determinant_guard_precedes_multiplicativity(monkeypatch, tmp_path):
+    """P(1,1,12) is refused for its 2! * 14! determinant terms before a
+    single multiplicativity equation is built."""
+    def unreachable(*args):
+        raise AssertionError("multiplicativity equations built before the guard")
+
+    monkeypatch.setattr(ringaut, "multiplicativity_ideal", unreachable)
+    monkeypatch.setattr(ringaut, "variable_product_ideal", unreachable)
+    problem = tmp_path / "p1112.toml"
+    problem.write_text("vars = 3\nQ = [[1, 1, 12]]\nideal = []\n"
+                       "[grading]\nfree_rank = 1\ntorsion = []\n")
+    assert main(["autks", "--input", str(problem)]) == 3
 
 
 def test_substitution_against_identity_pattern(quadric8_basis, quadric8_group,
@@ -402,14 +431,14 @@ def test_aut_ks_maps_blocks_once(monkeypatch, quadric8_ring):
 
 
 def test_aut_ks_single_variable():
-    pres = aut_ks(zring(1))
+    pres = aut_ks(zring((1,)))
     assert len(pres.triples) == 1
     gens = pres.triples[0].ideal
     assert [polynomial_to_str(g, yz_names(1)) for g in gens] == ["Y(1)*Z - 1"]
 
 
 def test_aut_ks_mixed_block_sizes():
-    ring = zring(1, 2, 1)
+    ring = zring((1, 2, 1))
     pres = aut_ks(ring)
     assert len(pres.triples) == 1
     assert pres.basis.n == 6
@@ -422,7 +451,7 @@ def test_aut_ks_mixed_block_sizes():
 
 def test_aut_ks_validation_gate():
     with pytest.raises(ValidationError):
-        aut_ks(zring(1, -1))
+        aut_ks(zring((1, -1)))
 
 
 def test_torus_points_satisfy_identity_triple(quadric8_presentation):
@@ -456,5 +485,5 @@ def test_render_presentation(quadric8_presentation):
 
 
 def test_render_notes_larger_blocks():
-    text = render_presentation(aut_ks(zring(1, 2)))
+    text = render_presentation(aut_ks(zring((1, 2))))
     assert "several monomials" in text
