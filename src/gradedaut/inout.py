@@ -18,13 +18,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
-from .polynomials import (GradedPolyRing, Ideal, Polynomial, _line_col,
-                          _line_starts, _long_integer_message, default_names,
+from .polynomials import (DeterminantWitness, GradedPolyRing, Ideal,
+                          Polynomial, _line_col, _line_starts,
+                          _long_integer_message, default_names,
                           parse_polynomial, polynomial_to_str)
 from .validation import ValidationReport
 
@@ -126,13 +128,31 @@ _GAP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks, newlines, comments
 _BARE = re.compile(r"[\w-]*")  # isalnum() characters, _ and -
 _INT = re.compile(r"-?\d*")  # \d is what int() reads as a digit
 _QUOTED = re.compile(r'"[^"\n]*')  # a string up to its closing quote
+_BRACKET = re.compile(r'[][]|"[^"\n]*"?|#[^\n]*')  # outside strings, comments
+# the deepest arrays a value may nest; a problem's values nest two deep
+NESTING_BOUND = 16
 
 
-def _read_value(text: str, pos: int, diags: list):
+def _array_end(text: str, pos: int) -> int:
+    """The offset after the array that starts at text[pos], found by
+    counting its brackets; len(text) if it is not closed."""
+    depth = 0
+    for m in _BRACKET.finditer(text, pos):
+        if m.group() == "[":
+            depth += 1
+        elif m.group() == "]":
+            depth -= 1
+            if not depth:
+                return m.end()
+    return len(text)
+
+
+def _read_value(text: str, pos: int, diags: list, depth: int = 0):
     """The value at text[pos], an integer, quoted string, or array
     (arrays span lines), or None after a diagnostic; and the offset
     after what was read.  Diagnostics go to `diags` as (offset,
-    message)."""
+    message).  `depth` counts the arrays around the value; one nested
+    deeper than NESTING_BOUND is skipped, not read."""
     ch = text[pos:pos + 1]
     if ch in ("", "\r", "\n"):
         diags.append((pos, "missing value"))
@@ -144,10 +164,13 @@ def _read_value(text: str, pos: int, diags: list):
         diags.append((pos, "unterminated string"))
         return None, end
     if ch == "[":
+        if depth == NESTING_BOUND:
+            diags.append((pos, f"arrays nested deeper than {NESTING_BOUND}"))
+            return None, _array_end(text, pos)
         items = []
         end = _GAP.match(text, pos + 1).end()
         while end < len(text) and text[end] != "]":
-            value, end = _read_value(text, end, diags)
+            value, end = _read_value(text, end, diags, depth + 1)
             items.append(value)
             end = _GAP.match(text, end).end()
             if text.startswith(",", end):
@@ -277,6 +300,13 @@ def parse_input(text: str) -> ProblemInput:
         var_count = _as_int(entries["vars"], "vars", diags)
         if var_count is not None and var_count < 1:
             diags.append(entries["vars"][1:] + ("vars must be positive",))
+            var_count = None
+        elif var_count is not None and var_count > len(text):
+            # refused before Q's rows are checked against it and before
+            # the ideal's parser builds one name per variable
+            diags.append(entries["vars"][1:] + (
+                f"vars = {var_count}, but no row of Q in a file of "
+                f"{len(text)} characters has that many entries",))
             var_count = None
     elif "vars" not in entries:
         diags.append((1, 1, "missing key vars"))
@@ -567,13 +597,14 @@ def _decode_report(data) -> ValidationReport:
     return ValidationReport(*flags, messages=_strs(data["messages"]))
 
 
-def _encode_presentation(pres: AutPresentation):
+def _encode_presentation(pres: AutPresentation, poly):
+    """`poly` encodes each equation."""
     return {"ring": _encode_ring(pres.ring),
             "n": pres.n,
             "triples": [{"weight_aut": [list(r) for r in
                                         t.weight_aut.display_matrix()],
                          "pattern": [list(r) for r in t.matrix.pattern],
-                         "equations": [_encode_poly(g) for g in t.ideal]}
+                         "equations": list(map(poly, t.ideal))}
                         for t in pres.triples]}
 
 
@@ -599,14 +630,14 @@ def _decode_presentation(data) -> AutPresentation:
     return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
 
 
-def _encode_stabilizer(stab: StabilizerPresentation, base: dict):
-    """`base` is the encoded stab.base."""
+def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):
+    """`base` is the encoded stab.base; `poly` encodes each equation."""
     roster = [list(u.free_part) + list(u.torsion_part)
               for u in stab.degree_roster]
     return {"base": base,
-            "ideal": [_encode_poly(g) for g in stab.ideal.generators],
+            "ideal": list(map(poly, stab.ideal.generators)),
             "roster": roster,
-            "stabilizer_gens": [[_encode_poly(g) for g in t.stabilizer_gens]
+            "stabilizer_gens": [list(map(poly, t.stabilizer_gens))
                                 for t in stab.triples]}
 
 
@@ -635,14 +666,19 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
     """The report as a JSON tree.  When the stabilizer's base is the
     presentation itself, as the CLI builds it, one encoded dict stands
     under both keys."""
+    return _bundle_tree(bundle, _encode_poly)
+
+
+def _bundle_tree(bundle: ResultBundle, poly) -> dict:
+    """The report's tree with each polynomial f as poly(f)."""
     pres = (None if bundle.presentation is None
-            else _encode_presentation(bundle.presentation))
+            else _encode_presentation(bundle.presentation, poly))
     stab = bundle.stabilizer
     stab_data = None
     if stab is not None:
         base = (pres if stab.base is bundle.presentation
-                else _encode_presentation(stab.base))
-        stab_data = _encode_stabilizer(stab, base)
+                else _encode_presentation(stab.base, poly))
+        stab_data = _encode_stabilizer(stab, base, poly)
     return {
         "schema": SCHEMA,
         "problem": _encode_problem(bundle.problem),
@@ -732,45 +768,20 @@ def _decode_filter(data, group: GradingGroup,
     return filt
 
 
-# _DIGITS turns a byte 0..9 into its ASCII digit and any other byte
-# into a non-digit
-_DIGITS = b"0123456789" + b"x" * 246
-
-
-def _json_chunks(value, out: list, pad: str, spans=None, templates=None):
-    """Append the text json.dumps(value, indent=2) gives to `out`, in
-    pieces; `pad` is the newline and indentation of value's own line.
-
-    `spans` maps the id() of each dict written so far to its pad and its
-    pieces' slice of `out`; the tree outlives the call, so ids are
-    unique.  A dict met again is written as those pieces, re-indented.
-    Strings are written escaped, so every newline in a piece starts a
-    line, and its indentation is in the same piece.  `templates` holds
-    one bytearray per (length, pad) of digit vectors."""
-    if spans is None:
-        spans, templates = {}, {}
-    if isinstance(value, (list, tuple)):
+def _json_chunks(value, out, pad: str):
+    """Append the text json.dumps(value, indent=2) gives to `out`, a list
+    or anything with an append, in pieces; `pad` is the newline and
+    indentation of value's own line.
+    A Polynomial f stands for _encode_poly(f) and is written by
+    `_poly_chunks`; a dict that stands twice is written twice."""
+    if isinstance(value, Polynomial):
+        _poly_chunks(value, out, pad)
+    elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = pad + "  "
         if type(value) is list and set(map(type, value)) == {int}:
-            try:
-                digits = bytes(value).translate(_DIGITS)
-            except ValueError:  # an entry outside 0..255
-                digits = b""
-            if digits.isdigit():
-                # exponent vectors, most of a report: one digit per entry,
-                # written into a template of the vector's text
-                text = templates.get((len(value), pad))
-                if text is None:
-                    text = templates[len(value), pad] = bytearray(
-                        "[" + inner + ("," + inner).join("0" * len(value))
-                        + pad + "]", "ascii")
-                step = len(inner) + 2
-                text[step - 1::step] = digits
-                out.append(text.decode("ascii"))
-                return
             # the repr of a list of ints is "[" + its items joined by
             # ", " + "]"
             out.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
@@ -779,51 +790,103 @@ def _json_chunks(value, out: list, pad: str, spans=None, templates=None):
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _json_chunks(item, out, inner, spans, templates)
+            _json_chunks(item, out, inner)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        span = spans.get(id(value))
-        if span is not None:
-            first_pad, start, stop = span
-            if len(pad) >= len(first_pad):
-                # a one-character pattern is the fastest replace
-                old, new = "\n", "\n" + pad[len(first_pad):]
-            else:
-                old, new = first_pad, pad
-            # piece by piece: one replace on the joined pieces is about
-            # as fast and raised the peak RSS of weights112's
-            # `autgradalg --out` from 109 to 121 MB
-            out.extend(map(str.replace, out[start:stop], repeat(old),
-                           repeat(new)))
-            return
-        start = len(out)
         inner = pad + "  "
         sep = "{" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, out, inner, spans, templates)
+            _json_chunks(item, out, inner)
             sep = "," + inner
         out.append(pad + "}")
-        spans[id(value)] = (pad, start, len(out))
     else:
         out.append(json.dumps(value))
 
 
-def _report_pieces(bundle: ResultBundle) -> list[str]:
-    out = []
-    _json_chunks(bundle_to_data(bundle), out, "\n")
+@lru_cache(maxsize=64)
+def _zeros(nvars: int, pad: str) -> str:
+    """The entries of an all-zero exponent vector whose entries stand at
+    `pad`: "0" each, joined by "," + pad, so entry k is at
+    k * (len(pad) + 2)."""
+    return ("," + pad).join("0" * nvars)
+
+
+@lru_cache(maxsize=64)
+def _witness_rows(n: int, pad: str) -> tuple[str, ...]:
+    """Entry c: the n entries of a witness row with its 1 in column c,
+    each followed by "," + pad."""
+    zeros = _zeros(n, pad) + "," + pad
+    step = len(pad) + 2
+    return tuple(zeros[:c * step] + "1" + zeros[c * step + 1:]
+                 for c in range(n))
+
+
+def _poly_chunks(f: Polynomial, out, pad: str):
+    """Append json.dumps(_encode_poly(f), indent=2) at `pad` to `out`,
+    one piece per term, for f in one variable or more, as every ring
+    here has.  The exponents of f are ints, so each vector is the
+    all-zero text with its nonzero entries written in.  A
+    DeterminantWitness is written from its Leibniz terms, one row text
+    per slot row, and never expanded."""
+    p2 = pad + "  "
+    p3 = p2 + "  "
+    p4 = p3 + "  "
+    # a term is [exponents, [num, den]]: the text from its first
+    # exponent to its last, between `head` and `coeff`, then num and
+    # den, then `shut`
+    head = "[" + p3 + "[" + p4
+    coeff = p3 + "]," + p3 + "[" + p4
+    shut = p3 + "]" + p2 + "]"
+    if type(f) is DeterminantWitness:
+        # the exponent of Z is the last, always 1, as is each den
+        rows = _witness_rows(f.n, p4)
+        tails = {1: f"1{coeff}1,{p4}1{shut},{p2}",
+                 -1: f"1{coeff}-1,{p4}1{shut},{p2}"}
+        out.append("[" + p2)
+        for cols, sign in f.signed:
+            out.append("".join([head, *map(rows.__getitem__, cols),
+                                tails[sign]]))
+        out.append(f"{head}{_zeros(f.n * f.n + 1, p4)}{coeff}-1,{p4}1{shut}"
+                   f"{pad}]")
+        return
+    terms = f.sorted_terms()
+    if not terms:
+        out.append("[]")
+        return
+    nvars = len(terms[0][0])
+    zeros = _zeros(nvars, p4)
+    step = len(p4) + 2
+    sep = "[" + p2
+    for mono, c in terms:
+        text = [sep, head]
+        at = 0
+        for k in compress(range(nvars), mono):
+            text += zeros[at:k * step], str(mono[k])
+            at = k * step + 1
+        text += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
+        out.append("".join(text))
+        sep = "," + p2
+    out.append(pad + "]")
+
+
+def _report_chunks(bundle: ResultBundle, out):
+    """Append report_to_text(bundle) to `out`, in pieces."""
+    # the polynomials stay leaves of the tree, for _poly_chunks
+    _json_chunks(_bundle_tree(bundle, lambda f: f), out, "\n")
     out.append("\n")
-    return out
 
 
 def report_to_text(bundle: ResultBundle) -> str:
     """The report as JSON with two-space indentation, the bytes of
     json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
-    return "".join(_report_pieces(bundle))
+    out = []
+    _report_chunks(bundle, out)
+    return "".join(out)
 
 
 _SPACE = re.compile(r"[ \t\n\r]*")
@@ -873,8 +936,9 @@ def _report_json(text: str):
 
     The top two object levels are walked here, keys and leaves are
     json's.  A value one level down whose text is that of an earlier
-    top-level object with each newline followed by two more spaces, as
-    `_json_chunks` writes the base, is that object, not parsed again.
+    top-level object with each newline followed by two more spaces is
+    that object, not parsed again.  That is the text of a base that is
+    the presentation, which the writer writes again one level deeper.
     The two texts hold the same values of the same types: a JSON string
     holds no raw newline, so only whitespace differs.  Any other shape
     and any error go to json.loads, so values and diagnostics are
@@ -914,15 +978,17 @@ def report_from_text(text: str) -> ResultBundle:
     except ValueError:  # json's int() refused a number as too long
         raise InputError([(1, 1, "malformed report: "
                            + _long_integer_message())]) from None
+    except RecursionError:  # json's scanner takes one call per level
+        raise InputError([(1, 1, "malformed report: arrays or objects "
+                           "nested too deeply")]) from None
     return bundle_from_data(data)
 
 
 def write_report(bundle: ResultBundle, path):
-    """Write report_to_text(bundle) to `path`, piece by piece: joining
-    first would hold the text twice, as pieces and as one string."""
-    pieces = _report_pieces(bundle)
+    """Write report_to_text(bundle) to `path`, each piece as the writer
+    makes it, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+        _report_chunks(bundle, SimpleNamespace(append=fh.write))
 
 
 def read_report(path) -> ResultBundle:

@@ -363,8 +363,8 @@ def parse_polynomial(text: str, names) -> Polynomial:
                 den = _int_token(text, den_tok)
                 if den == 0:
                     raise _err(text, den_tok[2], "division by zero")
-                return Polynomial.constant(Fraction(num, den), nvars), None
-            return Polynomial.constant(num, nvars), None
+                return Polynomial.constant(Fraction(num, den), nvars)
+            return Polynomial.constant(num, nvars)
         if tok[0] == "name":
             take()
             name = tok[1]
@@ -375,22 +375,21 @@ def parse_polynomial(text: str, names) -> Polynomial:
                 name = f"{name}({idx_tok[1]})"
             if name not in roster:
                 raise _err(text, tok[2], f"unknown variable {name!r}")
-            base = Polynomial.variable(roster[name], nvars)
+            expo = [0] * nvars
+            expo[roster[name]] = 1
             if peek()[0] == "op" and peek()[1] == "^":
                 take()
-                exp_tok = take("int")
-                return base, _int_token(text, exp_tok)
-            return base, 1
+                # a power of one variable is one monomial, however large
+                expo[roster[name]] = _int_token(text, take("int"))
+            return Polynomial._of({tuple(expo): Fraction(1)})
         raise _err(text, tok[2], f"expected a term, found {tok[1]!r}" if tok[1]
                    else "expected a term, found end of input")
 
     def parse_term():
-        poly, power = parse_factor()
-        acc = poly if power is None else poly ** power
+        acc = parse_factor()
         while peek()[0] == "op" and peek()[1] == "*":
             take()
-            poly, power = parse_factor()
-            acc = acc * (poly if power is None else poly ** power)
+            acc = acc * parse_factor()
         return acc
 
     result = Polynomial.zero()

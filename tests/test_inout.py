@@ -5,7 +5,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from conftest import QUADRIC8_GEN, QUADRIC8_ROWS
@@ -14,12 +16,13 @@ from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cli import main
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
-from gradedaut.inout import (FilterResult, ProblemInput, ResultBundle,
-                             _json_chunks, _report_json, bundle_to_data,
-                             export_cas_script,
+from gradedaut.inout import (NESTING_BOUND, FilterResult, ProblemInput,
+                             ResultBundle, _json_chunks, _report_json,
+                             bundle_to_data, export_cas_script,
                              parse_input, print_input, read_input, read_report,
                              report_from_text, report_to_text, write_report)
-from gradedaut.polynomials import Polynomial, polynomial_to_str, default_names
+from gradedaut.polynomials import (DeterminantWitness, Polynomial,
+                                   default_names, polynomial_to_str)
 from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation
 
@@ -282,6 +285,49 @@ def test_integer_values_exit_2(tmp_path, capsys, value, col, message):
     assert capsys.readouterr().err == f"{path}:1:{col}: {message}\n"
 
 
+def test_deep_arrays_exit_2(tmp_path, capsys):
+    path = tmp_path / "problem.toml"
+    path.write_text("vars = " + "[" * 3000 + "\n", encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    col = 8 + NESTING_BOUND
+    assert (f"{path}:1:{col}: arrays nested deeper than {NESTING_BOUND}\n"
+            in err)
+    # a closed array too deep is skipped whole, and the scan goes on
+    path.write_text(TINY.replace("vars = 2", "vars = " + "[" * 3000
+                                 + "]" * 3000), encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:1:1: vars must be an integer\n"
+        f"{path}:1:{col}: arrays nested deeper than {NESTING_BOUND}\n")
+
+
+def test_deep_report_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": ' + "[" * 100000 + "]" * 100000 + "}",
+                    encoding="utf-8")
+    assert main(["export", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:1:1: malformed report: arrays or objects nested too "
+        "deeply\n")
+
+
+@pytest.mark.parametrize("q, free_rank", [("[[1]]", 1), ("[]", 0)])
+def test_huge_vars_exits_2(tmp_path, capsys, q, free_rank):
+    # a row of Q lists one entry per variable, so no problem file has
+    # more variables than characters; no name is built for such a vars
+    path = tmp_path / "problem.toml"
+    text = (f'vars = {"1" * 30}\nQ = {q}\nideal = ["T(1)"]\n\n'
+            f"[grading]\nfree_rank = {free_rank}\n")
+    path.write_text(text, encoding="utf-8")
+    start = perf_counter()
+    assert main(["check", "--input", str(path)]) == 2
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:1: vars = {'1' * 30}, but no row of Q in a file of "
+        f"{len(text)} characters has that many entries\n")
+
+
 def test_long_integer_in_generator_exits_2(tmp_path, capsys):
     path = tmp_path / "problem.toml"
     path.write_text(DEMO.read_text().replace(
@@ -445,6 +491,61 @@ def test_composite_report_writer(tmp_path):
         write_report(bundle, path)
         assert path.read_text(encoding="utf-8") == text
     assert report_to_text(copied) == report_to_text(shared)
+
+
+def _random_poly(rng, nvars):
+    """Up to five terms: exponents 0..12, and coefficients that are
+    negative, fractional or several digits long; sometimes zero."""
+    return Polynomial({
+        tuple(rng.randint(0, 12) if rng.random() < 0.3 else 0
+              for _ in range(nvars)):
+        Fraction(rng.choice((1, -1, 2, -17, 1234, -99999)),
+                 rng.choice((1, 1, 2, 3, 100)))
+        for _ in range(rng.randrange(6))})
+
+
+def _leibniz_witness(n):
+    """det(A) * Z - 1 of a full n x n matrix, from its Leibniz terms."""
+    signed = []
+    for cols in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(cols, 2))
+        signed.append((cols, -1 if inversions % 2 else 1))
+    return DeterminantWitness(n, signed)
+
+
+def _random_equations(rng):
+    return tuple(_leibniz_witness(rng.randint(1, 4)) if rng.random() < 0.3
+                 else _random_poly(rng, rng.randint(1, 10))
+                 for _ in range(rng.randint(1, 6)))
+
+
+def test_report_writer_encodes_polynomials(quadric8_bundle, tmp_path):
+    """Seeded reports whose equations mix random polynomials in 1 to 10
+    variables, zero polynomials and witnesses with n = 1..4.  The
+    presentation stands twice, at two depths, and the stabilizer's
+    equations at a third, so whatever the writer keeps from one
+    polynomial for the next meets other variable counts and other
+    indentations; only the whole report is compared."""
+    rng = random.Random(18)
+    path = tmp_path / "mixed.json"
+    stab = quadric8_bundle.stabilizer
+    pres = stab.base
+    for _ in range(12):
+        triples = tuple(dataclasses.replace(t, ideal=_random_equations(rng))
+                        for t in pres.triples)
+        base = dataclasses.replace(pres, triples=triples)
+        stab_triples = tuple(
+            dataclasses.replace(t, base=b,
+                                stabilizer_gens=_random_equations(rng))
+            for t, b in zip(stab.triples, triples))
+        bundle = dataclasses.replace(
+            quadric8_bundle, presentation=base,
+            stabilizer=dataclasses.replace(stab, base=base,
+                                           triples=stab_triples))
+        expected = json.dumps(bundle_to_data(bundle), indent=2) + "\n"
+        assert report_to_text(bundle) == expected
+        write_report(bundle, path)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def _cli_report(tmp_path, capsys):

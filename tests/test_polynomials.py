@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from time import perf_counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, degree_of_exponent,
                                positive_weight_functional)
 from gradedaut.inout import (ProblemInput, ResultBundle, bundle_from_data,
-                             bundle_to_data)
+                             bundle_to_data, parse_input)
 from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    annihilator_forms, component_dimension,
                                    default_names, degree_of, distinct_term_degrees,
@@ -18,6 +19,9 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    monomial_basis, parse_polynomial,
                                    polynomial_to_str)
 from gradedaut.ringaut import aut_ks
+
+
+TINY_IDEAL = "vars = 2\nQ = [[1, 1]]\nideal = [{}]\n\n[grading]\nfree_rank = 1\n"
 
 
 def T(i, nvars=8):
@@ -58,6 +62,18 @@ def test_parse_examples():
     assert g == -(Polynomial.variable(0, 3) * Polynomial.variable(2, 3)) - Polynomial.constant(1, 3)
     h = parse_polynomial("1/2*T(1)^3 - 2", default_names(1))
     assert h.terms == {(3,): Fraction(1, 2), (0,): Fraction(-2)}
+
+
+def test_parse_huge_power_is_one_monomial():
+    # a power of a variable is its monomial, not e multiplications
+    start = perf_counter()
+    problem = parse_input(TINY_IDEAL.format('"T(1)^99999999"'))
+    f = parse_polynomial("2*T(1)^99999999*T(2)^0*T(1) - T(2)^0",
+                         default_names(2))
+    assert perf_counter() - start < 1
+    assert problem.ideal_gens == ("T(1)^99999999",)
+    assert len(problem.ideal().generators[0].terms) == 1
+    assert f.terms == {(100000000, 0): Fraction(2), (0, 0): Fraction(-1)}
 
 
 def test_parse_round_trip_random():
