@@ -51,7 +51,7 @@ class ComponentData:
 
 def component_data(ideal: Ideal, u: GroupElement) -> ComponentData:
     monomials = monomial_basis(ideal.ring, u)
-    inside = ideal_component_basis(ideal, u)
+    inside = ideal_component_basis(ideal, u, monomials)
     forms = annihilator_forms(inside, len(monomials))
     return ComponentData(u, tuple(monomials), tuple(tuple(v) for v in inside),
                          tuple(tuple(f) for f in forms))

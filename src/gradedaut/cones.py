@@ -14,11 +14,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import StructuralError
-from .linalg import primitive
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+from .linalg import dot, primitive
 
 
 def _dd_pointed(rows, d):
@@ -42,11 +38,11 @@ def _dd_pointed(rows, d):
     for ia, a in enumerate(rows):
         if ia in chosen_idx:
             continue
-        vals = {r: _dot(a, r) for r in rays}
+        vals = {r: dot(a, r) for r in rays}
         if all(v >= 0 for v in vals.values()):
             processed.append(ia)
             continue
-        zset = {r: frozenset(i for i in processed if _dot(rows[i], r) == 0)
+        zset = {r: frozenset(i for i in processed if dot(rows[i], r) == 0)
                 for r in rays}
         keep = [r for r in rays if vals[r] >= 0]
         for rp in rays:
@@ -90,7 +86,7 @@ def generators_from_halfspaces(forms, dim: int):
     R, pivots = linalg.rref(rows)
     d = len(pivots)
     B = [primitive(R[i]) for i in range(d)]
-    projected = [tuple(_dot(f, b) for b in B) for f in rows]
+    projected = [tuple(dot(f, b) for b in B) for f in rows]
     rays_y = _dd_pointed(projected, d)
     out = set()
     for y in rays_y:
@@ -123,7 +119,7 @@ class RationalCone:
     def contains(self, x) -> bool:
         if len(x) != self.dim:
             raise StructuralError("point has the wrong dimension")
-        return all(_dot(f, x) >= 0 for f in self.forms)
+        return all(dot(f, x) >= 0 for f in self.forms)
 
     def is_pointed(self) -> bool:
         """True when the cone contains no line: its forms have full rank."""

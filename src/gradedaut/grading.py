@@ -16,7 +16,7 @@ image outside the displayed triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import prod
 
 from . import linalg
@@ -162,6 +162,12 @@ class DegreeMatrix:
     def free_parts(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.free_part for c in self.columns)
 
+    @cached_property
+    def positive_functional(self):
+        """A rational phi with phi . q_i^0 >= 1 for all i, or None;
+        computed once per degree matrix."""
+        return linalg.positive_functional(self.free_parts(), self.group.free_rank)
+
     def distinct_weights(self) -> tuple[GroupElement, ...]:
         """Distinct columns, ordered by first occurrence."""
         seen = []
@@ -231,14 +237,9 @@ def check_pointed(Q: DegreeMatrix) -> bool:
     return positive_weight_functional(Q) is not None
 
 
-@lru_cache(maxsize=None)
-def _positive_functional_cached(free_parts: tuple, rank: int):
-    return linalg.positive_functional(free_parts, rank)
-
-
 def positive_weight_functional(Q: DegreeMatrix):
     """A rational phi with phi . q_i^0 >= 1 for all i, or None."""
-    return _positive_functional_cached(Q.free_parts(), Q.group.free_rank)
+    return Q.positive_functional
 
 
 def _reduce_rows(block, orders):

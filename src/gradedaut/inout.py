@@ -316,6 +316,8 @@ def parse_input(text: str) -> ProblemInput:
         value, line, col = entries["Q"]
         if not isinstance(value, list):
             diags.append((line, col, "Q must be an array of rows"))
+        elif not value:
+            diags.append((line, col, "Q must have at least one row"))
         else:
             rows = []
             for i, row in enumerate(value, start=1):

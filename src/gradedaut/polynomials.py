@@ -19,13 +19,12 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, compress
 
 from . import linalg
 from .errors import InputError, StructuralError, ValidationError
 from .grading import (DegreeMatrix, GradingGroup, GroupElement,
-                      degree_of_exponent, positive_weight_functional)
+                      degree_of_exponent)
 
 Monomial = tuple  # exponent vectors; the alias marks intent in signatures
 
@@ -478,9 +477,16 @@ def is_homogeneous(ring: GradedPolyRing, f: Polynomial) -> bool:
     return f.is_zero() or len(distinct_term_degrees(ring, f)) == 1
 
 
-@lru_cache(maxsize=None)
-def _monomial_basis_cached(ring: GradedPolyRing, w: GroupElement):
-    phi = positive_weight_functional(ring.degrees)
+def monomial_basis(ring: GradedPolyRing, w: GroupElement):
+    """All monomials of degree w, canonically ordered, largest first.
+
+    Termination relies on a strictly positive functional on the weight
+    cone, so the grading must be pointed.  Each call enumerates; a stage
+    that needs a component again keeps what it read.
+    """
+    if w.group != ring.grading:
+        raise StructuralError("degree lives in a different group")
+    phi = ring.degrees.positive_functional
     if phi is None:
         raise ValidationError(
             "grading is not pointed; graded components may be infinite "
@@ -516,30 +522,21 @@ def _monomial_basis_cached(ring: GradedPolyRing, w: GroupElement):
     return tuple(out)
 
 
-def monomial_basis(ring: GradedPolyRing, w: GroupElement):
-    """All monomials of degree w, canonically ordered, largest first.
-
-    Termination relies on a strictly positive functional on the weight
-    cone, so the grading must be pointed.
-    """
-    if w.group != ring.grading:
-        raise StructuralError("degree lives in a different group")
-    return _monomial_basis_cached(ring, w)
-
-
 def component_dimension(ring: GradedPolyRing, w: GroupElement) -> int:
     return len(monomial_basis(ring, w))
 
 
-def ideal_component_basis(I: Ideal, u: GroupElement):
+def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
     """Echelon basis of the degree-u piece of I, as coefficient vectors
-    over monomial_basis(ring, u).
+    over `target`, which is monomial_basis(ring, u) and is enumerated
+    when not given.
 
     The spanning set is every product m * g_j with deg(m) = u - deg(g_j);
     these span I_u because the g_j generate I as a module over S.
     """
     ring = I.ring
-    target = monomial_basis(ring, u)
+    if target is None:
+        target = monomial_basis(ring, u)
     if not target:
         return []
     index = {mono: i for i, mono in enumerate(target)}

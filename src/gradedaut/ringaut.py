@@ -28,8 +28,7 @@ from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
                           Polynomial, grlex_key, monomial_basis, monomial_mul,
                           polynomial_to_str)
 from .validation import require_valid_grading
-from .weightsym import (admissible_automorphisms, aut_gen_weights,
-                        block_permutation)
+from .weightsym import aut_gen_weights, block_permutation
 
 # Leibniz terms the determinant witness may have.  Like every guard
 # bound it is read when the guard runs, so a caller may set it.
@@ -360,11 +359,11 @@ def _slot_ring(basis: ActionBasis) -> GradedPolyRing:
     return GradedPolyRing(n * n + 1, group, DegreeMatrix(tuple(cols)))
 
 
-def _build_triple(basis, admissible, mult_gens):
-    matrix = _pattern(basis, admissible.block_map)
+def _build_triple(basis, B, block_map, mult_gens):
+    matrix = _pattern(basis, block_map)
     gens = (*zero_pattern_ideal(matrix), *mult_gens,
             *variable_product_ideal(basis, matrix))
-    return AutTriple(matrix, admissible.aut, gens)
+    return AutTriple(matrix, B, gens)
 
 
 def aut_ks(ring: GradedPolyRing) -> AutPresentation:
@@ -380,14 +379,21 @@ def aut_ks(ring: GradedPolyRing) -> AutPresentation:
 
 def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
     """The presentation of `aut_ks` from the weight symmetries `auts`
-    of the ring's degree matrix; the ring is not validated again."""
+    of the ring's degree matrix; the ring is not validated again.
+
+    A symmetry is kept when its block permutation pairs components of
+    equal dimension.  This is deliberately the coarse dimension filter:
+    the finer product compatibility is enforced by the multiplicativity
+    equations.
+    """
     basis = build_action_basis(ring)
-    admissibles = admissible_automorphisms(auts, ring)
+    dims = [len(b) for b in basis.blocks]
+    block_maps = [(B, block_permutation(B, basis.weights, dims)) for B in auts]
     # every structured matrix has the same determinant term count
-    _require_det_terms(prod(factorial(len(b)) for b in basis.blocks))
+    _require_det_terms(prod(factorial(d) for d in dims))
     mult_gens = tuple(multiplicativity_ideal(basis))
-    triples = tuple(_build_triple(basis, adm, mult_gens)
-                    for adm in admissibles)
+    triples = tuple(_build_triple(basis, B, block_map, mult_gens)
+                    for B, block_map in block_maps if block_map is not None)
     return AutPresentation(ring, basis, _slot_ring(basis), triples)
 
 

@@ -22,14 +22,12 @@ a bound before anything is placed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from math import perm, prod
 
 from . import linalg
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupAutomorphism, subgroup_presentation
-from .polynomials import GradedPolyRing, component_dimension
 
 # Generator image tuples the weight-symmetry search may try; read when
 # the guard runs.
@@ -170,29 +168,4 @@ def block_permutation(B: GroupAutomorphism, weights, dims):
         if dims[i] != dims[j]:
             return None
         out.append(j)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class AdmissibleAut:
-    """A weight symmetry together with its induced block permutation."""
-
-    aut: GroupAutomorphism
-    block_map: tuple[int, ...]  # 0-based: block i lands in block block_map[i]
-
-
-def admissible_automorphisms(auts, ring: GradedPolyRing) -> tuple[AdmissibleAut, ...]:
-    """The subset whose induced block permutation matches component
-    dimensions; each survivor is returned with that permutation.
-
-    This is deliberately the coarse dimension filter.  The finer product
-    compatibility is enforced later by the multiplicativity equations.
-    """
-    weights = ring.degrees.distinct_weights()
-    dims = [component_dimension(ring, w) for w in weights]
-    out = []
-    for B in auts:
-        block_map = block_permutation(B, weights, dims)
-        if block_map is not None:
-            out.append(AdmissibleAut(B, block_map))
     return tuple(out)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gradedaut import (algebraaut, cli, gitfan, ringaut, validation,
-                       weightsym)
+from gradedaut import (algebraaut, cli, gitfan, grading, linalg,
+                       polynomials, ringaut, validation, weightsym)
 from gradedaut.cli import main
 from gradedaut.inout import (ResultBundle, export_cas_script, parse_input,
                              read_report)
@@ -64,6 +64,14 @@ def test_parse_failure_exit(tmp_path, capsys):
     assert main(["check", "--input", path]) == 2
     err = capsys.readouterr().err
     assert f"{path}:1:" in err
+
+
+def test_empty_degree_matrix_exit(tmp_path, capsys):
+    path = _write(tmp_path, "vars = 3\nQ = []\n[grading]\nfree_rank = 0\n"
+                  "torsion = []\n")
+    assert main(["check", "--input", path]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:2:1: Q must have at least one row\n")
 
 
 def test_missing_input_file(tmp_path, capsys):
@@ -140,11 +148,17 @@ def test_autxhat_w_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _counting(calls, name, fn):
+def _count_calls(monkeypatch, calls, module, name):
+    """Record the arguments of every call to module.name in calls[name]."""
+    fn = getattr(module, name)
+
     def counted(*args, **kwargs):
         calls.setdefault(name, []).append(args)
         return fn(*args, **kwargs)
-    return counted
+    # rebind every module-level reference, `from .x import f` too
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("gradedaut.") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
 
 
 def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
@@ -154,12 +168,7 @@ def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
                          (ringaut, "build_action_basis"),
                          (gitfan, "_face_family"),
                          (algebraaut, "component_data")):
-        fn = getattr(module, name)
-        counted = _counting(calls, name, fn)
-        # rebind every module-level reference, `from .x import f` too
-        for key, mod in list(sys.modules.items()):
-            if key.startswith("gradedaut.") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+        _count_calls(monkeypatch, calls, module, name)
     report = str(tmp_path / "autxhat.json")
     runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
             ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
@@ -173,6 +182,41 @@ def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
         degrees = [args[1] for args in calls.pop("component_data", [])]
         assert len(degrees) == len(set(degrees)), argv
         assert all(len(c) == 1 for c in calls.values()), (argv, calls)
+
+
+def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # validation reads S_q and S_(q - deg g) for the 8 weights q and the
+    # one generator g, the action basis the 8 blocks S_q, and the
+    # stabilizer S_u and S_0 for the generator degree u; a report's
+    # reader rebuilds only the action basis; the positive functional is
+    # computed once per command, by its one degree matrix
+    calls = {}
+    _count_calls(monkeypatch, calls, polynomials, "monomial_basis")
+    _count_calls(monkeypatch, calls, linalg, "positive_functional")
+    report = str(tmp_path / "autxhat.json")
+    for argv, count in ((["check", "--input", DEMO], 16),
+                        (["weights-aut", "--input", DEMO], 16),
+                        (["autks", "--input", DEMO], 24),
+                        (["autgradalg", "--input", DEMO], 26),
+                        (["autxhat", "--input", DEMO, "--out", report], 26),
+                        (["export", "--input", DEMO], 26),
+                        (["export", "--input", report], 8)):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls["monomial_basis"]) == count, argv
+        assert len(calls["positive_functional"]) == 1, argv
+
+
+def test_no_stage_keeps_a_process_wide_cache():
+    problem = parse_input(Path(DEMO).read_text())
+    ring = problem.ring()
+    algebraaut.aut_grad_alg(ring, problem.ideal(ring))
+    for module in (grading, polynomials, weightsym, ringaut, algebraaut):
+        cached = [name for name, value in vars(module).items()
+                  if hasattr(value, "cache_info")]
+        assert not cached, (module.__name__, cached)
 
 
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion

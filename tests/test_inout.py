@@ -81,6 +81,8 @@ def test_round_trip_random_problems():
     for _ in range(30):
         k = rng.randint(0, 2)
         l = rng.randint(0, 1)
+        if k + l == 0:
+            continue  # a degree matrix needs at least one row
         torsion = tuple(rng.randint(2, 4) for _ in range(l))
         r = rng.randint(1, 4)
         rows = tuple(tuple(rng.randint(-3, 3) for _ in range(r))
@@ -312,8 +314,10 @@ def test_deep_report_exits_2(tmp_path, capsys):
         "deeply\n")
 
 
-@pytest.mark.parametrize("q, free_rank", [("[[1]]", 1), ("[]", 0)])
-def test_huge_vars_exits_2(tmp_path, capsys, q, free_rank):
+@pytest.mark.parametrize("q, free_rank, rest", [
+    ("[[1]]", 1, ""), ("[]", 0, "{path}:2:1: Q must have at least one row\n"),
+], ids=["[[1]]-1", "[]-0"])
+def test_huge_vars_exits_2(tmp_path, capsys, q, free_rank, rest):
     # a row of Q lists one entry per variable, so no problem file has
     # more variables than characters; no name is built for such a vars
     path = tmp_path / "problem.toml"
@@ -325,7 +329,8 @@ def test_huge_vars_exits_2(tmp_path, capsys, q, free_rank):
     assert perf_counter() - start < 1
     assert capsys.readouterr().err == (
         f"{path}:1:1: vars = {'1' * 30}, but no row of Q in a file of "
-        f"{len(text)} characters has that many entries\n")
+        f"{len(text)} characters has that many entries\n"
+        + rest.format(path=path))
 
 
 def test_long_integer_in_generator_exits_2(tmp_path, capsys):

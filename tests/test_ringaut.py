@@ -415,8 +415,33 @@ def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     assert pres.witness_degree() == group.element((0, 0, -8), (0,))
 
 
+def test_ring_presentation_keeps_all_quadric8_symmetries(quadric8_presentation,
+                                                         quadric8_Q):
+    pres = quadric8_presentation
+    auts = weightsym.aut_gen_weights(quadric8_Q)
+    assert len(pres.triples) == 4
+    assert [t.weight_aut for t in pres.triples] == list(auts)
+    dims = [len(b) for b in pres.basis.blocks]
+    maps = [weightsym.block_permutation(t.weight_aut, pres.basis.weights, dims)
+            for t in pres.triples]
+    assert maps[1] == (0, 4, 7, 6, 1, 5, 3, 2)
+    assert maps[0] == tuple(range(8))
+
+
+def test_ring_presentation_drops_dimension_mismatch():
+    z2 = GradingGroup(2)
+    cols = (z2.element((1, 0)), z2.element((0, 1)), z2.element((0, 1)))
+    Q = DegreeMatrix(cols)
+    auts = weightsym.aut_gen_weights(Q)
+    swap = [a for a in auts if a.free_block == ((0, 1), (1, 0))]
+    assert swap, "the coordinate swap preserves the weight set"
+    kept = {t.weight_aut for t in aut_ks(GradedPolyRing.from_degree_matrix(Q)).triples}
+    assert swap[0] not in kept
+    assert any(a.is_identity() for a in kept)
+
+
 def test_aut_ks_maps_blocks_once(monkeypatch, quadric8_ring):
-    # the block map stored by the admissibility filter builds the matrix
+    # the block map that keeps a symmetry also builds its matrix
     calls = []
     block_permutation = weightsym.block_permutation
 

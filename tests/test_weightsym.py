@@ -12,10 +12,8 @@ from gradedaut import linalg, weightsym
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                check_effective)
-from gradedaut.polynomials import GradedPolyRing
 from gradedaut.weightsym import (PLACEMENT_BOUND, _canonical_sort,
-                                 _generating_set, admissible_automorphisms,
-                                 aut_gen_weights)
+                                 _generating_set, aut_gen_weights)
 
 
 def test_quadric8_weight_symmetries(quadric8_Q, quadric8_group):
@@ -73,30 +71,6 @@ def test_matches_brute_force_oracle():
     for _ in range(12):
         Q = random_pointed_grading(rng, kmax=2, lmax=1, rmax=5)
         assert set(aut_gen_weights(Q)) == extendable_bijections(Q)
-
-
-def test_admissible_all_pass_quadric8(quadric8_Q):
-    ring = GradedPolyRing.from_degree_matrix(quadric8_Q)
-    auts = aut_gen_weights(quadric8_Q)
-    adm = admissible_automorphisms(auts, ring)
-    assert len(adm) == 4
-    assert [a.aut for a in adm] == list(auts)
-    assert adm[1].block_map == (0, 4, 7, 6, 1, 5, 3, 2)
-    assert adm[0].block_map == tuple(range(8))
-
-
-def test_admissible_rejects_dimension_mismatch():
-    z2 = GradingGroup(2)
-    cols = (z2.element((1, 0)), z2.element((0, 1)), z2.element((0, 1)))
-    Q = DegreeMatrix(cols)
-    ring = GradedPolyRing.from_degree_matrix(Q)
-    auts = aut_gen_weights(Q)
-    swap = [a for a in auts if a.free_block == ((0, 1), (1, 0))]
-    assert swap, "the coordinate swap preserves the weight set"
-    adm = admissible_automorphisms(auts, ring)
-    kept = {a.aut for a in adm}
-    assert swap[0] not in kept
-    assert any(a.aut.is_identity() for a in adm)
 
 
 def _torsion_cube(orders):
