@@ -8,9 +8,9 @@ nonempty subset, exact for the full coordinate space, while precomputed
 families can be passed through for quotients whose relevant faces were
 determined externally.  The chamber of a class in all-subsets mode needs
 only the simplicial orbit cones (Carathéodory), so it is computed from
-the linearly independent subsets of at most k weights, one exact Cramer
-solve each, and one double description for their intersection.  Every
-step runs serially in the calling process.
+the linearly independent subsets of at most k weights, one rank and one
+exact rref solve each, and one double description for their
+intersection.  Every step runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -66,16 +66,20 @@ def _simplicial_family(Q: DegreeMatrix):
     out = [(i,) for i, v in enumerate(free) if not any(v)]
     for size in range(1, Q.group.free_rank + 1):
         out.extend(F for F in combinations(range(len(free)), size)
-                   if linalg.nonzero_minor([free[i] for i in F]) is not None)
+                   if linalg.rank([free[i] for i in F]) == size)
     return out
 
 
 def _in_simplicial_cone(vectors, w0) -> bool:
     """w0 in the cone over linearly independent vectors, or over a single
-    zero vector, by one Cramer solve; the zero vector spans the origin,
-    which is the cone over no vectors."""
-    sol = linalg.cramer([v for v in vectors if any(v)], w0)
-    return sol is not None and all(x * sol[1] >= 0 for x in sol[0])
+    zero vector: the unique solution of one rref solve, with the vectors
+    as columns, is nonnegative.  The zero vector spans the origin, which
+    contains only w0 = 0."""
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return not any(w0)
+    x = linalg.solve(list(zip(*vectors)), w0)
+    return x is not None and all(c >= 0 for c in x)
 
 
 def orbit_cones(Q: DegreeMatrix, faces=None):

@@ -246,47 +246,28 @@ def _reduce_rows(block, orders):
     return tuple(tuple(x % a for x in row) for row, a in zip(block, orders))
 
 
-def _torsion_map_matrix(D_block, orders):
-    """[D | diag(a)], the integer presentation of the torsion block."""
-    l = len(orders)
-    rows = []
-    for i in range(l):
-        rows.append(list(D_block[i]) + [orders[j] if j == i else 0 for j in range(l)])
-    return rows
-
-
 def torsion_block_bijective(D_block, orders) -> bool:
     """Does D define a bijection of Z/a_1 + ... + Z/a_l?
 
-    Surjectivity (hence bijectivity, the group being finite) holds iff
-    [D | diag(a)] has trivial cokernel, i.e. all Smith invariant factors
-    are 1.
+    An endomorphism of a finite group is bijective iff it is onto, that
+    is iff the columns of D generate the group: subgroup index 1.
     """
-    l = len(orders)
-    if l == 0:
-        return True
-    M = _torsion_map_matrix(D_block, orders)
-    S, _, _ = linalg.smith_normal_form(M)
-    return all(S[i][i] == 1 for i in range(l))
+    group = GradingGroup(0, orders)
+    images = [group.element((), col) for col in zip(*D_block)]
+    return subgroup_presentation(group, images)[0] == 1
 
 
 def invert_torsion_block(D_block, orders):
-    """An integer X with D X = identity modulo the row orders.
-
-    Solved through the Smith normal form of [D | diag(a)]; only valid
-    when the block is bijective.
+    """An integer X with D X = identity modulo the row orders: the
+    section of the columns of D from subgroup_presentation, reduced;
+    only valid when the block is bijective.
     """
-    l = len(orders)
-    if l == 0:
-        return ()
-    M = _torsion_map_matrix(D_block, orders)
-    S, U, V = linalg.smith_normal_form(M)
-    if any(S[i][i] != 1 for i in range(l)):
+    group = GradingGroup(0, orders)
+    images = [group.element((), col) for col in zip(*D_block)]
+    index, section = subgroup_presentation(group, images)
+    if index != 1:
         raise StructuralError("torsion block is not invertible")
-    # M Z = I with Z = V [U ; 0]; the top l rows of Z, the top left l x l
-    # block of V times U, solve D X = I mod orders
-    X = linalg.mat_mul([row[:l] for row in V[:l]], U)
-    return _reduce_rows(X, orders)
+    return _reduce_rows(section, orders)
 
 
 @dataclass(frozen=True)

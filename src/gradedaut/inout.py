@@ -611,8 +611,8 @@ def _encode_presentation(pres: AutPresentation, poly):
 
 
 def _decode_presentation(data) -> AutPresentation:
-    from .ringaut import (AutPresentation, AutTriple, _slot_ring,
-                          build_action_basis, structured_matrix)
+    from .ringaut import (AutPresentation, AutTriple, build_action_basis,
+                          structured_matrix)
     ring = _decode_ring(data["ring"])
     basis = build_action_basis(ring)
     n = _int(data["n"])
@@ -629,7 +629,7 @@ def _decode_presentation(data) -> AutPresentation:
                              "matrix of its weight symmetry")
         gens = _decode_polys(t["equations"], n * n + 1)
         triples.append(AutTriple(matrix, aut, gens))
-    return AutPresentation(ring, basis, _slot_ring(basis), tuple(triples))
+    return AutPresentation(ring, basis, tuple(triples))
 
 
 def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):

@@ -190,38 +190,6 @@ def unimodular_subset(vectors, k: int):
     return None
 
 
-def nonzero_minor(rows):
-    """Column indices of the first maximal minor of the integer rows, in
-    combinations order, with nonzero determinant; None when the rows are
-    linearly dependent."""
-    width = len(rows[0]) if rows else 0
-    for cols in combinations(range(width), len(rows)):
-        if det([[row[c] for c in cols] for row in rows]):
-            return cols
-    return None
-
-
-def cramer(rows, b):
-    """Exact solution of sum x_i rows[i] == b for linearly independent
-    integer rows, by Cramer's rule on their first nonzero maximal minor.
-
-    Returns (numerators, d) with x_i = numerators[i] / d and d != 0, or
-    None when b lies outside the span of the rows.
-    """
-    cols = nonzero_minor(rows)
-    if cols is None:
-        raise ValueError("cramer needs linearly independent rows")
-    square = [[row[c] for c in cols] for row in rows]
-    target = [b[c] for c in cols]
-    d = det(square)
-    nums = [det(square[:i] + [target] + square[i + 1:])
-            for i in range(len(rows))]
-    if any(sum(x * row[t] for x, row in zip(nums, rows)) != d * b[t]
-           for t in range(len(b))):
-        return None
-    return nums, d
-
-
 def rref(M):
     """Reduced row echelon form over the rationals.
 

@@ -231,8 +231,8 @@ class DeterminantWitness(Polynomial):
         return list(self.terms.items())
 
 
-def default_names(nvars: int, stem: str = "T") -> tuple[str, ...]:
-    return tuple(f"{stem}({i + 1})" for i in range(nvars))
+def default_names(nvars: int) -> tuple[str, ...]:
+    return tuple(f"T({i + 1})" for i in range(nvars))
 
 
 def polynomial_to_str(f: Polynomial, names) -> str:
@@ -549,8 +549,6 @@ def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
             for mono, coeff in prod.terms.items():
                 row[index[mono]] = coeff
             rows.append(row)
-    if not rows:
-        return []
     reduced, pivots = linalg.rref(rows)
     return [tuple(reduced[i]) for i in range(len(pivots))]
 
@@ -558,13 +556,6 @@ def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
 def annihilator_forms(component_basis, dimension: int):
     """Linear forms on Q^dimension vanishing exactly on the span of the
     given vectors; returned as the reduced echelon kernel basis."""
-    vectors = [list(v) for v in component_basis]
-    if not vectors:
-        forms = [[Fraction(int(i == j)) for j in range(dimension)]
-                 for i in range(dimension)]
-        return [tuple(f) for f in forms]
-    kernel = linalg.nullspace(vectors, ncols=dimension)
-    if not kernel:
-        return []
+    kernel = linalg.nullspace(component_basis, ncols=dimension)
     reduced, pivots = linalg.rref(kernel)
     return [tuple(reduced[i]) for i in range(len(pivots))]

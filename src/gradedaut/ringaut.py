@@ -23,7 +23,7 @@ from itertools import accumulate, combinations, permutations, product
 from math import factorial, prod
 
 from .errors import GuardError, StructuralError
-from .grading import DegreeMatrix, GroupAutomorphism, GroupElement
+from .grading import GroupAutomorphism, GroupElement
 from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
                           Polynomial, grlex_key, monomial_basis, monomial_mul,
                           polynomial_to_str)
@@ -228,8 +228,9 @@ def generic_row_image(basis: ActionBasis, flat_idx: int,
 
 
 def substitute_polynomial(basis: ActionBasis, f: Polynomial,
-                          matrix: SymbolicMatrix | None = None):
-    """Image of f in S under T_i -> sum_j Y_ij flat_j.
+                          matrix: SymbolicMatrix):
+    """Image of f in S under T_i -> sum_j Y_ij flat_j, over the slots
+    `matrix` leaves free.
 
     Returns a map from T-monomials to polynomials in the Y variables.
     Every ring variable occurs in the action basis, which pins its row.
@@ -324,13 +325,11 @@ class AutTriple:
 
 @dataclass(frozen=True)
 class AutPresentation:
-    """Everything the polynomial-ring stage produces: the coordinate
-    ring of matrix slots and one triple, with its equations, per
-    admissible weight symmetry."""
+    """Everything the polynomial-ring stage produces: the action basis
+    and one triple, with its equations, per admissible weight symmetry."""
 
     ring: GradedPolyRing
     basis: ActionBasis
-    slot_ring: GradedPolyRing
     triples: tuple[AutTriple, ...]
 
     @property
@@ -347,16 +346,6 @@ class AutPresentation:
         for i in range(self.n):
             total = total + self.basis.flat_degree(i)
         return -total
-
-
-def _slot_ring(basis: ActionBasis) -> GradedPolyRing:
-    group = basis.ring.grading
-    n = basis.n
-    cols = []
-    for i in range(n):
-        cols.extend([basis.flat_degree(i)] * n)
-    cols.append(group.zero())
-    return GradedPolyRing(n * n + 1, group, DegreeMatrix(tuple(cols)))
 
 
 def _build_triple(basis, B, block_map, mult_gens):
@@ -394,7 +383,7 @@ def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
     mult_gens = tuple(multiplicativity_ideal(basis))
     triples = tuple(_build_triple(basis, B, block_map, mult_gens)
                     for B, block_map in block_maps if block_map is not None)
-    return AutPresentation(ring, basis, _slot_ring(basis), triples)
+    return AutPresentation(ring, basis, triples)
 
 
 # --- rendering ---------------------------------------------------------

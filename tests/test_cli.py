@@ -219,6 +219,26 @@ def test_no_stage_keeps_a_process_wide_cache():
         assert not cached, (module.__name__, cached)
 
 
+def test_each_exact_question_has_one_routine(monkeypatch):
+    # the chamber of chamber10 asks one rank per candidate subset of at
+    # most k = 3 of its ten weights, C(10,1) + C(10,2) + C(10,3) = 175,
+    # and one rref solve per independent one, and computes no
+    # determinant; the torsion weight search makes one Smith normal
+    # form per candidate block, all through subgroup_presentation
+    problems = ROOT / "bench" / "problems"
+    chamber = parse_input((problems / "chamber10.toml").read_text())
+    torsion = parse_input((problems / "torsion.toml").read_text())
+    calls = {}
+    for name in ("det", "rank", "solve", "smith_normal_form"):
+        _count_calls(monkeypatch, calls, linalg, name)
+    gitfan.git_cone(chamber.degree_matrix(), chamber.w_element())
+    assert {name: len(args) for name, args in calls.items()} == {
+        "rank": 175, "solve": 163}
+    calls.clear()
+    weightsym.aut_gen_weights(torsion.degree_matrix())
+    assert len(calls["smith_normal_form"]) == 28
+
+
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion
 NON_EFFECTIVE = ("vars = 2\nQ = [[1, 1], [0, 0]]\n\n"
                  "[grading]\nfree_rank = 1\ntorsion = [2]\n")

@@ -138,7 +138,8 @@ def test_rendering_matches_reference():
     seen = set()
     for _ in range(400):
         nvars = rng.randint(1, 6)
-        names = default_names(nvars, rng.choice("TY"))
+        stem = rng.choice("TY")
+        names = tuple(f"{stem}({i + 1})" for i in range(nvars))
         terms = {}
         for _ in range(rng.randint(0, 7)):
             mono = tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in range(nvars))

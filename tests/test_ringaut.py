@@ -407,10 +407,8 @@ def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     shown = tuple(t.weight_aut.display_matrix() for t in pres.triples)
     assert shown == QUADRIC8_AUT_MATRICES
     assert all(len(t.ideal) == 57 for t in pres.triples)
-    assert pres.slot_ring.variable_count == 65
-    cols = pres.slot_ring.degrees.columns
-    assert cols[9] == quadric8_ring.degrees.columns[1]
-    assert cols[64].is_zero()
+    assert len(pres.slot_names()) == 65
+    assert pres.basis.flat_degree(1) == quadric8_ring.degrees.columns[1]
     group = quadric8_ring.grading
     assert pres.witness_degree() == group.element((0, 0, -8), (0,))
 
