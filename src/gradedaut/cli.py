@@ -22,7 +22,7 @@ import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
 from .inout import (MODES, FilterResult, ResultBundle, export_cas_script,
-                    parse_input, read_text, report_from_text, write_report)
+                    parse_input, read_report, read_text, write_report)
 from .validation import validate_presentation
 
 
@@ -96,12 +96,21 @@ _DEPTH = {"check": 0, "weights-aut": 1, "autks": 2, "autgradalg": 3,
           "export": 3, "autxhat": 4}
 
 
+def _is_report(path) -> bool:
+    """Is the first non-blank character of the file a `{`?  The file is
+    read a character at a time up to it, not whole."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        ch = fh.read(1)
+        while ch.isspace():
+            ch = fh.read(1)
+    return ch == "{"
+
+
 def _run(args) -> int:
-    text = read_text(args.input)
-    if args.command == "export" and text.lstrip().startswith("{"):
-        _emit(export_cas_script(report_from_text(text)), args.out)
+    if args.command == "export" and _is_report(args.input):
+        _emit(export_cas_script(read_report(args.input)), args.out)
         return 0
-    problem = parse_input(text)
+    problem = parse_input(read_text(args.input))
     ring = problem.ring()
     ideal = problem.ideal(ring)
     report = validate_presentation(ring, ideal)

@@ -6,33 +6,36 @@ and a `[grading]` section.  `parse_input` collects every diagnostic it
 can before failing, and `print_input` writes the canonical form back,
 so parse(print(p)) == p.
 
-Result bundles persist as JSON under the schema name "graded-aut/1";
-`read_report` undoes `write_report` exactly.  The schema's "timing" key
-is always null, which keeps reports byte-stable across runs.
+Result bundles persist as JSON under the schema name "graded-aut/1".
+`read_report` computes a report's sections again from its problem and
+accepts the file only if it is, byte for byte, what `write_report`
+writes of them.  The schema's "timing" key is always null, which keeps
+reports byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .errors import InputError, StructuralError, ValidationError
-from .grading import DegreeMatrix, GradingGroup, GroupAutomorphism
+from .grading import DegreeMatrix, GradingGroup
 from .polynomials import (DeterminantWitness, GradedPolyRing, Ideal,
                           Polynomial, _line_col, _line_starts,
                           _long_integer_message, default_names,
                           parse_polynomial, polynomial_to_str)
-from .validation import ValidationReport
+from .validation import ValidationReport, validate_presentation
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
-# imported by the decoders when they run, so that parsing a problem file
-# loads neither ringaut nor algebraaut
+# not imported: the report reader imports the stages it runs when it
+# runs them, so that parsing a problem file loads neither ringaut nor
+# algebraaut
 
 SCHEMA = "graded-aut/1"
 MODES = ("all-subsets", "user-faces")
@@ -512,41 +515,10 @@ def _strs(xs) -> tuple[str, ...]:
     return tuple(xs)
 
 
-@lru_cache(maxsize=1024)
-def _fraction(num: int, den: int) -> Fraction:
-    # reports repeat a few coefficients, mostly 1 and -1
-    return Fraction(num, den)
-
-
-def _decode_poly(data) -> Polynomial:
-    # the checking constructor is the one pass over the exponents
-    return Polynomial({tuple(mono): _fraction(_int(num), _int(den))
-                       for mono, (num, den) in data})
-
-
-def _decode_polys(data, nvars: int) -> tuple[Polynomial, ...]:
-    """A list of polynomials in `nvars` variables.  The constructor gives
-    each polynomial one exponent length, so one term per polynomial is
-    measured."""
-    polys = tuple(map(_decode_poly, data))
-    for f in polys:
-        mono = next(iter(f.terms), None)
-        if mono is not None and len(mono) != nvars:
-            raise ValueError(f"an equation has {len(mono)} exponents per "
-                             f"term in a ring of {nvars} variables")
-    return polys
-
-
 def _encode_ring(ring: GradedPolyRing):
     return {"free_rank": ring.grading.free_rank,
             "torsion": list(ring.grading.torsion_orders),
             "Q": [list(r) for r in ring.degrees.rows()]}
-
-
-def _decode_ring(data) -> GradedPolyRing:
-    group = GradingGroup(_int(data["free_rank"]), _ints(data["torsion"]))
-    Q = DegreeMatrix.from_rows(group, _int_rows(data["Q"]))
-    return GradedPolyRing.from_degree_matrix(Q)
 
 
 def _encode_problem(p: ProblemInput):
@@ -590,15 +562,6 @@ def _encode_report(report: ValidationReport):
     return out
 
 
-def _decode_report(data) -> ValidationReport:
-    flags = [data[flag] for flag in _REPORT_FLAGS]
-    for flag, value in zip(_REPORT_FLAGS, flags):
-        if type(value) is not bool:
-            raise TypeError(f"validation flag {flag} must be true or false, "
-                            f"found {json.dumps(value)}")
-    return ValidationReport(*flags, messages=_strs(data["messages"]))
-
-
 def _encode_presentation(pres: AutPresentation, poly):
     """`poly` encodes each equation."""
     return {"ring": _encode_ring(pres.ring),
@@ -608,28 +571,6 @@ def _encode_presentation(pres: AutPresentation, poly):
                          "pattern": [list(r) for r in t.matrix.pattern],
                          "equations": list(map(poly, t.ideal))}
                         for t in pres.triples]}
-
-
-def _decode_presentation(data) -> AutPresentation:
-    from .ringaut import (AutPresentation, AutTriple, build_action_basis,
-                          structured_matrix)
-    ring = _decode_ring(data["ring"])
-    basis = build_action_basis(ring)
-    n = _int(data["n"])
-    if basis.n != n:
-        raise InputError([(1, 1, f"presentation section is inconsistent: "
-                           f"stored n = {n}, ring gives n = {basis.n}")])
-    triples = []
-    for t in data["triples"]:
-        aut = GroupAutomorphism.from_display(ring.grading,
-                                             _int_rows(t["weight_aut"]))
-        matrix = structured_matrix(basis, aut)
-        if _int_rows(t["pattern"]) != matrix.pattern:
-            raise ValueError("a triple's pattern is not the structured "
-                             "matrix of its weight symmetry")
-        gens = _decode_polys(t["equations"], n * n + 1)
-        triples.append(AutTriple(matrix, aut, gens))
-    return AutPresentation(ring, basis, tuple(triples))
 
 
 def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):
@@ -643,27 +584,6 @@ def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):
                                 for t in stab.triples]}
 
 
-def _decode_stabilizer(data, base: AutPresentation) -> StabilizerPresentation:
-    """`base` is the decoded data["base"]."""
-    from .algebraaut import (StabilizerPresentation, StabilizerTriple,
-                             ideal_generator_degrees)
-    ring = base.ring
-    ideal = Ideal(ring, tuple(_decode_poly(g) for g in data["ideal"]))
-    roster = tuple(ring.grading.from_coordinates(c)
-                   for c in _int_rows(data["roster"]))
-    if roster != ideal_generator_degrees(ideal):
-        raise ValueError("roster is not the degrees of the ideal's generators")
-    gen_lists = data["stabilizer_gens"]
-    if len(gen_lists) != len(base.triples):
-        raise InputError([(1, 1, "stabilizer section is inconsistent: "
-                           f"{len(gen_lists)} generator lists for "
-                           f"{len(base.triples)} triples")])
-    nvars = base.n * base.n + 1
-    triples = tuple(StabilizerTriple(t, _decode_polys(gens, nvars))
-                    for t, gens in zip(base.triples, gen_lists))
-    return StabilizerPresentation(ring, ideal, base, triples, roster)
-
-
 def bundle_to_data(bundle: ResultBundle) -> dict:
     """The report as a JSON tree.  When the stabilizer's base is the
     presentation itself, as the CLI builds it, one encoded dict stands
@@ -671,8 +591,9 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
     return _bundle_tree(bundle, _encode_poly)
 
 
-def _bundle_tree(bundle: ResultBundle, poly) -> dict:
-    """The report's tree with each polynomial f as poly(f)."""
+def _bundle_tree(bundle: ResultBundle, poly=lambda f: f) -> dict:
+    """The report's tree with each polynomial f as poly(f); by default f
+    stays a leaf, for _poly_chunks."""
     pres = (None if bundle.presentation is None
             else _encode_presentation(bundle.presentation, poly))
     stab = bundle.stabilizer
@@ -697,58 +618,6 @@ def _bundle_tree(bundle: ResultBundle, poly) -> dict:
                                           bundle.filter_result.chamber_rays]}),
         "timing": None,
     }
-
-
-def bundle_from_data(data) -> ResultBundle:
-    """Decode a report; a missing key, a value of the wrong type or a
-    value an object rejects raises InputError."""
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
-        found = data.get("schema") if isinstance(data, dict) else None
-        raise InputError([(1, 1, f"unsupported report schema {found!r}; "
-                           f"this build reads {SCHEMA!r}")])
-    try:
-        return _decode_bundle(data)
-    except KeyError as exc:
-        raise InputError([(1, 1, f"report has no key {exc.args[0]!r}")]) \
-            from None
-    except (TypeError, ValueError, AttributeError, IndexError,
-            ZeroDivisionError, StructuralError, ValidationError) as exc:
-        raise InputError([(1, 1, f"malformed report: {exc}")]) from None
-
-
-def _decode_bundle(data) -> ResultBundle:
-    problem = _decode_problem(data["problem"])
-    ring = problem.ring()
-    report = (None if data.get("validation") is None
-              else _decode_report(data["validation"]))
-    weight_auts = tuple(map(_int_rows, data.get("weight_symmetries", [])))
-    group = problem.group()
-    for m in weight_auts:
-        GroupAutomorphism.from_display(group, m)
-    pres_data = data.get("presentation")
-    pres = None if pres_data is None else _decode_presentation(pres_data)
-    if pres is not None and pres.ring != ring:
-        raise ValueError("the presentation's ring is not the problem's")
-    stab_data = data.get("stabilizer")
-    stab = None
-    if stab_data is not None:
-        # _report_json returns one object for a base whose text is the
-        # presentation's, as the CLI writes it
-        base_data = stab_data["base"]
-        base = (pres if pres is not None and base_data is pres_data
-                else _decode_presentation(base_data))
-        if base.ring != ring:
-            raise ValueError("the stabilizer base's ring is not the problem's")
-        stab = _decode_stabilizer(stab_data, base)
-        if stab.ideal != problem.ideal(ring):
-            raise ValueError("the stabilizer's ideal is not the problem's")
-    fdata = data.get("filter")
-    filt = None
-    if fdata is not None:
-        exported = stab if stab is not None else pres
-        filt = _decode_filter(fdata, group,
-                              0 if exported is None else len(exported.triples))
-    return ResultBundle(problem, report, weight_auts, pres, stab, filt)
 
 
 def _decode_filter(data, group: GradingGroup,
@@ -876,125 +745,186 @@ def _poly_chunks(f: Polynomial, out, pad: str):
     out.append(pad + "]")
 
 
-def _report_chunks(bundle: ResultBundle, out):
-    """Append report_to_text(bundle) to `out`, in pieces."""
-    # the polynomials stay leaves of the tree, for _poly_chunks
-    _json_chunks(_bundle_tree(bundle, lambda f: f), out, "\n")
-    out.append("\n")
+def _report_chunks(value_of, out):
+    """Append a report's text to `out`, in pieces: the top-level object
+    with value_of(key) under each key, in the schema's order.  Each
+    value_of(key) is asked for once the key's own text is appended."""
+    sep = "{\n  "
+    for key in ("schema", "problem", "validation", "weight_symmetries",
+                "presentation", "stabilizer", "filter", "timing"):
+        out.append(f'{sep}"{key}": ')
+        _json_chunks(value_of(key), out, "\n  ")
+        sep = ",\n  "
+    out.append("\n}\n")
 
 
 def report_to_text(bundle: ResultBundle) -> str:
     """The report as JSON with two-space indentation, the bytes of
     json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
     out = []
-    _report_chunks(bundle, out)
+    _report_chunks(_bundle_tree(bundle).__getitem__, out)
     return "".join(out)
-
-
-_SPACE = re.compile(r"[ \t\n\r]*")
-_DECODER = json.JSONDecoder()
-_CHUNK = 1 << 16
-
-
-def _members(text: str, idx: int, read_object):
-    """The JSON object that starts at text[idx] and the index after it.
-    A member value that is an object is read by read_object(idx), any
-    other by json.  ValueError on a shape this does not expect."""
-    out = {}
-    idx = _SPACE.match(text, idx + 1).end()
-    if text.startswith("}", idx):
-        return out, idx + 1
-    while text.startswith('"', idx):
-        key, idx = _DECODER.raw_decode(text, idx)
-        idx = _SPACE.match(text, idx).end()
-        if not text.startswith(":", idx):
-            break
-        idx = _SPACE.match(text, idx + 1).end()
-        out[key], idx = (read_object(idx) if text.startswith("{", idx)
-                         else _DECODER.raw_decode(text, idx))
-        idx = _SPACE.match(text, idx).end()
-        if text.startswith("}", idx):
-            return out, idx + 1
-        if not text.startswith(",", idx):
-            break
-        idx = _SPACE.match(text, idx + 1).end()
-    raise ValueError("not a report's shape")
-
-
-def _reindented(text: str, idx: int, start: int, stop: int):
-    """The index after text[start:stop], with two spaces added after each
-    newline, if that copy stands at text[idx]; else None.  Compared a
-    slice at a time, so the whole copy is never built."""
-    for k in range(start, stop, _CHUNK):
-        piece = text[k:min(k + _CHUNK, stop)].replace("\n", "\n  ")
-        if not text.startswith(piece, idx):
-            return None
-        idx += len(piece)
-    return idx
-
-
-def _report_json(text: str):
-    """json.loads(text), reading the stabilizer's base once.
-
-    The top two object levels are walked here, keys and leaves are
-    json's.  A value one level down whose text is that of an earlier
-    top-level object with each newline followed by two more spaces is
-    that object, not parsed again.  That is the text of a base that is
-    the presentation, which the writer writes again one level deeper.
-    The two texts hold the same values of the same types: a JSON string
-    holds no raw newline, so only whitespace differs.  Any other shape
-    and any error go to json.loads, so values and diagnostics are
-    json's."""
-    objects = []  # (start, stop, value) of each top-level object
-
-    def level2(idx):
-        for start, stop, value in reversed(objects):
-            end = _reindented(text, idx, start, stop)
-            if end is not None:
-                return value, end
-        return _DECODER.raw_decode(text, idx)
-
-    def level1(idx):
-        value, end = _members(text, idx, level2)
-        objects.append((idx, end, value))
-        return value, end
-
-    try:
-        idx = _SPACE.match(text).end()
-        if not text.startswith("{", idx):
-            raise ValueError("not an object")
-        data, idx = _members(text, idx, level1)
-        if _SPACE.match(text, idx).end() != len(text):
-            raise ValueError("text after the object")
-        return data
-    except ValueError:
-        return json.loads(text)
-
-
-def report_from_text(text: str) -> ResultBundle:
-    try:
-        data = _report_json(text)
-    except json.JSONDecodeError as exc:
-        raise InputError([(exc.lineno, exc.colno,
-                           f"not valid JSON: {exc.msg}")]) from None
-    except ValueError:  # json's int() refused a number as too long
-        raise InputError([(1, 1, "malformed report: "
-                           + _long_integer_message())]) from None
-    except RecursionError:  # json's scanner takes one call per level
-        raise InputError([(1, 1, "malformed report: arrays or objects "
-                           "nested too deeply")]) from None
-    return bundle_from_data(data)
 
 
 def write_report(bundle: ResultBundle, path):
     """Write report_to_text(bundle) to `path`, each piece as the writer
     makes it, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        _report_chunks(bundle, SimpleNamespace(append=fh.write))
+        _report_chunks(_bundle_tree(bundle).__getitem__,
+                       SimpleNamespace(append=fh.write))
 
 
 def read_report(path) -> ResultBundle:
-    return report_from_text(read_text(path))
+    """The bundle that the report file at `path` holds; the file is read
+    as it is compared, never whole.  See `_checked_report`."""
+    with open(path, "rb") as fh:
+        return _checked_report(fh)
+
+
+def report_from_text(text: str) -> ResultBundle:
+    """The bundle that a report's text holds, as `read_report` reads it."""
+    return _checked_report(io.BytesIO(text.encode("utf-8", "surrogatepass")))
+
+
+class _Stages:
+    """The pipeline's products for one problem, each made when first
+    asked for, by the stage calls and validation gates of `cli._run`."""
+
+    def __init__(self, problem: ProblemInput):
+        self.ring = problem.ring()
+        self.ideal = problem.ideal(self.ring)
+        self.report = validate_presentation(self.ring, self.ideal)
+
+    @cached_property
+    def auts(self):
+        self.report.require(self.report.grading_ok)
+        from .weightsym import aut_gen_weights
+        return aut_gen_weights(self.ring.degrees)
+
+    @cached_property
+    def presentation(self):
+        from .ringaut import ring_presentation
+        return ring_presentation(self.ring, self.auts)
+
+    @cached_property
+    def stabilizer(self):
+        self.report.require(self.report.ok)
+        from .algebraaut import stabilizer_presentation
+        return stabilizer_presentation(self.presentation, self.ideal)
+
+
+def _checked_report(src) -> ResultBundle:
+    """The bundle that the report in `src`, a binary stream at its
+    start, holds.
+
+    Only the values of "schema", "problem" and "filter" are parsed, by
+    json.  The filter is read, not recomputed: `autxhat --w` and
+    `--mode` filter by a class and faces other than the problem's, and
+    the report records neither option.  A non-null "validation",
+    "presentation" or "stabilizer" and a non-empty "weight_symmetries"
+    are computed again from the problem.  The writer's text of the
+    result is compared with `src` one piece at a time, so neither text
+    is held whole.  Anything but that text, byte for byte, raises
+    InputError at the line and column of the first byte that differs:
+    a changed byte, an early end, trailing text, or a compact or
+    hand-edited layout of the same values."""
+    read, tell, seek = src.read, src.tell, src.seek
+    fields = {}  # the ResultBundle's, as its sections are reached
+    stages = None
+
+    def fail(at: int, message: str):
+        raise InputError([(*_byte_line_col(src, at), message)])
+
+    def compare(piece: str):
+        want = piece.encode()
+        got = read(len(want))
+        if got != want:
+            i = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+                     len(got))
+            at = tell() - len(got) + i
+            if i == len(got):
+                fail(at, f"report ends early: expected {piece[i]!r}")
+            found = repr(chr(got[i])) if got[i] < 0x80 else f"byte {got[i]:#x}"
+            fail(at, "report differs from its recomputation: expected "
+                 f"{piece[i]!r}, found {found}")
+
+    def ahead(text: bytes) -> bool:
+        at = tell()
+        found = read(len(text))
+        seek(at)
+        return found == text
+
+    def parsed(decode, *args):
+        """decode(the JSON value at the stream's position, *args).  The
+        value is read up to the first line that starts with "  }",
+        where the writer closes a top-level object, and the stream is
+        left where it was."""
+        at = tell()
+        lines = [src.readline()]
+        while lines[-1] and not lines[-1].startswith(b"  }"):
+            lines.append(src.readline())
+        seek(at)
+        text = b"".join(lines).decode("utf-8", "surrogateescape")
+        try:
+            data = json.JSONDecoder().raw_decode(text)[0]
+        except json.JSONDecodeError as exc:
+            fail(at + len(text[:exc.pos].encode("utf-8", "surrogateescape")),
+                 f"not valid JSON: {exc.msg}")
+        except ValueError:  # json's int() refused a number as too long
+            fail(at, "malformed report: " + _long_integer_message())
+        except RecursionError:  # json's scanner takes one call per level
+            fail(at, "malformed report: arrays or objects nested too deeply")
+        try:
+            return decode(data, *args)
+        except KeyError as exc:
+            fail(at, f"report has no key {exc.args[0]!r}")
+        except (TypeError, ValueError, AttributeError, StructuralError) as exc:
+            fail(at, f"malformed report: {exc}")
+
+    def value_of(key: str):
+        nonlocal stages
+        if key == "schema":
+            found = parsed(lambda data: data)
+            if found != SCHEMA:
+                fail(tell(), f"unsupported report schema {found!r}; this "
+                     f"build reads {SCHEMA!r}")
+            return SCHEMA
+        if key == "problem":
+            fields["problem"] = parsed(_decode_problem)
+            stages = _Stages(fields["problem"])
+        elif key == "validation" and not ahead(b"null"):
+            fields["report"] = stages.report
+        elif key == "weight_symmetries" and not ahead(b"[]"):
+            fields["weight_auts"] = tuple(a.display_matrix()
+                                          for a in stages.auts)
+        elif key in ("presentation", "stabilizer") and not ahead(b"null"):
+            fields[key] = getattr(stages, key)
+        elif key == "filter" and not ahead(b"null"):
+            exported = fields.get("stabilizer", fields.get("presentation"))
+            fields["filter_result"] = parsed(
+                _decode_filter, fields["problem"].group(),
+                0 if exported is None else len(exported.triples))
+        return _bundle_tree(ResultBundle(**fields))[key]
+
+    _report_chunks(value_of, SimpleNamespace(append=compare))
+    if read(1):
+        fail(tell() - 1, "text after the end of the report")
+    return ResultBundle(**fields)
+
+
+def _byte_line_col(src, at: int) -> tuple[int, int]:
+    """The line and column of byte `at` of the binary stream `src`, the
+    column counted in characters."""
+    src.seek(0)
+    line, start = 1, 0
+    for text in src:
+        if start + len(text) > at or not text.endswith(b"\n"):
+            break
+        line += 1
+        start += len(text)
+    else:
+        text = b""
+    return line, len(text[:at - start].decode("utf-8", "replace")) + 1
 
 
 # --- script export -----------------------------------------------------

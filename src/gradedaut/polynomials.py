@@ -509,7 +509,13 @@ def monomial_basis(ring: GradedPolyRing, w: GroupElement):
                 out.append(tuple(expo))
             return
         col, step = cols[i], steps[i]
-        for e in range(budget // step, -1, -1):
+        if i < r - 1:
+            exponents = range(budget // step, -1, -1)
+        else:
+            # the free part left must vanish, and phi of it is the budget
+            # left, so only budget - e * step = 0 can be a monomial
+            exponents = () if budget % step else (budget // step,)
+        for e in exponents:
             expo[i] = e
             descend(i + 1, tuple(x - e * y for x, y in zip(remaining, col)),
                     budget - e * step)

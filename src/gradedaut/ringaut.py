@@ -238,17 +238,21 @@ def substitute_polynomial(basis: ActionBasis, f: Polynomial,
     n = basis.n
     nvars_y = n * n + 1
     r = basis.ring.variable_count
-    var_rows = []
+    images = []
     for t in range(r):
         unit = tuple(int(i == t) for i in range(r))
-        var_rows.append(basis.flat_index(unit))
+        images.append(generic_row_image(basis, basis.flat_index(unit), matrix))
     result = {}
     for mono, coeff in f.terms.items():
         acc = {(0,) * r: Polynomial.constant(coeff, nvars_y)}
-        for t, e in enumerate(mono):
-            img = generic_row_image(basis, var_rows[t], matrix)
-            for _ in range(e):
-                acc = _ys_mul(acc, img)
+        for img, e in zip(images, mono):
+            # square and multiply: about 2 log2(e) products, not e
+            while e:
+                if e & 1:
+                    acc = _ys_mul(acc, img)
+                e >>= 1
+                if e:
+                    img = _ys_mul(img, img)
         result = _ys_add(result, acc)
     return result
 

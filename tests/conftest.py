@@ -28,6 +28,12 @@ QUADRIC8_AUT_MATRICES = (
 )
 
 
+
+def line_col(text, at):
+    """The 1-based line and column of offset `at` of text."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 @pytest.fixture(scope="session")
 def quadric8_group():
     return GradingGroup(3, (2,))

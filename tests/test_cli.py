@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import line_col
 
 from gradedaut import (algebraaut, cli, gitfan, grading, linalg,
                        polynomials, ringaut, validation, weightsym)
 from gradedaut.cli import main
-from gradedaut.inout import (ResultBundle, export_cas_script, parse_input,
-                             read_report)
+from gradedaut.inout import (FilterResult, ResultBundle, export_cas_script,
+                             parse_input, read_report)
 from gradedaut.ringaut import aut_ks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,8 +190,8 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
     # validation reads S_q and S_(q - deg g) for the 8 weights q and the
     # one generator g, the action basis the 8 blocks S_q, and the
     # stabilizer S_u and S_0 for the generator degree u; a report's
-    # reader rebuilds only the action basis; the positive functional is
-    # computed once per command, by its one degree matrix
+    # reader runs the stages of autgradalg again; the positive functional
+    # is computed once per command, by its one degree matrix
     calls = {}
     _count_calls(monkeypatch, calls, polynomials, "monomial_basis")
     _count_calls(monkeypatch, calls, linalg, "positive_functional")
@@ -201,7 +202,7 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
                         (["autgradalg", "--input", DEMO], 26),
                         (["autxhat", "--input", DEMO, "--out", report], 26),
                         (["export", "--input", DEMO], 26),
-                        (["export", "--input", report], 8)):
+                        (["export", "--input", report], 26)):
         calls.clear()
         assert main(argv) == 0
         capsys.readouterr()
@@ -365,7 +366,7 @@ def test_each_command_loads_only_its_stages(tmp_path):
     assert json.loads(seen.read_text()) == [
         [0, check], [0, weights], [0, autks], [0, autgradalg],
         [0, autxhat], [0, autxhat]]
-    # an export of a report alone decodes presentations, not chambers
+    # an export of a report alone recomputes presentations, not chambers
     assert _fresh_python(MODULES_AFTER, json.dumps(runs[-1:]),
                          str(seen)) == 0
     assert json.loads(seen.read_text()) == [[0, autgradalg]]
@@ -504,19 +505,23 @@ def test_non_utf8_input_exit(tmp_path, capsys):
         assert err.startswith(f"{path}:3:6: not UTF-8 text")
 
 
-@pytest.mark.parametrize("doc", [
-    '{"schema": "graded-aut/1"}',
-    '{"schema": "graded-aut/1", "problem": []}',
-    '{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": "x"}}}',
-    '{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": 1, '
-    '"torsion": []}, "vars": 1, "Q": [[1]], "ideal": [], "mode": "foo"}}',
+@pytest.mark.parametrize("doc, where, message", [
+    ('{"schema": "graded-aut/1"}', "2:27",
+     "report differs from its recomputation: expected ',', found '\\n'"),
+    ('{"schema": "graded-aut/1", "problem": []}', "3:14",
+     "malformed report: 'list' object has no attribute 'get'"),
+    ('{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": "x"}}}',
+     "3:14", 'malformed report: expected an integer, found "x"'),
+    ('{"schema": "graded-aut/1", "problem": {"grading": {"free_rank": 1, '
+     '"torsion": []}, "vars": 1, "Q": [[1]], "ideal": [], "mode": "foo"}}',
+     "3:14", "malformed report: unknown mode 'foo'"),
 ], ids=["no-problem", "problem-list", "free-rank-string", "unknown-mode"])
-def test_malformed_report_exit(tmp_path, capsys, doc):
-    path = _write(tmp_path, doc, "report.json")
+def test_malformed_report_exit(tmp_path, capsys, doc, where, message):
+    # in the writer's layout, so that the problem is reached and parsed
+    path = _write(tmp_path, json.dumps(json.loads(doc), indent=2) + "\n",
+                  "report.json")
     assert main(["export", "--input", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"{path}:1:1: ")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"{path}:{where}: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -529,7 +534,9 @@ def quadric8_autxhat_report(tmp_path_factory):
 # two exponents per term in a ring of 8 * 8 + 1 slot variables
 SHORT_EQUATION = [[[1, 2], [1, 1]]]
 
-# each edit leaves a report the parser takes but the decoders must refuse
+# each edit leaves a report json reads but the reader must refuse: the
+# filter, which is parsed, fails its checks, and any other part is not
+# what the report's problem gives
 REPORT_HOLES = {
     "retained-past-end": lambda d: d["filter"].update(retained=[7]),
     "retained-negative": lambda d: d["filter"].update(retained=[-1]),
@@ -550,13 +557,151 @@ REPORT_HOLES = {
 @pytest.mark.parametrize("hole", REPORT_HOLES)
 def test_export_refuses_inconsistent_report(tmp_path, capsys,
                                             quadric8_autxhat_report, hole):
-    data = json.loads(quadric8_autxhat_report)
+    text = quadric8_autxhat_report
+    data = json.loads(text)
     REPORT_HOLES[hole](data)
-    path = _write(tmp_path, json.dumps(data, indent=2), "report.json")
+    edited = json.dumps(data, indent=2) + "\n"
+    path = _write(tmp_path, edited, "report.json")
     assert main(["export", "--input", path]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"{path}:1:1: malformed report: ")
+    if data["filter"] != json.loads(text)["filter"]:
+        at = edited.index('"filter": ') + len('"filter": ')
+        expected = "malformed report: "
+    else:
+        at = next(i for i, (a, b) in enumerate(zip(text, edited)) if a != b)
+        expected = "report differs from its recomputation: "
+    line, col = line_col(edited, at)
+    assert captured.err.startswith(f"{path}:{line}:{col}: {expected}")
     assert captured.out == ""
+
+
+def _report_damage(text: bytes, damage: str):
+    """The damaged report and the offset where it first differs from
+    `text`, a CLI report."""
+    if damage == "witness-byte":
+        # a 1 of the first witness exponent vector read as 0: the old
+        # decoder read that as another polynomial of the same shape
+        data = json.loads(text)
+        witness = data["presentation"]["triples"][0]["equations"][-1]
+        mono = witness[0][0]
+        mono[mono.index(1)] = 0
+        edited = (json.dumps(data, indent=2) + "\n").encode()
+        assert len(edited) == len(text)
+        return edited, next(i for i, (a, b) in enumerate(zip(text, edited))
+                            if a != b)
+    if damage == "truncated":
+        return text[:len(text) // 2], len(text) // 2
+    if damage == "trailing":
+        return text + b" \n", len(text)
+    if damage == "compact":
+        return json.dumps(json.loads(text)).encode(), 1
+    at = text.index(b'"n": 8') + 5
+    return text[:at] + b"\xff" + text[at + 1:], at
+
+
+DAMAGE_MESSAGES = {
+    "witness-byte": "report differs from its recomputation: expected '1', "
+                    "found '0'",
+    "truncated": "report ends early: expected ",
+    "trailing": "text after the end of the report",
+    "compact": "report differs from its recomputation: expected '\\n', "
+               "found '\"'",
+    "undecodable": "report differs from its recomputation: expected '8', "
+                   "found byte 0xff",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE_MESSAGES)
+def test_report_must_be_its_recomputation(tmp_path, capsys, damage):
+    message = DAMAGE_MESSAGES[damage]
+    path = tmp_path / "report.json"
+    assert main(["autgradalg", "--input", DEMO, "--out", str(path)]) == 0
+    capsys.readouterr()
+    edited, at = _report_damage(path.read_bytes(), damage)
+    path.write_bytes(edited)
+    assert main(["export", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    head = edited[:at].decode()
+    line, col = line_col(head, len(head))
+    assert captured.err.startswith(f"{path}:{line}:{col}: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+# quadric8 with the class and faces that autxhat options override
+USER_FACES = Path(DEMO).read_text().replace(
+    'mode = "all-subsets"',
+    'mode = "user-faces"\n'
+    'faces = [[1, 2, 3], [4, 5, 6], [1, 7], [2, 8], [1, 3, 5, 7]]')
+
+
+@pytest.mark.parametrize("text, option, coords, faces", [
+    (None, "--w=-2,-1,4,0", (-2, -1, 4, 0), None),
+    (USER_FACES, "--mode=all-subsets", (1, 9, 16, 0), None),
+    (USER_FACES, None, (1, 9, 16, 0), ((1, 2, 3), (4, 5, 6), (1, 7), (2, 8),
+                                       (1, 3, 5, 7))),
+], ids=["w", "mode", "user-faces"])
+def test_export_reads_the_filter_options_chose(tmp_path, capsys, text,
+                                               option, coords, faces):
+    # the report records neither --w nor --mode, so its filter is read,
+    # not computed from the problem; the script is the one the library
+    # gives for that filter
+    path = DEMO if text is None else _write(tmp_path, text)
+    report = tmp_path / "report.json"
+    argv = ["autxhat", "--input", path, "--out", str(report)]
+    assert main(argv + ([option] if option else [])) == 0
+    capsys.readouterr()
+    data = json.loads(report.read_text())
+    assert data["problem"]["w"] == [1, 9, 16, 0]
+    assert data["filter"]["w"] == list(coords)
+    assert main(["export", "--input", str(report)]) == 0
+    script = capsys.readouterr().out
+    problem = parse_input(Path(path).read_text())
+    ring = problem.ring()
+    stab = algebraaut.aut_grad_alg(ring, problem.ideal(ring))
+    lam = gitfan.git_cone(ring.degrees, ring.grading.from_coordinates(coords),
+                          faces)
+    chamber = FilterResult(coords, gitfan.chamber_fixers(stab, lam), lam.rays)
+    assert script == export_cas_script(
+        ResultBundle(problem, stabilizer=stab, filter_result=chamber))
+
+
+RSS_OF_EXPORT = """
+import resource, subprocess, sys
+code = subprocess.run([sys.executable, "-m", "gradedaut.cli", "export",
+                       "--input", sys.argv[1]],
+                      stdout=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_export_of_a_large_report_stays_small(tmp_path, capsys):
+    # the 37.5 MB weights112 report is compared as it is read, never
+    # held whole; a wrapper interpreter runs export alone, so that the
+    # children of this process do not count
+    report = tmp_path / "weights112.json"
+    assert main(["autgradalg", "--input",
+                 str(ROOT / "bench" / "problems" / "weights112.toml"),
+                 "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert report.stat().st_size > 37 * 10 ** 6
+    run = _on_src(["-c", RSS_OF_EXPORT, str(report)], subprocess.PIPE)
+    code, kib = map(int, run.stdout.split())
+    assert (run.returncode, code) == (0, 0)
+    assert kib < 40 * 1024
+
+
+def test_huge_degree_generator_runs_autgradalg(tmp_path):
+    # a generator of degree 10^8 - 1 in one variable: its component is
+    # one monomial wide and its image one term long
+    path = _write(tmp_path, 'vars = 1\nQ = [[1]]\nideal = ["T(1)^99999999"]'
+                            "\n\n[grading]\nfree_rank = 1\n")
+    run = _on_src(["-m", "gradedaut.cli", "autgradalg", "--input", path],
+                  subprocess.PIPE)
+    assert run.returncode == 0
+    assert run.stdout.decode().endswith(
+        "ideal generator degrees: (99999999)\n"
+        "stabilizing conditions for triple 1 (0 generators):\n")
 
 
 def test_check_report_written(tmp_path):
