@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .grading import GroupElement
-from .polynomials import (GradedPolyRing, Ideal, Polynomial, annihilator_forms,
-                          degree_of, ideal_component_basis, monomial_basis,
-                          polynomial_to_str)
+from .polynomials import (GradedPolyRing, Ideal, Polynomial, _joined,
+                          annihilator_forms, degree_of, ideal_component_basis,
+                          monomial_basis, polynomial_to_str)
 from .ringaut import (AutPresentation, AutTriple, render_presentation,
                       ring_presentation, substitute_polynomial)
 from .validation import validate_presentation
@@ -178,17 +178,19 @@ def stabilizer_presentation(base: AutPresentation,
                                   ideal_generator_degrees(ideal))
 
 
-def render_stabilizer(pres: StabilizerPresentation) -> str:
+def render_stabilizer(pres: StabilizerPresentation, write=None) -> str | None:
     """Report for the quotient algebra: the ambient presentation plus
-    the stabilizing conditions per triple."""
+    the stabilizing conditions per triple.  With `write`, the text is
+    passed to it in pieces instead of returned."""
+    if write is None:
+        return _joined(render_stabilizer, pres)
     names = pres.slot_names()
-    lines = [render_presentation(pres.base)]
-    lines.append("")
-    lines.append("ideal generator degrees: "
-                 + ", ".join(str(u) for u in pres.degree_roster))
+    render_presentation(pres.base, write)
+    write("\n\nideal generator degrees: "
+          + ", ".join(str(u) for u in pres.degree_roster))
     for idx, t in enumerate(pres.triples, start=1):
-        lines.append(f"stabilizing conditions for triple {idx} "
-                     f"({len(t.stabilizer_gens)} generators):")
+        write(f"\nstabilizing conditions for triple {idx} "
+              f"({len(t.stabilizer_gens)} generators):")
         for g in t.stabilizer_gens:
-            lines.append("  " + polynomial_to_str(g, names))
-    return "\n".join(lines)
+            write("\n  ")
+            polynomial_to_str(g, names, write)

@@ -21,8 +21,8 @@ import gc
 import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .inout import (MODES, FilterResult, ResultBundle, export_cas_script,
-                    parse_input, read_report, read_text, write_report)
+from .inout import (MODES, FilterResult, ResultBundle, parse_input,
+                    read_report, read_text, write_cas_script, write_report)
 from .validation import validate_presentation
 
 
@@ -82,12 +82,27 @@ def _faces_used(args, problem):
     return None
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(render, value, path=None, end=""):
+    """render(value, write), then `end`, to the file at `path` or to
+    stdout, in writes of 64 KiB or more: stdout may be unbuffered.  The
+    file is opened for the first write, so a failed render leaves none."""
+    pending, size, out = [], 0, None
+
+    def write(text, last=False):
+        nonlocal size, out
+        pending.append(text)
+        size += len(text)
+        if size >= 1 << 16 or last:
+            out = out or (open(path, "w", encoding="utf-8") if path
+                          else sys.stdout)
+            out.write("".join(pending))
+            pending.clear()
+            size = 0
+
+    render(value, write)
+    write(end, last=True)
+    if path:
+        out.close()
 
 
 # how far along the pipeline each command runs: 1 weight symmetries,
@@ -108,7 +123,7 @@ def _is_report(path) -> bool:
 
 def _run(args) -> int:
     if args.command == "export" and _is_report(args.input):
-        _emit(export_cas_script(read_report(args.input)), args.out)
+        _emit(write_cas_script, read_report(args.input), args.out)
         return 0
     problem = parse_input(read_text(args.input))
     ring = problem.ring()
@@ -146,12 +161,12 @@ def _run(args) -> int:
         from .ringaut import render_presentation, ring_presentation
         pres = ring_presentation(ring, auts)
     if args.command == "autks":
-        print(render_presentation(pres))
+        _emit(render_presentation, pres, end="\n")
     if depth >= 3:
         from .algebraaut import render_stabilizer, stabilizer_presentation
         stab = stabilizer_presentation(pres, ideal)
     if args.command == "autgradalg":
-        print(render_stabilizer(stab))
+        _emit(render_stabilizer, stab, end="\n")
     if depth >= 4:
         retained = chamber_fixers(stab, lam)
         filtered = stab.restrict(retained)
@@ -159,12 +174,12 @@ def _run(args) -> int:
         print(render_cone(lam))
         print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
               "symmetries fix the chamber\n")
-        print(render_stabilizer(filtered))
+        _emit(render_stabilizer, filtered, end="\n")
         chamber = FilterResult(coords, retained, lam.rays)
 
     bundle = ResultBundle(problem, report, displays, pres, stab, chamber)
     if args.command == "export":
-        _emit(export_cas_script(bundle), args.out)
+        _emit(write_cas_script, bundle, args.out)
     elif args.out:
         write_report(bundle, args.out)
     return 1 if args.command == "check" and not report.ok else 0
@@ -196,16 +211,10 @@ def _main(argv) -> int:
         for line, col, msg in exc.diagnostics:
             print(f"{args.input}:{line}:{col}: {msg}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GradingGroup
 from .polynomials import (DeterminantWitness, GradedPolyRing, Ideal,
-                          Polynomial, _line_col, _line_starts,
-                          _long_integer_message, default_names,
-                          parse_polynomial, polynomial_to_str)
+                          Polynomial, _joined, _leibniz, _line_col,
+                          _line_starts, _long_integer_message,
+                          default_names, parse_polynomial, polynomial_to_str)
 from .validation import ValidationReport, validate_presentation
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
@@ -639,44 +638,43 @@ def _decode_filter(data, group: GradingGroup,
     return filt
 
 
-def _json_chunks(value, out, pad: str):
-    """Append the text json.dumps(value, indent=2) gives to `out`, a list
-    or anything with an append, in pieces; `pad` is the newline and
-    indentation of value's own line.
+def _json_chunks(value, write, pad: str):
+    """Pass the text json.dumps(value, indent=2) gives to `write`, in
+    pieces; `pad` is the newline and indentation of value's own line.
     A Polynomial f stands for _encode_poly(f) and is written by
     `_poly_chunks`; a dict that stands twice is written twice."""
     if isinstance(value, Polynomial):
-        _poly_chunks(value, out, pad)
+        _poly_chunks(value, write, pad)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = pad + "  "
         if type(value) is list and set(map(type, value)) == {int}:
             # the repr of a list of ints is "[" + its items joined by
             # ", " + "]"
-            out.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
-                       + pad + "]")
+            write("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
+                  + pad + "]")
             return
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _json_chunks(item, out, inner)
+            write(sep)
+            _json_chunks(item, write, inner)
             sep = "," + inner
-        out.append(pad + "]")
+        write(pad + "]")
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = pad + "  "
         sep = "{" + inner
         for key, item in value.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, out, inner)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, write, inner)
             sep = "," + inner
-        out.append(pad + "}")
+        write(pad + "}")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 @lru_cache(maxsize=64)
@@ -687,23 +685,13 @@ def _zeros(nvars: int, pad: str) -> str:
     return ("," + pad).join("0" * nvars)
 
 
-@lru_cache(maxsize=64)
-def _witness_rows(n: int, pad: str) -> tuple[str, ...]:
-    """Entry c: the n entries of a witness row with its 1 in column c,
-    each followed by "," + pad."""
-    zeros = _zeros(n, pad) + "," + pad
-    step = len(pad) + 2
-    return tuple(zeros[:c * step] + "1" + zeros[c * step + 1:]
-                 for c in range(n))
-
-
-def _poly_chunks(f: Polynomial, out, pad: str):
-    """Append json.dumps(_encode_poly(f), indent=2) at `pad` to `out`,
+def _poly_chunks(f: Polynomial, write, pad: str):
+    """Pass json.dumps(_encode_poly(f), indent=2) at `pad` to `write`,
     one piece per term, for f in one variable or more, as every ring
     here has.  The exponents of f are ints, so each vector is the
     all-zero text with its nonzero entries written in.  A
     DeterminantWitness is written from its Leibniz terms, one row text
-    per slot row, and never expanded."""
+    per slot row joined once per term, and never expanded."""
     p2 = pad + "  "
     p3 = p2 + "  "
     p4 = p3 + "  "
@@ -714,20 +702,21 @@ def _poly_chunks(f: Polynomial, out, pad: str):
     coeff = p3 + "]," + p3 + "[" + p4
     shut = p3 + "]" + p2 + "]"
     if type(f) is DeterminantWitness:
-        # the exponent of Z is the last, always 1, as is each den
-        rows = _witness_rows(f.n, p4)
-        tails = {1: f"1{coeff}1,{p4}1{shut},{p2}",
-                 -1: f"1{coeff}-1,{p4}1{shut},{p2}"}
-        out.append("[" + p2)
-        for cols, sign in f.signed:
-            out.append("".join([head, *map(rows.__getitem__, cols),
-                                tails[sign]]))
-        out.append(f"{head}{_zeros(f.n * f.n + 1, p4)}{coeff}-1,{p4}1{shut}"
-                   f"{pad}]")
+        # the exponent of Z is the last, always 1, as is each den; a slot
+        # row with its 1 in column c is the zero row with "1" written in
+        zeros, step = _zeros(f.n, p4) + "," + p4, len(p4) + 2
+        ends = (f"1{coeff}1,{p4}1{shut},{p2}", f"1{coeff}-1,{p4}1{shut},{p2}")
+        write("[" + p2)
+        for first, parity, tails in _leibniz(f.allowed, lambda i, c: (
+                zeros[:c * step] + "1" + zeros[c * step + 1:],), ()):
+            for tail, p in tails:
+                write("".join([head, *first, *tail, ends[parity ^ p]]))
+        write(f"{head}{_zeros(f.n * f.n + 1, p4)}{coeff}-1,{p4}1{shut}"
+              f"{pad}]")
         return
     terms = f.sorted_terms()
     if not terms:
-        out.append("[]")
+        write("[]")
         return
     nvars = len(terms[0][0])
     zeros = _zeros(nvars, p4)
@@ -740,38 +729,35 @@ def _poly_chunks(f: Polynomial, out, pad: str):
             text += zeros[at:k * step], str(mono[k])
             at = k * step + 1
         text += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
-        out.append("".join(text))
+        write("".join(text))
         sep = "," + p2
-    out.append(pad + "]")
+    write(pad + "]")
 
 
-def _report_chunks(value_of, out):
-    """Append a report's text to `out`, in pieces: the top-level object
+def _report_chunks(value_of, write):
+    """Pass a report's text to `write`, in pieces: the top-level object
     with value_of(key) under each key, in the schema's order.  Each
-    value_of(key) is asked for once the key's own text is appended."""
+    value_of(key) is asked for once the key's own text is written."""
     sep = "{\n  "
     for key in ("schema", "problem", "validation", "weight_symmetries",
                 "presentation", "stabilizer", "filter", "timing"):
-        out.append(f'{sep}"{key}": ')
-        _json_chunks(value_of(key), out, "\n  ")
+        write(f'{sep}"{key}": ')
+        _json_chunks(value_of(key), write, "\n  ")
         sep = ",\n  "
-    out.append("\n}\n")
+    write("\n}\n")
 
 
 def report_to_text(bundle: ResultBundle) -> str:
     """The report as JSON with two-space indentation, the bytes of
     json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
-    out = []
-    _report_chunks(_bundle_tree(bundle).__getitem__, out)
-    return "".join(out)
+    return _joined(_report_chunks, _bundle_tree(bundle).__getitem__)
 
 
 def write_report(bundle: ResultBundle, path):
     """Write report_to_text(bundle) to `path`, each piece as the writer
     makes it, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        _report_chunks(_bundle_tree(bundle).__getitem__,
-                       SimpleNamespace(append=fh.write))
+        _report_chunks(_bundle_tree(bundle).__getitem__, fh.write)
 
 
 def read_report(path) -> ResultBundle:
@@ -906,7 +892,7 @@ def _checked_report(src) -> ResultBundle:
                 0 if exported is None else len(exported.triples))
         return _bundle_tree(ResultBundle(**fields))[key]
 
-    _report_chunks(value_of, SimpleNamespace(append=compare))
+    _report_chunks(value_of, compare)
     if read(1):
         fail(tell() - 1, "text after the end of the report")
     return ResultBundle(**fields)
@@ -933,40 +919,35 @@ def export_cas_script(bundle: ResultBundle) -> str:
     """A ready-to-run singular-like script declaring the slot ring and
     every equation list, with dimension and absolute-decomposition
     commands at the end.  The output is a pure function of the bundle."""
-    if bundle.stabilizer is not None:
-        pres = bundle.stabilizer.base
-        items = list(enumerate(t.ideal for t in bundle.stabilizer.triples))
-    elif bundle.presentation is not None:
-        pres = bundle.presentation
-        items = list(enumerate(t.ideal for t in bundle.presentation.triples))
-    else:
+    return _joined(write_cas_script, bundle)
+
+
+def write_cas_script(bundle: ResultBundle, write):
+    """Pass export_cas_script(bundle) to `write` in pieces, a
+    determinant witness one group of its terms at a time."""
+    pres = bundle.stabilizer or bundle.presentation
+    if pres is None:
         raise ValidationError("bundle carries no presentation to export")
+    items = list(enumerate(t.ideal for t in pres.triples))
     if bundle.filter_result is not None:
         keep = set(bundle.filter_result.retained)
         items = [(i, gens) for i, gens in items if i in keep]
     n = pres.n
     names = pres.slot_names()
-    lines = ["// automorphism equations, singular-like dialect",
-             f"// {len(items)} weight symmetries, matrix size {n}",
-             'LIB "primdec.lib";',
-             f"ring Sp = 0,(Y(1..{n * n}),Z),dp;"]
-    ideal_names = []
+    write("// automorphism equations, singular-like dialect\n"
+          f"// {len(items)} weight symmetries, matrix size {n}\n"
+          'LIB "primdec.lib";\n'
+          f"ring Sp = 0,(Y(1..{n * n}),Z),dp;\n")
     for pos, (orig, gens) in enumerate(items, start=1):
-        name = f"J{pos}"
-        ideal_names.append(name)
-        lines.append("")
-        lines.append(f"// triple {orig + 1} of the full list")
-        body = ",\n  ".join(polynomial_to_str(g, names) for g in gens)
-        lines.append(f"ideal {name} = {body};")
-    if ideal_names:
-        lines.append("")
-        if len(ideal_names) == 1:
-            lines.append(f"ideal J = {ideal_names[0]};")
-        else:
-            lines.append("ideal J = intersect(" + ",".join(ideal_names) + ");")
-        for name in ideal_names:
-            lines.append(f"dim(std({name}));")
-        lines.append("dim(std(J));")
-        lines.append("list absJ = absPrimdecGTZ(J);")
-        lines.append("absJ;")
-    return "\n".join(lines) + "\n"
+        write(f"\n// triple {orig + 1} of the full list\nideal J{pos} = ")
+        for k, g in enumerate(gens):
+            write(",\n  " if k else "")
+            polynomial_to_str(g, names, write)
+        write(";\n")
+    if items:
+        ideal_names = [f"J{pos}" for pos in range(1, len(items) + 1)]
+        joined = (ideal_names[0] if len(ideal_names) == 1
+                  else "intersect(" + ",".join(ideal_names) + ")")
+        write(f"\nideal J = {joined};\n"
+              + "".join(f"dim(std({name}));\n" for name in ideal_names)
+              + "dim(std(J));\nlist absJ = absPrimdecGTZ(J);\nabsJ;\n")

@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
+from operator import add
 
 from . import linalg
 from .errors import InputError, StructuralError, ValidationError
@@ -34,7 +35,7 @@ def grlex_key(mono: Monomial):
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Polynomial:
@@ -187,23 +188,55 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
+def _leibniz(allowed, cell, empty):
+    """The Leibniz terms of a matrix whose row i may take the columns
+    allowed[i], ascending by column tuple, in groups (head, parity,
+    tails): (tail, p) in tails is the term head + tail, of sign
+    (-1)^(parity + p).  A term sums cell(i, c) over its row-column pairs
+    onto `empty`; its sign is the parity of the sum over the rows of the
+    position of the row's column among those still unused."""
+    n = len(allowed)
+    cells = [{c: cell(i, c) for c in cols} for i, cols in enumerate(allowed)]
+    memo = {(): [(empty, 0)]}
+    stack = [(tuple(range(n)), empty, 0)]
+    while stack:
+        unused, head, parity = stack.pop()
+        if len(unused) <= 6:  # at most 6! terms, kept for each such set
+            yield head, parity, _tails(cells, unused, memo)
+            continue
+        row = cells[n - len(unused)]
+        # pushed in reverse, so the smallest column is walked first
+        stack += [(unused[:k] + unused[k + 1:], head + row[c], (parity + k) & 1)
+                  for k, c in reversed(tuple(enumerate(unused))) if c in row]
+
+
+def _tails(cells, unused, memo):
+    """The terms over the last len(unused) rows as (tail, parity), made
+    once per set of unused columns; memo[()] holds the empty term."""
+    tails = memo.get(unused)
+    if tails is None:
+        row = cells[len(cells) - len(unused)]
+        tails = memo[unused] = [
+            (row[c] + tail, (k + p) & 1) for k, c in enumerate(unused) if c in row
+            for tail, p in _tails(cells, unused[:k] + unused[k + 1:], memo)]
+    return tails
+
+
 class DeterminantWitness(Polynomial):
     """det(A) * Z - 1 for an n x n matrix A of slot variables, variable
-    i*n + j holding A[i][j] and variable n*n holding Z, kept in closed
-    form: `signed` lists the Leibniz terms of det(A) as (column of each
-    row, sign), ascending.
+    i*n + j holding A[i][j] and variable n*n holding Z, kept as its zero
+    pattern: `allowed[i]` lists the columns row i may take, ascending.
 
-    Each term is one slot per row times Z, so ascending column tuples are
-    the canonical, descending grlex order of the exponent vectors, and
-    the constant -1 comes after them.  `terms` is left unset until it is
-    read and is then expanded in that order.
+    Each Leibniz term is one slot per row times Z, so the order of
+    `_leibniz` is the canonical, descending grlex order, and the constant
+    -1 comes last.  `terms` is expanded in that order when first read.
     """
 
-    __slots__ = ("n", "signed")
+    __slots__ = ("n", "allowed")
 
-    def __init__(self, n: int, signed):
-        self.n = n
-        self.signed = signed
+    def __init__(self, allowed):
+        self.n = len(allowed)
+        self.allowed = allowed
         self._hash = None
 
     def __getattr__(self, name):
@@ -211,38 +244,51 @@ class DeterminantWitness(Polynomial):
         if name != "terms":
             raise AttributeError(name)
         n = self.n
-        one, minus_one = Fraction(1), Fraction(-1)
-        rows = range(0, n * n, n)
+        signs = (Fraction(1), Fraction(-1))
         terms = {}
-        for cols, sign in self.signed:
-            expo = [0] * (n * n) + [1]
-            for i, c in zip(rows, cols):
-                expo[i + c] = 1
-            terms[tuple(expo)] = one if sign > 0 else minus_one
-        terms[(0,) * (n * n + 1)] = minus_one
+        for head, parity, tails in _leibniz(self.allowed,
+                                            lambda i, c: (i * n + c,), ()):
+            for tail, p in tails:
+                expo = [0] * (n * n) + [1]
+                for v in head + tail:
+                    expo[v] = 1
+                terms[tuple(expo)] = signs[parity ^ p]
+        terms[(0,) * (n * n + 1)] = signs[1]
         self.terms = terms
         return terms
 
     def is_zero(self) -> bool:
         return False
 
-    def sorted_terms(self):
-        """Terms largest-first: the expansion is built in that order."""
-        return list(self.terms.items())
-
 
 def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"T({i + 1})" for i in range(nvars))
 
 
-def polynomial_to_str(f: Polynomial, names) -> str:
+def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
     """Canonical rendering: terms in descending order, `*` products,
-    `^` powers, unit coefficients suppressed."""
-    if type(f) is DeterminantWitness:
-        return _witness_to_str(f, names)
-    if f.is_zero():
-        return "0"
+    `^` powers, unit coefficients suppressed.  With `write`, the text is
+    passed to it instead of returned, a DeterminantWitness in one piece
+    per group of its Leibniz terms."""
+    if write is None:
+        return _joined(polynomial_to_str, f, names)
     names = list(names)
+    if type(f) is DeterminantWitness:
+        # one slot name per row, then Z; then the constant
+        n = f.n
+        stars = ["*"] * (n - 1) + ["*" + names[n * n]]
+        lead = True
+        for head, parity, tails in _leibniz(
+                f.allowed, lambda i, c: names[i * n + c] + stars[i], ""):
+            signs = (" + " + head, " - " + head)
+            text = "".join([signs[parity ^ p] + tail for tail, p in tails])
+            if lead and text:
+                text = ("-" if text[1] == "-" else "") + text[3:]
+                lead = False
+            write(text)
+        return write("-1" if lead else " - 1")
+    if f.is_zero():
+        return write("0")
     positions = range(len(next(iter(f.terms))))
     chunks = []
     for mono, coeff in f.sorted_terms():
@@ -256,23 +302,14 @@ def polynomial_to_str(f: Polynomial, names) -> str:
         chunks.append(("- " if num < 0 else "+ ") + "*".join(factors))
     first = chunks[0]
     chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
-    return " ".join(chunks)
+    write(" ".join(chunks))
 
 
-def _witness_to_str(f: DeterminantWitness, names) -> str:
-    """`polynomial_to_str` of a witness, read off its sorted Leibniz
-    terms: one slot name per row, then Z, then the constant."""
-    n = f.n
-    names = tuple(names)
-    rows = [names[i:i + n] for i in range(0, n * n, n)]
-    z = "*" + names[n * n]
-    chunks = [("- " if sign < 0 else "+ ")
-              + "*".join(map(tuple.__getitem__, rows, cols)) + z
-              for cols, sign in f.signed]
-    chunks.append("- 1")
-    first = chunks[0]
-    chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
-    return " ".join(chunks)
+def _joined(render, *args) -> str:
+    """The text that render(*args, write) passes to `write`, whole."""
+    out = []
+    render(*args, out.append)
+    return "".join(out)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*/+-]))")

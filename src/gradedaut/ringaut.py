@@ -10,23 +10,24 @@ invertible.  Together with the equations forcing multiplicativity on
 composite basis monomials this presents the graded automorphisms of S as
 an affine variety over the rationals.
 
-The witness det * Z - 1 is kept in closed form, as its sorted Leibniz
-terms (a `DeterminantWitness`): it is printed from them, and its
-exponent vectors are expanded only when something reads them, as a
-report does.
+The witness det * Z - 1 is kept as the zero pattern of the matrix (a
+`DeterminantWitness`): its Leibniz terms are walked from the pattern
+each time they are printed or written, and its exponent vectors are
+expanded only when something reads them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate
 from math import factorial, prod
 
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
 from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
-                          Polynomial, grlex_key, monomial_basis, monomial_mul,
-                          polynomial_to_str)
+                          Polynomial, _joined, grlex_key, monomial_basis,
+                          monomial_mul, polynomial_to_str)
 from .validation import require_valid_grading
 from .weightsym import aut_gen_weights, block_permutation
 
@@ -123,18 +124,6 @@ def _pattern(basis: ActionBasis, block_map) -> SymbolicMatrix:
     return SymbolicMatrix(n, tuple(rows))
 
 
-def _signed_permutations(items):
-    """The permutations of the ascending sequence `items` (length k) in
-    lexicographic order, each with its sign.  Their Lehmer codes
-    (c_0, ..., c_{k-1}), c_i < k - i the number of later entries below
-    entry i, run through the same order, and the sign is
-    (-1)^(c_0 + ... + c_{k-1}), the parity of the inversions."""
-    k = len(items)
-    codes = product(*(range(k - i) for i in range(k)))
-    return [(perm, -1 if c % 2 else 1)
-            for perm, c in zip(permutations(items), map(sum, codes))]
-
-
 def _require_det_terms(count: int):
     if count > DET_TERM_BOUND:
         raise GuardError(
@@ -147,39 +136,23 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
     witness det(A) * Z - 1.
 
     The rows grouped by support must form a block permutation of full
-    square blocks, of sizes k_i; det(A) then has prod(k_i!) terms, each
-    the sign of the block permutation times one Leibniz term per block.
-    The count is refused above `DET_TERM_BOUND` before any term is listed.
-    The witness is a `DeterminantWitness`: its terms as (column of each
-    row, sign), sorted ascending, which is the canonical term order.
+    square blocks, of sizes k_i; det(A) then has prod(k_i!) terms.  The
+    count is refused above `DET_TERM_BOUND`.  The witness keeps the
+    columns each row may take; its terms are walked only when read.
     """
     n = matrix.n
-    nvars = n * n + 1
-    gens = [Polynomial.variable(i * n + j, nvars)
+    gens = [Polynomial.variable(i * n + j, n * n + 1)
             for i in range(n) for j in range(n) if matrix.pattern[i][j] == 0]
-    supports = {}
-    for i, row in enumerate(matrix.pattern):
-        supports.setdefault(tuple(j for j, v in enumerate(row) if v), []).append(i)
+    allowed = tuple(tuple(j for j, v in enumerate(row) if v)
+                    for row in matrix.pattern)
+    rows = Counter(allowed)  # rows per support
     # square blocks with k_i rows each: disjoint exactly when they cover n columns
-    if (any(len(cols) != len(rows) for cols, rows in supports.items())
-            or len(set().union(*supports)) != n):
+    if (any(len(cols) != k for cols, k in rows.items())
+            or len(set().union(*rows)) != n):
         raise StructuralError("the zero pattern is not a block permutation "
                               "of full square blocks")
-    _require_det_terms(prod(factorial(len(rows)) for rows in supports.values()))
-    base = dict(pair for cols, rows in supports.items() for pair in zip(rows, cols))
-    # the sign of the block permutation, from its inversions
-    inversions = sum(base[a] > base[b] for a, b in combinations(range(n), 2))
-    signed = [((), -1 if inversions % 2 else 1)]
-    for cols in supports:
-        block = _signed_permutations(cols)
-        signed = [(a + b, sa * sb) for a, sa in signed for b, sb in block]
-    # the columns above follow the rows block by block
-    order = [i for rows in supports.values() for i in rows]
-    if order != list(range(n)):
-        where = sorted(range(n), key=order.__getitem__)
-        signed = [(tuple(map(a.__getitem__, where)), s) for a, s in signed]
-    signed.sort()
-    gens.append(DeterminantWitness(n, signed))
+    _require_det_terms(prod(map(factorial, rows.values())))
+    gens.append(DeterminantWitness(allowed))
     return gens
 
 
@@ -392,33 +365,31 @@ def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
 
 # --- rendering ---------------------------------------------------------
 
-def render_presentation(pres: AutPresentation) -> str:
+def render_presentation(pres: AutPresentation, write=None) -> str | None:
     """Plain-text report: variable weight table, then each triple with
-    its weight symmetry, structured matrix, and equations."""
+    its weight symmetry, structured matrix, and equations.  With
+    `write`, the text is passed to it in pieces instead of returned."""
+    if write is None:
+        return _joined(render_presentation, pres)
     n = pres.n
     names = pres.slot_names()
-    lines = []
-    lines.append(f"action basis size n = {n}")
-    flat_names = [polynomial_to_str(Polynomial.from_term(m, 1), pres.ring.var_names())
-                  for m in pres.basis.flat]
-    lines.append("flat basis: " + ", ".join(flat_names))
+    flat = (polynomial_to_str(Polynomial.from_term(m, 1), pres.ring.var_names())
+            for m in pres.basis.flat)
+    write(f"action basis size n = {n}\nflat basis: " + ", ".join(flat))
     if any(len(b) > 1 for b in pres.basis.blocks):
-        lines.append("note: some components contain several monomials; the "
-                     "admissibility filter compares dimensions only and the "
-                     "multiplicativity equations carry the rest")
-    lines.append("slot degrees, one block of Y variables per basis row:")
+        write("\nnote: some components contain several monomials; the "
+              "admissibility filter compares dimensions only and the "
+              "multiplicativity equations carry the rest")
+    write("\nslot degrees, one block of Y variables per basis row:")
     for i in range(n):
-        lo, hi = i * n + 1, (i + 1) * n
-        lines.append(f"  deg Y({lo}..{hi}) = {pres.basis.flat_degree(i)}")
-    lines.append(f"  deg Z = {pres.ring.grading.zero()} "
-                 f"(per triple: {pres.witness_degree()})")
+        write(f"\n  deg Y({i * n + 1}..{(i + 1) * n}) = "
+              f"{pres.basis.flat_degree(i)}")
+    write(f"\n  deg Z = {pres.ring.grading.zero()} "
+          f"(per triple: {pres.witness_degree()})")
     for idx, triple in enumerate(pres.triples, start=1):
-        lines.append("")
-        lines.append(f"triple {idx}: weight symmetry")
-        lines.append(str(triple.weight_aut))
-        lines.append("structured matrix:")
-        lines.append(str(triple.matrix))
-        lines.append(f"equations ({len(triple.ideal)} generators):")
+        write(f"\n\ntriple {idx}: weight symmetry\n{triple.weight_aut}"
+              f"\nstructured matrix:\n{triple.matrix}"
+              f"\nequations ({len(triple.ideal)} generators):")
         for g in triple.ideal:
-            lines.append("  " + polynomial_to_str(g, names))
-    return "\n".join(lines)
+            write("\n  ")
+            polynomial_to_str(g, names, write)

@@ -666,10 +666,9 @@ def test_export_reads_the_filter_options_chose(tmp_path, capsys, text,
         ResultBundle(problem, stabilizer=stab, filter_result=chamber))
 
 
-RSS_OF_EXPORT = """
+RSS_OF_COMMAND = """
 import resource, subprocess, sys
-code = subprocess.run([sys.executable, "-m", "gradedaut.cli", "export",
-                       "--input", sys.argv[1]],
+code = subprocess.run([sys.executable, "-m", "gradedaut.cli", *sys.argv[1:]],
                       stdout=subprocess.DEVNULL).returncode
 print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
@@ -685,10 +684,47 @@ def test_export_of_a_large_report_stays_small(tmp_path, capsys):
                  "--out", str(report)]) == 0
     capsys.readouterr()
     assert report.stat().st_size > 37 * 10 ** 6
-    run = _on_src(["-c", RSS_OF_EXPORT, str(report)], subprocess.PIPE)
+    run = _on_src(["-c", RSS_OF_COMMAND, "export", "--input", str(report)],
+                  subprocess.PIPE)
     code, kib = map(int, run.stdout.split())
     assert (run.returncode, code) == (0, 0)
     assert kib < 40 * 1024
+
+
+def test_autks_of_p117_streams_its_witness(tmp_path):
+    # P(1,1,7): one 2-block and one 9-block, 2! * 9! = 725760 witness
+    # terms and 51.5 MB of stdout, which leave a group of terms at a time
+    path = _write(tmp_path, "vars = 3\nQ = [[1, 1, 7]]\n\n[grading]\n"
+                            "free_rank = 1\n")
+    run = _on_src(["-c", RSS_OF_COMMAND, "autks", "--input", path],
+                  subprocess.PIPE)
+    code, kib = map(int, run.stdout.split())
+    assert (run.returncode, code) == (0, 0)
+    assert kib < 120 * 1024
+
+
+def test_autks_writes_stdout_in_bounded_pieces(monkeypatch):
+    # stdout may be unbuffered, a system call per write: the 2 MB of
+    # dense_quadric8 leave in a few large writes, none of them huge
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+    sizes = []
+    digest = hashlib.sha256()
+
+    class Counting:
+        def write(self, text):
+            data = text.encode("utf-8")
+            sizes.append(len(data))
+            digest.update(data)
+
+    monkeypatch.setattr(sys, "stdout", Counting())
+    code = main(["autks", "--input",
+                 str(ROOT / "bench" / "problems" / "dense_quadric8.toml")])
+    monkeypatch.undo()
+    assert code == 0
+    assert (digest.hexdigest()
+            == expected["dense-det"]["autks dense_quadric8.toml"]["stdout"])
+    assert max(sizes) <= 256 * 1024
+    assert len(sizes) <= 512
 
 
 def test_huge_degree_generator_runs_autgradalg(tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedaut import linalg, ringaut, weightsym
+from gradedaut import linalg, polynomials, ringaut, weightsym
 from gradedaut.cli import main
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
@@ -271,15 +271,19 @@ def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
     assert "3628800" in str(info.value)
     assert "1000000" in str(info.value)
 
-    # the refusal comes before a single Leibniz term is listed
-    def no_terms(items):
+    # the refusal comes before a single Leibniz term is walked
+    def no_terms(*args):
         raise AssertionError("determinant terms listed before the guard")
 
-    monkeypatch.setattr(ringaut, "_signed_permutations", no_terms)
+    monkeypatch.setattr(polynomials, "_leibniz", no_terms)
     with pytest.raises(GuardError) as info:
         aut_ks(zring((1,) * 10))
     assert "3628800" in str(info.value)
     assert "1000000" in str(info.value)
+    # the patch is where every witness term comes from
+    one = zero_pattern_ideal(SymbolicMatrix(1, ((1,),)))[-1]
+    with pytest.raises(AssertionError, match="before the guard"):
+        polynomial_to_str(one, yz_names(1))
 
 
 def test_zero_pattern_term_guard(monkeypatch):
