@@ -19,10 +19,10 @@ _MODULE_OF = {name: module for module, names in (
     ("errors", ("GradedAutError", "GuardError", "InputError",
                 "StructuralError", "ValidationError")),
     ("gitfan", ("aut_xhat", "git_cone", "map_cone", "orbit_cones",
-                "render_cone", "weight_cone")),
+                "render_cone")),
     ("grading", ("DegreeMatrix", "GradingGroup", "GroupAutomorphism",
                  "GroupElement", "check_effective", "check_pointed",
-                 "degree_of_exponent", "positive_weight_functional")),
+                 "degree_of_exponent")),
     ("inout", ("FilterResult", "ProblemInput", "ResultBundle",
                "export_cas_script", "parse_input", "print_input",
                "read_input", "read_report", "write_report")),

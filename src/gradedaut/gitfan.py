@@ -101,11 +101,6 @@ def orbit_cones(Q: DegreeMatrix, faces=None):
     return tuple(out)
 
 
-def weight_cone(Q: DegreeMatrix) -> RationalCone:
-    return cone_from_rays([c.free_part for c in Q.columns],
-                          Q.group.free_rank)
-
-
 def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     """The chamber of w: intersection of the orbit cones containing the
     free part w0 of w.
@@ -121,7 +116,7 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     if w.group != Q.group:
         raise StructuralError("w lives in a different grading group")
     w0 = w.free_part
-    if not weight_cone(Q).contains(w0):
+    if not Q.weight_cone.contains(w0):
         raise ValidationError("w is not an effective class")
     k = Q.group.free_rank
     if faces is None:

@@ -20,6 +20,7 @@ from functools import cached_property
 from math import prod
 
 from . import linalg
+from .cones import RationalCone, cone_from_rays
 from .errors import StructuralError
 
 
@@ -163,10 +164,26 @@ class DegreeMatrix:
         return tuple(c.free_part for c in self.columns)
 
     @cached_property
+    def weight_cone(self) -> RationalCone:
+        """The cone over the free parts q_i^0 in Q^k."""
+        return cone_from_rays(self.free_parts(), self.group.free_rank)
+
+    @cached_property
     def positive_functional(self):
-        """A rational phi with phi . q_i^0 >= 1 for all i, or None;
-        computed once per degree matrix."""
-        return linalg.positive_functional(self.free_parts(), self.group.free_rank)
+        """A primitive integer phi with phi . q_i^0 >= 1 for all i, or
+        None when some free part is zero or the weight cone holds a line.
+
+        phi is the sum of the generators of the dual cone, its lineality
+        pairs cancelling: a positive combination of all of them lies in
+        the interior of the dual of a pointed cone, so it is positive on
+        every nonzero integer point of the weight cone.
+        """
+        if not all(map(any, self.free_parts())):
+            return None
+        cone = self.weight_cone
+        if not cone.is_pointed():
+            return None
+        return linalg.primitive([sum(col) for col in zip(*cone.forms)])
 
     def distinct_weights(self) -> tuple[GroupElement, ...]:
         """Distinct columns, ordered by first occurrence."""
@@ -229,17 +246,11 @@ def check_pointed(Q: DegreeMatrix) -> bool:
     """Is the configuration of free parts pointed?
 
     True exactly when no nonnegative rational combination of the free
-    parts q_i^0 vanishes except the trivial one; certified by a strictly
-    positive rational functional (see linalg.positive_functional).  A
-    zero free part, in particular any column when the free rank is 0,
-    makes the grading unpointed.
+    parts q_i^0 vanishes except the trivial one: the weight cone is
+    pointed and no free part is zero, in particular no column when the
+    free rank is 0.  Certified by Q.positive_functional.
     """
-    return positive_weight_functional(Q) is not None
-
-
-def positive_weight_functional(Q: DegreeMatrix):
-    """A rational phi with phi . q_i^0 >= 1 for all i, or None."""
-    return Q.positive_functional
+    return Q.positive_functional is not None
 
 
 def _reduce_rows(block, orders):

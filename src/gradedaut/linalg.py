@@ -295,77 +295,3 @@ def unimodular_inverse(A):
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("matrix is not unimodular")
     return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def _primitive_ineq(coeffs, rhs):
-    # joint primitive integer form of (coeffs, rhs), preserving direction
-    p = primitive(tuple(coeffs) + (rhs,))
-    return p[:-1], p[-1]
-
-
-def feasible_point(ineqs, nvars: int):
-    """A rational point satisfying every `sum(c*x) >= rhs`, or None.
-
-    `ineqs` is an iterable of (coefficient tuple, rhs).  Elimination is
-    exact Fourier-Motzkin over the rationals with per-level dedup; the
-    point is recovered by back substitution.
-    """
-    cur = {_primitive_ineq(c, r) for c, r in ineqs}
-    levels = []
-    for v in reversed(range(nvars)):
-        lower, upper, rest = [], [], set()
-        for coeffs, rhs in cur:
-            cv = coeffs[v]
-            if cv > 0:
-                lower.append((coeffs, rhs))
-            elif cv < 0:
-                upper.append((coeffs, rhs))
-            else:
-                rest.add((coeffs, rhs))
-        levels.append((v, lower, upper))
-        for cp, bp in lower:
-            for cn, bn in upper:
-                # positive combination cancelling variable v
-                mp, mn = -cn[v], cp[v]
-                coeffs = tuple(mp * a + mn * b for a, b in zip(cp, cn))
-                rest.add(_primitive_ineq(coeffs, mp * bp + mn * bn))
-        cur = {(c, r) for c, r in rest if any(c) or r > 0}
-        if any(not any(c) and r > 0 for c, r in cur):
-            return None
-    if any(r > 0 for _, r in cur):
-        return None
-    x = [Fraction(0)] * nvars
-    for v, lower, upper in reversed(levels):
-        lo = hi = None
-        for coeffs, rhs in lower:
-            bound = Fraction(rhs - sum(c * x[j] for j, c in enumerate(coeffs) if j != v),
-                             coeffs[v])
-            lo = bound if lo is None else max(lo, bound)
-        for coeffs, rhs in upper:
-            bound = Fraction(rhs - sum(c * x[j] for j, c in enumerate(coeffs) if j != v),
-                             coeffs[v])
-            hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            x[v] = Fraction(0)
-        elif lo is None:
-            x[v] = hi - 1
-        elif hi is None:
-            x[v] = lo + 1
-        else:
-            x[v] = (lo + hi) / 2
-    return tuple(x)
-
-
-def positive_functional(vectors, dim: int):
-    """A rational phi with dot(phi, v) >= 1 for every v, or None.
-
-    Existence for a finite set of integer vectors is equivalent to the
-    cone condition that no nonnegative combination of the vectors except
-    the trivial one vanishes.
-    """
-    vectors = list(vectors)
-    if any(not any(v) for v in vectors):
-        return None
-    if dim == 0:
-        return ()
-    return feasible_point([(tuple(v), 1) for v in vectors], dim)

@@ -88,7 +88,7 @@ class Polynomial:
         """The single variable with 0-based `index`."""
         expo = [0] * nvars
         expo[index] = 1
-        return cls({tuple(expo): Fraction(1)})
+        return cls._of({tuple(expo): Fraction(1)})
 
     @classmethod
     def from_term(cls, mono: Monomial, coeff) -> "Polynomial":
@@ -272,7 +272,6 @@ def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
     per group of its Leibniz terms."""
     if write is None:
         return _joined(polynomial_to_str, f, names)
-    names = list(names)
     if type(f) is DeterminantWitness:
         # one slot name per row, then Z; then the constant
         n = f.n
@@ -517,9 +516,10 @@ def is_homogeneous(ring: GradedPolyRing, f: Polynomial) -> bool:
 def monomial_basis(ring: GradedPolyRing, w: GroupElement):
     """All monomials of degree w, canonically ordered, largest first.
 
-    Termination relies on a strictly positive functional on the weight
-    cone, so the grading must be pointed.  Each call enumerates; a stage
-    that needs a component again keeps what it read.
+    The descent is bounded by the grading's positive functional, an
+    integer phi with phi . q_i^0 >= 1, so every budget and step is an
+    int; it exists only for a pointed grading.  Each call enumerates; a
+    stage that needs a component again keeps what it read.
     """
     if w.group != ring.grading:
         raise StructuralError("degree lives in a different group")
@@ -528,9 +528,6 @@ def monomial_basis(ring: GradedPolyRing, w: GroupElement):
         raise ValidationError(
             "grading is not pointed; graded components may be infinite "
             "dimensional and monomial enumeration would not terminate")
-    # a positive multiple of phi on ints: every budget and step below is
-    # an int, and the floors of their quotients do not change
-    phi = linalg.primitive(phi)
     cols = [q.coordinates for q in ring.degrees.columns]
     steps = [linalg.dot(phi, q.free_part) for q in ring.degrees.columns]
     r = ring.variable_count

@@ -21,8 +21,7 @@ def naive_monomial_basis(ring, w):
     sum e_i * phi(q_i) = phi(w); so e_i <= phi(w) / phi(q_i) bounds the
     box.  Inside it every vector is checked outright.
     """
-    phi = linalg.positive_functional(
-        [q.free_part for q in ring.degrees.columns], ring.grading.free_rank)
+    phi = ring.degrees.positive_functional
     assert phi is not None, "oracle needs a pointed grading"
     cap = linalg.dot(phi, w.free_part)
     if cap < 0:
@@ -39,8 +38,7 @@ def naive_monomial_basis(ring, w):
 
 def naive_basis_box_size(ring, w):
     """Number of vectors naive_monomial_basis would scan."""
-    phi = linalg.positive_functional(
-        [q.free_part for q in ring.degrees.columns], ring.grading.free_rank)
+    phi = ring.degrees.positive_functional
     assert phi is not None
     cap = linalg.dot(phi, w.free_part)
     if cap < 0:
@@ -126,7 +124,7 @@ def random_pointed_grading(rng, kmax=3, lmax=1, rmax=6, span=2):
                                    tuple(rng.randint(0, a - 1) for a in orders))
                      for _ in range(r))
         Q = DegreeMatrix(cols)
-        if linalg.positive_functional(Q.free_parts(), k) is None:
+        if Q.positive_functional is None:
             continue
         if not has_lattice_basis(GradedPolyRing.from_degree_matrix(Q)):
             continue

@@ -1,5 +1,6 @@
 """The command line front end, driven through main()."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -190,11 +191,19 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
     # validation reads S_q and S_(q - deg g) for the 8 weights q and the
     # one generator g, the action basis the 8 blocks S_q, and the
     # stabilizer S_u and S_0 for the generator degree u; a report's
-    # reader runs the stages of autgradalg again; the positive functional
-    # is computed once per command, by its one degree matrix
+    # reader runs the stages of autgradalg again; the weight cone, which
+    # gives the positive functional and the chamber's effectiveness
+    # test, is built once per command, by its one degree matrix
     calls = {}
     _count_calls(monkeypatch, calls, polynomials, "monomial_basis")
-    _count_calls(monkeypatch, calls, linalg, "positive_functional")
+    build = grading.DegreeMatrix.weight_cone.func
+
+    def counted(Q):
+        calls.setdefault("weight_cone", []).append(Q)
+        return build(Q)
+    weight_cone = functools.cached_property(counted)
+    weight_cone.__set_name__(grading.DegreeMatrix, "weight_cone")
+    monkeypatch.setattr(grading.DegreeMatrix, "weight_cone", weight_cone)
     report = str(tmp_path / "autxhat.json")
     for argv, count in ((["check", "--input", DEMO], 16),
                         (["weights-aut", "--input", DEMO], 16),
@@ -207,7 +216,7 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
         assert main(argv) == 0
         capsys.readouterr()
         assert len(calls["monomial_basis"]) == count, argv
-        assert len(calls["positive_functional"]) == 1, argv
+        assert len(calls["weight_cone"]) == 1, argv
 
 
 def test_no_stage_keeps_a_process_wide_cache():
@@ -293,13 +302,13 @@ def test_search_guard_precedes_ideal_gate(tmp_path, monkeypatch, capsys):
         "above the bound 1 (weightsym.PLACEMENT_BOUND)\n")
 
 
-def _on_src(args, stdout):
+def _on_src(args, stdout, timeout=60):
     """Run a fresh interpreter with `args` on ./src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          timeout=60)
+                          timeout=timeout)
 
 
 def _fresh_python(code, *args):
@@ -350,12 +359,12 @@ with open(sys.argv[2], "w") as fh:
 
 
 def test_each_command_loads_only_its_stages(tmp_path):
-    check = ["cli", "errors", "grading", "inout", "linalg", "polynomials",
-             "validation"]
+    check = ["cli", "cones", "errors", "grading", "inout", "linalg",
+             "polynomials", "validation"]
     weights = sorted(check + ["weightsym"])
     autks = sorted(weights + ["ringaut"])
     autgradalg = sorted(autks + ["algebraaut"])
-    autxhat = sorted(autgradalg + ["cones", "gitfan"])
+    autxhat = sorted(autgradalg + ["gitfan"])
     report, seen = str(tmp_path / "autxhat.json"), tmp_path / "seen.json"
     runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
             ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
@@ -386,11 +395,10 @@ PUBLIC_NAMES = [
     "export_cas_script", "git_cone", "ideal_generator_degrees",
     "intersect_cones", "is_homogeneous", "map_cone", "monomial_basis",
     "orbit_cones", "parse_input", "parse_polynomial",
-    "polynomial_to_str", "positive_weight_functional", "print_input",
-    "read_input", "read_report", "render_cone", "render_presentation",
-    "render_stabilizer", "require_valid_grading", "structured_matrix",
-    "validate_presentation", "weight_cone", "write_report",
-    "zero_pattern_ideal",
+    "polynomial_to_str", "print_input", "read_input", "read_report",
+    "render_cone", "render_presentation", "render_stabilizer",
+    "require_valid_grading", "structured_matrix", "validate_presentation",
+    "write_report", "zero_pattern_ideal",
 ]
 
 
@@ -738,6 +746,30 @@ def test_huge_degree_generator_runs_autgradalg(tmp_path):
     assert run.stdout.decode().endswith(
         "ideal generator degrees: (99999999)\n"
         "stabilizing conditions for triple 1 (0 generators):\n")
+
+
+# twenty weights in Z^5 with a pointed weight cone
+Z5_ROWS = (
+    (4, 3, 1, 3, 4, 4, 4, 4, 2, 2, 2, 4, 3, 1, 4, 4, 1, 3, 2, 1),
+    (-1, -3, 0, -2, 3, 0, 3, -1, -3, -3, -1, 1, -2, 0, 0, 2, -2, 1, 1, -3),
+    (2, 0, -3, 2, 0, 1, 1, 2, -2, 0, -1, -1, 2, 3, 0, 0, 0, -3, -3, 3),
+    (0, -1, -2, -2, -3, -1, -1, 0, -2, 3, -3, 1, 3, 3, 0, -3, -2, -3, -1, -2),
+    (2, -2, 3, 0, -2, -2, 2, -2, -2, 1, -2, 1, 1, 3, -3, -2, -3, -3, 1, 1),
+)
+Z5_TWENTY = ("vars = 20\nQ = " + json.dumps([list(r) for r in Z5_ROWS])
+             + "\nideal = []\n\n[grading]\nfree_rank = 5\ntorsion = []\n")
+
+
+def test_check_decides_pointedness_of_twenty_weights_in_z5(tmp_path):
+    # pointedness is read off the weight cone's double description; an
+    # elimination whose size grows doubly exponentially with the free
+    # rank would not finish here
+    path = _write(tmp_path, Z5_TWENTY)
+    run = _on_src(["-m", "gradedaut.cli", "check", "--input", path],
+                  subprocess.PIPE, timeout=30)
+    assert run.returncode == 0
+    out = run.stdout.decode()
+    assert out.count(": pass\n") == 6 and "FAIL" not in out
 
 
 def test_check_report_written(tmp_path):

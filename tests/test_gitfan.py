@@ -7,7 +7,7 @@ from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cones import cone_from_rays, equal_cones, intersect_cones
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.gitfan import (_face_family, aut_xhat, git_cone, map_cone,
-                              orbit_cones, render_cone, weight_cone)
+                              orbit_cones, render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
@@ -138,7 +138,7 @@ def test_orbit_cones_quadric8(quadric8_Q, quadric8_cones):
     assert len(cones) == 160
     assert all(c.is_pointed() for c in cones)
     assert cones[0].rays == ((1, 0, 1),)
-    full = weight_cone(quadric8_Q)
+    full = quadric8_Q.weight_cone
     assert any(equal_cones(c, full) for c in cones)
     assert irredundant_rays(full) == ((-2, -1, 1), (0, -1, 1), (0, 1, 1),
                                       (2, 1, 1))
@@ -235,7 +235,7 @@ def test_git_cone_full_weight_cone():
     Q = zq(1, 2)
     w = Q.group.element((3,), ())
     lam = git_cone(Q, w)
-    assert equal_cones(lam, weight_cone(Q))
+    assert equal_cones(lam, Q.weight_cone)
 
 
 def test_aut_xhat_retains_identity_only(quadric8_stab, quadric8_group):

@@ -139,6 +139,27 @@ def test_check_pointed_examples(quadric8_Q):
     assert check_pointed(DegreeMatrix((two.element((), (1,)),))) is False
 
 
+def _assert_positive_functional(Q):
+    """phi is a primitive int vector with phi . q_i^0 >= 1 for all i."""
+    phi = Q.positive_functional
+    assert type(phi) is tuple and len(phi) == Q.group.free_rank
+    assert all(type(x) is int for x in phi)
+    assert linalg.primitive(phi) == phi
+    assert all(linalg.dot(phi, v) >= 1 for v in Q.free_parts())
+
+
+def test_positive_functional_examples():
+    z2 = GradingGroup(2)
+    Q = DegreeMatrix(tuple(z2.element(v) for v in ((1, 0), (0, 1), (1, 1))))
+    _assert_positive_functional(Q)
+    for free in (((1, 0), (-1, 0)), ((0, 0),)):
+        Q = DegreeMatrix(tuple(z2.element(v) for v in free))
+        assert Q.positive_functional is None
+    # free rank 0: every free part is the empty zero vector
+    z3 = GradingGroup(0, (3,))
+    assert DegreeMatrix((z3.element((), (1,)),)).positive_functional is None
+
+
 def random_degree_matrix(rng, k, l, r, lo=-2, hi=2):
     orders = tuple(rng.choice((2, 3)) for _ in range(l))
     group = GradingGroup(k, orders)
@@ -170,6 +191,8 @@ def test_check_pointed_matches_oracle():
                                  rng.randint(1, 6))
         got = check_pointed(Q)
         assert got == pointed_oracle(Q)
+        if got:
+            _assert_positive_functional(Q)
         hits[got] += 1
     assert hits[True] > 0 and hits[False] > 0
 

@@ -131,39 +131,6 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
-def test_feasible_point_on_satisfiable_systems():
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        target = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        ineqs = []
-        for _ in range(rng.randint(1, 6)):
-            c = [rng.randint(-3, 3) for _ in range(n)]
-            slack = Fraction(rng.randint(0, 4))
-            ineqs.append((tuple(c), linalg.dot(c, target) - slack))
-        pt = linalg.feasible_point(ineqs, n)
-        assert pt is not None
-        for c, rhs in ineqs:
-            assert linalg.dot(c, pt) >= rhs
-
-
-def test_feasible_point_detects_infeasible():
-    assert linalg.feasible_point([((1,), 1), ((-1,), 0)], 1) is None
-    assert linalg.feasible_point([((1, 1), 1), ((-1, -1), 1)], 2) is None
-    assert linalg.feasible_point([((0, 0), 1)], 2) is None
-
-
-def test_positive_functional():
-    phi = linalg.positive_functional([(1, 0), (0, 1), (1, 1)], 2)
-    assert phi is not None
-    for v in [(1, 0), (0, 1), (1, 1)]:
-        assert linalg.dot(phi, v) >= 1
-    assert linalg.positive_functional([(1, 0), (-1, 0)], 2) is None
-    assert linalg.positive_functional([(0, 0)], 2) is None
-    assert linalg.positive_functional([()], 0) is None
-    assert linalg.positive_functional([], 0) == ()
-
-
 def _reference_rref(M):
     """Gauss-Jordan elimination over Fractions, pivot by pivot."""
     R = [[Fraction(x) for x in row] for row in M]

@@ -8,8 +8,7 @@ import pytest
 from oracles import random_pointed_grading
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
-from gradedaut.grading import (DegreeMatrix, GradingGroup, degree_of_exponent,
-                               positive_weight_functional)
+from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
 from gradedaut.inout import (ProblemInput, ResultBundle, bundle_to_data,
                              parse_input)
 from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
@@ -250,8 +249,8 @@ def test_monomial_basis_refuses_unpointed():
 
 
 def _reference_monomial_basis(ring, w):
-    """The descent on GroupElements and Fraction budgets."""
-    phi = positive_weight_functional(ring.degrees)
+    """The descent on GroupElements, pruned by its budget."""
+    phi = ring.degrees.positive_functional
     cols = ring.degrees.columns
     r = ring.variable_count
     phi_vals = [linalg.dot(phi, q.free_part) for q in cols]
@@ -265,7 +264,7 @@ def _reference_monomial_basis(ring, w):
             if remaining.is_zero():
                 out.append(tuple(expo))
             return
-        top = int(budget / phi_vals[i])
+        top = budget // phi_vals[i]
         for e in range(top, -1, -1):
             expo[i] = e
             descend(i + 1, remaining - cols[i].scale(e), budget - e * phi_vals[i])
@@ -278,13 +277,11 @@ def _reference_monomial_basis(ring, w):
 
 def test_integer_descent_matches_group_element_descent():
     rng = random.Random(1030)
-    seen = {"torsion": 0, "phi with denominators": 0, "empty": 0}
+    seen = {"torsion": 0, "empty": 0}
     for _ in range(60):
         Q = random_pointed_grading(rng, kmax=3, lmax=2, rmax=5)
         ring = GradedPolyRing.from_degree_matrix(Q)
         seen["torsion"] += bool(Q.group.torsion_orders)
-        seen["phi with denominators"] += any(
-            x.denominator != 1 for x in positive_weight_functional(Q))
         degrees = [ring.grading.zero()]
         for _ in range(3):
             u = ring.grading.zero()
@@ -301,12 +298,11 @@ def test_integer_descent_matches_group_element_descent():
 
 
 def naive_basis_oracle(ring, w):
-    phi = linalg.positive_functional(
-        [q.free_part for q in ring.degrees.columns], ring.grading.free_rank)
+    phi = ring.degrees.positive_functional
     assert phi is not None
     cap = linalg.dot(phi, w.free_part)
     step = min(linalg.dot(phi, q.free_part) for q in ring.degrees.columns)
-    bound = max(0, int(cap / step))
+    bound = max(0, cap // step)
     hits = set()
     r = ring.variable_count
     for e in product(range(bound + 1), repeat=r):
@@ -328,7 +324,7 @@ def test_monomial_basis_matches_oracle():
                                    tuple(rng.randint(0, a - 1) for a in orders))
                      for _ in range(r))
         Q = DegreeMatrix(cols)
-        if linalg.positive_functional(Q.free_parts(), k) is None:
+        if Q.positive_functional is None:
             continue
         ring = GradedPolyRing.from_degree_matrix(Q)
         e = tuple(rng.randint(0, 3) for _ in range(r))
