@@ -197,6 +197,27 @@ def test_check_pointed_matches_oracle():
     assert hits[True] > 0 and hits[False] > 0
 
 
+def test_positive_functional_depends_only_on_the_weight_cone():
+    """Reordering the columns, repeating one, adding a positive multiple of
+    one or changing torsion parts leaves the weight cone and so phi as it
+    is; the monomial order read from phi does not see column order."""
+    rng = random.Random(14)
+    hits = {True: 0, False: 0}
+    for _ in range(120):
+        Q = random_degree_matrix(rng, rng.randint(1, 4), rng.randint(0, 1),
+                                 rng.randint(1, 6))
+        group, cols = Q.group, list(Q.columns)
+        rng.shuffle(cols)
+        q, m = rng.choice(cols), rng.randint(2, 3)
+        cols.append(rng.choice(cols))
+        cols.append(group.element(tuple(m * x for x in q.free_part),
+                                  (0,) * len(group.torsion_orders)))
+        phi = Q.positive_functional
+        assert DegreeMatrix(tuple(cols)).positive_functional == phi
+        hits[phi is not None] += 1
+    assert hits[True] > 0 and hits[False] > 0
+
+
 def quadric8_auts(group):
     return [GroupAutomorphism.from_display(group, m) for m in QUADRIC8_AUT_MATRICES]
 
