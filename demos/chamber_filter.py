@@ -13,7 +13,7 @@ from gradedaut.validation import validate_presentation
 problem = read_input(Path(__file__).with_name("quadric8.toml"))
 ring = problem.ring()
 ideal = problem.ideal(ring)
-w = problem.w_element()
+w = problem.group().from_coordinates(problem.w)
 
 cones = orbit_cones(ring.degrees)
 print(f"{len(cones)} distinct orbit cones over all weight subsets")

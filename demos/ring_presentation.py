@@ -22,8 +22,8 @@ print(f"witness degree per triple: {pres.witness_degree()}")
 
 print(f"\n{len(pres.triples)} triples, one per admissible weight symmetry")
 for idx, t in enumerate(pres.triples, start=1):
-    print(f"  triple {idx}: {len(t.ideal)} equations, "
-          f"{len(t.matrix.nonzero_indices())} free slots")
+    slots = sum(1 for row in t.matrix.pattern for v in row if v)
+    print(f"  triple {idx}: {len(t.ideal)} equations, {slots} free slots")
 
 # drill into the second triple: its symmetry swaps four of the weights
 # in pairs, so the matrix is a permutation pattern

@@ -33,8 +33,7 @@ _MODULE_OF = {name: module for module, names in (
     ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple", "aut_ks",
                  "build_action_basis", "render_presentation",
                  "structured_matrix", "zero_pattern_ideal")),
-    ("validation", ("ValidationReport", "require_valid_grading",
-                    "validate_presentation")),
+    ("validation", ("ValidationReport", "validate_presentation")),
     ("weightsym", ("aut_gen_weights",)),
 ) for name in names}
 

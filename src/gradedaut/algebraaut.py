@@ -19,9 +19,8 @@ from .polynomials import (GradedPolyRing, Ideal, Polynomial, _joined,
                           annihilator_forms, degree_of, ideal_component_basis,
                           monomial_basis, polynomial_to_str)
 from .ringaut import (AutPresentation, AutTriple, render_presentation,
-                      ring_presentation, substitute_polynomial)
-from .validation import validate_presentation
-from .weightsym import aut_gen_weights
+                      substitute_polynomial)
+from .validation import Stages
 
 
 def ideal_generator_degrees(ideal: Ideal) -> tuple[GroupElement, ...]:
@@ -158,12 +157,9 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal) -> StabilizerPresentation:
 
     Refuses any input failing a validation flag, in particular an ideal
     meeting a component S_q for a generator weight q; the message names
-    the weight.
+    the weight.  The ideal is gated before the weight search runs.
     """
-    report = validate_presentation(ring, ideal)
-    report.require(report.ok)
-    return stabilizer_presentation(
-        ring_presentation(ring, aut_gen_weights(ring.degrees)), ideal)
+    return Stages(ring, ideal).stabilizer
 
 
 def stabilizer_presentation(base: AutPresentation,

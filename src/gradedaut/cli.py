@@ -7,11 +7,17 @@ equation presentations, `autxhat` applies the chamber filter, and
 `autgradalg --out` would write.  Exit codes: 0 success, 1 validation
 failure, 2 parse failure, 3 resource-guard refusal.
 
-Each command reads its input once, validates once and runs each stage
-once on the product of the stage before, serially in one process.
-All stdout output is a pure function of the input, so repeated runs
-are byte-identical.  Each command imports only the stages it runs:
-`check` never loads the symmetry, equation or chamber modules.
+Each command reads its input once and reads the products it needs off
+one `validation.Stages`, the pipeline that the report reader and the
+library entry points share: it validates once and runs each stage at
+most once, on the product of the stage before, serially in one
+process.  The order in which a command reads the products fixes the
+order of its refusals: the grading gate, the weight search, for
+`autxhat` the class and its chamber, the ideal gate, then the
+determinant guard.  All stdout output is a pure function of the input,
+so repeated runs are byte-identical.  Each command imports only the
+stages it runs: `check` never loads the symmetry, equation or chamber
+modules.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sys
 from .errors import GuardError, InputError, StructuralError, ValidationError
 from .inout import (MODES, FilterResult, ResultBundle, parse_input,
                     read_report, read_text, write_cas_script, write_report)
-from .validation import validate_presentation
+from .validation import Stages
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -105,12 +111,6 @@ def _emit(render, value, path=None, end=""):
         out.close()
 
 
-# how far along the pipeline each command runs: 1 weight symmetries,
-# 2 ring presentation, 3 stabilizer, 4 chamber filter
-_DEPTH = {"check": 0, "weights-aut": 1, "autks": 2, "autgradalg": 3,
-          "export": 3, "autxhat": 4}
-
-
 def _is_report(path) -> bool:
     """Is the first non-blank character of the file a `{`?  The file is
     read a character at a time up to it, not whole."""
@@ -122,32 +122,33 @@ def _is_report(path) -> bool:
 
 
 def _run(args) -> int:
-    if args.command == "export" and _is_report(args.input):
+    command = args.command
+    if command == "export" and _is_report(args.input):
         _emit(write_cas_script, read_report(args.input), args.out)
         return 0
     problem = parse_input(read_text(args.input))
     ring = problem.ring()
-    ideal = problem.ideal(ring)
-    report = validate_presentation(ring, ideal)
-    depth = _DEPTH[args.command]
-    displays, pres, stab, chamber = (), None, None, None
+    stages = Stages(ring, problem.ideal(ring))
+    report = stages.report
+    fields = {}  # the ResultBundle's stage products, as they are made
 
-    if args.command == "check":
+    if command == "check":
         for label, flag in report.flag_items():
             print(f"{label}: {'pass' if flag else 'FAIL'}")
         for msg in report.messages:
             print("note: " + msg)
-    if depth >= 1:
-        report.require(report.grading_ok)
-        from .weightsym import aut_gen_weights
-        auts = aut_gen_weights(ring.degrees)
-        displays = tuple(a.display_matrix() for a in auts)
-    if args.command == "weights-aut":
-        print(f"{len(auts)} weight symmetries")
-        for i, a in enumerate(auts, start=1):
+    else:
+        fields["weight_auts"] = stages.displays
+    if command == "weights-aut":
+        print(f"{len(stages.auts)} weight symmetries")
+        for i, a in enumerate(stages.auts, start=1):
             print(f"\nsymmetry {i}:")
             print(str(a))
-    if depth >= 4:
+    if command == "autks":
+        from .ringaut import render_presentation
+        fields["presentation"] = stages.presentation
+        _emit(render_presentation, stages.presentation, end="\n")
+    if command == "autxhat":
         # the class and its chamber come before the ideal gate and the
         # heavy stages
         coords = _w_coords(args, problem)
@@ -155,19 +156,13 @@ def _run(args) -> int:
         from .gitfan import chamber_fixers, git_cone, render_cone
         w = problem.group().from_coordinates(coords)
         lam = git_cone(ring.degrees, w, faces)
-    if depth >= 3:
-        report.require(report.ok)
-    if depth >= 2:
-        from .ringaut import render_presentation, ring_presentation
-        pres = ring_presentation(ring, auts)
-    if args.command == "autks":
-        _emit(render_presentation, pres, end="\n")
-    if depth >= 3:
-        from .algebraaut import render_stabilizer, stabilizer_presentation
-        stab = stabilizer_presentation(pres, ideal)
-    if args.command == "autgradalg":
+    if command in ("autgradalg", "autxhat", "export"):
+        stab = fields["stabilizer"] = stages.stabilizer
+        fields["presentation"] = stages.presentation
+        from .algebraaut import render_stabilizer
+    if command == "autgradalg":
         _emit(render_stabilizer, stab, end="\n")
-    if depth >= 4:
+    if command == "autxhat":
         retained = chamber_fixers(stab, lam)
         filtered = stab.restrict(retained)
         print(f"git chamber of w = {w}:")
@@ -175,14 +170,14 @@ def _run(args) -> int:
         print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
               "symmetries fix the chamber\n")
         _emit(render_stabilizer, filtered, end="\n")
-        chamber = FilterResult(coords, retained, lam.rays)
+        fields["filter_result"] = FilterResult(coords, retained, lam.rays)
 
-    bundle = ResultBundle(problem, report, displays, pres, stab, chamber)
-    if args.command == "export":
+    bundle = ResultBundle(problem, report, **fields)
+    if command == "export":
         _emit(write_cas_script, bundle, args.out)
     elif args.out:
         write_report(bundle, args.out)
-    return 1 if args.command == "check" and not report.ok else 0
+    return 1 if command == "check" and not report.ok else 0
 
 
 def main(argv=None) -> int:

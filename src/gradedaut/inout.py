@@ -19,7 +19,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
@@ -29,12 +29,12 @@ from .polynomials import (DeterminantWitness, GradedPolyRing, Ideal,
                           Polynomial, _joined, _leibniz, _line_col,
                           _line_starts, _long_integer_message,
                           default_names, parse_polynomial, polynomial_to_str)
-from .validation import ValidationReport, validate_presentation
+from .validation import Stages, ValidationReport
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
-# not imported: the report reader imports the stages it runs when it
-# runs them, so that parsing a problem file loads neither ringaut nor
-# algebraaut
+# not imported: the report reader runs its stages through
+# `validation.Stages`, which imports each stage's module when it first
+# runs it, so parsing a problem file loads neither ringaut nor algebraaut
 
 SCHEMA = "graded-aut/1"
 MODES = ("all-subsets", "user-faces")
@@ -88,11 +88,6 @@ class ProblemInput:
     def ideal(self, ring: GradedPolyRing | None = None) -> Ideal:
         ring = self.ring() if ring is None else ring
         return Ideal(ring, tuple(ring.parse(s) for s in self.ideal_gens))
-
-    def w_element(self):
-        if self.w is None:
-            return None
-        return self.group().from_coordinates(self.w)
 
 
 def print_input(p: ProblemInput) -> str:
@@ -772,33 +767,6 @@ def report_from_text(text: str) -> ResultBundle:
     return _checked_report(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
-class _Stages:
-    """The pipeline's products for one problem, each made when first
-    asked for, by the stage calls and validation gates of `cli._run`."""
-
-    def __init__(self, problem: ProblemInput):
-        self.ring = problem.ring()
-        self.ideal = problem.ideal(self.ring)
-        self.report = validate_presentation(self.ring, self.ideal)
-
-    @cached_property
-    def auts(self):
-        self.report.require(self.report.grading_ok)
-        from .weightsym import aut_gen_weights
-        return aut_gen_weights(self.ring.degrees)
-
-    @cached_property
-    def presentation(self):
-        from .ringaut import ring_presentation
-        return ring_presentation(self.ring, self.auts)
-
-    @cached_property
-    def stabilizer(self):
-        self.report.require(self.report.ok)
-        from .algebraaut import stabilizer_presentation
-        return stabilizer_presentation(self.presentation, self.ideal)
-
-
 def _checked_report(src) -> ResultBundle:
     """The bundle that the report in `src`, a binary stream at its
     start, holds.
@@ -808,9 +776,10 @@ def _checked_report(src) -> ResultBundle:
     `--mode` filter by a class and faces other than the problem's, and
     the report records neither option.  A non-null "validation",
     "presentation" or "stabilizer" and a non-empty "weight_symmetries"
-    are computed again from the problem.  The writer's text of the
-    result is compared with `src` one piece at a time, so neither text
-    is held whole.  Anything but that text, byte for byte, raises
+    are computed again from the problem by `validation.Stages`, the
+    command line's pipeline, behind the same gates.  The writer's text
+    of the result is compared with `src` one piece at a time, so neither
+    text is held whole.  Anything but that text, byte for byte, raises
     InputError at the line and column of the first byte that differs:
     a changed byte, an early end, trailing text, or a compact or
     hand-edited layout of the same values."""
@@ -877,12 +846,12 @@ def _checked_report(src) -> ResultBundle:
             return SCHEMA
         if key == "problem":
             fields["problem"] = parsed(_decode_problem)
-            stages = _Stages(fields["problem"])
+            ring = fields["problem"].ring()
+            stages = Stages(ring, fields["problem"].ideal(ring))
         elif key == "validation" and not ahead(b"null"):
             fields["report"] = stages.report
         elif key == "weight_symmetries" and not ahead(b"[]"):
-            fields["weight_auts"] = tuple(a.display_matrix()
-                                          for a in stages.auts)
+            fields["weight_auts"] = stages.displays
         elif key in ("presentation", "stabilizer") and not ahead(b"null"):
             fields[key] = getattr(stages, key)
         elif key == "filter" and not ahead(b"null"):

@@ -28,8 +28,8 @@ from .grading import GroupAutomorphism, GroupElement
 from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
                           Polynomial, _joined, grlex_key, monomial_basis,
                           monomial_mul, polynomial_to_str)
-from .validation import require_valid_grading
-from .weightsym import aut_gen_weights, block_permutation
+from .validation import Stages
+from .weightsym import block_permutation
 
 # Leibniz terms the determinant witness may have.  Like every guard
 # bound it is read when the guard runs, so a caller may set it.
@@ -87,10 +87,6 @@ class SymbolicMatrix:
 
     n: int
     pattern: tuple[tuple[int, ...], ...]
-
-    def nonzero_indices(self) -> tuple[int, ...]:
-        """The 1-based Y indices present, row major."""
-        return tuple(v for row in self.pattern for v in row if v)
 
     def __str__(self):
         cells = [[f"Y({v})" if v else "0" for v in row] for row in self.pattern]
@@ -339,8 +335,7 @@ def aut_ks(ring: GradedPolyRing) -> AutPresentation:
     Requires an effective pointed grading with a lattice basis among the
     free parts; the ideal of the algebra plays no role at this stage.
     """
-    require_valid_grading(ring)
-    return ring_presentation(ring, aut_gen_weights(ring.degrees))
+    return Stages(ring).presentation
 
 
 def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:

@@ -6,11 +6,16 @@ relations inside the square of the irrelevant ideal, and trivial ideal
 components in the generator degrees.  The report collects all six flags
 in one pass instead of failing at the first, so a bad input surfaces
 every problem at once.
+
+`Stages` is the one pipeline behind the command line, the report reader
+and the entry points `aut_ks` and `aut_grad_alg`: it validates once and
+runs each later stage at most once, behind the report's gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import ValidationError
@@ -109,8 +114,40 @@ def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> V
                             components_trivial, lattice, tuple(messages))
 
 
-def require_valid_grading(ring: GradedPolyRing):
-    """Raise unless the ideal-free flags pass."""
-    report = validate_presentation(ring)
-    report.require(report.grading_ok)
-    return report
+class Stages:
+    """The pipeline for one presentation, validated once: each later
+    stage runs when its product is first read, on the product of the
+    stage before, and imports its module then.
+
+    `auts` passes the grading gate, then searches the weight
+    symmetries; `presentation` builds the ring presentation from them;
+    `stabilizer` passes the ideal gate before it reads `presentation`,
+    so a caller that reads `stabilizer` first meets the ideal gate
+    before the weight search."""
+
+    def __init__(self, ring: GradedPolyRing, ideal: Ideal | None = None):
+        self.ring = ring
+        self.ideal = ideal
+        self.report = validate_presentation(ring, ideal)
+
+    @cached_property
+    def auts(self):
+        self.report.require(self.report.grading_ok)
+        from .weightsym import aut_gen_weights
+        return aut_gen_weights(self.ring.degrees)
+
+    @property
+    def displays(self):
+        """The weight symmetries as display matrices, as reports hold them."""
+        return tuple(a.display_matrix() for a in self.auts)
+
+    @cached_property
+    def presentation(self):
+        from .ringaut import ring_presentation
+        return ring_presentation(self.ring, self.auts)
+
+    @cached_property
+    def stabilizer(self):
+        self.report.require(self.report.ok)
+        from .algebraaut import stabilizer_presentation
+        return stabilizer_presentation(self.presentation, self.ideal)

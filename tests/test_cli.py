@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from conftest import line_col
 
-from gradedaut import (algebraaut, cli, gitfan, grading, linalg,
-                       polynomials, ringaut, validation, weightsym)
+from gradedaut import (algebraaut, gitfan, grading, linalg, polynomials,
+                       ringaut, validation, weightsym)
 from gradedaut.cli import main
+from gradedaut.errors import GuardError, ValidationError
 from gradedaut.inout import (FilterResult, ResultBundle, export_cas_script,
                              parse_input, read_report)
 from gradedaut.ringaut import aut_ks
@@ -241,7 +242,8 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     calls = {}
     for name in ("det", "rank", "solve", "smith_normal_form"):
         _count_calls(monkeypatch, calls, linalg, name)
-    gitfan.git_cone(chamber.degree_matrix(), chamber.w_element())
+    gitfan.git_cone(chamber.degree_matrix(),
+                    chamber.group().from_coordinates(chamber.w))
     assert {name: len(args) for name, args in calls.items()} == {
         "rank": 175, "solve": 163}
     calls.clear()
@@ -300,6 +302,29 @@ def test_search_guard_precedes_ideal_gate(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "refused: weight symmetry search would try 2 generator images, "
         "above the bound 1 (weightsym.PLACEMENT_BOUND)\n")
+
+
+def test_library_entry_points_keep_their_refusal_order(monkeypatch):
+    """aut_ks, which has no ideal, meets the determinant guard;
+    aut_grad_alg gates the ideal before the weight search and before
+    it builds the ring presentation."""
+    problem = parse_input(IDEAL_MEETS_VARIABLE_DET)
+    ring = problem.ring()
+    with pytest.raises(GuardError, match="has 7257600 terms"):
+        aut_ks(ring)
+
+    def unreached(*args):
+        raise AssertionError("ring presentation built before the ideal gate")
+    monkeypatch.setattr(ringaut, "ring_presentation", unreached)
+    with pytest.raises(ValidationError,
+                       match=r"generator degree \(0, 2\) \(dimension 1\)"):
+        algebraaut.aut_grad_alg(ring, problem.ideal(ring))
+
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 1)
+    problem = parse_input(IDEAL_MEETS_VARIABLE)
+    ring = problem.ring()
+    with pytest.raises(ValidationError, match=r"generator degree \(2\)"):
+        algebraaut.aut_grad_alg(ring, problem.ideal(ring))
 
 
 def _on_src(args, stdout, timeout=60):
@@ -397,7 +422,7 @@ PUBLIC_NAMES = [
     "orbit_cones", "parse_input", "parse_polynomial",
     "polynomial_to_str", "print_input", "read_input", "read_report",
     "render_cone", "render_presentation", "render_stabilizer",
-    "require_valid_grading", "structured_matrix", "validate_presentation",
+    "structured_matrix", "validate_presentation",
     "write_report", "zero_pattern_ideal",
 ]
 
@@ -784,13 +809,13 @@ def test_check_report_written(tmp_path):
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_main_restores_gc_state(tmp_path, capsys, monkeypatch, enabled):
     during = []
-    validate = cli.validate_presentation
+    validate = validation.validate_presentation
 
     def recording(*args):
         during.append(gc.isenabled())
         return validate(*args)
 
-    monkeypatch.setattr(cli, "validate_presentation", recording)
+    monkeypatch.setattr(validation, "validate_presentation", recording)
     wide = _write(tmp_path, WIDE)
     bad = _write(tmp_path, "vars = 2\n", "bad.toml")
     was = gc.isenabled()

@@ -3,8 +3,8 @@ import pytest
 from gradedaut.errors import ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup
 from gradedaut.polynomials import GradedPolyRing, Ideal
-from gradedaut.validation import (has_lattice_basis, require_valid_grading,
-                                  validate_presentation)
+from gradedaut.ringaut import aut_ks
+from gradedaut.validation import has_lattice_basis, validate_presentation
 
 
 def test_quadric8_passes_everything(quadric8_Q):
@@ -37,7 +37,7 @@ def test_even_lattice_fails_basis_flag():
     assert not report.effective
     assert report.pointed
     with pytest.raises(ValidationError):
-        require_valid_grading(ring)
+        aut_ks(ring)
 
 
 def test_inhomogeneous_generator_reported(quadric8_Q):
