@@ -169,6 +169,14 @@ class DegreeMatrix:
         return cone_from_rays(self.free_parts(), self.group.free_rank)
 
     @cached_property
+    def lattice_basis(self):
+        """The first k distinct free parts, in combinations order, that
+        form a lattice basis of Z^k, or None."""
+        frees = tuple(dict.fromkeys(self.free_parts()))
+        subset = linalg.unimodular_subset(frees, self.group.free_rank)
+        return None if subset is None else tuple(frees[i] for i in subset)
+
+    @cached_property
     def positive_functional(self):
         """A primitive integer phi with phi . q_i^0 >= 1 for all i, or
         None when some free part is zero or the weight cone holds a line.
@@ -213,13 +221,15 @@ def degree_of_exponent(Q: DegreeMatrix, exponents) -> GroupElement:
 def subgroup_presentation(group: GradingGroup, elements):
     """The index of the subgroup the elements generate, and a section.
 
-    Decided by one Smith normal form of the elements, as columns, next
-    to the torsion relations; the index is the order of its cokernel, 0
-    when that is infinite.  At index 1 the section is an integer matrix
-    S, one row per element, with e_c = sum_j S[j][c] * elements[j] for
-    every unit vector e_c of K: a homomorphism sending elements[j] to
-    h_j has the display matrix H S, H the images as columns.  Otherwise
-    the section is None.
+    Decided by one column Hermite form H = A V of the elements, as
+    columns, next to the torsion relations: the index is the product of
+    the first n diagonal entries of H, 0 when some row has no pivot.
+    At index 1 H is [I | 0] and the section is an integer matrix S, one
+    row per element, with e_c = sum_j S[j][c] * elements[j] for every
+    unit vector e_c of K: the first n columns of the elements' rows of
+    V.  A homomorphism sending elements[j] to h_j has the display
+    matrix P S, P the images as columns.  Otherwise the section is
+    None.
     """
     n = group.coordinate_count
     if n == 0:
@@ -229,12 +239,11 @@ def subgroup_presentation(group: GradingGroup, elements):
         cols.append(tuple(a * (i == group.free_rank + j) for i in range(n)))
     if len(cols) < n:
         return 0, None
-    D, U, V = linalg.smith_normal_form(list(zip(*cols)))
-    index = prod(D[i][i] for i in range(n))
+    H, V = linalg.hermite(list(zip(*cols)))
+    index = prod(H[i][i] for i in range(n))
     if index != 1:
         return index, None
-    # U [E | R] V = [I | 0], so [E | R] (V[:, :n] U) = I
-    return 1, linalg.mat_mul([row[:n] for row in V[:len(elements)]], U)
+    return 1, tuple(tuple(row[:n]) for row in V[:len(elements)])
 
 
 def check_effective(Q: DegreeMatrix) -> bool:

@@ -8,6 +8,10 @@ Elimination is fraction-free: each row is scaled to integers by the lcm
 of its denominators, which changes no reduced echelon form, and is then
 reduced by integer cross-multiplication with its content divided out.
 Fractions are built once, for the result.
+
+The integer questions, a subgroup's index and section and a unimodular
+inverse, are read off one column Hermite form built by column
+operations alone; the Bareiss `det` only tests unimodularity.
 """
 
 from __future__ import annotations
@@ -62,13 +66,6 @@ def exgcd(a: int, b: int):
     return a, x, y
 
 
-def _rowop(M, i, j, a, b, c, d):
-    # rows i, j replaced by (a*ri + b*rj, c*ri + d*rj); caller keeps ad-bc = +-1
-    ri, rj = M[i], M[j]
-    M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-    M[j] = [c * x + d * y for x, y in zip(ri, rj)]
-
-
 def _colop(M, i, j, a, b, c, d):
     for row in M:
         x, y = row[i], row[j]
@@ -76,82 +73,35 @@ def _colop(M, i, j, a, b, c, d):
         row[j] = c * x + d * y
 
 
-def _identity(n: int):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def hermite(A):
+    """Column Hermite form with its transform.
 
-
-def smith_normal_form(A):
-    """Smith normal form with transforms.
-
-    Returns row lists (D, U, V) with U A V = D, U and V unimodular, and
-    D diagonal with nonnegative entries d_1 | d_2 | ... .
+    Returns row lists (H, V) with H = A V and V unimodular.  H is lower
+    echelon: each nonzero column has a positive pivot in a later row
+    than the column before, the entries left of a pivot lie in
+    [0, pivot), and the columns past the rank are zero.
     """
-    D = [list(row) for row in A]
-    m = len(D)
-    n = len(D[0]) if D else 0
-    U = _identity(m)
-    V = _identity(n)
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+    m = len(A)
+    n = len(A[0]) if A else 0
+    # A above the identity: each column operation builds H and V at once
+    M = [list(row) for row in A] + [[int(i == j) for j in range(n)]
+                                    for i in range(n)]
+    r = 0
+    for row in M[:m]:
+        if r == n:
             break
-        if piv[0] != t:
-            _rowop(D, t, piv[0], 0, 1, 1, 0)
-            _rowop(U, t, piv[0], 0, 1, 1, 0)
-        if piv[1] != t:
-            _colop(D, t, piv[1], 0, 1, 1, 0)
-            _colop(V, t, piv[1], 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, m):
-                if D[i][t] == 0:
-                    continue
-                a, b = D[t][t], D[i][t]
-                if b % a == 0:
-                    q = b // a
-                    _rowop(D, t, i, 1, 0, -q, 1)
-                    _rowop(U, t, i, 1, 0, -q, 1)
-                else:
-                    g, x, y = exgcd(a, b)
-                    _rowop(D, t, i, x, y, -(b // g), a // g)
-                    _rowop(U, t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, n):
-                if D[t][j] == 0:
-                    continue
-                a, b = D[t][t], D[t][j]
-                if b % a == 0:
-                    q = b // a
-                    _colop(D, t, j, 1, 0, -q, 1)
-                    _colop(V, t, j, 1, 0, -q, 1)
-                else:
-                    g, x, y = exgcd(a, b)
-                    _colop(D, t, j, x, y, -(b // g), a // g)
-                    _colop(V, t, j, x, y, -(b // g), a // g)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and \
-               all(D[t][j] == 0 for j in range(t + 1, n)):
-                break
-        # divisibility: d_t must divide everything below and to the right
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    _rowop(D, t, i, 1, 1, 0, 1)
-                    _rowop(U, t, i, 1, 1, 0, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return D, U, V
+        for j in range(r + 1, n):
+            if row[j]:
+                g, x, y = exgcd(row[r], row[j])
+                _colop(M, r, j, x, y, -row[j] // g, row[r] // g)
+        if row[r] < 0:
+            for R in M:
+                R[r] = -R[r]
+        if row[r]:
+            for c in range(r):
+                _colop(M, c, r, 1, -(row[c] // row[r]), 0, 1)
+            r += 1
+    return M[:m], M[m:]
 
 
 def det(A) -> int:
@@ -291,7 +241,7 @@ def inverse(rows):
 
 def unimodular_inverse(A):
     """Integer inverse of an integer matrix with determinant +-1."""
-    inv = inverse([[int(x) for x in row] for row in A])
-    if any(x.denominator != 1 for row in inv for x in row):
+    H, V = hermite(A)
+    if H != [[int(i == j) for j in range(len(H))] for i in range(len(H))]:
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return tuple(map(tuple, V))

@@ -151,9 +151,13 @@ class Polynomial:
                 raise StructuralError("0**0 with unknown arity")
             return Polynomial.zero()
         nvars = len(next(iter(self.terms)))
-        out = Polynomial.constant(1, nvars)
-        for _ in range(e):
-            out = out * self
+        out, square = Polynomial.constant(1, nvars), self
+        while e:
+            if e & 1:
+                out = out * square
+            e >>= 1
+            if e:
+                square = square * square
         return out
 
     def __eq__(self, other):

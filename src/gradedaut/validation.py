@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import linalg
 from .errors import ValidationError
 from .grading import check_effective, check_pointed
 from .polynomials import (GradedPolyRing, Ideal, distinct_term_degrees,
@@ -58,15 +57,6 @@ class ValidationReport:
                 ("lattice basis among free parts", self.has_lattice_basis))
 
 
-def has_lattice_basis(ring: GradedPolyRing) -> bool:
-    """Does some k-subset of the free parts have determinant +-1?"""
-    free = []
-    for v in ring.degrees.free_parts():
-        if v not in free:
-            free.append(v)
-    return linalg.unimodular_subset(free, ring.grading.free_rank) is not None
-
-
 def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> ValidationReport:
     """All standing assumptions at once; no exception on failure."""
     messages = []
@@ -77,7 +67,7 @@ def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> V
     if not pointed:
         messages.append("the weight configuration is not pointed; no strictly "
                         "positive functional exists")
-    lattice = has_lattice_basis(ring)
+    lattice = ring.degrees.lattice_basis is not None
     if not lattice:
         messages.append("no subset of the free parts is a lattice basis")
 

@@ -77,13 +77,14 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     frees = [w.free_part for w in weights]
     multiplicity = Counter(frees)
 
-    basis_idx = linalg.unimodular_subset(frees, k)
-    if basis_idx is None:
+    if Q.lattice_basis is None:
         raise ValidationError(
             "the free parts of the weights contain no lattice basis; "
             "validate_presentation reports this precondition")
-    gens, section = _generating_set(group, weights,
-                                    [weights[i] for i in basis_idx])
+    # each basis free part is carried by its first distinct weight
+    basis = [next(w for w in weights if w.free_part == v)
+             for v in Q.lattice_basis]
+    gens, section = _generating_set(group, weights, basis)
     # the generators that are not weights are torsion unit vectors, whose
     # images range over the whole torsion subgroup
     units = sum(g not in weight_set for g in gens)

@@ -170,7 +170,9 @@ def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
                          (weightsym, "aut_gen_weights"),
                          (ringaut, "build_action_basis"),
                          (gitfan, "_face_family"),
-                         (algebraaut, "component_data")):
+                         (algebraaut, "component_data"),
+                         # shared by validation and the weight search
+                         (linalg, "unimodular_subset")):
         _count_calls(monkeypatch, calls, module, name)
     report = str(tmp_path / "autxhat.json")
     runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
@@ -234,13 +236,14 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     # the chamber of chamber10 asks one rank per candidate subset of at
     # most k = 3 of its ten weights, C(10,1) + C(10,2) + C(10,3) = 175,
     # and one rref solve per independent one, and computes no
-    # determinant; the torsion weight search makes one Smith normal
-    # form per candidate block, all through subgroup_presentation
+    # determinant; the torsion weight search makes one Hermite form per
+    # candidate block, 28 through subgroup_presentation and one for the
+    # inverse of its lattice basis
     problems = ROOT / "bench" / "problems"
     chamber = parse_input((problems / "chamber10.toml").read_text())
     torsion = parse_input((problems / "torsion.toml").read_text())
     calls = {}
-    for name in ("det", "rank", "solve", "smith_normal_form"):
+    for name in ("det", "rank", "solve", "hermite"):
         _count_calls(monkeypatch, calls, linalg, name)
     gitfan.git_cone(chamber.degree_matrix(),
                     chamber.group().from_coordinates(chamber.w))
@@ -248,7 +251,7 @@ def test_each_exact_question_has_one_routine(monkeypatch):
         "rank": 175, "solve": 163}
     calls.clear()
     weightsym.aut_gen_weights(torsion.degree_matrix())
-    assert len(calls["smith_normal_form"]) == 28
+    assert len(calls["hermite"]) == 29
 
 
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion

@@ -10,7 +10,7 @@ from conftest import QUADRIC8_AUT_MATRICES
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                GroupElement, check_effective, check_pointed,
                                degree_of_exponent, invert_torsion_block,
-                               torsion_block_bijective)
+                               subgroup_presentation, torsion_block_bijective)
 
 
 def test_element_reduction_and_addition(quadric8_group, quadric8_Q):
@@ -315,6 +315,59 @@ def test_torsion_bijectivity_matches_enumeration():
                 back = tuple(sum(X[i][j] * img[j] for j in range(l)) % orders[i]
                              for i in range(l))
                 assert back == tors
+
+
+def _combination(group, section, elements, c):
+    total = group.zero()
+    for row, x in zip(section, elements):
+        total = total + x.scale(row[c])
+    return total
+
+
+def test_subgroup_index_matches_closure():
+    rng = random.Random(25)
+    for _ in range(300):
+        orders = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 3)))
+        group = GradingGroup(0, orders)
+        elements = [group.element((), [rng.randrange(a) for a in orders])
+                    for _ in range(rng.randint(0, 4))]
+        subgroup = {group.zero()}
+        frontier = [group.zero()]
+        while frontier:
+            x = frontier.pop()
+            for y in (x + g for g in elements):
+                if y not in subgroup:
+                    subgroup.add(y)
+                    frontier.append(y)
+        index, section = subgroup_presentation(group, elements)
+        assert index == __import__("math").prod(orders) // len(subgroup)
+        assert (section is None) == (index != 1)
+        if section is not None:
+            for c in range(len(orders)):
+                unit = group.element((), [int(i == c) for i in range(len(orders))])
+                assert _combination(group, section, elements, c) == unit
+
+
+def test_subgroup_section_on_mixed_groups():
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(400):
+        k = rng.randint(1, 2)
+        orders = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 2)))
+        group = GradingGroup(k, orders)
+        elements = [group.element([rng.randint(-2, 2) for _ in range(k)],
+                                  [rng.randrange(a) for a in orders])
+                    for _ in range(rng.randint(k, 5))]
+        index, section = subgroup_presentation(group, elements)
+        if index != 1:
+            continue
+        checked += 1
+        n = group.coordinate_count
+        assert len(section) == len(elements)
+        for c in range(n):
+            unit = group.from_coordinates([int(i == c) for i in range(n)])
+            assert _combination(group, section, elements, c) == unit
+    assert checked > 50
 
 
 def test_invalid_automorphisms_rejected():

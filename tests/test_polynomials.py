@@ -38,6 +38,28 @@ def test_ring_arithmetic():
     assert (t1 - t1).is_zero()
 
 
+def test_power_matches_repeated_product():
+    rng = random.Random(27)
+    for _ in range(30):
+        f = Polynomial.zero()
+        for _ in range(rng.randint(1, 3)):
+            f = f + Polynomial.from_term(
+                [rng.randint(0, 2) for _ in range(3)],
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        product = Polynomial.constant(1, 3)
+        for e in range(9):
+            if e or not f.is_zero():
+                assert f ** e == product
+            product = product * f
+    start = perf_counter()
+    assert T(1, 1) ** 10 ** 8 == Polynomial.from_term((10 ** 8,), 1)
+    assert perf_counter() - start < 1
+    with pytest.raises(StructuralError):
+        Polynomial.zero() ** 0
+    with pytest.raises(ValueError):
+        T(1, 2) ** -1
+
+
 def test_mixed_arity_rejected():
     with pytest.raises(StructuralError):
         T(1, 2) + T(1, 3)

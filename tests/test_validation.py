@@ -4,7 +4,7 @@ from gradedaut.errors import ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup
 from gradedaut.polynomials import GradedPolyRing, Ideal
 from gradedaut.ringaut import aut_ks
-from gradedaut.validation import has_lattice_basis, validate_presentation
+from gradedaut.validation import validate_presentation
 
 
 def test_quadric8_passes_everything(quadric8_Q):
@@ -62,11 +62,10 @@ def test_unpointed_component_check_skipped():
 
 
 def test_lattice_basis_cases(quadric8_Q):
-    ring = GradedPolyRing.from_degree_matrix(quadric8_Q)
-    assert has_lattice_basis(ring)
+    assert quadric8_Q.lattice_basis is not None
     torsion_only = GradingGroup(0, (2,))
     Q0 = DegreeMatrix((torsion_only.element((), (1,)),))
-    assert has_lattice_basis(GradedPolyRing.from_degree_matrix(Q0))
+    assert Q0.lattice_basis == ()
 
 
 # per flag: weights over Z (+ torsion), ideal generators, and every flag
