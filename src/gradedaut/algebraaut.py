@@ -25,12 +25,8 @@ from .validation import Stages
 
 def ideal_generator_degrees(ideal: Ideal) -> tuple[GroupElement, ...]:
     """Distinct degrees of the generators, by first occurrence."""
-    seen = []
-    for g in ideal.generators:
-        d = degree_of(ideal.ring, g)
-        if d not in seen:
-            seen.append(d)
-    return tuple(seen)
+    return tuple(dict.fromkeys(degree_of(ideal.ring, g)
+                               for g in ideal.generators))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import gc
 import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .inout import (MODES, FilterResult, ResultBundle, parse_input,
-                    read_report, read_text, write_cas_script, write_report)
+from .inout import (MODES, FilterResult, ResultBundle, read_input,
+                    read_report, write_cas_script, write_report)
 from .validation import Stages
 
 
@@ -126,7 +126,7 @@ def _run(args) -> int:
     if command == "export" and _is_report(args.input):
         _emit(write_cas_script, read_report(args.input), args.out)
         return 0
-    problem = parse_input(read_text(args.input))
+    problem = read_input(args.input)
     ring = problem.ring()
     stages = Stages(ring, problem.ideal(ring))
     report = stages.report

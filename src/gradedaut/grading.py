@@ -195,11 +195,7 @@ class DegreeMatrix:
 
     def distinct_weights(self) -> tuple[GroupElement, ...]:
         """Distinct columns, ordered by first occurrence."""
-        seen = []
-        for c in self.columns:
-            if c not in seen:
-                seen.append(c)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.columns))
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*(c.coordinates for c in self.columns)))

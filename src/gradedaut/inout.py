@@ -2,9 +2,10 @@
 
 A problem is a small declarative text file: `key = value` lines with
 integers, quoted strings and nested arrays, comments starting at `#`,
-and a `[grading]` section.  `parse_input` collects every diagnostic it
-can before failing, and `print_input` writes the canonical form back,
-so parse(print(p)) == p.
+and a `[grading]` section, whose keys may also be set at the top level
+as dotted keys, `grading.free_rank = 1`.  `parse_input` collects every
+diagnostic it can before failing, and `print_input` writes the
+canonical form back, so parse(print(p)) == p.
 
 Result bundles persist as JSON under the schema name "graded-aut/1".
 `read_report` computes a report's sections again from its problem and
@@ -123,6 +124,7 @@ def print_input(p: ProblemInput) -> str:
 _BLANK = re.compile(r"[ \t]*(?:#[^\n]*)?")  # blanks and a comment, in a line
 _GAP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks, newlines, comments
 _BARE = re.compile(r"[\w-]*")  # isalnum() characters, _ and -
+_KEY = re.compile(r"(?:[\w-]+(?:\.[\w-]+)*)?")  # bare parts joined by dots
 _INT = re.compile(r"-?\d*")  # \d is what int() reads as a digit
 _QUOTED = re.compile(r'"[^"\n]*')  # a string up to its closing quote
 _BRACKET = re.compile(r'[][]|"[^"\n]*"?|#[^\n]*')  # outside strings, comments
@@ -218,7 +220,7 @@ def _read_entries(text: str):
                     continue
                 diags.append((pos, "unexpected text after section header"))
         else:
-            pos = _BARE.match(text, start).end()
+            pos = _KEY.match(text, start).end()
             key = text[start:pos]
             pos = _BLANK.match(text, pos).end()
             if not key:

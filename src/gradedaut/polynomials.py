@@ -493,12 +493,8 @@ class Ideal:
 
 def distinct_term_degrees(ring: GradedPolyRing, f: Polynomial):
     """The distinct degrees among the terms of f, in canonical term order."""
-    seen = []
-    for mono, _ in f.sorted_terms():
-        d = degree_of_exponent(ring.degrees, mono)
-        if d not in seen:
-            seen.append(d)
-    return tuple(seen)
+    return tuple(dict.fromkeys(degree_of_exponent(ring.degrees, mono)
+                               for mono, _ in f.sorted_terms()))
 
 
 def degree_of(ring: GradedPolyRing, f: Polynomial) -> GroupElement:

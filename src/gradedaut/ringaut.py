@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from math import factorial, prod
+from fractions import Fraction
+from itertools import accumulate, product
+from math import comb, factorial, prod
+from operator import mul
 
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
@@ -34,6 +36,8 @@ from .weightsym import block_permutation
 # Leibniz terms the determinant witness may have.  Like every guard
 # bound it is read when the guard runs, so a caller may set it.
 DET_TERM_BOUND = 10 ** 6
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
     n = matrix.n
     gens = [Polynomial.variable(i * n + j, n * n + 1)
             for i in range(n) for j in range(n) if matrix.pattern[i][j] == 0]
-    allowed = tuple(tuple(j for j, v in enumerate(row) if v)
-                    for row in matrix.pattern)
+    allowed = _free_columns(matrix)
     rows = Counter(allowed)  # rows per support
     # square blocks with k_i rows each: disjoint exactly when they cover n columns
     if (any(len(cols) != k for cols, k in rows.items())
@@ -153,77 +156,75 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
 
 
 # --- substitution: S' coefficients against T monomials -----------------
+#
+# Row i is sum_j Y(i, j) flat_j over its free columns j, and its e-th
+# power is the sum over the compositions alpha of e of
+# (e choose alpha) prod_j Y(i, j)^alpha_j flat_j^alpha_j.  A Y-monomial
+# records alpha on every row it meets, and different variables have
+# different rows, so each term of an image is written once: none meet.
 
-def _ys_add(P, Q):
-    out = dict(P)
-    for mono, poly in Q.items():
-        acc = out.get(mono)
-        acc = poly if acc is None else acc + poly
-        if acc.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
-    return out
+def _free_columns(matrix: SymbolicMatrix):
+    """The columns each row of the matrix may take."""
+    return tuple(tuple(j for j, v in enumerate(row) if v)
+                 for row in matrix.pattern)
 
 
-def _ys_mul(P, Q):
+def _compositions(e: int, k: int):
+    """Each alpha in N^k with |alpha| = e, the last part taking what is
+    left, with its multinomial coefficient as a product of binomials;
+    none for k = 0."""
+    if k == 1:
+        yield (e,), 1
+    elif k > 1:
+        for a in range(e + 1):
+            head = comb(e, a)
+            for rest, m in _compositions(e - a, k - 1):
+                yield (a, *rest), head * m
+
+
+def _row_power(basis: ActionBasis, row: int, e: int, cols):
+    """The terms of the e-th power of a row over the columns `cols`:
+    (T-monomial, (Y index, exponent) pairs, multinomial coefficient)."""
+    by_variable = tuple(zip(*(basis.flat[c] for c in cols)))
+    return [(tuple(sum(map(mul, alpha, v)) for v in by_variable),
+             [(row * basis.n + c, a) for c, a in zip(cols, alpha) if a], m)
+            for alpha, m in _compositions(e, len(cols))]
+
+
+def _image(basis: ActionBasis, columns, terms):
+    """The image of sum c * prod row^e, one (c, [(row, e), ...]) per
+    term with distinct rows, row i spanning the columns columns[i]: a
+    map from T-monomials to polynomials in the Y variables."""
+    nvars = basis.n ** 2 + 1
+    constant = (0,) * basis.ring.variable_count
     out = {}
-    for ma, pa in P.items():
-        for mb, pb in Q.items():
-            key = monomial_mul(ma, mb)
-            acc = out.get(key)
-            prod = pa * pb
-            acc = prod if acc is None else acc + prod
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def generic_row_image(basis: ActionBasis, flat_idx: int,
-                      matrix: SymbolicMatrix | None = None):
-    """Image of the flat_idx-th basis element under the generic map, as
-    a map T-monomial -> Y-coefficient.  With a SymbolicMatrix only the
-    surviving slots contribute."""
-    n = basis.n
-    nvars = n * n + 1
-    out = {}
-    for j in range(n):
-        if matrix is not None and matrix.pattern[flat_idx][j] == 0:
-            continue
-        out[basis.flat[j]] = Polynomial.variable(flat_idx * n + j, nvars)
-    return out
+    for coeff, powers in terms:
+        parts = [_row_power(basis, row, e, columns[row]) for row, e in powers]
+        for picks in product(*parts):
+            mono, ys, c = constant, [0] * nvars, coeff
+            for part, slots, m in picks:
+                mono = monomial_mul(mono, part)
+                for i, a in slots:
+                    ys[i] = a
+                c *= m
+            out.setdefault(mono, {})[tuple(ys)] = c
+    return {mono: Polynomial._of(ys) for mono, ys in out.items()}
 
 
 def substitute_polynomial(basis: ActionBasis, f: Polynomial,
                           matrix: SymbolicMatrix):
-    """Image of f in S under T_i -> sum_j Y_ij flat_j, over the slots
-    `matrix` leaves free.
+    """Image of f in S under T_t -> sum_j Y_ij flat_j, i the row of T_t,
+    over the slots `matrix` leaves free.
 
     Returns a map from T-monomials to polynomials in the Y variables.
     Every ring variable occurs in the action basis, which pins its row.
     """
-    n = basis.n
-    nvars_y = n * n + 1
     r = basis.ring.variable_count
-    images = []
-    for t in range(r):
-        unit = tuple(int(i == t) for i in range(r))
-        images.append(generic_row_image(basis, basis.flat_index(unit), matrix))
-    result = {}
-    for mono, coeff in f.terms.items():
-        acc = {(0,) * r: Polynomial.constant(coeff, nvars_y)}
-        for img, e in zip(images, mono):
-            # square and multiply: about 2 log2(e) products, not e
-            while e:
-                if e & 1:
-                    acc = _ys_mul(acc, img)
-                e >>= 1
-                if e:
-                    img = _ys_mul(img, img)
-        result = _ys_add(result, acc)
-    return result
+    rows = [basis.flat_index(tuple(int(i == t) for i in range(r)))
+            for t in range(r)]
+    return _image(basis, _free_columns(matrix),
+                  ((c, [(i, e) for i, e in zip(rows, mono) if e])
+                   for mono, c in f.terms.items()))
 
 
 def _match_rows(direct, prod, seen, out):
@@ -251,16 +252,19 @@ def multiplicativity_ideal(basis: ActionBasis):
     pair are left to `variable_product_ideal`.
     """
     n = basis.n
+    every = (range(n),) * n
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
-        direct = generic_row_image(basis, fm)
+        direct = _image(basis, every, [(_ONE, [(fm, 1)])])
         for fa in range(n):
             for fb in range(fa, n):
                 if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
-                    _match_rows(direct,
-                                _ys_mul(generic_row_image(basis, fa),
-                                        generic_row_image(basis, fb)),
+                    # a square is one row at power 2, whose cross terms
+                    # come with their coefficient 2
+                    powers = ([(fa, 2)] if fa == fb
+                              else [(fa, 1), (fb, 1)])
+                    _match_rows(direct, _image(basis, every, [(_ONE, powers)]),
                                 seen, out)
     return out
 
@@ -273,6 +277,7 @@ def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
     slots `matrix` leaves free, so each product has no more terms than
     the structured rows allow."""
     flat = set(basis.flat)
+    columns = _free_columns(matrix)
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
@@ -280,7 +285,7 @@ def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
                                 and tuple(b - a for a, b in zip(d, mono)) in flat
                                 for d in basis.flat):
             continue
-        _match_rows(generic_row_image(basis, fm, matrix),
+        _match_rows(_image(basis, columns, [(_ONE, [(fm, 1)])]),
                     substitute_polynomial(basis, Polynomial.from_term(mono, 1),
                                           matrix),
                     seen, out)

@@ -10,6 +10,7 @@ from itertools import combinations, permutations, product
 from gradedaut import linalg
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent, torsion_block_bijective)
+from gradedaut.polynomials import Polynomial, monomial_mul
 
 
 def naive_monomial_basis(ring, w):
@@ -177,3 +178,108 @@ def cone_member(rays, x):
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
+
+
+def _ys_add(P, Q):
+    """Sum of two maps T-monomial -> Y-coefficient, zeros dropped."""
+    out = dict(P)
+    for mono, poly in Q.items():
+        acc = out[mono] + poly if mono in out else poly
+        if acc.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = acc
+    return out
+
+
+def _ys_mul(P, Q):
+    """Product of two maps T-monomial -> Y-coefficient, every pair of
+    terms multiplied out and collected."""
+    out = {}
+    for ma, pa in P.items():
+        for mb, pb in Q.items():
+            key = monomial_mul(ma, mb)
+            acc = out[key] + pa * pb if key in out else pa * pb
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def reference_row_image(basis, row, matrix=None):
+    """The image of the row-th basis element, sum_j Y(row, j) flat_j,
+    over every column or over those `matrix` leaves free."""
+    n = basis.n
+    return {basis.flat[j]: Polynomial.variable(row * n + j, n * n + 1)
+            for j in range(n)
+            if matrix is None or matrix.pattern[row][j]}
+
+
+def reference_substitution(basis, f, matrix=None):
+    """The image of f with each T_t replaced by its row, by repeated
+    products: T_t^e by square and multiply on the row of T_t."""
+    r = basis.ring.variable_count
+    nvars = basis.n ** 2 + 1
+    rows = [reference_row_image(basis, basis.flat_index(
+                tuple(int(i == t) for i in range(r))), matrix)
+            for t in range(r)]
+    result = {}
+    for mono, coeff in f.terms.items():
+        acc = {(0,) * r: Polynomial.constant(coeff, nvars)}
+        for row, e in zip(rows, mono):
+            while e:
+                if e & 1:
+                    acc = _ys_mul(acc, row)
+                e >>= 1
+                if e:
+                    row = _ys_mul(row, row)
+        result = _ys_add(result, acc)
+    return result
+
+
+def _matched(direct, product_side, seen, out):
+    """Product minus direct side per T-monomial, largest first in grlex,
+    each nonzero difference kept once."""
+    zero = Polynomial.zero()
+    for mu in sorted(set(direct) | set(product_side),
+                     key=lambda m: (sum(m), m), reverse=True):
+        gen = product_side.get(mu, zero) - direct.get(mu, zero)
+        if not gen.is_zero() and gen not in seen:
+            seen.add(gen)
+            out.append(gen)
+
+
+def reference_multiplicativity_ideal(basis):
+    """The multiplicativity equations from repeated products: for each
+    pair of basis elements whose product is a basis element, the product
+    of their rows against the row of the product."""
+    out, seen = [], set()
+    for fm, mono in enumerate(basis.flat):
+        direct = reference_row_image(basis, fm)
+        for fa in range(basis.n):
+            for fb in range(fa, basis.n):
+                if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
+                    _matched(direct, _ys_mul(reference_row_image(basis, fa),
+                                             reference_row_image(basis, fb)),
+                             seen, out)
+    return out
+
+
+def reference_variable_product_ideal(basis, matrix):
+    """The equations for the composites of degree > 1 that are no
+    product of two basis elements: their row against the product of the
+    rows of their variables, both over the free slots of `matrix`."""
+    flat = set(basis.flat)
+    out, seen = [], set()
+    for fm, mono in enumerate(basis.flat):
+        if sum(mono) < 2 or any(
+                all(a <= b for a, b in zip(d, mono))
+                and tuple(b - a for a, b in zip(d, mono)) in flat
+                for d in basis.flat):
+            continue
+        _matched(reference_row_image(basis, fm, matrix),
+                 reference_substitution(basis, Polynomial.from_term(mono, 1),
+                                        matrix),
+                 seen, out)
+    return out

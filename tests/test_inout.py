@@ -154,6 +154,25 @@ def test_unknown_and_duplicate_keys():
     assert any("unknown key 'foo'" in m for m in msgs)
 
 
+def test_dotted_grading_keys():
+    # at the top level a dotted key is the key of its section
+    dotted = ("vars = 2\nQ = [[1, 1], [0, 1]]\ngrading.free_rank = 1\n"
+              "grading.torsion = [2]\n")
+    assert parse_input(dotted) == parse_input(
+        "vars = 2\nQ = [[1, 1], [0, 1]]\n\n[grading]\nfree_rank = 1\n"
+        "torsion = [2]\n")
+    # both forms set one key
+    with pytest.raises(InputError) as err:
+        parse_input("grading.free_rank = 1\n" + TINY)
+    assert err.value.diagnostics == (
+        (6, 1, "duplicate key 'grading.free_rank'"),)
+    # inside a section a dotted key reads below it
+    with pytest.raises(InputError) as err:
+        parse_input(TINY + "grading.torsion = []\n")
+    assert err.value.diagnostics == (
+        (6, 1, "unknown key 'grading.grading.torsion'"),)
+
+
 def test_bounds_diagnostics():
     bad_torsion = "vars = 1\nQ = [[1], [0]]\n\n[grading]\nfree_rank = 1\ntorsion = [1]\n"
     with pytest.raises(InputError, match="at least 2"):

@@ -20,7 +20,9 @@ from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                zero_pattern_ideal)
 
 from conftest import QUADRIC8_AUT_MATRICES
-from oracles import torus_character
+from oracles import (reference_multiplicativity_ideal,
+                     reference_substitution,
+                     reference_variable_product_ideal, torus_character)
 
 DENSE_QUADRIC8 = (Path(__file__).resolve().parent.parent
                   / "bench" / "problems" / "dense_quadric8.toml")
@@ -405,6 +407,54 @@ def test_substitution_against_identity_pattern(quadric8_basis, quadric8_group,
         (0, 0, 0, 0, 0, 0, 1, 1): y(55) * y(64),
     }
     assert image == expect
+
+
+# P(1,1,3), the Hirzebruch surface F_2, and seeded gradings of three
+# variables with a component of two or more monomials
+CLOSED_FORM_RINGS = [
+    ((1, 1, 3),),
+    ((1, 1, 0, -2), (0, 0, 1, 1)),
+    *((w,) for w in sorted({tuple(sorted(random.Random(seed).choices(
+        range(1, 5), k=3))) for seed in range(12)})),
+]
+
+
+@pytest.mark.parametrize("rows", CLOSED_FORM_RINGS, ids=str)
+def test_closed_form_matches_repeated_products(rows):
+    """The closed-form images agree with the images built by repeated
+    products, on the structured matrix of the identity and on a seeded
+    zero pattern, for terms with an exponent of 3 or more."""
+    basis = build_action_basis(zring(*rows))
+    assert max(len(b) for b in basis.blocks) >= 2
+    n, r = basis.n, basis.ring.variable_count
+    rng = random.Random(repr(rows))
+    identity = GroupAutomorphism.identity(basis.ring.grading)
+    seeded = SymbolicMatrix(n, tuple(
+        tuple(i * n + j + 1 if rng.random() < 0.5 else 0 for j in range(n))
+        for i in range(n)))
+    terms = {}
+    for _ in range(4):
+        mono = [0] * r
+        mono[rng.randrange(r)] = rng.randint(3, 4)
+        mono[rng.randrange(r)] += rng.randint(0, 1)
+        terms[tuple(mono)] = Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
+    f = Polynomial(terms)
+    for matrix in (structured_matrix(basis, identity), seeded):
+        assert (substitute_polynomial(basis, f, matrix)
+                == reference_substitution(basis, f, matrix))
+        assert (variable_product_ideal(basis, matrix)
+                == reference_variable_product_ideal(basis, matrix))
+    assert multiplicativity_ideal(basis) == reference_multiplicativity_ideal(basis)
+
+
+def test_closed_form_matches_repeated_products_at_degree_400():
+    basis = build_action_basis(zring((1, 1)))
+    f = Polynomial({(400, 0): 1, (0, 400): 1})
+    matrix = structured_matrix(
+        basis, GroupAutomorphism.identity(basis.ring.grading))
+    image = substitute_polynomial(basis, f, matrix)
+    assert len(image) == 401
+    assert image == reference_substitution(basis, f, matrix)
 
 
 def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
