@@ -439,11 +439,8 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         # read() decodes the whole file in one call, so exc.object is
         # every byte of it
-        head = exc.object[:exc.start]
-        line_start = head.rfind(b"\n") + 1
-        col = len(head[line_start:].decode("utf-8")) + 1
-        raise InputError([(head.count(b"\n") + 1, col,
-                           f"not UTF-8 text: {exc.reason}")]) from None
+        at = _byte_line_col(io.BytesIO(exc.object), exc.start)
+        raise InputError([(*at, f"not UTF-8 text: {exc.reason}")]) from None
 
 
 def read_input(path) -> ProblemInput:

@@ -4,33 +4,36 @@ An automorphism of K = Z^k + Z/a_1 + ... + Z/a_l is fixed by where it
 sends a generating set of K.  The set is drawn greedily: a lattice basis
 among the free parts of the weights, then further weights, then torsion
 unit vectors, each kept while it lowers the index of the subgroup
-generated so far.  The search places the images of the basis among the
-weights one column at a time.  A symmetry permutes the weights, so its
-free block permutes the free parts with their multiplicities: once the
-first j images are placed, every free part whose coordinates in the
-basis use only the first j basis vectors must land on a free part of
-the same multiplicity, and a partial placement is dropped at the first
-one that does not.  Each full placement with |det| = 1 forces the free
-part of every later generator's image, which leaves the weights of that
-free part (or every torsion element, for a unit vector) as its
-candidates.  Every tuple of distinct images gives one matrix through
-the section of the generating set, kept when it is an automorphism
-permuting the weights.  The predicted number of tuples is refused above
-a bound before anything is placed.
+generated so far.  A symmetry's free block A permutes the free parts
+with their multiplicities, so it keeps their Gram form G = sum m v v^T
+and the integer colour c(u, v) = u^T adj(G) v of every pair (Bremner,
+Dutour Sikirić, Pasechnik, Rehn and Schürmann, 2014).  The basis
+images are placed one basis vector per level, and a weight may stand
+in for b_j only when its colour and multiplicity are b_j's and its
+colour against each image placed so far is b_j's against that image's
+basis vector.  Matching colours give A^T adj(G) A = adj(G), so
+det A = +-1; a full placement is kept when A permutes the free parts
+with their multiplicities.  A forces the free part of every later
+generator's image, which leaves the weights of that free part (or every
+torsion element, for a unit vector) as its candidates.  Every tuple of
+distinct images gives one matrix through the section of the generating
+set, kept when it is an automorphism permuting the weights.  Each
+level, and then the image tuples, are counted and refused above a
+bound before they are tried.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from math import perm, prod
+from math import prod
 
 from . import linalg
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupAutomorphism, subgroup_presentation
 
-# Generator image tuples the weight-symmetry search may try; read when
-# the guard runs.
+# Placements or generator image tuples the weight-symmetry search may
+# try at one step; read when the guard runs.
 PLACEMENT_BOUND = 10 ** 6
 
 
@@ -62,12 +65,19 @@ def _canonical_sort(group, auts):
     return (ident, *rest) if ident in auts else tuple(rest)
 
 
+def _guard(count, what):
+    if count > PLACEMENT_BOUND:
+        raise GuardError(
+            f"weight symmetry search would try {count} {what}, "
+            f"above the bound {PLACEMENT_BOUND} (weightsym.PLACEMENT_BOUND)")
+
+
 def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     """All grading-group automorphisms permuting the weight set.
 
     The result always forms a finite group containing the identity,
     listed in canonical order.  Each call searches, refusing first
-    when the predicted count exceeds `PLACEMENT_BOUND`.
+    when a level's predicted count exceeds `PLACEMENT_BOUND`.
     """
     group = Q.group
     k = group.free_rank
@@ -82,36 +92,39 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
             "the free parts of the weights contain no lattice basis; "
             "validate_presentation reports this precondition")
     # each basis free part is carried by its first distinct weight
-    basis = [next(w for w in weights if w.free_part == v)
-             for v in Q.lattice_basis]
-    gens, section = _generating_set(group, weights, basis)
-    # the generators that are not weights are torsion unit vectors, whose
-    # images range over the whole torsion subgroup
+    basis = [frees.index(v) for v in Q.lattice_basis]
+    gens, section = _generating_set(group, weights,
+                                    [weights[i] for i in basis])
+    # the generators that are not weights are torsion unit vectors, last
+    # in gens, whose images range over the whole torsion subgroup
     units = sum(g not in weight_set for g in gens)
-    count = (perm(len(weights), k)
-             * max(multiplicity.values()) ** (len(gens) - k - units)
-             * prod(orders) ** units)
-    if count > PLACEMENT_BOUND:
-        raise GuardError(
-            f"weight symmetry search would try {count} generator images, "
-            f"above the bound {PLACEMENT_BOUND} (weightsym.PLACEMENT_BOUND)")
-    torsion = [group.element((0,) * k, t)
-               for t in product(*(range(a) for a in orders))] if units else []
+    # G is positive definite, since the free parts contain a lattice basis
+    gram = linalg.mat_mul(tuple(zip(*frees)), frees)
+    d = linalg.det(gram)
+    adj = [[int(d * x) for x in row] for row in linalg.inverse(gram)]
+    colour = [[linalg.dot(u, row) for u in frees]
+              for row in linalg.mat_mul(frees, adj)]
+    vertex = [(colour[i][i], multiplicity[v]) for i, v in enumerate(frees)]
 
     basis_inv = linalg.unimodular_inverse(
         list(zip(*(g.free_part for g in gens[:k]))))
-    found = set()
-    for placed in _placements(frees, multiplicity, basis_inv):
+    tries = []
+    for placed in _placements(colour, vertex, basis):
         A = linalg.mat_mul(tuple(zip(*(frees[i] for i in placed))), basis_inv)
-        if abs(linalg.det(A)) != 1:
+        if Counter(linalg.mat_vec(A, v) for v in frees) != multiplicity:
             continue
-        head = tuple(weights[i] for i in placed)
-        choices = []
-        for g in gens[k:]:
-            free = linalg.mat_vec(A, g.free_part)
-            pool = weights if g in weight_set else torsion
-            choices.append([x for x in pool if x.free_part == free])
-        for rest in product(*choices):
+        tries.append((tuple(weights[i] for i in placed),
+                      [[x for x in weights
+                        if x.free_part == linalg.mat_vec(A, g.free_part)]
+                       for g in gens[k:len(gens) - units]]))
+    _guard(sum(prod(map(len, choices)) for _, choices in tries)
+           * prod(orders) ** units, "generator images")
+    torsion = [group.element((0,) * k, t)
+               for t in product(*(range(a) for a in orders))] if units else []
+
+    found = set()
+    for head, choices in tries:
+        for rest in product(*choices, *[torsion] * units):
             images = head + rest
             if len(set(images)) < len(images):
                 continue
@@ -126,34 +139,20 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     return _canonical_sort(group, found)
 
 
-def _placements(frees, multiplicity, basis_inv):
-    """Index tuples of distinct basis images among the free parts, one
-    column at a time: once column j is placed, every free part whose
-    basis coordinates end at index j must land on a free part of the
-    same multiplicity."""
-    # checks[j]: (coordinates up to j, multiplicity); the zero free part
-    # is fixed by every placement
-    checks = [[] for _ in basis_inv]
-    for v, m in multiplicity.items():
-        c = linalg.mat_vec(basis_inv, v)
-        last = max((i for i, x in enumerate(c) if x), default=None)
-        if last is not None:
-            checks[last].append((c[:last + 1], m))
-
-    def extend(placed):
-        j = len(placed)
-        if j == len(checks):
-            yield placed
-            return
-        for i in range(len(frees)):
-            if i in placed:
-                continue
-            trial = placed + (i,)
-            rows = tuple(zip(*(frees[t] for t in trial)))
-            if all(multiplicity.get(linalg.mat_vec(rows, c)) == m
-                   for c, m in checks[j]):
-                yield from extend(trial)
-    return extend(())
+def _placements(colour, vertex, basis):
+    """Index tuples of distinct basis images whose colours match the
+    basis, one level per basis vector b_j; each level is guarded first
+    on the nodes built so far times the size of b_j's colour class."""
+    nodes = [()]
+    for j, b in enumerate(basis):
+        candidates = [i for i, c in enumerate(vertex) if c == vertex[b]]
+        _guard(len(nodes) * len(candidates),
+               f"placements of basis vector {j + 1}")
+        nodes = [placed + (i,) for placed in nodes for i in candidates
+                 if i not in placed
+                 and all(colour[i][t] == colour[b][s]
+                         for t, s in zip(placed, basis))]
+    return nodes
 
 
 def block_permutation(B: GroupAutomorphism, weights, dims):

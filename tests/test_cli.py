@@ -98,6 +98,14 @@ def test_weights_aut_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_weights_aut_dp5(capsys):
+    # Aut(dP5) = S5 acts on the Picard group as the Weyl group W(A4)
+    assert main(["weights-aut", "--input", str(ROOT / "demos" / "dp5.toml")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("120 weight symmetries\n")
+    assert "symmetry 120:" in out
+
+
 def test_weights_aut_rejects_bad_grading(tmp_path, capsys):
     path = _write(tmp_path, "vars = 2\nQ = [[1, -1]]\n\n[grading]\nfree_rank = 1\n")
     assert main(["weights-aut", "--input", path]) == 1
@@ -260,6 +268,11 @@ NON_EFFECTIVE = ("vars = 2\nQ = [[1, 1], [0, 0]]\n\n"
 # T(1)^2 spans the component in the weight of T(2)
 IDEAL_MEETS_VARIABLE = ('vars = 2\nQ = [[1, 2]]\nideal = ["T(1)^2"]\n'
                         "w = [1]\n\n[grading]\nfree_rank = 1\n")
+# the same over Z + Z/2, weights (1; 0), (1; 1) and (2; 0): two
+# weights share the vertex colour of the basis vector (1; 0)
+IDEAL_MEETS_VARIABLE_TORSION = (
+    'vars = 3\nQ = [[1, 1, 2], [0, 1, 0]]\nideal = ["T(1)^2"]\n'
+    "w = [1, 0]\n\n[grading]\nfree_rank = 1\ntorsion = [2]\n")
 # ten variables of weight (1, 0) give 10! * 2! determinant terms, and
 # T(11)^2 spans the component in the weight of T(12)
 IDEAL_MEETS_VARIABLE_DET = (
@@ -300,11 +313,11 @@ def test_refusal_order(tmp_path, capsys, text, argv, code, first_line):
 
 def test_search_guard_precedes_ideal_gate(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 1)
-    path = _write(tmp_path, IDEAL_MEETS_VARIABLE)
+    path = _write(tmp_path, IDEAL_MEETS_VARIABLE_TORSION)
     assert main(["autgradalg", "--input", path]) == 3
     assert capsys.readouterr().err == (
-        "refused: weight symmetry search would try 2 generator images, "
-        "above the bound 1 (weightsym.PLACEMENT_BOUND)\n")
+        "refused: weight symmetry search would try 2 placements of basis "
+        "vector 1, above the bound 1 (weightsym.PLACEMENT_BOUND)\n")
 
 
 def test_library_entry_points_keep_their_refusal_order(monkeypatch):
@@ -324,9 +337,9 @@ def test_library_entry_points_keep_their_refusal_order(monkeypatch):
         algebraaut.aut_grad_alg(ring, problem.ideal(ring))
 
     monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 1)
-    problem = parse_input(IDEAL_MEETS_VARIABLE)
+    problem = parse_input(IDEAL_MEETS_VARIABLE_TORSION)
     ring = problem.ring()
-    with pytest.raises(ValidationError, match=r"generator degree \(2\)"):
+    with pytest.raises(ValidationError, match=r"generator degree \(2; 0\)"):
         algebraaut.aut_grad_alg(ring, problem.ideal(ring))
 
 

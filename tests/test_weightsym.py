@@ -1,8 +1,8 @@
 import random
 import time
 from collections import Counter
-from itertools import permutations, product
-from math import perm
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +12,11 @@ from gradedaut import linalg, weightsym
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                check_effective)
+from gradedaut.inout import read_input
 from gradedaut.weightsym import (PLACEMENT_BOUND, _canonical_sort,
                                  _generating_set, aut_gen_weights)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_quadric8_weight_symmetries(quadric8_Q, quadric8_group):
@@ -43,6 +46,13 @@ def test_negation_symmetry_unpointed_weights():
     auts = aut_gen_weights(Q)
     assert len(auts) == 2
     assert auts[1].free_block == ((-1,),)
+
+
+def test_torsion_only_group():
+    # free rank 0: the empty Gram form colours every weight alike
+    z3 = GradingGroup(0, (3,))
+    Q = DegreeMatrix((z3.element((), (1,)), z3.element((), (2,))))
+    assert [a.display_matrix() for a in aut_gen_weights(Q)] == [((1,),), ((2,),)]
 
 
 def test_no_lattice_basis_raises():
@@ -90,36 +100,73 @@ def test_torsion_cubes_permute_their_weights():
     assert len(aut_gen_weights(_torsion_cube((2, 2, 2, 2)))) == 120
 
 
+def _line_classes(r):
+    """The (-1)-curves of P^2 blown up in r <= 6 general points, the del
+    Pezzo surface of degree 9 - r, in the basis L, E_1, ..., E_r: the
+    E_i, the L - E_i - E_j and the conics 2L minus five of the E_i."""
+    points = range(1, r + 1)
+    classes = ([{i: 1} for i in points]
+               + [{0: 1, i: -1, j: -1} for i, j in combinations(points, 2)]
+               + [{0: 2, **dict.fromkeys(five, -1)}
+                  for five in combinations(points, 5)])
+    group = GradingGroup(r + 1)
+    return DegreeMatrix(tuple(group.element(tuple(c.get(i, 0) for i in range(r + 1)))
+                              for c in classes))
+
+
 def test_placement_guard_refuses_before_placing(monkeypatch):
     def no_image(*args):
         raise AssertionError("an image was tried before the guard")
 
     monkeypatch.setattr(GroupAutomorphism, "from_display", no_image)
-    z4 = GradingGroup(4)
-    vectors = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    vectors += [v for v in product(range(3), repeat=4) if sum(v) > 1][:36]
-    assert len(set(vectors)) == 40
+    # the 27 lines of the cubic surface (|W(E6)| = 51840 symmetries):
+    # five levels of colour-matched placements leave 77760 nodes, and 27
+    # weights share the vertex colour of the sixth basis vector
     with pytest.raises(GuardError) as info:
-        aut_gen_weights(DegreeMatrix(tuple(z4.element(v) for v in vectors)))
-    assert str(perm(40, 4)) in str(info.value)
+        aut_gen_weights(_line_classes(6))
+    assert str(77760 * 27) in str(info.value)
     assert str(PLACEMENT_BOUND) in str(info.value)
+    # four weights (1; 0), (1; e_i) in Z + (Z/3)^3: four placements of
+    # the basis, 4^3 images of the three further weight generators each
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 255)
+    with pytest.raises(GuardError, match="would try 256 generator images"):
+        aut_gen_weights(_torsion_cube((3, 3, 3)))
 
 
 def test_placement_bound_read_when_guard_runs(monkeypatch):
     z2 = GradingGroup(2)
     Q = DegreeMatrix(tuple(z2.element(v) for v in ((1, 0), (0, 1), (1, 1))))
-    # perm(3, 2) = 6 images of the basis; every call runs the guard, so
-    # lowering the bound refuses a matrix that was already searched
-    refusal = (r"6 generator images, above the bound 5 "
+    # the three weights share one vertex colour, so the three placements
+    # of e_1 each meet three candidates for e_2; every call runs the
+    # guard, so lowering the bound refuses a matrix already searched
+    refusal = (r"9 placements of basis vector 2, above the bound 8 "
                r"\(weightsym.PLACEMENT_BOUND\)")
-    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 5)
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 8)
     with pytest.raises(GuardError, match=refusal):
         aut_gen_weights(Q)
-    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 6)
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 9)
     assert len(aut_gen_weights(Q)) == 2
-    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 5)
+    monkeypatch.setattr(weightsym, "PLACEMENT_BOUND", 8)
     with pytest.raises(GuardError, match=refusal):
         aut_gen_weights(Q)
+
+
+def test_del_pezzo_placements_are_the_weyl_group(monkeypatch):
+    """dP5 (demos/dp5.toml) and the 16 line classes of dP4 have
+    |W(A4)| = 120 and |W(D5)| = 1920 symmetries.  Matching colours leave
+    exactly one full placement per symmetry, under the default bound."""
+    placements = weightsym._placements
+    full = []
+    monkeypatch.setattr(weightsym, "_placements",
+                        lambda *args: full.append(placements(*args)) or full[-1])
+    dp5 = read_input(ROOT / "demos" / "dp5.toml").degree_matrix()
+    start = time.perf_counter()
+    assert len(aut_gen_weights(dp5)) == 120
+    elapsed = time.perf_counter() - start
+    assert len(full[0]) == 120
+    assert elapsed < 0.5
+    assert len(aut_gen_weights(_line_classes(5))) == 1920
+    assert len(full[1]) == 1920
 
 
 def test_effective_torsion_gradings_match_oracle():
