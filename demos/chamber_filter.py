@@ -28,12 +28,12 @@ print(f"\n{len(retained)} of {len(stab.triples)} "
       f"weight symmetries fix the chamber")
 for i in retained:
     print(f"  triple {i + 1}: "
-          + str(stab.triples[i].weight_aut.display_matrix()))
+          + str(stab.triples[i].weight_aut.matrix))
 
 # bundle everything and emit the script; the filter keeps only the
 # retained equation lists, the comments keep the original numbering
 report = validate_presentation(ring, ideal)
-displays = tuple(t.weight_aut.display_matrix() for t in stab.triples)
+displays = tuple(t.weight_aut.matrix for t in stab.triples)
 bundle = ResultBundle(problem, report, displays, stab.base, stab,
                       FilterResult(w.coordinates, retained, lam.rays))
 print("\n" + export_cas_script(bundle))

@@ -24,8 +24,8 @@ for i, a in enumerate(auts, start=1):
 
 # the composition table closes on the same four elements and every
 # element squares to the identity, so the group is Klein four
-index = {a.display_matrix(): i + 1 for i, a in enumerate(auts)}
+index = {a.matrix: i + 1 for i, a in enumerate(auts)}
 print("\ncomposition table (entries are list positions):")
 for a in auts:
-    row = [index[a.compose(b).display_matrix()] for b in auts]
+    row = [index[a.compose(b).matrix] for b in auts]
     print("  " + " ".join(str(x) for x in row))

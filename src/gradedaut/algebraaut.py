@@ -109,10 +109,6 @@ class StabilizerTriple:
     stabilizer_gens: tuple
 
     @property
-    def matrix(self):
-        return self.base.matrix
-
-    @property
     def weight_aut(self):
         return self.base.weight_aut
 

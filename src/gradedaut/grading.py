@@ -2,15 +2,14 @@
 
 A grading group K splits as Z^k + Z/a_1 + ... + Z/a_l.  Elements carry a
 free part in Z^k and a torsion part with entry j reduced into [0, a_j).
-Automorphisms of K are stored in lower block triangular form
-
-    (x_free, x_tors)  |->  (A x_free, C x_free + D x_tors)
-
-with A a k x k integer matrix of determinant +-1, C an l x k mixing
-block read modulo the row's order, and D an l x l torsion block with
-entry (i, j) modulo a_i.  This shape is forced: the torsion subgroup is
-characteristic and Z^k is free, so nothing can map a free generator's
-image outside the displayed triangle.
+An automorphism of K is stored as its display matrix, the (k+l) x (k+l)
+integer matrix whose column j is the image of the j-th unit vector, its
+last l rows reduced modulo the torsion orders.  A matrix displays an
+endomorphism when a_j times each torsion column j vanishes in K:
+exactly in the free rows, so the matrix is [[A, 0], [C, D]], and modulo
+a_i in torsion row i.  The endomorphism is bijective exactly when its
+columns generate K, since an onto endomorphism of a finitely generated
+abelian group is injective (Vasconcelos, 1969).
 """
 
 from __future__ import annotations
@@ -258,135 +257,60 @@ def check_pointed(Q: DegreeMatrix) -> bool:
     return Q.positive_functional is not None
 
 
-def _reduce_rows(block, orders):
-    return tuple(tuple(x % a for x in row) for row, a in zip(block, orders))
-
-
-def torsion_block_bijective(D_block, orders) -> bool:
-    """Does D define a bijection of Z/a_1 + ... + Z/a_l?
-
-    An endomorphism of a finite group is bijective iff it is onto, that
-    is iff the columns of D generate the group: subgroup index 1.
-    """
-    group = GradingGroup(0, orders)
-    images = [group.element((), col) for col in zip(*D_block)]
-    return subgroup_presentation(group, images)[0] == 1
-
-
-def invert_torsion_block(D_block, orders):
-    """An integer X with D X = identity modulo the row orders: the
-    section of the columns of D from subgroup_presentation, reduced;
-    only valid when the block is bijective.
-    """
-    group = GradingGroup(0, orders)
-    images = [group.element((), col) for col in zip(*D_block)]
-    index, section = subgroup_presentation(group, images)
-    if index != 1:
-        raise StructuralError("torsion block is not invertible")
-    return _reduce_rows(section, orders)
-
-
 @dataclass(frozen=True)
 class GroupAutomorphism:
+    """An automorphism of the group by its display matrix [[A, 0], [C, D]]."""
+
     group: GradingGroup
-    free_block: tuple[tuple[int, ...], ...]
-    mixing_block: tuple[tuple[int, ...], ...] = ()
-    torsion_block: tuple[tuple[int, ...], ...] = ()
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = self.group.free_rank
-        orders = self.group.torsion_orders
-        l = len(orders)
-        A = tuple(tuple(int(x) for x in row) for row in self.free_block)
-        C = tuple(tuple(int(x) for x in row) for row in self.mixing_block)
-        D = tuple(tuple(int(x) for x in row) for row in self.torsion_block)
-        if len(A) != k or any(len(r) != k for r in A):
-            raise StructuralError("free block must be k x k")
-        if len(C) != l or any(len(r) != k for r in C):
-            raise StructuralError("mixing block must be l x k")
-        if len(D) != l or any(len(r) != l for r in D):
-            raise StructuralError("torsion block must be l x l")
-        if abs(linalg.det(A)) != 1:
-            raise StructuralError("free block must have determinant +-1")
-        for i in range(l):
-            for j in range(l):
-                if (orders[j] * D[i][j]) % orders[i] != 0:
-                    raise StructuralError(
-                        f"torsion block entry ({i + 1},{j + 1}) does not define "
-                        f"a homomorphism: {orders[j]}*{D[i][j]} != 0 mod {orders[i]}")
-        if not torsion_block_bijective(D, orders):
-            raise StructuralError("torsion block is not bijective")
-        object.__setattr__(self, "free_block", A)
-        object.__setattr__(self, "mixing_block", _reduce_rows(C, orders))
-        object.__setattr__(self, "torsion_block", _reduce_rows(D, orders))
+        group, k = self.group, self.group.free_rank
+        n = group.coordinate_count
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise StructuralError("display matrix has the wrong shape")
+        cols = [group.from_coordinates(col) for col in zip(*self.matrix)]
+        for j, a in enumerate(group.torsion_orders):
+            if not cols[k + j].scale(a).is_zero():
+                raise StructuralError(
+                    f"torsion column {j + 1} does not define a homomorphism: "
+                    f"{a} times it is not zero")
+        if subgroup_presentation(group, cols)[0] != 1:
+            raise StructuralError("the columns do not generate the group")
+        object.__setattr__(self, "matrix",
+                           tuple(zip(*(c.coordinates for c in cols))))
 
     @classmethod
     def identity(cls, group: GradingGroup) -> "GroupAutomorphism":
-        k, l = group.free_rank, group.torsion_rank
-        eye = lambda n: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(group, eye(k), tuple((0,) * k for _ in range(l)), eye(l))
+        n = group.coordinate_count
+        return cls(group, tuple(tuple(int(i == j) for j in range(n))
+                                for i in range(n)))
 
     def is_identity(self) -> bool:
         """True for the identity automorphism of the group."""
         return self == GroupAutomorphism.identity(self.group)
 
+    @property
+    def free_block(self) -> tuple[tuple[int, ...], ...]:
+        """A, the action on the free quotient Z^k."""
+        k = self.group.free_rank
+        return tuple(row[:k] for row in self.matrix[:k])
+
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.group:
             raise StructuralError("element belongs to a different group")
-        free = linalg.mat_vec(self.free_block, x.free_part)
-        tors = tuple(a + b for a, b in zip(linalg.mat_vec(self.mixing_block, x.free_part),
-                                           linalg.mat_vec(self.torsion_block, x.torsion_part)))
-        return GroupElement(self.group, free, tors)
+        return self.group.from_coordinates(linalg.mat_vec(self.matrix, x.coordinates))
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         """self after other: compose(self, other).apply(x) = self.apply(other.apply(x))."""
         if other.group != self.group:
             raise StructuralError("automorphisms of different groups")
-        A = linalg.mat_mul(self.free_block, other.free_block)
-        CA = linalg.mat_mul(self.mixing_block, other.free_block)
-        DC = linalg.mat_mul(self.torsion_block, other.mixing_block)
-        C = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(CA, DC))
-        D = linalg.mat_mul(self.torsion_block, other.torsion_block)
-        return GroupAutomorphism(self.group, A, C, D)
-
-    def inverse(self) -> "GroupAutomorphism":
-        orders = self.group.torsion_orders
-        Ainv = linalg.unimodular_inverse(self.free_block)
-        Dinv = invert_torsion_block(self.torsion_block, orders)
-        CA = linalg.mat_mul(linalg.mat_mul(Dinv, self.mixing_block), Ainv)
-        Cinv = tuple(tuple(-x for x in row) for row in CA)
-        return GroupAutomorphism(self.group, Ainv, Cinv, Dinv)
-
-    def display_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The (k+l) x (k+l) integer matrix [[A, 0], [C, D]].
-
-        The last l rows are read modulo the torsion orders, matching the
-        printed convention for Q itself.
-        """
-        k, l = self.group.free_rank, self.group.torsion_rank
-        top = tuple(row + (0,) * l for row in self.free_block)
-        bottom = tuple(c_row + d_row for c_row, d_row
-                       in zip(self.mixing_block, self.torsion_block))
-        return top + bottom
-
-    @classmethod
-    def from_display(cls, group: GradingGroup, matrix) -> "GroupAutomorphism":
-        rows = [tuple(int(x) for x in row) for row in matrix]
-        k, l = group.free_rank, group.torsion_rank
-        if len(rows) != k + l or any(len(r) != k + l for r in rows):
-            raise StructuralError("display matrix has the wrong shape")
-        if any(rows[i][k + j] != 0 for i in range(k) for j in range(l)):
-            raise StructuralError("upper right block must vanish")
-        A = tuple(r[:k] for r in rows[:k])
-        C = tuple(r[:k] for r in rows[k:])
-        D = tuple(r[k:] for r in rows[k:])
-        return cls(group, A, C, D)
+        return GroupAutomorphism(self.group, linalg.mat_mul(self.matrix, other.matrix))
 
     def __str__(self):
-        rows = self.display_matrix()
+        rows = self.matrix
         if not rows:
             return "[]"
         w = max(len(str(x)) for row in rows for x in row)
         return "\n".join("[" + "  ".join(str(x).rjust(w) for x in row) + "]"
                          for row in rows)
-

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -544,23 +544,11 @@ def _decode_problem(data) -> ProblemInput:
     return p
 
 
-_REPORT_FLAGS = ("effective", "pointed", "generators_homogeneous",
-                 "contained_in_square", "variable_components_trivial",
-                 "has_lattice_basis")
-
-
-def _encode_report(report: ValidationReport):
-    out = {flag: getattr(report, flag) for flag in _REPORT_FLAGS}
-    out["messages"] = list(report.messages)
-    return out
-
-
 def _encode_presentation(pres: AutPresentation, poly):
     """`poly` encodes each equation."""
     return {"ring": _encode_ring(pres.ring),
             "n": pres.n,
-            "triples": [{"weight_aut": [list(r) for r in
-                                        t.weight_aut.display_matrix()],
+            "triples": [{"weight_aut": [list(r) for r in t.weight_aut.matrix],
                          "pattern": [list(r) for r in t.matrix.pattern],
                          "equations": list(map(poly, t.ideal))}
                         for t in pres.triples]}
@@ -599,7 +587,7 @@ def _bundle_tree(bundle: ResultBundle, poly=lambda f: f) -> dict:
         "schema": SCHEMA,
         "problem": _encode_problem(bundle.problem),
         "validation": (None if bundle.report is None
-                       else _encode_report(bundle.report)),
+                       else asdict(bundle.report)),
         "weight_symmetries": [[list(r) for r in m]
                               for m in bundle.weight_auts],
         "presentation": pres,

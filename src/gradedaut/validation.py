@@ -129,7 +129,7 @@ class Stages:
     @property
     def displays(self):
         """The weight symmetries as display matrices, as reports hold them."""
-        return tuple(a.display_matrix() for a in self.auts)
+        return tuple(a.matrix for a in self.auts)
 
     @cached_property
     def presentation(self):

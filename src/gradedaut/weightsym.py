@@ -60,7 +60,7 @@ def _canonical_sort(group, auts):
     """Identity first, the rest by descending flattened display matrix."""
     ident = GroupAutomorphism.identity(group)
     rest = sorted({a for a in auts if a != ident},
-                  key=lambda a: tuple(x for row in a.display_matrix() for x in row),
+                  key=lambda a: tuple(x for row in a.matrix for x in row),
                   reverse=True)
     return (ident, *rest) if ident in auts else tuple(rest)
 
@@ -131,7 +131,7 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
             matrix = linalg.mat_mul(tuple(zip(*(x.coordinates for x in images))),
                                     section)
             try:
-                cand = GroupAutomorphism.from_display(group, matrix)
+                cand = GroupAutomorphism(group, matrix)
             except StructuralError:
                 continue
             if all(cand.apply(w) in weight_set for w in weights):

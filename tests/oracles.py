@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 from gradedaut import linalg
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
-                               degree_of_exponent, torsion_block_bijective)
+                               degree_of_exponent)
 from gradedaut.polynomials import Polynomial, monomial_mul
 
 
@@ -64,6 +64,7 @@ def extendable_bijections(Q: DegreeMatrix):
     l = len(orders)
     weights = list(dict.fromkeys(Q.columns))
     s = len(weights)
+    torsion = list(product(*(range(a) for a in orders)))
     found = set()
     c_space = list(product(*(range(orders[i]) for i in range(l) for _ in range(k))))
     d_space = list(product(*(range(orders[i]) for i in range(l) for _ in range(l))))
@@ -94,7 +95,9 @@ def extendable_bijections(Q: DegreeMatrix):
                 if any((orders[j] * D[i][j]) % orders[i] != 0
                        for i in range(l) for j in range(l)):
                     continue
-                if not torsion_block_bijective(D, orders):
+                # D is bijective iff its image is all of T
+                if len({tuple(linalg.dot(row, t) % a for row, a in zip(D, orders))
+                        for t in torsion}) < len(torsion):
                     continue
                 good = True
                 for j in range(s):
@@ -106,7 +109,9 @@ def extendable_bijections(Q: DegreeMatrix):
                         good = False
                         break
                 if good:
-                    found.add(GroupAutomorphism(group, A, C, D))
+                    found.add(GroupAutomorphism(
+                        group, tuple(row + (0,) * l for row in A)
+                        + tuple(c + d for c, d in zip(C, D))))
     return found
 
 

@@ -111,6 +111,37 @@ def test_torus_points_stabilize(quadric8_stab):
             assert g.substitute_values(values) == 0
 
 
+def test_symmetry_moving_the_generator_degree():
+    # the swap of Z^2 sends the generator degree (2, 1) to (1, 2), where
+    # the ideal has no element: the target component is computed apart
+    group = GradingGroup(2)
+    ring = GradedPolyRing.from_degree_matrix(
+        DegreeMatrix.from_rows(group, ((1, 1, 0, 0), (0, 0, 1, 1))))
+    ideal = Ideal(ring, (ring.parse("T(1)^2*T(3) + T(2)^2*T(4)"),))
+    pres = aut_grad_alg(ring, ideal)
+    ident, swap = pres.triples
+    assert swap.weight_aut.free_block == ((0, 1), (1, 0))
+    components = {}
+    gens = stabilizer_ideal_for_triple(pres.base, ideal, swap.base, components)
+    assert gens == swap.stabilizer_gens
+    assert set(components) == {group.element((2, 1)), group.element((1, 2))}
+    n = pres.n
+    # Y = I, Z = 1 fixes the ideal
+    identity = [Fraction(0)] * (n * n + 1)
+    for i in range(n):
+        identity[i * n + i] = Fraction(1)
+    identity[n * n] = Fraction(1)
+    assert all(g.substitute_values(identity) == 0 for g in ident.ideal)
+    # T(1) <-> T(3), T(2) <-> T(4), an even permutation, does not: it
+    # sends the generator to T(1)*T(3)^2 + T(2)*T(4)^2 of degree (1, 2)
+    swapped = [Fraction(0)] * (n * n + 1)
+    for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        assert swap.base.matrix.pattern[i][j]
+        swapped[i * n + j] = Fraction(1)
+    swapped[n * n] = Fraction(1)
+    assert any(g.substitute_values(swapped) != 0 for g in gens)
+
+
 def test_refuses_ideal_meeting_variable_component():
     ring = zring(1, 2)
     bad = Ideal(ring, (ring.parse("T(1)^2"),))

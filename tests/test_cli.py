@@ -715,6 +715,14 @@ def test_export_reads_the_filter_options_chose(tmp_path, capsys, text,
         ResultBundle(problem, stabilizer=stab, filter_result=chamber))
 
 
+def test_user_faces_mode_needs_faces(capsys):
+    assert main(["autxhat", "--mode", "user-faces", "--input", DEMO]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"{DEMO}:1:1: mode user-faces needs faces in "
+                            "the input file\n")
+    assert captured.out == ""
+
+
 RSS_OF_COMMAND = """
 import resource, subprocess, sys
 code = subprocess.run([sys.executable, "-m", "gradedaut.cli", *sys.argv[1:]],

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
@@ -9,8 +11,7 @@ from gradedaut.errors import StructuralError
 from conftest import QUADRIC8_AUT_MATRICES
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                GroupElement, check_effective, check_pointed,
-                               degree_of_exponent, invert_torsion_block,
-                               subgroup_presentation, torsion_block_bijective)
+                               degree_of_exponent, subgroup_presentation)
 
 
 def test_element_reduction_and_addition(quadric8_group, quadric8_Q):
@@ -219,7 +220,7 @@ def test_positive_functional_depends_only_on_the_weight_cone():
 
 
 def quadric8_auts(group):
-    return [GroupAutomorphism.from_display(group, m) for m in QUADRIC8_AUT_MATRICES]
+    return [GroupAutomorphism(group, m) for m in QUADRIC8_AUT_MATRICES]
 
 
 def test_automorphism_moves_weights_as_expected(quadric8_group, quadric8_Q):
@@ -240,9 +241,9 @@ def test_automorphism_involutions_and_products(quadric8_group):
 
 def test_display_round_trip(quadric8_group):
     for m in QUADRIC8_AUT_MATRICES:
-        aut = GroupAutomorphism.from_display(quadric8_group, m)
-        assert aut.display_matrix() == m
-        assert GroupAutomorphism.from_display(quadric8_group, aut.display_matrix()) == aut
+        aut = GroupAutomorphism(quadric8_group, m)
+        assert aut.matrix == m
+        assert GroupAutomorphism(quadric8_group, aut.matrix) == aut
 
 
 def random_unimodular(rng, k):
@@ -263,6 +264,12 @@ def random_unimodular(rng, k):
     return tuple(tuple(r) for r in rows)
 
 
+def _display(A, C, D):
+    """The display matrix [[A, 0], [C, D]] of the blocks."""
+    return (tuple(tuple(row) + (0,) * len(D) for row in A)
+            + tuple(tuple(c) + tuple(d) for c, d in zip(C, D)))
+
+
 def random_automorphism(rng, group):
     k, orders = group.free_rank, group.torsion_orders
     l = len(orders)
@@ -271,9 +278,17 @@ def random_automorphism(rng, group):
     while True:
         D = tuple(tuple(rng.randrange(orders[i]) for _ in range(l)) for i in range(l))
         try:
-            return GroupAutomorphism(group, A, C, D)
+            return GroupAutomorphism(group, _display(A, C, D))
         except StructuralError:
             continue
+
+
+def _section_inverse(aut):
+    """The inverse read off the section of the automorphism's columns:
+    e_c = sum_j S[j][c] * column_j, so M S = I in the group."""
+    group = aut.group
+    cols = [group.from_coordinates(c) for c in zip(*aut.matrix)]
+    return GroupAutomorphism(group, subgroup_presentation(group, cols)[1])
 
 
 def test_automorphism_group_laws():
@@ -281,13 +296,31 @@ def test_automorphism_group_laws():
     for _ in range(40):
         group = GradingGroup(rng.randint(0, 3),
                              tuple(rng.choice((2, 3, 4)) for _ in range(rng.randint(0, 2))))
+        ident = GroupAutomorphism.identity(group)
         b1 = random_automorphism(rng, group)
         b2 = random_automorphism(rng, group)
-        assert b1.compose(b2).compose(b2.inverse()) == b1
-        assert b1.compose(b1.inverse()) == GroupAutomorphism.identity(group)
+        b2_inv = _section_inverse(b2)
+        assert b1.compose(b2).compose(b2_inv) == b1
+        assert b2_inv.compose(b2) == ident == b2.compose(b2_inv)
         x = group.element(tuple(rng.randint(-4, 4) for _ in range(group.free_rank)),
                           tuple(rng.randint(0, a - 1) for a in group.torsion_orders))
         assert b1.compose(b2).apply(x) == b1.apply(b2.apply(x))
+
+
+def _torsion_images(D, orders):
+    """The image of D on Z/a_1 + ... + Z/a_l, by enumeration."""
+    l = len(orders)
+    return {tuple(sum(D[i][j] * t[j] for j in range(l)) % orders[i]
+                  for i in range(l))
+            for t in product(*(range(a) for a in orders))}
+
+
+def _constructs(group, matrix) -> bool:
+    try:
+        GroupAutomorphism(group, matrix)
+    except StructuralError:
+        return False
+    return True
 
 
 def test_torsion_bijectivity_matches_enumeration():
@@ -300,21 +333,66 @@ def test_torsion_bijectivity_matches_enumeration():
                            for i in range(l) for j in range(l))
         if not well_defined:
             continue
-        images = set()
-        for tors in product(*(range(a) for a in orders)):
-            img = tuple(sum(D[i][j] * tors[j] for j in range(l)) % orders[i]
-                        for i in range(l))
-            images.add(img)
-        expected = len(images) == __import__("math").prod(orders)
-        assert torsion_block_bijective(D, orders) == expected
+        expected = len(_torsion_images(D, orders)) == prod(orders)
+        assert _constructs(GradingGroup(0, orders), D) == expected
+
+
+def _leibniz_det(A):
+    """The determinant as the signed sum over permutations."""
+    total = 0
+    for p in permutations(range(len(A))):
+        sign = (-1) ** sum(p[i] > p[j] for i, j in combinations(range(len(p)), 2))
+        total += sign * prod(A[i][p[i]] for i in range(len(p)))
+    return total
+
+
+def _is_automorphism(group, M):
+    """Brute force: the upper right block vanishes, each torsion entry
+    defines a homomorphism, det A = +-1, and D is onto T by enumeration."""
+    k, orders = group.free_rank, group.torsion_orders
+    l = len(orders)
+    D = [row[k:] for row in M[k:]]
+    return (not any(M[i][k + j] for i in range(k) for j in range(l))
+            and all(orders[j] * D[i][j] % orders[i] == 0
+                    for i in range(l) for j in range(l))
+            and abs(_leibniz_det([row[:k] for row in M[:k]])) == 1
+            and len(_torsion_images(D, orders)) == prod(orders))
+
+
+def test_constructor_matches_brute_force():
+    """Display matrices with every kind of defect, on Z^k + T with k <= 2
+    and torsion orders <= 4: the constructor accepts exactly the
+    automorphisms and stores the torsion rows reduced."""
+    rng = random.Random(28)
+    seen = Counter()
+    for _ in range(400):
+        k = rng.randint(0, 2)
+        orders = tuple(rng.choice((2, 3, 4)) for _ in range(rng.randint(k == 0, 2)))
+        group = GradingGroup(k, orders)
+        l = len(orders)
+        A = (random_unimodular(rng, k) if rng.random() < 0.6
+             else tuple(tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(k)))
+        upper = [[rng.randint(-1, 1) if rng.random() < 0.2 else 0 for _ in range(l)]
+                 for _ in range(k)]
+        C = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(l)]
+        D = [[rng.randint(-1, 4) for _ in range(l)] for _ in range(l)]
+        M = (tuple(tuple(a) + tuple(u) for a, u in zip(A, upper))
+             + tuple(tuple(c) + tuple(d) for c, d in zip(C, D)))
+        expected = _is_automorphism(group, M)
+        assert _constructs(group, M) == expected, M
         if expected:
-            X = invert_torsion_block(D, orders)
-            for tors in product(*(range(a) for a in orders)):
-                img = tuple(sum(D[i][j] * tors[j] for j in range(l)) % orders[i]
-                            for i in range(l))
-                back = tuple(sum(X[i][j] * img[j] for j in range(l)) % orders[i]
-                             for i in range(l))
-                assert back == tors
+            reduced = M[:k] + tuple(tuple(x % a for x in row)
+                                    for row, a in zip(M[k:], orders))
+            assert GroupAutomorphism(group, M).matrix == reduced
+        seen["automorphism"] += expected
+        seen["upper right"] += any(map(any, upper))
+        seen["not a homomorphism"] += any(orders[j] * D[i][j] % orders[i]
+                                          for i in range(l) for j in range(l))
+        seen["det A != +-1"] += abs(_leibniz_det(A)) != 1
+        seen["D not onto"] += (all(orders[j] * D[i][j] % orders[i] == 0
+                                   for i in range(l) for j in range(l))
+                               and len(_torsion_images(D, orders)) < prod(orders))
+    assert min(seen.values()) >= 30, seen
 
 
 def _combination(group, section, elements, c):
@@ -340,7 +418,7 @@ def test_subgroup_index_matches_closure():
                     subgroup.add(y)
                     frontier.append(y)
         index, section = subgroup_presentation(group, elements)
-        assert index == __import__("math").prod(orders) // len(subgroup)
+        assert index == prod(orders) // len(subgroup)
         assert (section is None) == (index != 1)
         if section is not None:
             for c in range(len(orders)):
@@ -372,13 +450,15 @@ def test_subgroup_section_on_mixed_groups():
 
 def test_invalid_automorphisms_rejected():
     g = GradingGroup(2, (2,))
-    with pytest.raises(StructuralError):
-        GroupAutomorphism(g, ((2, 0), (0, 1)), ((0, 0),), ((1,),))
-    with pytest.raises(StructuralError):
-        GroupAutomorphism(g, ((1, 0), (0, 1)), ((0, 0),), ((0,),))
+    for matrix in (((2, 0, 0), (0, 1, 0), (0, 0, 1)),   # det A = 2
+                   ((1, 0, 0), (0, 1, 0), (0, 0, 0)),   # D = 0
+                   ((1, 0, 1), (0, 1, 0), (0, 0, 1)),   # upper right entry
+                   ((1, 0), (0, 1))):                   # wrong shape
+        with pytest.raises(StructuralError):
+            GroupAutomorphism(g, matrix)
     g23 = GradingGroup(0, (2, 3))
     with pytest.raises(StructuralError):
-        GroupAutomorphism(g23, (), ((), ()), ((1, 1), (0, 1)))
+        GroupAutomorphism(g23, ((1, 1), (0, 1)))
 
 
 def test_distinct_weights_first_occurrence():

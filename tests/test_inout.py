@@ -40,7 +40,7 @@ def quadric8_bundle(quadric8_ring, quadric8_ideal):
     problem = QUADRIC8_PROBLEM
     report = validate_presentation(quadric8_ring, quadric8_ideal)
     stab = aut_grad_alg(quadric8_ring, quadric8_ideal)
-    displays = tuple(t.weight_aut.display_matrix() for t in stab.base.triples)
+    displays = tuple(t.weight_aut.matrix for t in stab.base.triples)
     w = quadric8_ring.grading.from_coordinates(problem.w)
     lam = git_cone(quadric8_ring.degrees, w)
     filtered = aut_xhat(stab, w)
@@ -180,6 +180,9 @@ def test_bounds_diagnostics():
     bad_vars = "vars = 0\nQ = []\n\n[grading]\nfree_rank = 0\n"
     with pytest.raises(InputError, match="vars must be positive"):
         parse_input(bad_vars)
+    with pytest.raises(InputError) as err:
+        parse_input("vars = 1\nQ = [[1]]\n[grading]\nfree_rank = -1\n")
+    assert err.value.diagnostics == ((4, 1, "free_rank must be nonnegative"),)
 
 
 def test_ideal_generator_diagnostics():
@@ -234,6 +237,10 @@ def test_face_diagnostics():
         parse_input(head + "faces = [[]]" + tail)
     with pytest.raises(InputError, match="at least one face"):
         parse_input(head + "faces = []" + tail)
+    with pytest.raises(InputError) as err:
+        parse_input(head + "faces = 3" + tail)
+    assert err.value.diagnostics == (
+        (3, 1, "faces must be an array of index arrays"),)
 
 
 def test_comments_and_trailing_commas():
@@ -497,7 +504,7 @@ def test_composite_report_writer(tmp_path):
     stab = aut_grad_alg(ring, ideal)
     # two weight symmetries, one of which pairs components of unequal
     # dimension and makes no triple
-    displays = tuple(a.display_matrix() for a in aut_gen_weights(ring.degrees))
+    displays = tuple(a.matrix for a in aut_gen_weights(ring.degrees))
     assert len(displays) == 2 and len(stab.base.triples) == 1
     shared = ResultBundle(problem, validate_presentation(ring, ideal),
                           displays, stab.base, stab)

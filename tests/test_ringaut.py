@@ -78,7 +78,7 @@ def test_structured_matrix_identity_is_diagonal(quadric8_basis, quadric8_group):
 
 
 def test_structured_matrix_frozen_pattern(quadric8_basis, quadric8_group):
-    aut = GroupAutomorphism.from_display(quadric8_group, QUADRIC8_AUT_MATRICES[1])
+    aut = GroupAutomorphism(quadric8_group, QUADRIC8_AUT_MATRICES[1])
     m = structured_matrix(quadric8_basis, aut)
     positions = tuple((i + 1, j + 1) for i in range(8) for j in range(8)
                       if m.pattern[i][j])
@@ -94,7 +94,7 @@ def test_structured_matrix_rejects_dimension_mismatch():
             group.element((0, 1), ()))
     ring = GradedPolyRing.from_degree_matrix(DegreeMatrix(cols))
     basis = build_action_basis(ring)
-    swap = GroupAutomorphism(group, ((0, 1), (1, 0)), (), ())
+    swap = GroupAutomorphism(group, ((0, 1), (1, 0)))
     with pytest.raises(StructuralError):
         structured_matrix(basis, swap)
 
@@ -113,7 +113,7 @@ def test_zero_pattern_ideal_identity(quadric8_basis, quadric8_group):
 
 
 def test_zero_pattern_ideal_frozen_det(quadric8_basis, quadric8_group):
-    aut = GroupAutomorphism.from_display(quadric8_group, QUADRIC8_AUT_MATRICES[1])
+    aut = GroupAutomorphism(quadric8_group, QUADRIC8_AUT_MATRICES[1])
     gens = zero_pattern_ideal(structured_matrix(quadric8_basis, aut))
     assert len(gens) == 57
     assert polynomial_to_str(gens[56], yz_names(8)) == \
@@ -460,7 +460,7 @@ def test_closed_form_matches_repeated_products_at_degree_400():
 def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     pres = quadric8_presentation
     assert len(pres.triples) == 4
-    shown = tuple(t.weight_aut.display_matrix() for t in pres.triples)
+    shown = tuple(t.weight_aut.matrix for t in pres.triples)
     assert shown == QUADRIC8_AUT_MATRICES
     assert all(len(t.ideal) == 57 for t in pres.triples)
     assert len(pres.slot_names()) == 65
