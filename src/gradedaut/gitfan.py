@@ -8,8 +8,8 @@ nonempty subset, exact for the full coordinate space, while precomputed
 families can be passed through for quotients whose relevant faces were
 determined externally.  The chamber of a class in all-subsets mode needs
 only the simplicial orbit cones (Carathéodory), so it is computed from
-the linearly independent subsets of at most k weights, one rank and one
-exact rref solve each, and one double description for their
+the subsets of at most k weights, one rref each deciding independence
+and membership together, and one double description for their
 intersection.  Every step runs serially in the calling process.
 """
 
@@ -36,12 +36,9 @@ def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
             raise GuardError(
                 f"all-subsets enumeration over {r} weights exceeds the bound "
                 f"{SUBSET_BOUND} (gitfan.SUBSET_BOUND); supply explicit faces")
-        if simplicial:
-            return _simplicial_family(Q)
-        out = []
-        for size in range(1, r + 1):
-            out.extend(combinations(range(r), size))
-        return out
+        top = Q.group.free_rank if simplicial else r
+        return [F for size in range(1, top + 1)
+                for F in combinations(range(r), size)]
     out = []
     seen = set()
     for face in faces:
@@ -58,28 +55,16 @@ def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
     return out
 
 
-def _simplicial_family(Q: DegreeMatrix):
-    """Subsets of at most k weights with linearly independent free parts,
-    plus the singleton of every weight whose free part is zero (its cone
-    is the origin)."""
-    free = [c.free_part for c in Q.columns]
-    out = [(i,) for i, v in enumerate(free) if not any(v)]
-    for size in range(1, Q.group.free_rank + 1):
-        out.extend(F for F in combinations(range(len(free)), size)
-                   if linalg.rank([free[i] for i in F]) == size)
-    return out
-
-
-def _in_simplicial_cone(vectors, w0) -> bool:
-    """w0 in the cone over linearly independent vectors, or over a single
-    zero vector: the unique solution of one rref solve, with the vectors
-    as columns, is nonnegative.  The zero vector spans the origin, which
-    contains only w0 = 0."""
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return not any(w0)
-    x = linalg.solve(list(zip(*vectors)), w0)
-    return x is not None and all(c >= 0 for c in x)
+def _simplicial_cone_contains(vectors, w0) -> bool:
+    """The vectors span a simplicial cone containing w0, read off one
+    rref with the vectors as columns beside w0: every vector column is a
+    pivot (they are independent), w0's column is not (the system is
+    consistent), and the solution in the last column is nonnegative.  A
+    lone zero vector spans the origin, which contains only w0 = 0."""
+    R, pivots = linalg.rref([[*row, x] for row, x in zip(zip(*vectors), w0)])
+    if pivots == list(range(len(vectors))):
+        return all(row[-1] >= 0 for row in R)
+    return len(vectors) == 1 and not any(vectors[0]) and not any(w0)
 
 
 def orbit_cones(Q: DegreeMatrix, faces=None):
@@ -124,7 +109,7 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
         spans = ([free[i] for i in F]
                  for F in _face_family(Q, None, simplicial=True))
         containing = [cone_from_rays(vectors, k) for vectors in spans
-                      if _in_simplicial_cone(vectors, w0)]
+                      if _simplicial_cone_contains(vectors, w0)]
     else:
         containing = [cone for cone in orbit_cones(Q, faces)
                       if cone.contains(w0)]

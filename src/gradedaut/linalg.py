@@ -9,9 +9,10 @@ of its denominators, which changes no reduced echelon form, and is then
 reduced by integer cross-multiplication with its content divided out.
 Fractions are built once, for the result.
 
-The integer questions, a subgroup's index and section and a unimodular
-inverse, are read off one column Hermite form built by column
-operations alone; the Bareiss `det` only tests unimodularity.
+The integer questions, a subgroup's index and section, are read off
+one column Hermite form built by column operations alone; rank,
+inverse and nullspace off one `rref`.  The Bareiss `det` serves the
+lattice-basis scan and the adjugate of a Gram matrix.
 """
 
 from __future__ import annotations
@@ -133,8 +134,13 @@ def det(A) -> int:
 
 def unimodular_subset(vectors, k: int):
     """Indices of the first k of `vectors`, in combinations order, that
-    form a lattice basis of Z^k (determinant +-1), or None."""
-    for subset in combinations(range(len(vectors)), k):
+    form a lattice basis of Z^k (determinant +-1), or None.
+
+    The gcd of a row divides the determinant, so only primitive vectors
+    can lie in a basis, and the scan ranges over those alone.
+    """
+    primitive_idx = [i for i, v in enumerate(vectors) if gcd(*v) == 1]
+    for subset in combinations(primitive_idx, k):
         if abs(det([vectors[i] for i in subset])) == 1:
             return subset
     return None
@@ -209,25 +215,6 @@ def nullspace(M, ncols: int | None = None):
     return basis
 
 
-def solve(M, b):
-    """One rational solution of M x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    M = [list(r) for r in M]
-    if not M:
-        return None
-    aug = [list(row) + [bv] for row, bv in zip(M, b)]
-    R, pivots = rref(aug)
-    ncols = len(M[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = R[r][-1]
-    return tuple(x)
-
-
 def inverse(rows):
     """Rational inverse of a square matrix, as row lists of Fractions."""
     d = len(rows)
@@ -238,10 +225,3 @@ def inverse(rows):
         raise ValueError("matrix is singular")
     return [row[d:] for row in R[:d]]
 
-
-def unimodular_inverse(A):
-    """Integer inverse of an integer matrix with determinant +-1."""
-    H, V = hermite(A)
-    if H != [[int(i == j) for j in range(len(H))] for i in range(len(H))]:
-        raise ValueError("matrix is not unimodular")
-    return tuple(map(tuple, V))

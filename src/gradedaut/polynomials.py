@@ -143,23 +143,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        if not self.terms:
-            if e == 0:
-                raise StructuralError("0**0 with unknown arity")
-            return Polynomial.zero()
-        nvars = len(next(iter(self.terms)))
-        out, square = Polynomial.constant(1, nvars), self
-        while e:
-            if e & 1:
-                out = out * square
-            e >>= 1
-            if e:
-                square = square * square
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 

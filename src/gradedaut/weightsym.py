@@ -106,8 +106,11 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
               for row in linalg.mat_mul(frees, adj)]
     vertex = [(colour[i][i], multiplicity[v]) for i, v in enumerate(frees)]
 
-    basis_inv = linalg.unimodular_inverse(
-        list(zip(*(g.free_part for g in gens[:k]))))
+    # the lattice basis has |det| = 1, so its inverse is integral
+    basis_inv = linalg.inverse(list(zip(*(g.free_part for g in gens[:k]))))
+    if any(x.denominator != 1 for row in basis_inv for x in row):
+        raise StructuralError("the lattice basis is not unimodular")
+    basis_inv = [[x.numerator for x in row] for row in basis_inv]
     tries = []
     for placed in _placements(colour, vertex, basis):
         A = linalg.mat_mul(tuple(zip(*(frees[i] for i in placed))), basis_inv)

@@ -5,12 +5,28 @@ the search-space reductions used by the library, so agreement is
 meaningful evidence.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from gradedaut import linalg
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent)
 from gradedaut.polynomials import Polynomial, monomial_mul
+
+
+def solve(M, b):
+    """One rational solution of M x = b, free variables set to zero, or
+    None if the system is inconsistent: one rref of [M | b]."""
+    if not M:
+        return None
+    R, pivots = linalg.rref([list(row) + [bv] for row, bv in zip(M, b)])
+    ncols = len(M[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = R[r][-1]
+    return tuple(x)
 
 
 def naive_monomial_basis(ring, w):
@@ -80,7 +96,7 @@ def extendable_bijections(Q: DegreeMatrix):
                         row[i * k + t] = f[t]
                     rows.append(row)
                     rhs.append(g[i])
-            sol = linalg.solve(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is None or any(x.denominator != 1 for x in sol):
                 continue
             A = tuple(tuple(int(sol[i * k + t]) for t in range(k)) for i in range(k))
@@ -141,7 +157,6 @@ def torus_character(element, free_values, torsion_signs):
     free_values are nonzero rationals, one per free coordinate;
     torsion_signs are +-1, one per torsion coordinate of order 2.
     """
-    from fractions import Fraction
     val = Fraction(1)
     for t, e in zip(free_values, element.free_part):
         val *= Fraction(t) ** e
@@ -179,7 +194,7 @@ def cone_member(rays, x):
             M = [[r[t] for r in sub] for t in range(dim)]
             if linalg.rank(M) < size:
                 continue
-            sol = linalg.solve(M, list(x))
+            sol = solve(M, list(x))
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False

@@ -5,9 +5,12 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from conftest import line_col
@@ -59,6 +62,32 @@ def test_check_reports_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pointed: FAIL" in out
     assert "note:" in out
+
+
+def test_lattice_basis_scan_skips_imprimitive_vectors(tmp_path, capsys):
+    # 28 weights {2, 3, 5, 7} e_i in Z^7: C(28, 7) = 1,184,040 subsets, of
+    # which none is primitive, so none can be a lattice basis
+    cols = [[c * int(i == t) for i in range(7) for c in (2, 3, 5, 7)]
+            for t in range(7)]
+    path = _write(tmp_path, "vars = 28\nQ = [\n" + "".join(
+        f"    {row},\n" for row in cols) + "]\n\n[grading]\nfree_rank = 7\n")
+    start = perf_counter()
+    assert main(["check", "--input", path]) == 1
+    assert perf_counter() - start < 1
+    assert "lattice basis among free parts: FAIL" in capsys.readouterr().out
+    # the same first subset as a scan over every k-subset
+    rng = random.Random(29)
+    found = 0
+    for _ in range(600):
+        k = rng.randint(0, 3)
+        vectors = [tuple(rng.choice((1, 2)) * rng.randint(-2, 2)
+                         for _ in range(k)) for _ in range(rng.randint(0, 7))]
+        flat = next((subset for subset in combinations(range(len(vectors)), k)
+                     if abs(linalg.det([vectors[i] for i in subset])) == 1),
+                    None)
+        assert linalg.unimodular_subset(vectors, k) == flat, (vectors, k)
+        found += flat is not None
+    assert 100 < found < 500
 
 
 def test_parse_failure_exit(tmp_path, capsys):
@@ -241,25 +270,26 @@ def test_no_stage_keeps_a_process_wide_cache():
 
 
 def test_each_exact_question_has_one_routine(monkeypatch):
-    # the chamber of chamber10 asks one rank per candidate subset of at
+    # the chamber of chamber10 asks one rref per candidate subset of at
     # most k = 3 of its ten weights, C(10,1) + C(10,2) + C(10,3) = 175,
-    # and one rref solve per independent one, and computes no
+    # with the subset's free parts as columns beside w0, and the double
+    # description the other 168; it asks no rank and computes no
     # determinant; the torsion weight search makes one Hermite form per
-    # candidate block, 28 through subgroup_presentation and one for the
-    # inverse of its lattice basis
+    # candidate block, 28 through subgroup_presentation
     problems = ROOT / "bench" / "problems"
     chamber = parse_input((problems / "chamber10.toml").read_text())
     torsion = parse_input((problems / "torsion.toml").read_text())
     calls = {}
-    for name in ("det", "rank", "solve", "hermite"):
+    for name in ("det", "rank", "rref", "hermite"):
         _count_calls(monkeypatch, calls, linalg, name)
-    gitfan.git_cone(chamber.degree_matrix(),
-                    chamber.group().from_coordinates(chamber.w))
-    assert {name: len(args) for name, args in calls.items()} == {
-        "rank": 175, "solve": 163}
+    w = chamber.group().from_coordinates(chamber.w)
+    gitfan.git_cone(chamber.degree_matrix(), w)
+    assert {name: len(args) for name, args in calls.items()} == {"rref": 343}
+    assert sum([row[-1] for row in M] == list(w.free_part)
+               for (M,) in calls["rref"]) == 175
     calls.clear()
     weightsym.aut_gen_weights(torsion.degree_matrix())
-    assert len(calls["hermite"]) == 29
+    assert len(calls["hermite"]) == 28
 
 
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion

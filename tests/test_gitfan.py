@@ -1,13 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
-from gradedaut import gitfan
+from gradedaut import gitfan, linalg
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cones import cone_from_rays, equal_cones, intersect_cones
 from gradedaut.errors import GuardError, StructuralError, ValidationError
-from gradedaut.gitfan import (_face_family, aut_xhat, git_cone, map_cone,
-                              orbit_cones, render_cone)
+from gradedaut.gitfan import (_face_family, _simplicial_cone_contains,
+                              aut_xhat, git_cone, map_cone, orbit_cones,
+                              render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
@@ -107,13 +109,21 @@ def test_git_cone_user_faces_match_their_orbit_cones():
 
 
 def test_simplicial_family_size(quadric8_Q):
+    # every subset of at most k weights is a candidate
     chamber10 = DegreeMatrix.from_rows(GradingGroup(3, ()), CHAMBER10_ROWS)
-    assert len(_face_family(chamber10, None, simplicial=True)) == 163
-    assert len(_face_family(quadric8_Q, None, simplicial=True)) == 88
+    assert len(_face_family(chamber10, None, simplicial=True)) == 175
+    assert len(_face_family(quadric8_Q, None, simplicial=True)) == 92
+    # 40 of the candidates are independent and span a cone holding w0
+    free = chamber10.free_parts()
+    assert sum(_simplicial_cone_contains([free[i] for i in F], (3, 1, 13))
+               for F in _face_family(chamber10, None, simplicial=True)) == 40
     # orbit_cones keeps every nonempty subset
     assert len(_face_family(chamber10, None)) == 2 ** 10 - 1
     # a zero free part contributes its singleton, the origin
     assert _face_family(zq(0, 1), None, simplicial=True) == [(0,), (1,)]
+    assert _simplicial_cone_contains([(0,)], (0,))
+    assert not _simplicial_cone_contains([(0,)], (1,))
+    assert not _simplicial_cone_contains([(0, 0), (1, 0)], (0, 0))
 
 
 def test_git_cone_zero_free_part():
@@ -285,3 +295,47 @@ def test_render_cone(quadric8_Q, quadric8_group):
     text = render_cone(lam)
     assert text.splitlines() == ["(0, 1, 1)", "(0, 1, 2)", "(1, 2, 3)"]
     assert render_cone(cone_from_rays([], 2)) == "origin (no rays)"
+
+
+# complete smooth 2-D fans, each with its weight symmetries fixing the
+# chamber of -K
+TORIC_FANS = {
+    "P1xP1": (((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
+    "dP7": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)), 2),
+    "dP6": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), 12),
+    "F2": (((1, 0), (0, 1), (-1, 2), (0, -1)), 1),
+}
+
+
+def _gale_dual(rays):
+    """Q whose rows are a kernel basis of the 2 x r ray matrix: the last
+    r - 2 columns of the unimodular transform of its Hermite form."""
+    _, V = linalg.hermite(list(zip(*rays)))
+    return DegreeMatrix.from_rows(GradingGroup(len(rays) - 2, ()),
+                                  [[row[j] for row in V]
+                                   for j in range(2, len(rays))])
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_FANS))
+def test_toric_chamber_symmetries_are_fan_automorphisms(name):
+    # Cl(X) = Z^r / M, so a fan automorphism g, a GL(2, Z) matrix
+    # permuting the rays by sigma, induces q_i -> q_sigma(i) on Cl(X),
+    # and these maps are the weight symmetries fixing the chamber of
+    # -K = sum q_i (Cox 1995, section 4)
+    rays, expected = TORIC_FANS[name]
+    Q = _gale_dual(rays)
+    cols = Q.columns
+    ring = GradedPolyRing.from_degree_matrix(Q)
+    minus_k = Q.group.element(
+        tuple(map(sum, zip(*(c.free_part for c in cols)))), ())
+    kept = aut_xhat(aut_grad_alg(ring, Ideal(ring, ())), minus_k)
+    images = {tuple(t.weight_aut.apply(c) for c in cols)
+              for t in kept.triples}
+    ray_set = set(rays)
+    induced = set()
+    for g in product(range(-2, 3), repeat=4):
+        image = [(g[0] * x + g[1] * y, g[2] * x + g[3] * y) for x, y in rays]
+        if g[0] * g[3] - g[1] * g[2] in (1, -1) and set(image) == ray_set:
+            induced.add(tuple(cols[rays.index(v)] for v in image))
+    assert len(images) == len(kept.triples) == expected
+    assert images == induced

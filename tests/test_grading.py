@@ -9,6 +9,7 @@ import pytest
 from gradedaut import linalg
 from gradedaut.errors import StructuralError
 from conftest import QUADRIC8_AUT_MATRICES
+from oracles import solve
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                GroupElement, check_effective, check_pointed,
                                degree_of_exponent, subgroup_presentation)
@@ -113,7 +114,7 @@ def pointed_oracle(Q):
             rows = [[vecs[j][i] for j in subset] for i in range(k)]
             rows.append([1] * size)
             rhs = [0] * k + [1]
-            sol = linalg.solve(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is not None and all(x >= 0 for x in sol):
                 return False
     return True

@@ -62,6 +62,18 @@ def test_no_lattice_basis_raises():
         aut_gen_weights(Q)
 
 
+def test_basis_inverse_is_exact():
+    # a basis of index 2 has the inverse 1/2, which must raise rather
+    # than truncate to a zero free block
+    z = GradingGroup(1)
+    Q = DegreeMatrix((z.element((1,)), z.element((2,))))
+    assert len(aut_gen_weights(Q)) == 1
+    Q = DegreeMatrix((z.element((1,)), z.element((2,))))
+    Q.__dict__["lattice_basis"] = ((2,),)
+    with pytest.raises(StructuralError, match="not unimodular"):
+        aut_gen_weights(Q)
+
+
 def test_group_closure_random():
     rng = random.Random(31)
     for _ in range(15):
@@ -193,8 +205,9 @@ def _reference_symmetries(Q):
     units = sum(g not in weight_set for g in gens)
     torsion = [group.element((0,) * k, t)
                for t in product(*(range(a) for a in orders))] if units else []
-    basis_inv = linalg.unimodular_inverse(
-        list(zip(*(g.free_part for g in gens[:k]))))
+    basis_inv = linalg.inverse(list(zip(*(g.free_part for g in gens[:k]))))
+    assert all(x.denominator == 1 for row in basis_inv for x in row)
+    basis_inv = [[x.numerator for x in row] for row in basis_inv]
     found = set()
     for placed in permutations(weights, k):
         A = linalg.mat_mul(tuple(zip(*(w.free_part for w in placed))), basis_inv)
