@@ -6,8 +6,8 @@ from pathlib import Path
 
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.gitfan import chamber_fixers, git_cone, orbit_cones, render_cone
-from gradedaut.inout import (FilterResult, ResultBundle, export_cas_script,
-                             read_input)
+from gradedaut.inout import read_input
+from gradedaut.report import FilterResult, ResultBundle, export_cas_script
 from gradedaut.validation import validate_presentation
 
 problem = read_input(Path(__file__).with_name("quadric8.toml"))

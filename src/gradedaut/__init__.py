@@ -23,13 +23,13 @@ _MODULE_OF = {name: module for module, names in (
     ("grading", ("DegreeMatrix", "GradingGroup", "GroupAutomorphism",
                  "GroupElement", "check_effective", "check_pointed",
                  "degree_of_exponent")),
-    ("inout", ("FilterResult", "ProblemInput", "ResultBundle",
-               "export_cas_script", "parse_input", "print_input",
-               "read_input", "read_report", "write_report")),
+    ("inout", ("ProblemInput", "parse_input", "print_input", "read_input")),
     ("polynomials", ("GradedPolyRing", "Ideal", "Polynomial",
                      "component_dimension", "degree_of", "is_homogeneous",
                      "monomial_basis", "parse_polynomial",
                      "polynomial_to_str")),
+    ("report", ("FilterResult", "ResultBundle", "export_cas_script",
+                "read_report", "write_report")),
     ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple", "aut_ks",
                  "build_action_basis", "render_presentation",
                  "structured_matrix", "zero_pattern_ideal")),

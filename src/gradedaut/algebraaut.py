@@ -11,8 +11,6 @@ polynomials in the matrix slots and join the earlier equation lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import StructuralError
 from .grading import GroupElement
 from .polynomials import (GradedPolyRing, Ideal, Polynomial, _joined,
@@ -29,15 +27,16 @@ def ideal_generator_degrees(ideal: Ideal) -> tuple[GroupElement, ...]:
                                for g in ideal.generators))
 
 
-@dataclass(frozen=True)
 class ComponentData:
     """One graded piece of the ambient ring together with the part of
     the ideal it contains."""
 
-    degree: GroupElement
-    monomials: tuple
-    ideal_basis: tuple
-    forms: tuple
+    def __init__(self, degree: GroupElement, monomials: tuple,
+                 ideal_basis: tuple, forms: tuple):
+        self.degree = degree
+        self.monomials = monomials
+        self.ideal_basis = ideal_basis
+        self.forms = forms
 
     @property
     def dimension(self) -> int:
@@ -100,13 +99,18 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class StabilizerTriple:
     """A weight symmetry with both equation layers: the polynomial-ring
     conditions and the ideal-stabilizing conditions."""
 
-    base: AutTriple
-    stabilizer_gens: tuple
+    def __init__(self, base: AutTriple, stabilizer_gens: tuple):
+        self.base = base
+        self.stabilizer_gens = stabilizer_gens
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is StabilizerTriple and self.base == other.base
+            and self.stabilizer_gens == other.stabilizer_gens)
 
     @property
     def weight_aut(self):
@@ -117,17 +121,25 @@ class StabilizerTriple:
         return self.base.ideal + self.stabilizer_gens
 
 
-@dataclass(frozen=True)
 class StabilizerPresentation:
     """Automorphisms of the graded quotient algebra as an affine variety:
     one equation list per admissible weight symmetry, all living in the
     common slot ring."""
 
-    ring: GradedPolyRing
-    ideal: Ideal
-    base: AutPresentation
-    triples: tuple
-    degree_roster: tuple
+    def __init__(self, ring: GradedPolyRing, ideal: Ideal,
+                 base: AutPresentation, triples: tuple, degree_roster: tuple):
+        self.ring = ring
+        self.ideal = ideal
+        self.base = base
+        self.triples = triples
+        self.degree_roster = degree_roster
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is StabilizerPresentation and self.ring == other.ring
+            and self.ideal == other.ideal and self.base == other.base
+            and self.triples == other.triples
+            and self.degree_roster == other.degree_roster)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,8 @@ order of its refusals: the grading gate, the weight search, for
 determinant guard.  All stdout output is a pure function of the input,
 so repeated runs are byte-identical.  Each command imports only the
 stages it runs: `check` never loads the symmetry, equation or chamber
-modules.
+modules.  Only `export` and `--out` load `report`, the report and
+script writer, and with it `json`; the others never build a bundle.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import gc
 import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
-from .inout import (MODES, FilterResult, ResultBundle, read_input,
-                    read_report, write_cas_script, write_report)
+from .inout import MODES, read_input
 from .validation import Stages
 
 
@@ -124,18 +124,19 @@ def _is_report(path) -> bool:
 def _run(args) -> int:
     command = args.command
     if command == "export" and _is_report(args.input):
+        from .report import read_report, write_cas_script
         _emit(write_cas_script, read_report(args.input), args.out)
         return 0
     problem = read_input(args.input)
     ring = problem.ring()
     stages = Stages(ring, problem.ideal(ring))
-    report = stages.report
-    fields = {}  # the ResultBundle's stage products, as they are made
+    checks = stages.report
+    fields = {}  # a report's stage products, as they are made
 
     if command == "check":
-        for label, flag in report.flag_items():
+        for label, flag in checks.flag_items():
             print(f"{label}: {'pass' if flag else 'FAIL'}")
-        for msg in report.messages:
+        for msg in checks.messages:
             print("note: " + msg)
     else:
         fields["weight_auts"] = stages.displays
@@ -170,14 +171,18 @@ def _run(args) -> int:
         print(f"\n{len(filtered.triples)} of {len(stab.triples)} weight "
               "symmetries fix the chamber\n")
         _emit(render_stabilizer, filtered, end="\n")
-        fields["filter_result"] = FilterResult(coords, retained, lam.rays)
 
-    bundle = ResultBundle(problem, report, **fields)
-    if command == "export":
-        _emit(write_cas_script, bundle, args.out)
-    elif args.out:
-        write_report(bundle, args.out)
-    return 1 if command == "check" and not report.ok else 0
+    if command == "export" or args.out:
+        from .report import (FilterResult, ResultBundle, write_cas_script,
+                             write_report)
+        if command == "autxhat":
+            fields["filter_result"] = FilterResult(coords, retained, lam.rays)
+        bundle = ResultBundle(problem, checks, **fields)
+        if command == "export":
+            _emit(write_cas_script, bundle, args.out)
+        else:
+            write_report(bundle, args.out)
+    return 1 if command == "check" and not checks.ok else 0
 
 
 def main(argv=None) -> int:

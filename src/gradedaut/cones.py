@@ -9,7 +9,6 @@ no numerical tolerance enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -94,7 +93,6 @@ def generators_from_halfspaces(forms, dim: int):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
 class RationalCone:
     """A cone given by primitive generating rays; halfspaces on demand.
 
@@ -102,8 +100,14 @@ class RationalCone:
     equality of differently presented cones is equal_cones.
     """
 
-    dim: int
-    rays: tuple
+    def __init__(self, dim: int, rays: tuple):
+        self.dim = dim
+        self.rays = rays
+
+    def __eq__(self, other):
+        return self is other or (type(other) is RationalCone
+                                 and self.dim == other.dim
+                                 and self.rays == other.rays)
 
     @cached_property
     def forms(self):

@@ -14,7 +14,6 @@ abelian group is injective (Vasconcelos, 1969).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -23,20 +22,26 @@ from .cones import RationalCone, cone_from_rays
 from .errors import StructuralError
 
 
-@dataclass(frozen=True)
 class GradingGroup:
     """K = Z^free_rank + Z/a_1 + ... + Z/a_l."""
 
-    free_rank: int
-    torsion_orders: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion_orders")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion_orders",
-                           tuple(int(a) for a in self.torsion_orders))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion_orders=()):
+        self.free_rank = free_rank
+        self.torsion_orders = tuple(map(int, torsion_orders))
+        if free_rank < 0:
             raise StructuralError("free rank must be nonnegative")
         if any(a < 2 for a in self.torsion_orders):
             raise StructuralError("torsion orders must be integers >= 2")
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is GradingGroup and self.free_rank == other.free_rank
+            and self.torsion_orders == other.torsion_orders)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion_orders))
 
     @property
     def torsion_rank(self) -> int:
@@ -67,21 +72,30 @@ class GradingGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    group: GradingGroup
-    free_part: tuple[int, ...]
-    torsion_part: tuple[int, ...] = ()
+    """An element of `group`: a free part in Z^k and a torsion part
+    reduced into [0, a_j)."""
 
-    def __post_init__(self):
-        k, orders = self.group.free_rank, self.group.torsion_orders
-        free = tuple(int(x) for x in self.free_part)
-        tors = tuple(int(x) for x in self.torsion_part)
-        if len(free) != k or len(tors) != len(orders):
+    __slots__ = ("group", "free_part", "torsion_part")
+
+    def __init__(self, group: GradingGroup, free_part, torsion_part=()):
+        orders = group.torsion_orders
+        free = tuple(map(int, free_part))
+        tors = tuple(map(int, torsion_part))
+        if len(free) != group.free_rank or len(tors) != len(orders):
             raise StructuralError("coordinate count does not match the group")
-        object.__setattr__(self, "free_part", free)
-        object.__setattr__(self, "torsion_part",
-                           tuple(x % a for x, a in zip(tors, orders)))
+        self.group = group
+        self.free_part = free
+        self.torsion_part = tuple(x % a for x, a in zip(tors, orders))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is GroupElement and self.free_part == other.free_part
+            and self.torsion_part == other.torsion_part
+            and self.group == other.group)
+
+    def __hash__(self):
+        return hash((self.group, self.free_part, self.torsion_part))
 
     def _require_same_group(self, other):
         if not isinstance(other, GroupElement) or other.group != self.group:
@@ -124,19 +138,20 @@ class GroupElement:
         return f"({free}; {tors})"
 
 
-@dataclass(frozen=True)
 class DegreeMatrix:
     """The generator degrees q_1, ..., q_r as columns."""
 
-    columns: tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+    def __init__(self, columns):
+        self.columns = tuple(columns)
         if not self.columns:
             raise StructuralError("a degree matrix needs at least one column")
         g = self.columns[0].group
         if any(c.group != g for c in self.columns):
             raise StructuralError("degree matrix columns lie in different groups")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is DegreeMatrix
+                                 and self.columns == other.columns)
 
     @classmethod
     def from_rows(cls, group: GradingGroup, rows) -> "DegreeMatrix":
@@ -257,19 +272,16 @@ def check_pointed(Q: DegreeMatrix) -> bool:
     return Q.positive_functional is not None
 
 
-@dataclass(frozen=True)
 class GroupAutomorphism:
     """An automorphism of the group by its display matrix [[A, 0], [C, D]]."""
 
-    group: GradingGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "matrix")
 
-    def __post_init__(self):
-        group, k = self.group, self.group.free_rank
-        n = group.coordinate_count
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+    def __init__(self, group: GradingGroup, matrix):
+        k, n = group.free_rank, group.coordinate_count
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise StructuralError("display matrix has the wrong shape")
-        cols = [group.from_coordinates(col) for col in zip(*self.matrix)]
+        cols = [group.from_coordinates(col) for col in zip(*matrix)]
         for j, a in enumerate(group.torsion_orders):
             if not cols[k + j].scale(a).is_zero():
                 raise StructuralError(
@@ -277,8 +289,16 @@ class GroupAutomorphism:
                     f"{a} times it is not zero")
         if subgroup_presentation(group, cols)[0] != 1:
             raise StructuralError("the columns do not generate the group")
-        object.__setattr__(self, "matrix",
-                           tuple(zip(*(c.coordinates for c in cols))))
+        self.group = group
+        self.matrix = tuple(zip(*(c.coordinates for c in cols)))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is GroupAutomorphism and self.matrix == other.matrix
+            and self.group == other.group)
+
+    def __hash__(self):
+        return hash((self.group, self.matrix))
 
     @classmethod
     def identity(cls, group: GradingGroup) -> "GroupAutomorphism":

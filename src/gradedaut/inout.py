@@ -1,4 +1,4 @@
-"""Problem files, result bundles on disk, and script export.
+"""Problem files: the parser and the canonical printer.
 
 A problem is a small declarative text file: `key = value` lines with
 integers, quoted strings and nested arrays, comments starting at `#`,
@@ -7,43 +7,26 @@ as dotted keys, `grading.free_rank = 1`.  `parse_input` collects every
 diagnostic it can before failing, and `print_input` writes the
 canonical form back, so parse(print(p)) == p.
 
-Result bundles persist as JSON under the schema name "graded-aut/1".
-`read_report` computes a report's sections again from its problem and
-accepts the file only if it is, byte for byte, what `write_report`
-writes of them.  The schema's "timing" key is always null, which keeps
-reports byte-stable across runs.
+Reports and scripts are written and read by `report`, which only the
+commands that write or read one load.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import re
-from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import compress
-from json.encoder import encode_basestring_ascii
 
-from .errors import InputError, StructuralError, ValidationError
+from .errors import InputError, StructuralError
 from .grading import DegreeMatrix, GradingGroup
-from .polynomials import (DeterminantWitness, GradedPolyRing, Ideal,
-                          Polynomial, _joined, _leibniz, _line_col,
-                          _line_starts, _long_integer_message,
-                          default_names, parse_polynomial, polynomial_to_str)
-from .validation import Stages, ValidationReport
+from .polynomials import (GradedPolyRing, Ideal, _line_col, _line_starts,
+                          _long_integer_message, default_names,
+                          parse_polynomial, polynomial_to_str)
 
-# AutPresentation and StabilizerPresentation, named in annotations, are
-# not imported: the report reader runs its stages through
-# `validation.Stages`, which imports each stage's module when it first
-# runs it, so parsing a problem file loads neither ringaut nor algebraaut
-
-SCHEMA = "graded-aut/1"
 MODES = ("all-subsets", "user-faces")
 
 
 # --- problem files -----------------------------------------------------
 
-@dataclass(frozen=True)
 class ProblemInput:
     """One problem, exactly as a file describes it.
 
@@ -53,29 +36,29 @@ class ProblemInput:
     present exactly when mode is "user-faces".
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    var_count: int
-    rows: tuple[tuple[int, ...], ...]
-    ideal_gens: tuple[str, ...] = ()
-    w: tuple[int, ...] | None = None
-    faces: tuple[tuple[int, ...], ...] | None = None
-    mode: str = "all-subsets"
-
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(a) for a in self.torsion))
-        object.__setattr__(self, "rows",
-                           tuple(tuple(int(x) for x in r) for r in self.rows))
-        object.__setattr__(self, "ideal_gens", tuple(self.ideal_gens))
-        if self.w is not None:
-            object.__setattr__(self, "w", tuple(int(x) for x in self.w))
-        if self.faces is not None:
-            object.__setattr__(self, "faces",
-                               tuple(tuple(int(i) for i in f) for f in self.faces))
-        if self.mode not in MODES:
-            raise StructuralError(f"unknown mode {self.mode!r}")
-        if (self.faces is not None) != (self.mode == "user-faces"):
+    def __init__(self, free_rank: int, torsion, var_count: int, rows,
+                 ideal_gens=(), w=None, faces=None, mode: str = "all-subsets"):
+        self.free_rank = free_rank
+        self.torsion = tuple(map(int, torsion))
+        self.var_count = var_count
+        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        self.ideal_gens = tuple(ideal_gens)
+        self.w = None if w is None else tuple(map(int, w))
+        self.faces = (None if faces is None
+                      else tuple(tuple(map(int, f)) for f in faces))
+        self.mode = mode
+        if mode not in MODES:
+            raise StructuralError(f"unknown mode {mode!r}")
+        if (faces is not None) != (mode == "user-faces"):
             raise StructuralError("faces and mode user-faces go together")
+
+    def _fields(self):
+        return (self.free_rank, self.torsion, self.var_count, self.rows,
+                self.ideal_gens, self.w, self.faces, self.mode)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is ProblemInput
+                                 and self._fields() == other._fields())
 
     def group(self) -> GradingGroup:
         return GradingGroup(self.free_rank, self.torsion)
@@ -447,413 +430,6 @@ def read_input(path) -> ProblemInput:
     return parse_input(read_text(path))
 
 
-# --- result bundles ----------------------------------------------------
-
-@dataclass(frozen=True)
-class FilterResult:
-    """Outcome of the chamber filter: the class w, the chamber's
-    primitive rays, and the 0-based indices of the retained triples."""
-
-    w: tuple[int, ...]
-    retained: tuple[int, ...]
-    chamber_rays: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(int(x) for x in self.w))
-        object.__setattr__(self, "retained",
-                           tuple(int(i) for i in self.retained))
-        object.__setattr__(self, "chamber_rays",
-                           tuple(tuple(int(x) for x in r)
-                                 for r in self.chamber_rays))
-
-
-@dataclass(frozen=True)
-class ResultBundle:
-    """Everything one run produced.  Later stages may be absent."""
-
-    problem: ProblemInput
-    report: ValidationReport | None = None
-    weight_auts: tuple[tuple[tuple[int, ...], ...], ...] = ()
-    presentation: AutPresentation | None = None
-    stabilizer: StabilizerPresentation | None = None
-    filter_result: FilterResult | None = None
-
-
-def _encode_poly(f: Polynomial):
-    return [[list(m), [c.numerator, c.denominator]] for m, c in f.sorted_terms()]
-
-
-def _int(x) -> int:
-    """A report's integer: a JSON number without fraction or exponent.
-    int() would take 1.5 for 1 and true for 1."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, found {json.dumps(x)[:40]}")
-    return x
-
-
-def _ints(xs) -> tuple[int, ...]:
-    return tuple(map(_int, xs))
-
-
-def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(_ints, rows))
-
-
-def _strs(xs) -> tuple[str, ...]:
-    """A report's list of strings.  tuple() would split a bare string
-    into characters and take the keys of an object."""
-    if type(xs) is not list or any(type(x) is not str for x in xs):
-        raise TypeError("expected a list of strings, found "
-                        f"{json.dumps(xs)[:40]}")
-    return tuple(xs)
-
-
-def _encode_ring(ring: GradedPolyRing):
-    return {"free_rank": ring.grading.free_rank,
-            "torsion": list(ring.grading.torsion_orders),
-            "Q": [list(r) for r in ring.degrees.rows()]}
-
-
-def _encode_problem(p: ProblemInput):
-    return {"grading": {"free_rank": p.free_rank, "torsion": list(p.torsion)},
-            "vars": p.var_count,
-            "Q": [list(r) for r in p.rows],
-            "ideal": list(p.ideal_gens),
-            "w": None if p.w is None else list(p.w),
-            "faces": None if p.faces is None else [list(f) for f in p.faces],
-            "mode": p.mode}
-
-
-def _decode_problem(data) -> ProblemInput:
-    """The problem section, checked as the problem file it prints."""
-    faces = data.get("faces")
-    p = ProblemInput(
-        _int(data["grading"]["free_rank"]),
-        _ints(data["grading"]["torsion"]),
-        _int(data["vars"]),
-        _int_rows(data["Q"]),
-        _strs(data["ideal"]),
-        None if data.get("w") is None else _ints(data["w"]),
-        None if faces is None else _int_rows(faces),
-        data.get("mode", "all-subsets"))
-    try:
-        parse_input(print_input(p))
-    except InputError as exc:
-        raise ValueError("problem section: " + "; ".join(
-            msg for _, _, msg in exc.diagnostics)) from None
-    return p
-
-
-def _encode_presentation(pres: AutPresentation, poly):
-    """`poly` encodes each equation."""
-    return {"ring": _encode_ring(pres.ring),
-            "n": pres.n,
-            "triples": [{"weight_aut": [list(r) for r in t.weight_aut.matrix],
-                         "pattern": [list(r) for r in t.matrix.pattern],
-                         "equations": list(map(poly, t.ideal))}
-                        for t in pres.triples]}
-
-
-def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):
-    """`base` is the encoded stab.base; `poly` encodes each equation."""
-    roster = [list(u.free_part) + list(u.torsion_part)
-              for u in stab.degree_roster]
-    return {"base": base,
-            "ideal": list(map(poly, stab.ideal.generators)),
-            "roster": roster,
-            "stabilizer_gens": [list(map(poly, t.stabilizer_gens))
-                                for t in stab.triples]}
-
-
-def bundle_to_data(bundle: ResultBundle) -> dict:
-    """The report as a JSON tree.  When the stabilizer's base is the
-    presentation itself, as the CLI builds it, one encoded dict stands
-    under both keys."""
-    return _bundle_tree(bundle, _encode_poly)
-
-
-def _bundle_tree(bundle: ResultBundle, poly=lambda f: f) -> dict:
-    """The report's tree with each polynomial f as poly(f); by default f
-    stays a leaf, for _poly_chunks."""
-    pres = (None if bundle.presentation is None
-            else _encode_presentation(bundle.presentation, poly))
-    stab = bundle.stabilizer
-    stab_data = None
-    if stab is not None:
-        base = (pres if stab.base is bundle.presentation
-                else _encode_presentation(stab.base, poly))
-        stab_data = _encode_stabilizer(stab, base, poly)
-    return {
-        "schema": SCHEMA,
-        "problem": _encode_problem(bundle.problem),
-        "validation": (None if bundle.report is None
-                       else asdict(bundle.report)),
-        "weight_symmetries": [[list(r) for r in m]
-                              for m in bundle.weight_auts],
-        "presentation": pres,
-        "stabilizer": stab_data,
-        "filter": (None if bundle.filter_result is None
-                   else {"w": list(bundle.filter_result.w),
-                         "retained": list(bundle.filter_result.retained),
-                         "chamber_rays": [list(r) for r in
-                                          bundle.filter_result.chamber_rays]}),
-        "timing": None,
-    }
-
-
-def _decode_filter(data, group: GradingGroup,
-                   triple_count: int) -> FilterResult:
-    """The filter section: a class of the group, chamber rays in its
-    free part, and increasing indices of the triples export writes."""
-    k = group.free_rank
-    filt = FilterResult(_ints(data["w"]), _ints(data["retained"]),
-                        _int_rows(data["chamber_rays"]))
-    if len(filt.w) != k + group.torsion_rank:
-        raise ValueError(f"filter w has {len(filt.w)} coordinates, the "
-                         f"group {k + group.torsion_rank}")
-    if any(len(r) != k for r in filt.chamber_rays):
-        raise ValueError(f"a chamber ray does not have {k} coordinates")
-    kept = (-1, *filt.retained, triple_count)
-    if any(a >= b for a, b in zip(kept, kept[1:])):
-        raise ValueError(f"retained {list(filt.retained)} is not increasing "
-                         f"indices below {triple_count} triples")
-    return filt
-
-
-def _json_chunks(value, write, pad: str):
-    """Pass the text json.dumps(value, indent=2) gives to `write`, in
-    pieces; `pad` is the newline and indentation of value's own line.
-    A Polynomial f stands for _encode_poly(f) and is written by
-    `_poly_chunks`; a dict that stands twice is written twice."""
-    if isinstance(value, Polynomial):
-        _poly_chunks(value, write, pad)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = pad + "  "
-        if type(value) is list and set(map(type, value)) == {int}:
-            # the repr of a list of ints is "[" + its items joined by
-            # ", " + "]"
-            write("[" + inner + repr(value)[1:-1].replace(", ", "," + inner)
-                  + pad + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            _json_chunks(item, write, inner)
-            sep = "," + inner
-        write(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _json_chunks(item, write, inner)
-            sep = "," + inner
-        write(pad + "}")
-    else:
-        write(json.dumps(value))
-
-
-@lru_cache(maxsize=64)
-def _zeros(nvars: int, pad: str) -> str:
-    """The entries of an all-zero exponent vector whose entries stand at
-    `pad`: "0" each, joined by "," + pad, so entry k is at
-    k * (len(pad) + 2)."""
-    return ("," + pad).join("0" * nvars)
-
-
-def _poly_chunks(f: Polynomial, write, pad: str):
-    """Pass json.dumps(_encode_poly(f), indent=2) at `pad` to `write`,
-    one piece per term, for f in one variable or more, as every ring
-    here has.  The exponents of f are ints, so each vector is the
-    all-zero text with its nonzero entries written in.  A
-    DeterminantWitness is written from its Leibniz terms, one row text
-    per slot row joined once per term, and never expanded."""
-    p2 = pad + "  "
-    p3 = p2 + "  "
-    p4 = p3 + "  "
-    # a term is [exponents, [num, den]]: the text from its first
-    # exponent to its last, between `head` and `coeff`, then num and
-    # den, then `shut`
-    head = "[" + p3 + "[" + p4
-    coeff = p3 + "]," + p3 + "[" + p4
-    shut = p3 + "]" + p2 + "]"
-    if type(f) is DeterminantWitness:
-        # the exponent of Z is the last, always 1, as is each den; a slot
-        # row with its 1 in column c is the zero row with "1" written in
-        zeros, step = _zeros(f.n, p4) + "," + p4, len(p4) + 2
-        ends = (f"1{coeff}1,{p4}1{shut},{p2}", f"1{coeff}-1,{p4}1{shut},{p2}")
-        write("[" + p2)
-        for first, parity, tails in _leibniz(f.allowed, lambda i, c: (
-                zeros[:c * step] + "1" + zeros[c * step + 1:],), ()):
-            for tail, p in tails:
-                write("".join([head, *first, *tail, ends[parity ^ p]]))
-        write(f"{head}{_zeros(f.n * f.n + 1, p4)}{coeff}-1,{p4}1{shut}"
-              f"{pad}]")
-        return
-    terms = f.sorted_terms()
-    if not terms:
-        write("[]")
-        return
-    nvars = len(terms[0][0])
-    zeros = _zeros(nvars, p4)
-    step = len(p4) + 2
-    sep = "[" + p2
-    for mono, c in terms:
-        text = [sep, head]
-        at = 0
-        for k in compress(range(nvars), mono):
-            text += zeros[at:k * step], str(mono[k])
-            at = k * step + 1
-        text += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
-        write("".join(text))
-        sep = "," + p2
-    write(pad + "]")
-
-
-def _report_chunks(value_of, write):
-    """Pass a report's text to `write`, in pieces: the top-level object
-    with value_of(key) under each key, in the schema's order.  Each
-    value_of(key) is asked for once the key's own text is written."""
-    sep = "{\n  "
-    for key in ("schema", "problem", "validation", "weight_symmetries",
-                "presentation", "stabilizer", "filter", "timing"):
-        write(f'{sep}"{key}": ')
-        _json_chunks(value_of(key), write, "\n  ")
-        sep = ",\n  "
-    write("\n}\n")
-
-
-def report_to_text(bundle: ResultBundle) -> str:
-    """The report as JSON with two-space indentation, the bytes of
-    json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
-    return _joined(_report_chunks, _bundle_tree(bundle).__getitem__)
-
-
-def write_report(bundle: ResultBundle, path):
-    """Write report_to_text(bundle) to `path`, each piece as the writer
-    makes it, so the text is never held whole."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _report_chunks(_bundle_tree(bundle).__getitem__, fh.write)
-
-
-def read_report(path) -> ResultBundle:
-    """The bundle that the report file at `path` holds; the file is read
-    as it is compared, never whole.  See `_checked_report`."""
-    with open(path, "rb") as fh:
-        return _checked_report(fh)
-
-
-def report_from_text(text: str) -> ResultBundle:
-    """The bundle that a report's text holds, as `read_report` reads it."""
-    return _checked_report(io.BytesIO(text.encode("utf-8", "surrogatepass")))
-
-
-def _checked_report(src) -> ResultBundle:
-    """The bundle that the report in `src`, a binary stream at its
-    start, holds.
-
-    Only the values of "schema", "problem" and "filter" are parsed, by
-    json.  The filter is read, not recomputed: `autxhat --w` and
-    `--mode` filter by a class and faces other than the problem's, and
-    the report records neither option.  A non-null "validation",
-    "presentation" or "stabilizer" and a non-empty "weight_symmetries"
-    are computed again from the problem by `validation.Stages`, the
-    command line's pipeline, behind the same gates.  The writer's text
-    of the result is compared with `src` one piece at a time, so neither
-    text is held whole.  Anything but that text, byte for byte, raises
-    InputError at the line and column of the first byte that differs:
-    a changed byte, an early end, trailing text, or a compact or
-    hand-edited layout of the same values."""
-    read, tell, seek = src.read, src.tell, src.seek
-    fields = {}  # the ResultBundle's, as its sections are reached
-    stages = None
-
-    def fail(at: int, message: str):
-        raise InputError([(*_byte_line_col(src, at), message)])
-
-    def compare(piece: str):
-        want = piece.encode()
-        got = read(len(want))
-        if got != want:
-            i = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-                     len(got))
-            at = tell() - len(got) + i
-            if i == len(got):
-                fail(at, f"report ends early: expected {piece[i]!r}")
-            found = repr(chr(got[i])) if got[i] < 0x80 else f"byte {got[i]:#x}"
-            fail(at, "report differs from its recomputation: expected "
-                 f"{piece[i]!r}, found {found}")
-
-    def ahead(text: bytes) -> bool:
-        at = tell()
-        found = read(len(text))
-        seek(at)
-        return found == text
-
-    def parsed(decode, *args):
-        """decode(the JSON value at the stream's position, *args).  The
-        value is read up to the first line that starts with "  }",
-        where the writer closes a top-level object, and the stream is
-        left where it was."""
-        at = tell()
-        lines = [src.readline()]
-        while lines[-1] and not lines[-1].startswith(b"  }"):
-            lines.append(src.readline())
-        seek(at)
-        text = b"".join(lines).decode("utf-8", "surrogateescape")
-        try:
-            data = json.JSONDecoder().raw_decode(text)[0]
-        except json.JSONDecodeError as exc:
-            fail(at + len(text[:exc.pos].encode("utf-8", "surrogateescape")),
-                 f"not valid JSON: {exc.msg}")
-        except ValueError:  # json's int() refused a number as too long
-            fail(at, "malformed report: " + _long_integer_message())
-        except RecursionError:  # json's scanner takes one call per level
-            fail(at, "malformed report: arrays or objects nested too deeply")
-        try:
-            return decode(data, *args)
-        except KeyError as exc:
-            fail(at, f"report has no key {exc.args[0]!r}")
-        except (TypeError, ValueError, AttributeError, StructuralError) as exc:
-            fail(at, f"malformed report: {exc}")
-
-    def value_of(key: str):
-        nonlocal stages
-        if key == "schema":
-            found = parsed(lambda data: data)
-            if found != SCHEMA:
-                fail(tell(), f"unsupported report schema {found!r}; this "
-                     f"build reads {SCHEMA!r}")
-            return SCHEMA
-        if key == "problem":
-            fields["problem"] = parsed(_decode_problem)
-            ring = fields["problem"].ring()
-            stages = Stages(ring, fields["problem"].ideal(ring))
-        elif key == "validation" and not ahead(b"null"):
-            fields["report"] = stages.report
-        elif key == "weight_symmetries" and not ahead(b"[]"):
-            fields["weight_auts"] = stages.displays
-        elif key in ("presentation", "stabilizer") and not ahead(b"null"):
-            fields[key] = getattr(stages, key)
-        elif key == "filter" and not ahead(b"null"):
-            exported = fields.get("stabilizer", fields.get("presentation"))
-            fields["filter_result"] = parsed(
-                _decode_filter, fields["problem"].group(),
-                0 if exported is None else len(exported.triples))
-        return _bundle_tree(ResultBundle(**fields))[key]
-
-    _report_chunks(value_of, compare)
-    if read(1):
-        fail(tell() - 1, "text after the end of the report")
-    return ResultBundle(**fields)
-
-
 def _byte_line_col(src, at: int) -> tuple[int, int]:
     """The line and column of byte `at` of the binary stream `src`, the
     column counted in characters."""
@@ -867,43 +443,3 @@ def _byte_line_col(src, at: int) -> tuple[int, int]:
     else:
         text = b""
     return line, len(text[:at - start].decode("utf-8", "replace")) + 1
-
-
-# --- script export -----------------------------------------------------
-
-def export_cas_script(bundle: ResultBundle) -> str:
-    """A ready-to-run singular-like script declaring the slot ring and
-    every equation list, with dimension and absolute-decomposition
-    commands at the end.  The output is a pure function of the bundle."""
-    return _joined(write_cas_script, bundle)
-
-
-def write_cas_script(bundle: ResultBundle, write):
-    """Pass export_cas_script(bundle) to `write` in pieces, a
-    determinant witness one group of its terms at a time."""
-    pres = bundle.stabilizer or bundle.presentation
-    if pres is None:
-        raise ValidationError("bundle carries no presentation to export")
-    items = list(enumerate(t.ideal for t in pres.triples))
-    if bundle.filter_result is not None:
-        keep = set(bundle.filter_result.retained)
-        items = [(i, gens) for i, gens in items if i in keep]
-    n = pres.n
-    names = pres.slot_names()
-    write("// automorphism equations, singular-like dialect\n"
-          f"// {len(items)} weight symmetries, matrix size {n}\n"
-          'LIB "primdec.lib";\n'
-          f"ring Sp = 0,(Y(1..{n * n}),Z),dp;\n")
-    for pos, (orig, gens) in enumerate(items, start=1):
-        write(f"\n// triple {orig + 1} of the full list\nideal J{pos} = ")
-        for k, g in enumerate(gens):
-            write(",\n  " if k else "")
-            polynomial_to_str(g, names, write)
-        write(";\n")
-    if items:
-        ideal_names = [f"J{pos}" for pos in range(1, len(items) + 1)]
-        joined = (ideal_names[0] if len(ideal_names) == 1
-                  else "intersect(" + ",".join(ideal_names) + ")")
-        write(f"\nideal J = {joined};\n"
-              + "".join(f"dim(std({name}));\n" for name in ideal_names)
-              + "dim(std(J));\nlist absJ = absPrimdecGTZ(J);\nabsJ;\n")

@@ -12,7 +12,8 @@ Fractions are built once, for the result.
 The integer questions, a subgroup's index and section, are read off
 one column Hermite form built by column operations alone; rank,
 inverse and nullspace off one `rref`.  The Bareiss `det` serves the
-lattice-basis scan and the adjugate of a Gram matrix.
+lattice-basis scan, which one Hermite form lets skip when no basis can
+exist, and the adjugate of a Gram matrix.
 """
 
 from __future__ import annotations
@@ -137,9 +138,16 @@ def unimodular_subset(vectors, k: int):
     form a lattice basis of Z^k (determinant +-1), or None.
 
     The gcd of a row divides the determinant, so only primitive vectors
-    can lie in a basis, and the scan ranges over those alone.
+    can lie in a basis, and the scan ranges over those alone.  A basis
+    among them generates Z^k, so the scan runs only when they do: when
+    the column Hermite form of them, as columns, has unit diagonal.
     """
     primitive_idx = [i for i, v in enumerate(vectors) if gcd(*v) == 1]
+    if len(primitive_idx) < k:
+        return None
+    H = hermite(list(zip(*(vectors[i] for i in primitive_idx))))[0]
+    if any(H[i][i] != 1 for i in range(k)):
+        return None
     for subset in combinations(primitive_idx, k):
         if abs(det([vectors[i] for i in subset])) == 1:
             return subset

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import add
@@ -434,19 +433,24 @@ def parse_polynomial(text: str, names) -> Polynomial:
     return result
 
 
-@dataclass(frozen=True)
 class GradedPolyRing:
     """S = Q[T_1, ..., T_r] with deg(T_i) the i-th column of `degrees`."""
 
-    variable_count: int
-    grading: GradingGroup
-    degrees: DegreeMatrix
-
-    def __post_init__(self):
-        if self.degrees.var_count != self.variable_count:
+    def __init__(self, variable_count: int, grading: GradingGroup,
+                 degrees: DegreeMatrix):
+        if degrees.var_count != variable_count:
             raise StructuralError("degree matrix width differs from variable count")
-        if self.degrees.group != self.grading:
+        if degrees.group != grading:
             raise StructuralError("degree matrix lives in a different group")
+        self.variable_count = variable_count
+        self.grading = grading
+        self.degrees = degrees
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is GradedPolyRing
+            and self.variable_count == other.variable_count
+            and self.grading == other.grading and self.degrees == other.degrees)
 
     @classmethod
     def from_degree_matrix(cls, Q: DegreeMatrix) -> "GradedPolyRing":
@@ -459,19 +463,23 @@ class GradedPolyRing:
         return parse_polynomial(text, self.var_names())
 
 
-@dataclass(frozen=True)
 class Ideal:
-    ring: GradedPolyRing
-    generators: tuple[Polynomial, ...]
+    """The ideal of `ring` that `generators` generate."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, ring: GradedPolyRing, generators):
+        self.ring = ring
+        self.generators = tuple(generators)
         for g in self.generators:
             if g.is_zero():
                 raise StructuralError("zero generator in ideal")
             for mono in g.terms:
-                if len(mono) != self.ring.variable_count:
+                if len(mono) != ring.variable_count:
                     raise StructuralError("generator arity differs from the ring")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Ideal
+                                 and self.ring == other.ring
+                                 and self.generators == other.generators)
 
 
 def distinct_term_degrees(ring: GradedPolyRing, f: Polynomial):

@@ -19,7 +19,6 @@ expanded only when something reads them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb, factorial, prod
@@ -40,15 +39,24 @@ DET_TERM_BOUND = 10 ** 6
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class ActionBasis:
     """Concatenated monomial bases of the components S_w, w a generator
     weight, in canonical block order."""
 
-    ring: GradedPolyRing
-    weights: tuple[GroupElement, ...]
-    blocks: tuple[tuple[Monomial, ...], ...]
-    flat: tuple[Monomial, ...]
+    def __init__(self, ring: GradedPolyRing,
+                 weights: tuple[GroupElement, ...],
+                 blocks: tuple[tuple[Monomial, ...], ...],
+                 flat: tuple[Monomial, ...]):
+        self.ring = ring
+        self.weights = weights
+        self.blocks = blocks
+        self.flat = flat
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is ActionBasis and self.ring == other.ring
+            and self.weights == other.weights and self.blocks == other.blocks
+            and self.flat == other.flat)
 
     @property
     def n(self) -> int:
@@ -82,15 +90,20 @@ def yz_names(n: int) -> tuple[str, ...]:
     return tuple(f"Y({i})" for i in range(1, n * n + 1)) + ("Z",)
 
 
-@dataclass(frozen=True)
 class SymbolicMatrix:
     """n x n matrix whose entries are either 0 or the variable Y(index).
 
     pattern[i][j] holds the 1-based Y index (i*n + j + 1) or 0.
     """
 
-    n: int
-    pattern: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, pattern: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.pattern = pattern
+
+    def __eq__(self, other):
+        return self is other or (type(other) is SymbolicMatrix
+                                 and self.n == other.n
+                                 and self.pattern == other.pattern)
 
     def __str__(self):
         cells = [[f"Y({v})" if v else "0" for v in row] for row in self.pattern]
@@ -292,23 +305,36 @@ def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
     return out
 
 
-@dataclass(frozen=True)
 class AutTriple:
     """One weight symmetry with its structured matrix and equations."""
 
-    matrix: SymbolicMatrix
-    weight_aut: GroupAutomorphism
-    ideal: tuple[Polynomial, ...]
+    def __init__(self, matrix: SymbolicMatrix, weight_aut: GroupAutomorphism,
+                 ideal: tuple[Polynomial, ...]):
+        self.matrix = matrix
+        self.weight_aut = weight_aut
+        self.ideal = ideal
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is AutTriple and self.matrix == other.matrix
+            and self.weight_aut == other.weight_aut
+            and self.ideal == other.ideal)
 
 
-@dataclass(frozen=True)
 class AutPresentation:
     """Everything the polynomial-ring stage produces: the action basis
     and one triple, with its equations, per admissible weight symmetry."""
 
-    ring: GradedPolyRing
-    basis: ActionBasis
-    triples: tuple[AutTriple, ...]
+    def __init__(self, ring: GradedPolyRing, basis: ActionBasis,
+                 triples: tuple[AutTriple, ...]):
+        self.ring = ring
+        self.basis = basis
+        self.triples = triples
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is AutPresentation and self.ring == other.ring
+            and self.basis == other.basis and self.triples == other.triples)
 
     @property
     def n(self) -> int:

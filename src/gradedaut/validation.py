@@ -14,7 +14,6 @@ runs each later stage at most once, behind the report's gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
@@ -23,15 +22,34 @@ from .polynomials import (GradedPolyRing, Ideal, distinct_term_degrees,
                           ideal_component_basis, is_homogeneous)
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    effective: bool
-    pointed: bool
-    generators_homogeneous: bool
-    contained_in_square: bool
-    variable_components_trivial: bool
-    has_lattice_basis: bool
-    messages: tuple[str, ...] = ()
+    """The six standing-assumption flags and the message of each failure."""
+
+    def __init__(self, effective: bool, pointed: bool,
+                 generators_homogeneous: bool, contained_in_square: bool,
+                 variable_components_trivial: bool, has_lattice_basis: bool,
+                 messages: tuple[str, ...] = ()):
+        self.effective = effective
+        self.pointed = pointed
+        self.generators_homogeneous = generators_homogeneous
+        self.contained_in_square = contained_in_square
+        self.variable_components_trivial = variable_components_trivial
+        self.has_lattice_basis = has_lattice_basis
+        self.messages = messages
+
+    def __eq__(self, other):
+        return self is other or (type(other) is ValidationReport
+                                 and self.as_dict() == other.as_dict())
+
+    def as_dict(self) -> dict:
+        """The flags and messages by name, in the report's order."""
+        return {"effective": self.effective, "pointed": self.pointed,
+                "generators_homogeneous": self.generators_homogeneous,
+                "contained_in_square": self.contained_in_square,
+                "variable_components_trivial":
+                    self.variable_components_trivial,
+                "has_lattice_basis": self.has_lattice_basis,
+                "messages": self.messages}
 
     @property
     def grading_ok(self) -> bool:

@@ -137,7 +137,10 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
                 cand = GroupAutomorphism(group, matrix)
             except StructuralError:
                 continue
-            if all(cand.apply(w) in weight_set for w in weights):
+            # without torsion the weights are their free parts, which
+            # the Counter check above shows that A permutes
+            if not orders or all(cand.apply(w) in weight_set
+                                 for w in weights):
                 found.add(cand)
     return _canonical_sort(group, found)
 

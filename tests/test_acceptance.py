@@ -17,10 +17,11 @@ from gradedaut.algebraaut import (aut_grad_alg, component_data,
                                   ideal_generator_degrees)
 from gradedaut.gitfan import aut_xhat, orbit_cones
 from gradedaut.grading import GroupAutomorphism, degree_of_exponent
-from gradedaut.inout import (ProblemInput, ResultBundle, export_cas_script,
-                             report_from_text, report_to_text)
+from gradedaut.inout import ProblemInput
 from gradedaut.polynomials import (GradedPolyRing, grlex_key, monomial_basis,
                                    parse_polynomial, polynomial_to_str)
+from gradedaut.report import (ResultBundle, export_cas_script,
+                              report_from_text, report_to_text)
 from gradedaut.ringaut import aut_ks, yz_names
 from gradedaut.validation import validate_presentation
 from gradedaut.weightsym import aut_gen_weights

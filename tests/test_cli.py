@@ -19,8 +19,9 @@ from gradedaut import (algebraaut, gitfan, grading, linalg, polynomials,
                        ringaut, validation, weightsym)
 from gradedaut.cli import main
 from gradedaut.errors import GuardError, ValidationError
-from gradedaut.inout import (FilterResult, ResultBundle, export_cas_script,
-                             parse_input, read_report)
+from gradedaut.inout import parse_input
+from gradedaut.report import (FilterResult, ResultBundle, export_cas_script,
+                              read_report)
 from gradedaut.ringaut import aut_ks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,20 @@ def test_lattice_basis_scan_skips_imprimitive_vectors(tmp_path, capsys):
         assert linalg.unimodular_subset(vectors, k) == flat, (vectors, k)
         found += flat is not None
     assert 100 < found < 500
+
+
+def test_lattice_basis_scan_skips_free_parts_of_a_sublattice(tmp_path,
+                                                             capsys):
+    # the 28 weights e_i + e_j in Z^8 are primitive, but their coordinate
+    # sums are even, so no C(28, 8) = 3,108,105 subset is a lattice basis
+    pairs = list(combinations(range(8), 2))
+    rows = [[int(t in pair) for pair in pairs] for t in range(8)]
+    path = _write(tmp_path, "vars = 28\nQ = [\n" + "".join(
+        f"    {row},\n" for row in rows) + "]\n\n[grading]\nfree_rank = 8\n")
+    start = perf_counter()
+    assert main(["check", "--input", path]) == 1
+    assert perf_counter() - start < 5
+    assert "lattice basis among free parts: FAIL" in capsys.readouterr().out
 
 
 def test_parse_failure_exit(tmp_path, capsys):
@@ -275,7 +290,8 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     # with the subset's free parts as columns beside w0, and the double
     # description the other 168; it asks no rank and computes no
     # determinant; the torsion weight search makes one Hermite form per
-    # candidate block, 28 through subgroup_presentation
+    # candidate block, 28 through subgroup_presentation, and one more
+    # before its lattice-basis scan
     problems = ROOT / "bench" / "problems"
     chamber = parse_input((problems / "chamber10.toml").read_text())
     torsion = parse_input((problems / "torsion.toml").read_text())
@@ -289,7 +305,7 @@ def test_each_exact_question_has_one_routine(monkeypatch):
                for (M,) in calls["rref"]) == 175
     calls.clear()
     weightsym.aut_gen_weights(torsion.degree_matrix())
-    assert len(calls["hermite"]) == 28
+    assert len(calls["hermite"]) == 29
 
 
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion
@@ -436,6 +452,8 @@ def test_each_command_loads_only_its_stages(tmp_path):
     autks = sorted(weights + ["ringaut"])
     autgradalg = sorted(autks + ["algebraaut"])
     autxhat = sorted(autgradalg + ["gitfan"])
+    # writing or reading a report loads its module too
+    autxhat_out = sorted(autxhat + ["report"])
     report, seen = str(tmp_path / "autxhat.json"), tmp_path / "seen.json"
     runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
             ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
@@ -445,11 +463,44 @@ def test_each_command_loads_only_its_stages(tmp_path):
     assert _fresh_python(MODULES_AFTER, json.dumps(runs), str(seen)) == 0
     assert json.loads(seen.read_text()) == [
         [0, check], [0, weights], [0, autks], [0, autgradalg],
-        [0, autxhat], [0, autxhat]]
+        [0, autxhat_out], [0, autxhat_out]]
     # an export of a report alone recomputes presentations, not chambers
     assert _fresh_python(MODULES_AFTER, json.dumps(runs[-1:]),
                          str(seen)) == 0
-    assert json.loads(seen.read_text()) == [[0, autgradalg]]
+    assert json.loads(seen.read_text()) == [
+        [0, sorted(autgradalg + ["report"])]]
+
+
+# runs the command argv[2:] through main in a fresh interpreter, then
+# writes its exit code and the modules it loaded that the bare
+# interpreter had not to argv[1]; it imports nothing of its own first
+LOADED_BY = """
+import sys
+bare = set(sys.modules)
+from gradedaut.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join([str(code), *sorted(set(sys.modules) - bare)]))
+"""
+
+
+def test_report_module_loads_only_for_a_report_or_script(tmp_path):
+    out, report = tmp_path / "loaded.txt", str(tmp_path / "autxhat.json")
+
+    def loaded(*argv):
+        assert _fresh_python(LOADED_BY, str(out), *argv) == 0
+        code, *modules = out.read_text().split()
+        assert code == "0"
+        return set(modules)
+
+    heavy = {"dataclasses", "inspect", "json", "gradedaut.report"}
+    for command in ("check", "weights-aut", "autks", "autgradalg", "autxhat"):
+        assert not loaded(command, "--input", DEMO) & heavy, command
+    for argv in (["autxhat", "--input", DEMO, "--out", report],
+                 ["export", "--input", report], ["export", "--input", DEMO]):
+        modules = loaded(*argv)
+        assert "gradedaut.report" in modules, argv
+        assert "dataclasses" not in modules, argv
 
 
 PUBLIC_NAMES = [

@@ -1,7 +1,7 @@
 """Problem files, result bundles, and the script export."""
 
-import dataclasses
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -15,13 +15,13 @@ from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cli import main
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
-from gradedaut.inout import (NESTING_BOUND, FilterResult, ProblemInput,
-                             ResultBundle, _json_chunks,
-                             bundle_to_data, export_cas_script,
-                             parse_input, print_input, read_input, read_report,
-                             report_from_text, report_to_text, write_report)
+from gradedaut.inout import (NESTING_BOUND, ProblemInput, parse_input,
+                             print_input, read_input)
 from gradedaut.polynomials import (DeterminantWitness, Polynomial,
                                    default_names, polynomial_to_str)
+from gradedaut.report import (FilterResult, ResultBundle, _json_chunks,
+                              bundle_to_data, export_cas_script, read_report,
+                              report_from_text, report_to_text, write_report)
 from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation
 from gradedaut.weightsym import aut_gen_weights
@@ -30,6 +30,15 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "quadric8.toml"
 BENCH_PROBLEMS = DEMO.parent.parent / "bench" / "problems"
 
 TINY = "vars = 2\nQ = [[1, 1]]\n\n[grading]\nfree_rank = 1\n"
+
+def _replace(obj, **changes):
+    """A new object of obj's class, built from obj's constructor
+    arguments with `changes` applied; each argument is read off obj as
+    the attribute of its name."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{name: changes.get(name, getattr(obj, name))
+                        for name in names})
+
 
 QUADRIC8_PROBLEM = ProblemInput(3, (2,), 8, QUADRIC8_ROWS, (QUADRIC8_GEN,),
                                 (1, 9, 16, 0))
@@ -66,10 +75,10 @@ def test_demo_file_parses():
 
 def test_print_parse_round_trip():
     for p in (QUADRIC8_PROBLEM,
-              dataclasses.replace(QUADRIC8_PROBLEM, w=None),
-              dataclasses.replace(QUADRIC8_PROBLEM, ideal_gens=()),
-              dataclasses.replace(QUADRIC8_PROBLEM, faces=((1, 2), (3,)),
-                                  mode="user-faces")):
+              _replace(QUADRIC8_PROBLEM, w=None),
+              _replace(QUADRIC8_PROBLEM, ideal_gens=()),
+              _replace(QUADRIC8_PROBLEM, faces=((1, 2), (3,)),
+                       mode="user-faces")):
         assert parse_input(print_input(p)) == p
     # printing is idempotent
     text = print_input(QUADRIC8_PROBLEM)
@@ -515,9 +524,9 @@ def test_composite_report_writer(tmp_path):
     copied = read_report(path)
     assert copied.presentation is copied.stabilizer.base
     pres = stab.base
-    equal = dataclasses.replace(shared, presentation=dataclasses.replace(pres))
+    equal = _replace(shared, presentation=_replace(pres))
     assert equal.presentation == pres and equal.presentation is not pres
-    other = dataclasses.replace(shared, presentation=dataclasses.replace(
+    other = _replace(shared, presentation=_replace(
         pres, triples=pres.triples + pres.triples))
     for bundle in (shared, copied, equal, other):
         text = report_to_text(bundle)
@@ -561,17 +570,15 @@ def test_report_writer_encodes_polynomials(quadric8_bundle, tmp_path):
     stab = quadric8_bundle.stabilizer
     pres = stab.base
     for _ in range(12):
-        triples = tuple(dataclasses.replace(t, ideal=_random_equations(rng))
+        triples = tuple(_replace(t, ideal=_random_equations(rng))
                         for t in pres.triples)
-        base = dataclasses.replace(pres, triples=triples)
+        base = _replace(pres, triples=triples)
         stab_triples = tuple(
-            dataclasses.replace(t, base=b,
-                                stabilizer_gens=_random_equations(rng))
+            _replace(t, base=b, stabilizer_gens=_random_equations(rng))
             for t, b in zip(stab.triples, triples))
-        bundle = dataclasses.replace(
+        bundle = _replace(
             quadric8_bundle, presentation=base,
-            stabilizer=dataclasses.replace(stab, base=base,
-                                           triples=stab_triples))
+            stabilizer=_replace(stab, base=base, triples=stab_triples))
         expected = json.dumps(bundle_to_data(bundle), indent=2) + "\n"
         assert report_to_text(bundle) == expected
         write_report(bundle, path)
@@ -899,8 +906,7 @@ def test_filtered_view_matches_filter(quadric8_bundle, quadric8_ring):
 # --- script export -----------------------------------------------------
 
 def test_export_script_shape(quadric8_bundle):
-    bundle = dataclasses.replace(quadric8_bundle, stabilizer=None,
-                                 filter_result=None)
+    bundle = _replace(quadric8_bundle, stabilizer=None, filter_result=None)
     script = export_cas_script(bundle)
     assert script.startswith("// automorphism equations")
     assert 'LIB "primdec.lib";' in script
@@ -914,7 +920,7 @@ def test_export_script_shape(quadric8_bundle):
 
 
 def test_export_includes_stabilizer_equations(quadric8_bundle):
-    bundle = dataclasses.replace(quadric8_bundle, filter_result=None)
+    bundle = _replace(quadric8_bundle, filter_result=None)
     script = export_cas_script(bundle)
     for gen in ("Y(1)*Y(46) - Y(24)*Y(31)",
                 "Y(13)*Y(34) - Y(24)*Y(31)",
@@ -934,7 +940,7 @@ def test_export_respects_filter(quadric8_bundle):
 
 def test_export_empty_presentation(quadric8_bundle):
     pres = quadric8_bundle.presentation
-    empty = dataclasses.replace(pres, triples=())
+    empty = _replace(pres, triples=())
     bundle = ResultBundle(QUADRIC8_PROBLEM, presentation=empty)
     script = export_cas_script(bundle)
     assert "ring Sp = 0,(Y(1..64),Z),dp;" in script

@@ -9,14 +9,14 @@ from oracles import random_pointed_grading
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
-from gradedaut.inout import (ProblemInput, ResultBundle, bundle_to_data,
-                             parse_input)
+from gradedaut.inout import ProblemInput, parse_input
 from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    annihilator_forms, component_dimension,
                                    default_names, degree_of, distinct_term_degrees,
                                    grlex_key, ideal_component_basis,
                                    monomial_basis, parse_polynomial,
                                    polynomial_to_str)
+from gradedaut.report import ResultBundle, bundle_to_data
 from gradedaut.ringaut import aut_ks
 
 

@@ -32,6 +32,26 @@ def test_no_unused_import():
     assert not unused
 
 
+def _imported_packages(tree):
+    """The top-level package of every absolute import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_dataclasses_and_json_only_in_report():
+    # every op is a fresh process that loads what its modules import:
+    # dataclasses brings inspect and ast along and execs code for each
+    # class it makes, and json serves only the report module, which only
+    # the commands that write or read a report load
+    for name, tree in _modules().items():
+        imported = set(_imported_packages(tree))
+        assert "dataclasses" not in imported, name
+        assert "json" not in imported or name == "report.py", name
+
+
 def _owned_parts(top):
     """(owner, node) pairs that cover the module-level statement `top`:
     a method or property of a class is owned by "Class.name", the rest
@@ -79,7 +99,7 @@ UNCALLED_METHODS = {"GroupAutomorphism.is_identity",
 def _defined(tree):
     """(owner name, name) of each module-level function and of each
     method and property of a module-level class, dunders left out: the
-    language and dataclasses call those."""
+    language calls those."""
     for top in tree.body:
         for owner, part in _owned_parts(top):
             if (isinstance(part, ast.FunctionDef) and owner is not None
