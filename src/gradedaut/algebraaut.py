@@ -52,20 +52,25 @@ def component_data(ideal: Ideal, u: GroupElement) -> ComponentData:
 
 
 def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
-                                triple: AutTriple, components=None):
+                                triple: AutTriple, components=None,
+                                degrees=None):
     """The linear conditions keeping the ideal invariant, as polynomials
     in the matrix slots.
 
     Scan order: generator degrees by first occurrence, then the echelon
     basis of I_u, then the annihilator forms at the target degree.
-    Identical conditions are kept once.
+    Identical conditions are kept once.  `components` maps degrees to
+    their `component_data` and gains those this triple reads first;
+    `degrees` is ideal_generator_degrees(ideal), computed when not given.
     """
     basis = presentation.basis
     if components is None:
         components = {}
+    if degrees is None:
+        degrees = ideal_generator_degrees(ideal)
     out = []
     seen = set()
-    for u in ideal_generator_degrees(ideal):
+    for u in degrees:
         if u not in components:
             components[u] = component_data(ideal, u)
         target_degree = triple.weight_aut.apply(u)
@@ -88,10 +93,14 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
                         "internal error: substitution left the target component")
                 coeffs[position[mono]] = poly
             for form in tgt.forms:
-                gen = Polynomial.zero()
+                terms = {}
                 for c, poly in zip(form, coeffs):
-                    if c and not poly.is_zero():
-                        gen = gen + poly * c
+                    if c:
+                        for mono, a in poly.terms.items():
+                            if c != 1:  # each form has its pivot entry 1
+                                a *= c
+                            terms[mono] = terms[mono] + a if mono in terms else a
+                gen = Polynomial._of({m: a for m, a in terms.items() if a})
                 if gen.is_zero() or gen in seen:
                     continue
                 seen.add(gen)
@@ -169,13 +178,15 @@ def aut_grad_alg(ring: GradedPolyRing, ideal: Ideal) -> StabilizerPresentation:
 def stabilizer_presentation(base: AutPresentation,
                             ideal: Ideal) -> StabilizerPresentation:
     """The presentation of `aut_grad_alg` from the ring presentation
-    `base` of the ideal's ring; nothing is validated again."""
+    `base` of the ideal's ring; nothing is validated again.  The
+    generator degrees and the components they reach are computed once,
+    for every triple."""
+    degrees = ideal_generator_degrees(ideal)
     components = {}
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
-                        base, ideal, t, components))
+                        base, ideal, t, components, degrees))
                     for t in base.triples)
-    return StabilizerPresentation(base.ring, ideal, base, triples,
-                                  ideal_generator_degrees(ideal))
+    return StabilizerPresentation(base.ring, ideal, base, triples, degrees)
 
 
 def render_stabilizer(pres: StabilizerPresentation, write=None) -> str | None:

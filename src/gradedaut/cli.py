@@ -5,7 +5,9 @@ lists the grading-group symmetries, `autks` and `autgradalg` print the
 equation presentations, `autxhat` applies the chamber filter, and
 `export` writes a CAS script, from a saved report or from the bundle
 `autgradalg --out` would write.  Exit codes: 0 success, 1 validation
-failure, 2 parse failure, 3 resource-guard refusal.
+failure, 2 parse failure, 3 resource-guard refusal.  A reader that
+closes stdout early, as `| head` does, ends a command with exit code 1
+and nothing on stderr.
 
 Each command reads its input once and reads the products it needs off
 one `validation.Stages`, the pipeline that the report reader and the
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .errors import GuardError, InputError, StructuralError, ValidationError
 from .inout import MODES, read_input
+from .polynomials import _blocks
 from .validation import Stages
 
 
@@ -92,21 +96,18 @@ def _emit(render, value, path=None, end=""):
     """render(value, write), then `end`, to the file at `path` or to
     stdout, in writes of 64 KiB or more: stdout may be unbuffered.  The
     file is opened for the first write, so a failed render leaves none."""
-    pending, size, out = [], 0, None
+    out = None
 
-    def write(text, last=False):
-        nonlocal size, out
-        pending.append(text)
-        size += len(text)
-        if size >= 1 << 16 or last:
-            out = out or (open(path, "w", encoding="utf-8") if path
-                          else sys.stdout)
-            out.write("".join(pending))
-            pending.clear()
-            size = 0
+    def sink(text):
+        nonlocal out
+        out = out or (open(path, "w", encoding="utf-8") if path
+                      else sys.stdout)
+        out.write(text)
 
+    write, flush = _blocks(sink)
     render(value, write)
-    write(end, last=True)
+    write(end)
+    flush()
     if path:
         out.close()
 
@@ -214,6 +215,11 @@ def _main(argv) -> int:
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout's reader has gone, as under `| head`: exit quietly, with
+        # stdout on devnull so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,10 +6,21 @@ functional is scaled to a primitive integer vector, so each budget and
 step is an int, and the remaining degree is a coordinate tuple whose
 torsion entries are read modulo the orders at the end.
 
-Monomials are plain exponent tuples.  The canonical term order used for
+A monomial has one of two keys.  In a ring Q[T(1..r)] it is its
+exponent tuple, of length r: these rings are small, and monomial bases
+index them.  In the slot ring Q[Y(1..n^2), Z] of the structured matrices
+it is the tuple of its (index, exponent) pairs with positive exponent,
+by ascending 0-based index, so memory and time follow the slots a term
+meets, not the n^2 + 1 variables.  The canonical term order used for
 every printed or listed output is graded lexicographic, largest first,
 with the first variable strongest; all listings in this package are
-sorted by it so identical inputs print identically.
+sorted by it so identical inputs print identically.  On pairs it is the
+order of (degree, ((-index, exponent), ...)).
+
+Two kinds of slot-ring generator are kept as the zero pattern of their
+matrix and never as terms: the witness det * Z - 1, whose terms are
+expanded only when read, and the generators Y(k) of the zero slots,
+which an `EquationList` reads off the pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from operator import add
 
 from . import linalg
@@ -26,19 +37,50 @@ from .errors import InputError, StructuralError, ValidationError
 from .grading import (DegreeMatrix, GradingGroup, GroupElement,
                       degree_of_exponent)
 
-Monomial = tuple  # exponent vectors; the alias marks intent in signatures
+Monomial = tuple  # exponent tuples or pairs; the alias marks intent
+
+_ONE = Fraction(1)
 
 
 def grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
+def pairs_key(mono: Monomial):
+    """The canonical order on (index, exponent) pairs: it sorts as
+    grlex_key sorts the exponent tuples they stand for."""
+    return (sum([e for _, e in mono]), tuple([(-i, e) for i, e in mono]))
+
+
+def _is_pairs(mono: Monomial) -> bool:
+    """Is mono a tuple of (index, exponent) pairs?  An exponent tuple
+    is never empty: every ring has a variable."""
+    return not mono or type(mono[0]) is tuple
+
+
+def _arity(mono: Monomial):
+    """The length of an exponent tuple; None for pairs, which name
+    their variables."""
+    return None if _is_pairs(mono) else len(mono)
+
+
+def _pairs(mono: Monomial):
+    """The (index, exponent) pairs of a monomial of either key."""
+    return mono if _is_pairs(mono) else [(i, e) for i, e in enumerate(mono) if e]
+
+
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    if _is_pairs(a):
+        merged = dict(a)
+        for i, e in b:
+            merged[i] = merged.get(i, 0) + e
+        return tuple(sorted(merged.items()))
     return tuple(map(add, a, b))
 
 
 class Polynomial:
-    """Finite map from exponent tuples to nonzero rational coefficients.
+    """Finite map from monomials, all of one key (see the module
+    docstring), to nonzero rational coefficients.
 
     Treated as immutable; arithmetic returns fresh objects.
     """
@@ -46,8 +88,9 @@ class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        """The checking constructor: the exponents must be nonnegative
-        ints, in tuples of one length; zero coefficients are dropped."""
+        """The checking constructor, for exponent tuples: the exponents
+        must be nonnegative ints, in tuples of one length; zero
+        coefficients are dropped."""
         clean = {}
         for mono, coeff in (terms or {}).items():
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
@@ -67,8 +110,8 @@ class Polynomial:
     @classmethod
     def _of(cls, clean: dict) -> "Polynomial":
         """The trusted constructor for arithmetic inside the package:
-        `clean` maps int tuples of one length to nonzero Fractions and
-        becomes the terms as it is."""
+        `clean` maps monomials of one key and, for exponent tuples, one
+        length to nonzero Fractions and becomes the terms as it is."""
         f = object.__new__(cls)
         f.terms = clean
         f._hash = None
@@ -83,13 +126,6 @@ class Polynomial:
         return cls({(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, index: int, nvars: int) -> "Polynomial":
-        """The single variable with 0-based `index`."""
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls._of({tuple(expo): Fraction(1)})
-
-    @classmethod
     def from_term(cls, mono: Monomial, coeff) -> "Polynomial":
         return cls({tuple(mono): Fraction(coeff)})
 
@@ -98,17 +134,15 @@ class Polynomial:
 
     def _check_compatible(self, other: "Polynomial"):
         if self.terms and other.terms:
-            a = len(next(iter(self.terms)))
-            b = len(next(iter(other.terms)))
-            if a != b:
+            if _arity(next(iter(self.terms))) != _arity(next(iter(other.terms))):
                 raise StructuralError("polynomials in different variable rosters")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             if not self.terms:
                 raise StructuralError("cannot infer arity; use Polynomial.constant")
-            nvars = len(next(iter(self.terms)))
-            other = Polynomial.constant(other, nvars)
+            n = _arity(next(iter(self.terms)))
+            other = Polynomial({() if n is None else (0,) * n: other})
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
@@ -152,21 +186,23 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms largest-first in the canonical order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]),
+        key = pairs_key if _is_pairs(next(iter(self.terms), ())) else grlex_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]),
                       reverse=True)
 
     def total_degree(self) -> int:
         """The largest total degree of a term; 0 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum([e for _, e in _pairs(m)]) for m in self.terms),
+                   default=0)
 
     def substitute_values(self, values):
-        """Exact evaluation at a point given as a sequence of Fractions."""
+        """Exact evaluation at a point given as a sequence of Fractions,
+        one per variable of the ring."""
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             prod = coeff
-            for v, e in zip(values, mono):
-                if e:
-                    prod *= Fraction(v) ** e
+            for i, e in _pairs(mono):
+                prod *= Fraction(values[i]) ** e
             total += prod
         return total
 
@@ -230,21 +266,67 @@ class DeterminantWitness(Polynomial):
         if name != "terms":
             raise AttributeError(name)
         n = self.n
-        signs = (Fraction(1), Fraction(-1))
+        signs = (_ONE, -_ONE)
+        z = ((n * n, 1),)
         terms = {}
         for head, parity, tails in _leibniz(self.allowed,
-                                            lambda i, c: (i * n + c,), ()):
+                                            lambda i, c: ((i * n + c, 1),), ()):
             for tail, p in tails:
-                expo = [0] * (n * n) + [1]
-                for v in head + tail:
-                    expo[v] = 1
-                terms[tuple(expo)] = signs[parity ^ p]
-        terms[(0,) * (n * n + 1)] = signs[1]
+                terms[head + tail + z] = signs[parity ^ p]
+        terms[()] = signs[1]
         self.terms = terms
         return terms
 
     def is_zero(self) -> bool:
         return False
+
+
+class EquationList:
+    """The equations of one structured matrix in the slot ring: Y(k)
+    for each zero slot k, row major, then the polynomials `rest`.  The
+    zero slots are read off `allowed`, the columns each row may take,
+    which the witness det * Z - 1 keeps too; a zero slot becomes a
+    polynomial only when it is read one generator at a time.  Behaves
+    as the tuple of its generators."""
+
+    __slots__ = ("allowed", "rest")
+
+    def __init__(self, allowed, rest):
+        self.allowed = allowed
+        self.rest = tuple(rest)
+
+    def zero_slots(self) -> list[int]:
+        """The 0-based variable indices of the zero slots, ascending."""
+        n = len(self.allowed)
+        return [i * n + j for i, cols in enumerate(self.allowed)
+                for j in range(n) if j not in cols]
+
+    def __len__(self):
+        n = len(self.allowed)
+        return n * n - sum(map(len, self.allowed)) + len(self.rest)
+
+    def __iter__(self):
+        for v in self.zero_slots():
+            yield Polynomial._of({((v, 1),): _ONE})
+        yield from self.rest
+
+    def __getitem__(self, key):
+        """A generator by position, or a tuple of them by slice."""
+        if type(key) is slice:
+            return tuple(self)[key]
+        zeros = self.zero_slots()
+        pos = range(len(zeros) + len(self.rest))[key]
+        if pos >= len(zeros):
+            return self.rest[pos - len(zeros)]
+        return Polynomial._of({((zeros[pos], 1),): _ONE})
+
+    def __add__(self, other):
+        return EquationList(self.allowed, self.rest + tuple(other))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is EquationList
+                                 and self.allowed == other.allowed
+                                 and self.rest == other.rest)
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -274,12 +356,11 @@ def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
         return write("-1" if lead else " - 1")
     if f.is_zero():
         return write("0")
-    positions = range(len(next(iter(f.terms))))
     chunks = []
     for mono, coeff in f.sorted_terms():
         num, den = coeff.numerator, coeff.denominator
-        factors = [names[i] if mono[i] == 1 else f"{names[i]}^{mono[i]}"
-                   for i in compress(positions, mono)]
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}"
+                   for i, e in _pairs(mono)]
         if den != 1:
             factors.insert(0, f"{abs(num)}/{den}")
         elif abs(num) != 1 or not factors:
@@ -295,6 +376,32 @@ def _joined(render, *args) -> str:
     out = []
     render(*args, out.append)
     return "".join(out)
+
+
+def _blocks(sink):
+    """(write, flush) over `sink`: write gathers text and passes it on
+    to sink joined, 64 KiB or more at a time, and flush passes on what
+    it holds, if it was given anything since.  Each piece of a renderer
+    is small, and a file or stream write per piece costs more than the
+    join."""
+    pending = []
+    size = 0
+
+    def flush():
+        nonlocal size
+        if pending:
+            sink("".join(pending))
+            pending.clear()
+            size = 0
+
+    def write(text):
+        nonlocal size
+        pending.append(text)
+        size += len(text)
+        if size >= 1 << 16:
+            flush()
+
+    return write, flush
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*/+-]))")

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import io
 import json
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import GradingGroup
 from .inout import ProblemInput, _byte_line_col, parse_input, print_input
 from .polynomials import (DeterminantWitness, GradedPolyRing, Polynomial,
-                          _joined, _leibniz, _long_integer_message,
-                          polynomial_to_str)
+                          _blocks, _joined, _leibniz, _long_integer_message,
+                          _pairs, polynomial_to_str)
 from .validation import Stages, ValidationReport
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
@@ -79,8 +78,16 @@ class ResultBundle:
             and self.filter_result == other.filter_result)
 
 
-def _encode_poly(f: Polynomial):
-    return [[list(m), [c.numerator, c.denominator]] for m, c in f.sorted_terms()]
+def _encode_poly(f: Polynomial, nvars: int):
+    """f's terms as [exponents, [num, den]], each exponent vector dense
+    over the `nvars` variables of f's ring."""
+    out = []
+    for m, c in f.sorted_terms():
+        expo = [0] * nvars
+        for i, e in _pairs(m):
+            expo[i] = e
+        out.append([expo, [c.numerator, c.denominator]])
+    return out
 
 
 def _int(x) -> int:
@@ -144,24 +151,28 @@ def _decode_problem(data) -> ProblemInput:
     return p
 
 
-def _encode_presentation(pres: AutPresentation, poly):
-    """`poly` encodes each equation."""
+def _encode_presentation(pres: AutPresentation, polys):
+    """polys(gens, nvars) encodes each equation list."""
+    nvars = pres.n ** 2 + 1
     return {"ring": _encode_ring(pres.ring),
             "n": pres.n,
             "triples": [{"weight_aut": [list(r) for r in t.weight_aut.matrix],
                          "pattern": [list(r) for r in t.matrix.pattern],
-                         "equations": list(map(poly, t.ideal))}
+                         "equations": polys(t.ideal, nvars)}
                         for t in pres.triples]}
 
 
-def _encode_stabilizer(stab: StabilizerPresentation, base: dict, poly):
-    """`base` is the encoded stab.base; `poly` encodes each equation."""
+def _encode_stabilizer(stab: StabilizerPresentation, base: dict, polys):
+    """`base` is the encoded stab.base; polys(gens, nvars) encodes each
+    list of polynomials."""
     roster = [list(u.free_part) + list(u.torsion_part)
               for u in stab.degree_roster]
+    nvars = stab.n ** 2 + 1
     return {"base": base,
-            "ideal": list(map(poly, stab.ideal.generators)),
+            "ideal": polys(stab.ideal.generators,
+                           stab.ring.variable_count),
             "roster": roster,
-            "stabilizer_gens": [list(map(poly, t.stabilizer_gens))
+            "stabilizer_gens": [polys(t.stabilizer_gens, nvars)
                                 for t in stab.triples]}
 
 
@@ -169,20 +180,24 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
     """The report as a JSON tree.  When the stabilizer's base is the
     presentation itself, as the CLI builds it, one encoded dict stands
     under both keys."""
-    return _bundle_tree(bundle, _encode_poly)
+    return _bundle_tree(bundle, lambda gens, nvars: [_encode_poly(f, nvars)
+                                                     for f in gens])
 
 
-def _bundle_tree(bundle: ResultBundle, poly=lambda f: f) -> dict:
-    """The report's tree with each polynomial f as poly(f); by default f
-    stays a leaf, for _poly_chunks."""
+def _bundle_tree(bundle: ResultBundle,
+                 polys=lambda gens, nvars: partial(_polys_chunks, gens, nvars)
+                 ) -> dict:
+    """The report's tree with each list of polynomials gens, in nvars
+    variables, as polys(gens, nvars); by default a leaf that writes
+    itself, for _json_chunks."""
     pres = (None if bundle.presentation is None
-            else _encode_presentation(bundle.presentation, poly))
+            else _encode_presentation(bundle.presentation, polys))
     stab = bundle.stabilizer
     stab_data = None
     if stab is not None:
         base = (pres if stab.base is bundle.presentation
-                else _encode_presentation(stab.base, poly))
-        stab_data = _encode_stabilizer(stab, base, poly)
+                else _encode_presentation(stab.base, polys))
+        stab_data = _encode_stabilizer(stab, base, polys)
     return {
         "schema": SCHEMA,
         "problem": _encode_problem(bundle.problem),
@@ -223,10 +238,10 @@ def _decode_filter(data, group: GradingGroup,
 def _json_chunks(value, write, pad: str):
     """Pass the text json.dumps(value, indent=2) gives to `write`, in
     pieces; `pad` is the newline and indentation of value's own line.
-    A Polynomial f stands for _encode_poly(f) and is written by
-    `_poly_chunks`; a dict that stands twice is written twice."""
-    if isinstance(value, Polynomial):
-        _poly_chunks(value, write, pad)
+    A callable leaf, from `_bundle_tree`, writes itself as
+    value(write, pad); a dict that stands twice is written twice."""
+    if callable(value):
+        value(write, pad)
     elif isinstance(value, (list, tuple)):
         if not value:
             write("[]")
@@ -267,11 +282,27 @@ def _zeros(nvars: int, pad: str) -> str:
     return ("," + pad).join("0" * nvars)
 
 
-def _poly_chunks(f: Polynomial, write, pad: str):
-    """Pass json.dumps(_encode_poly(f), indent=2) at `pad` to `write`,
-    one piece per term, for f in one variable or more, as every ring
-    here has.  The exponents of f are ints, so each vector is the
-    all-zero text with its nonzero entries written in.  A
+def _polys_chunks(gens, nvars: int, write, pad: str):
+    """Pass json.dumps([_encode_poly(f, nvars) for f in gens], indent=2)
+    at `pad` to `write`, in pieces.  An EquationList gives its zero
+    slots one polynomial at a time."""
+    if not gens:
+        write("[]")
+        return
+    inner = pad + "  "
+    sep = "[" + inner
+    for f in gens:
+        write(sep)
+        _poly_chunks(f, nvars, write, inner)
+        sep = "," + inner
+    write(pad + "]")
+
+
+def _poly_chunks(f: Polynomial, nvars: int, write, pad: str):
+    """Pass json.dumps(_encode_poly(f, nvars), indent=2) at `pad` to
+    `write`, one piece per term, for f in one variable or more, as
+    every ring here has.  The exponents of f are ints, so each vector is
+    the all-zero text with the entries of its pairs written in.  A
     DeterminantWitness is written from its Leibniz terms, one row text
     per slot row joined once per term, and never expanded."""
     p2 = pad + "  "
@@ -300,15 +331,14 @@ def _poly_chunks(f: Polynomial, write, pad: str):
     if not terms:
         write("[]")
         return
-    nvars = len(terms[0][0])
     zeros = _zeros(nvars, p4)
     step = len(p4) + 2
     sep = "[" + p2
     for mono, c in terms:
         text = [sep, head]
         at = 0
-        for k in compress(range(nvars), mono):
-            text += zeros[at:k * step], str(mono[k])
+        for k, e in _pairs(mono):
+            text += zeros[at:k * step], str(e)
             at = k * step + 1
         text += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
         write("".join(text))
@@ -336,10 +366,12 @@ def report_to_text(bundle: ResultBundle) -> str:
 
 
 def write_report(bundle: ResultBundle, path):
-    """Write report_to_text(bundle) to `path`, each piece as the writer
-    makes it, so the text is never held whole."""
+    """Write report_to_text(bundle) to `path` in blocks of 64 KiB or
+    more, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        _report_chunks(_bundle_tree(bundle).__getitem__, fh.write)
+        write, flush = _blocks(fh.write)
+        _report_chunks(_bundle_tree(bundle).__getitem__, write)
+        flush()
 
 
 def read_report(path) -> ResultBundle:
@@ -365,11 +397,13 @@ def _checked_report(src) -> ResultBundle:
     "presentation" or "stabilizer" and a non-empty "weight_symmetries"
     are computed again from the problem by `validation.Stages`, the
     command line's pipeline, behind the same gates.  The writer's text
-    of the result is compared with `src` one piece at a time, so neither
-    text is held whole.  Anything but that text, byte for byte, raises
-    InputError at the line and column of the first byte that differs:
-    a changed byte, an early end, trailing text, or a compact or
-    hand-edited layout of the same values."""
+    of the result is compared with `src` in blocks of 64 KiB or more,
+    each block flushed before a key's value is asked for, so that value
+    is read where it stands and neither text is held whole.  Anything
+    but that text, byte for byte, raises InputError at the line and
+    column of the first byte that differs: a changed byte, an early end,
+    trailing text, or a compact or hand-edited layout of the same
+    values."""
     read, tell, seek = src.read, src.tell, src.seek
     fields = {}  # the ResultBundle's, as its sections are reached
     stages = None
@@ -423,8 +457,11 @@ def _checked_report(src) -> ResultBundle:
         except (TypeError, ValueError, AttributeError, StructuralError) as exc:
             fail(at, f"malformed report: {exc}")
 
+    write, flush = _blocks(compare)
+
     def value_of(key: str):
         nonlocal stages
+        flush()
         if key == "schema":
             found = parsed(lambda data: data)
             if found != SCHEMA:
@@ -448,7 +485,8 @@ def _checked_report(src) -> ResultBundle:
                 0 if exported is None else len(exported.triples))
         return _bundle_tree(ResultBundle(**fields))[key]
 
-    _report_chunks(value_of, compare)
+    _report_chunks(value_of, write)
+    flush()
     if read(1):
         fail(tell() - 1, "text after the end of the report")
     return ResultBundle(**fields)
@@ -481,9 +519,15 @@ def write_cas_script(bundle: ResultBundle, write):
           f"ring Sp = 0,(Y(1..{n * n}),Z),dp;\n")
     for pos, (orig, gens) in enumerate(items, start=1):
         write(f"\n// triple {orig + 1} of the full list\nideal J{pos} = ")
-        for k, g in enumerate(gens):
-            write(",\n  " if k else "")
+        sep = ""
+        zeros = gens.zero_slots()
+        if zeros:
+            write(",\n  ".join([names[v] for v in zeros]))
+            sep = ",\n  "
+        for g in gens.rest:
+            write(sep)
             polynomial_to_str(g, names, write)
+            sep = ",\n  "
         write(";\n")
     if items:
         ideal_names = [f"J{pos}" for pos in range(1, len(items) + 1)]

@@ -10,25 +10,29 @@ invertible.  Together with the equations forcing multiplicativity on
 composite basis monomials this presents the graded automorphisms of S as
 an affine variety over the rationals.
 
-The witness det * Z - 1 is kept as the zero pattern of the matrix (a
-`DeterminantWitness`): its Leibniz terms are walked from the pattern
-each time they are printed or written, and its exponent vectors are
-expanded only when something reads them.
+The zero slots and the witness det * Z - 1 are kept as the zero pattern
+of the matrix: an `EquationList` holds the generators Y(k) of the zero
+slots as the pattern, and a `DeterminantWitness` walks its Leibniz terms
+from the pattern each time they are printed or written and expands its
+terms only when something reads them.  Every other slot-ring term is
+keyed by its (index, exponent) pairs, so it costs what its nonzero slots
+cost.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import mul
 
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
-from .polynomials import (DeterminantWitness, GradedPolyRing, Monomial,
-                          Polynomial, _joined, grlex_key, monomial_basis,
-                          monomial_mul, polynomial_to_str)
+from .polynomials import (DeterminantWitness, EquationList, GradedPolyRing,
+                          Monomial, Polynomial, _joined, grlex_key,
+                          monomial_basis, monomial_mul, polynomial_to_str)
 from .validation import Stages
 from .weightsym import block_permutation
 
@@ -51,6 +55,7 @@ class ActionBasis:
         self.weights = weights
         self.blocks = blocks
         self.flat = flat
+        self._powers = {}  # (row, e, columns) -> _row_power's terms
 
     def __eq__(self, other):
         return self is other or (
@@ -71,6 +76,14 @@ class ActionBasis:
 
     def flat_index(self, mono: Monomial) -> int:
         return self.flat.index(tuple(mono))
+
+    @cached_property
+    def variable_rows(self) -> tuple[int, ...]:
+        """The flat index of each ring variable: every variable occurs
+        in the action basis, which pins its row."""
+        r = self.ring.variable_count
+        return tuple(self.flat_index(tuple(int(i == t) for i in range(r)))
+                     for t in range(r))
 
     def flat_degree(self, idx: int) -> GroupElement:
         return self.weights[self.block_of_flat(idx)]
@@ -104,6 +117,12 @@ class SymbolicMatrix:
         return self is other or (type(other) is SymbolicMatrix
                                  and self.n == other.n
                                  and self.pattern == other.pattern)
+
+    @cached_property
+    def free_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns each row may take."""
+        return tuple(tuple(j for j, v in enumerate(row) if v)
+                     for row in self.pattern)
 
     def __str__(self):
         cells = [[f"Y({v})" if v else "0" for v in row] for row in self.pattern]
@@ -144,19 +163,18 @@ def _require_det_terms(count: int):
             f"{DET_TERM_BOUND} (ringaut.DET_TERM_BOUND)")
 
 
-def zero_pattern_ideal(matrix: SymbolicMatrix):
+def zero_pattern_ideal(matrix: SymbolicMatrix) -> EquationList:
     """One vanishing generator per zero slot, then the invertibility
-    witness det(A) * Z - 1.
+    witness det(A) * Z - 1, as an `EquationList` over the pattern.
 
     The rows grouped by support must form a block permutation of full
     square blocks, of sizes k_i; det(A) then has prod(k_i!) terms.  The
-    count is refused above `DET_TERM_BOUND`.  The witness keeps the
-    columns each row may take; its terms are walked only when read.
+    count is refused above `DET_TERM_BOUND`.  The zero slots and the
+    witness keep the columns each row may take; the witness's terms are
+    walked only when read.
     """
     n = matrix.n
-    gens = [Polynomial.variable(i * n + j, n * n + 1)
-            for i in range(n) for j in range(n) if matrix.pattern[i][j] == 0]
-    allowed = _free_columns(matrix)
+    allowed = matrix.free_columns
     rows = Counter(allowed)  # rows per support
     # square blocks with k_i rows each: disjoint exactly when they cover n columns
     if (any(len(cols) != k for cols, k in rows.items())
@@ -164,8 +182,7 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
         raise StructuralError("the zero pattern is not a block permutation "
                               "of full square blocks")
     _require_det_terms(prod(map(factorial, rows.values())))
-    gens.append(DeterminantWitness(allowed))
-    return gens
+    return EquationList(allowed, (DeterminantWitness(allowed),))
 
 
 # --- substitution: S' coefficients against T monomials -----------------
@@ -175,12 +192,8 @@ def zero_pattern_ideal(matrix: SymbolicMatrix):
 # (e choose alpha) prod_j Y(i, j)^alpha_j flat_j^alpha_j.  A Y-monomial
 # records alpha on every row it meets, and different variables have
 # different rows, so each term of an image is written once: none meet.
-
-def _free_columns(matrix: SymbolicMatrix):
-    """The columns each row of the matrix may take."""
-    return tuple(tuple(j for j, v in enumerate(row) if v)
-                 for row in matrix.pattern)
-
+# Row i holds the slot indices i*n to i*n + n - 1, so the pairs of the
+# rows, joined by ascending row, are the sorted pairs of the term.
 
 def _compositions(e: int, k: int):
     """Each alpha in N^k with |alpha| = e, the last part taking what is
@@ -200,7 +213,8 @@ def _row_power(basis: ActionBasis, row: int, e: int, cols):
     (T-monomial, (Y index, exponent) pairs, multinomial coefficient)."""
     by_variable = tuple(zip(*(basis.flat[c] for c in cols)))
     return [(tuple(sum(map(mul, alpha, v)) for v in by_variable),
-             [(row * basis.n + c, a) for c, a in zip(cols, alpha) if a], m)
+             tuple([(row * basis.n + c, a) for c, a in zip(cols, alpha) if a]),
+             m)
             for alpha, m in _compositions(e, len(cols))]
 
 
@@ -208,19 +222,25 @@ def _image(basis: ActionBasis, columns, terms):
     """The image of sum c * prod row^e, one (c, [(row, e), ...]) per
     term with distinct rows, row i spanning the columns columns[i]: a
     map from T-monomials to polynomials in the Y variables."""
-    nvars = basis.n ** 2 + 1
     constant = (0,) * basis.ring.variable_count
+    memo = basis._powers
     out = {}
     for coeff, powers in terms:
-        parts = [_row_power(basis, row, e, columns[row]) for row, e in powers]
+        parts = []
+        for row, e in sorted(powers):
+            key = (row, e, columns[row])
+            part = memo.get(key)
+            if part is None:
+                part = memo[key] = _row_power(basis, row, e, columns[row])
+            parts.append(part)
         for picks in product(*parts):
-            mono, ys, c = constant, [0] * nvars, coeff
+            mono, ys, c = constant, (), coeff
             for part, slots, m in picks:
                 mono = monomial_mul(mono, part)
-                for i, a in slots:
-                    ys[i] = a
-                c *= m
-            out.setdefault(mono, {})[tuple(ys)] = c
+                ys += slots
+                if m != 1:  # most compositions have multinomial 1
+                    c *= m
+            out.setdefault(mono, {})[ys] = c
     return {mono: Polynomial._of(ys) for mono, ys in out.items()}
 
 
@@ -230,12 +250,9 @@ def substitute_polynomial(basis: ActionBasis, f: Polynomial,
     over the slots `matrix` leaves free.
 
     Returns a map from T-monomials to polynomials in the Y variables.
-    Every ring variable occurs in the action basis, which pins its row.
     """
-    r = basis.ring.variable_count
-    rows = [basis.flat_index(tuple(int(i == t) for i in range(r)))
-            for t in range(r)]
-    return _image(basis, _free_columns(matrix),
+    rows = basis.variable_rows
+    return _image(basis, matrix.free_columns,
                   ((c, [(i, e) for i, e in zip(rows, mono) if e])
                    for mono, c in f.terms.items()))
 
@@ -290,7 +307,7 @@ def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
     slots `matrix` leaves free, so each product has no more terms than
     the structured rows allow."""
     flat = set(basis.flat)
-    columns = _free_columns(matrix)
+    columns = matrix.free_columns
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
@@ -309,7 +326,7 @@ class AutTriple:
     """One weight symmetry with its structured matrix and equations."""
 
     def __init__(self, matrix: SymbolicMatrix, weight_aut: GroupAutomorphism,
-                 ideal: tuple[Polynomial, ...]):
+                 ideal: EquationList):
         self.matrix = matrix
         self.weight_aut = weight_aut
         self.ideal = ideal
@@ -354,8 +371,8 @@ class AutPresentation:
 
 def _build_triple(basis, B, block_map, mult_gens):
     matrix = _pattern(basis, block_map)
-    gens = (*zero_pattern_ideal(matrix), *mult_gens,
-            *variable_product_ideal(basis, matrix))
+    gens = (zero_pattern_ideal(matrix) + mult_gens
+            + variable_product_ideal(basis, matrix))
     return AutTriple(matrix, B, gens)
 
 
@@ -416,6 +433,7 @@ def render_presentation(pres: AutPresentation, write=None) -> str | None:
         write(f"\n\ntriple {idx}: weight symmetry\n{triple.weight_aut}"
               f"\nstructured matrix:\n{triple.matrix}"
               f"\nequations ({len(triple.ideal)} generators):")
-        for g in triple.ideal:
+        write("".join(["\n  " + names[v] for v in triple.ideal.zero_slots()]))
+        for g in triple.ideal.rest:
             write("\n  ")
             polynomial_to_str(g, names, write)

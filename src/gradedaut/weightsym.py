@@ -165,12 +165,12 @@ def block_permutation(B: GroupAutomorphism, weights, dims):
     """Where B sends the weight blocks: block i lands in block
     result[i], 0-based.  None when B pairs components of different
     dimensions; StructuralError when B does not permute the weights."""
+    index = {w: j for j, w in enumerate(weights)}
     out = []
     for i, w in enumerate(weights):
-        img = B.apply(w)
-        if img not in weights:
+        j = index.get(B.apply(w))
+        if j is None:
             raise StructuralError("automorphism does not permute the weight set")
-        j = weights.index(img)
         if dims[i] != dims[j]:
             return None
         out.append(j)

@@ -7,6 +7,7 @@ meaningful evidence.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 
 from gradedaut import linalg
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
@@ -165,11 +166,16 @@ def torus_character(element, free_values, torsion_signs):
     return val
 
 
+def as_pairs(f):
+    """f with each exponent tuple keyed by its (index, exponent) pairs,
+    as the slot ring keys its monomials."""
+    return Polynomial._of({tuple((i, e) for i, e in enumerate(m) if e): c
+                           for m, c in f.terms.items()})
+
+
 def span_equal(gens_a, gens_b):
     """Whether two polynomial lists span the same rational vector space."""
-    from gradedaut.polynomials import grlex_key
-    monos = sorted({m for g in (*gens_a, *gens_b) for m in g.terms},
-                   key=grlex_key)
+    monos = list(dict.fromkeys(m for g in (*gens_a, *gens_b) for m in g.terms))
     if not monos:
         return True
 
@@ -231,7 +237,7 @@ def reference_row_image(basis, row, matrix=None):
     """The image of the row-th basis element, sum_j Y(row, j) flat_j,
     over every column or over those `matrix` leaves free."""
     n = basis.n
-    return {basis.flat[j]: Polynomial.variable(row * n + j, n * n + 1)
+    return {basis.flat[j]: Polynomial._of({((row * n + j, 1),): Fraction(1)})
             for j in range(n)
             if matrix is None or matrix.pattern[row][j]}
 
@@ -240,13 +246,12 @@ def reference_substitution(basis, f, matrix=None):
     """The image of f with each T_t replaced by its row, by repeated
     products: T_t^e by square and multiply on the row of T_t."""
     r = basis.ring.variable_count
-    nvars = basis.n ** 2 + 1
     rows = [reference_row_image(basis, basis.flat_index(
                 tuple(int(i == t) for i in range(r))), matrix)
             for t in range(r)]
     result = {}
     for mono, coeff in f.terms.items():
-        acc = {(0,) * r: Polynomial.constant(coeff, nvars)}
+        acc = {(0,) * r: Polynomial._of({(): Fraction(coeff)})}
         for row, e in zip(rows, mono):
             while e:
                 if e & 1:
@@ -303,3 +308,83 @@ def reference_variable_product_ideal(basis, matrix):
                                         matrix),
                  seen, out)
     return out
+
+
+# --- del Pezzo surfaces from points in P^2 -------------------------------
+
+# Points of P^2 with no three on a line and not all six on a conic; the
+# surface of degree 9 - r blows up the first r of them.
+DEL_PEZZO_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
+                    (2, -1, 5))
+
+
+def _plane_mul(f, g):
+    """Product of two plane polynomials, maps from exponent triples in
+    x, y, z to Fractions."""
+    out = {}
+    for a, c in f.items():
+        for b, d in g.items():
+            m = tuple(x + y for x, y in zip(a, b))
+            out[m] = out.get(m, 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _through(points, degree):
+    """The plane curve of `degree` through `points`, which must be one:
+    the kernel of the evaluation matrix of the degree's monomials."""
+    monos = [m for m in product(range(degree + 1), repeat=3)
+             if sum(m) == degree]
+    rows = [[Fraction(p[0] ** m[0] * p[1] ** m[1] * p[2] ** m[2])
+             for m in monos] for p in points]
+    (kernel,) = linalg.nullspace(rows, ncols=len(monos))
+    return {m: c for m, c in zip(monos, kernel) if c}
+
+
+def del_pezzo_cox_ring(r):
+    """The Cox ring of P^2 blown up in the first r <= 6 points of
+    DEL_PEZZO_POINTS as (Q rows, ideal strings), in the basis L, E_1,
+    ..., E_r of the Picard group.
+
+    Generators, in order: e_i of class E_i with plane polynomial 1;
+    l_ij (i < j) of class L - E_i - E_j, the line through p_i and p_j;
+    q_S of class 2L - sum_S E, the conic through the five points S.
+    Relations: for each conic class C (C.C = 0 and -K.C = 2), the pairs
+    of generators whose classes sum to C have products of one plane
+    degree, and the linear relations among those plane polynomials,
+    the kernel of their coefficient matrix, are the quadrics of C:
+    #pairs - 2 of them.  Classes go by first pair, pairs by generator
+    index, and each kernel vector is scaled to primitive integers."""
+    pts = DEL_PEZZO_POINTS[:r]
+    gens = [({i: 1}, {(0, 0, 0): Fraction(1)}) for i in range(1, r + 1)]
+    gens += [({0: 1, i: -1, j: -1}, _through((pts[i - 1], pts[j - 1]), 1))
+             for i, j in combinations(range(1, r + 1), 2)]
+    gens += [({0: 2, **dict.fromkeys(five, -1)},
+              _through([pts[i - 1] for i in five], 2))
+             for five in combinations(range(1, r + 1), 5)]
+    classes = [tuple(c.get(i, 0) for i in range(r + 1)) for c, _ in gens]
+
+    def form(a, b):  # the intersection form: L.L = 1, E_i.E_i = -1
+        return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+    anti = (3,) + (-1,) * r
+    pencils = {}
+    for a, b in combinations(range(len(gens)), 2):
+        c = tuple(x + y for x, y in zip(classes[a], classes[b]))
+        if form(c, c) == 0 and form(anti, c) == 2:
+            pencils.setdefault(c, []).append((a, b))
+    ideal = []
+    for pairs in pencils.values():
+        prods = [_plane_mul(gens[a][1], gens[b][1]) for a, b in pairs]
+        monos = sorted({m for p in prods for m in p})
+        for v in linalg.nullspace([[p.get(m, 0) for p in prods] for m in monos],
+                                  ncols=len(pairs)):
+            scale = lcm(*(x.denominator for x in v))
+            ints = [int(x * scale) for x in v]
+            g = gcd(*ints)
+            terms = [(c // g, a, b) for c, (a, b) in zip(ints, pairs) if c]
+            text = " ".join(
+                ("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)}*")
+                + f"T({a + 1})*T({b + 1})" for c, a, b in terms)
+            ideal.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    rows = [[cls[i] for cls in classes] for i in range(r + 1)]
+    return rows, ideal

@@ -19,13 +19,14 @@ from gradedaut.gitfan import aut_xhat, orbit_cones
 from gradedaut.grading import GroupAutomorphism, degree_of_exponent
 from gradedaut.inout import ProblemInput
 from gradedaut.polynomials import (GradedPolyRing, grlex_key, monomial_basis,
-                                   parse_polynomial, polynomial_to_str)
+                                   pairs_key, parse_polynomial,
+                                   polynomial_to_str)
 from gradedaut.report import (ResultBundle, export_cas_script,
                               report_from_text, report_to_text)
 from gradedaut.ringaut import aut_ks, yz_names
 from gradedaut.validation import validate_presentation
 from gradedaut.weightsym import aut_gen_weights
-from oracles import (extendable_bijections, naive_basis_box_size,
+from oracles import (as_pairs, extendable_bijections, naive_basis_box_size,
                      naive_monomial_basis, random_pointed_grading, span_equal,
                      torus_character)
 
@@ -97,11 +98,12 @@ def test_criterion_3_zero_pattern_ideal(timed_presentation):
 def test_criterion_4_stabilizer_span(timed_stabilizer):
     stab, elapsed = timed_stabilizer
     gens = stab.triples[1].stabilizer_gens
-    refs = [parse_polynomial(s, yz_names(8)) for s in M2_STABILIZER_SPAN]
+    refs = [as_pairs(parse_polynomial(s, yz_names(8)))
+            for s in M2_STABILIZER_SPAN]
     assert len(gens) == 3
     assert span_equal(gens, refs)
     # and the span really is three-dimensional
-    monos = sorted({m for g in refs for m in g.terms}, key=grlex_key)
+    monos = sorted({m for g in refs for m in g.terms}, key=pairs_key)
     rows = [[g.terms.get(m, 0) for m in monos] for g in refs]
     assert linalg.rank(rows) == 3
     assert elapsed < 1.0

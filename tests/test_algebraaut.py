@@ -14,7 +14,7 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    polynomial_to_str)
 from gradedaut.ringaut import aut_ks, yz_names
 
-from oracles import span_equal, torus_character
+from oracles import as_pairs, span_equal, torus_character
 
 
 def zring(*weights):
@@ -59,7 +59,7 @@ def test_stabilizer_gens_frozen(quadric8_stab):
         "Y(13)*Y(34) - Y(24)*Y(31)",
         "-Y(24)*Y(31) + Y(52)*Y(59)",
     ]
-    reference = [parse_polynomial(s, names) for s in (
+    reference = [as_pairs(parse_polynomial(s, names)) for s in (
         "-Y(24)*Y(31) + Y(52)*Y(59)",
         "Y(13)*Y(34) - Y(52)*Y(59)",
         "-Y(13)*Y(34) + Y(1)*Y(46)",
@@ -179,7 +179,8 @@ def conic_direct_check(ring, ideal, M):
     membership in the degree-2 piece of the ideal by rank."""
     g = ideal.generators[0]
     imgs = [sum((Polynomial.from_term((0,) * 3, M[i][j])
-                 * Polynomial.variable(j, 3) for j in range(3)),
+                 * Polynomial.from_term(tuple(int(i == j) for i in range(3)), 1)
+                 for j in range(3)),
                 Polynomial.zero()) for i in range(3)]
     pushed = imgs[0] * imgs[1] - imgs[2] * imgs[2]
     basis = monomial_basis(ring, ring.degrees.columns[0].scale(2))

@@ -758,6 +758,71 @@ def test_report_must_be_its_recomputation(tmp_path, capsys, damage):
     assert captured.out == ""
 
 
+def test_report_damage_inside_a_block_is_found_where_it_is(tmp_path, capsys):
+    """The reader compares its recomputation in blocks of 64 KiB or
+    more.  A byte flipped anywhere in the 0.7 MB report, well inside a
+    block or at its last byte, and an early end anywhere are still
+    reported at the line and column of the first byte that differs."""
+    path = tmp_path / "report.json"
+    assert main(["autgradalg", "--input", DEMO, "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_bytes()
+    assert len(text) > 8 * 65536
+    # past the problem section, whose values are parsed, not compared
+    start = text.index(b'"validation"')
+    rng = random.Random(64)
+    digits = [i for i in range(start, len(text)) if text[i:i + 1] == b"0"]
+    flips = [*rng.sample(digits, 6), digits[-1]]
+    ends = [*rng.sample(range(start, len(text)), 6), len(text) - 1]
+    for at, edited, message in (
+            *((at, text[:at] + b"1" + text[at + 1:],
+               "report differs from its recomputation: expected '0', "
+               "found '1'") for at in flips),
+            *((at, text[:at], "report ends early: expected "
+               + repr(text[at:at + 1].decode())) for at in ends)):
+        path.write_bytes(edited)
+        assert main(["export", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        line, col = line_col(text.decode(), at)
+        assert captured.err == f"{path}:{line}:{col}: {message}\n", at
+        assert captured.out == ""
+
+
+# sha256 of the stdout of demos/dp5.toml, as the dense slot ring printed it
+DP5_STDOUT = {
+    "autks": "31ebbf7e0689885a832a8e437bc3b6cd89972f710839b738689e85f529329d4c",
+    "autgradalg":
+        "831c475e4c0b83ac7d4ea246b5f6cc210eacc3ccd7c01762d039789bca6e5d20",
+    "autxhat":
+        "168a9a5b59fcb88a2d9a107925873d3af70c8a9885a9deaaf0f6b0ff80619b9b",
+}
+
+
+@pytest.mark.parametrize("command", DP5_STDOUT)
+def test_dp5_stdout_is_frozen(command, capsys):
+    assert main([command, "--input", str(ROOT / "demos" / "dp5.toml")]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DP5_STDOUT[command]
+
+
+def test_closed_stdout_exits_quietly():
+    """`graded-aut autks ... | head`: the reader leaves after one line,
+    and the command ends with exit code 1 and nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from gradedaut.cli import main; sys.exit(main())",
+         "autks", "--input",
+         str(ROOT / "demos" / "dp5.toml")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert run.stdout.readline().startswith(b"action basis size")
+    run.stdout.close()
+    assert run.stderr.read() == b""
+    assert run.wait(timeout=60) == 1
+
+
 # quadric8 with the class and faces that autxhat options override
 USER_FACES = Path(DEMO).read_text().replace(
     'mode = "all-subsets"',

@@ -17,8 +17,9 @@ from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
 from gradedaut.inout import (NESTING_BOUND, ProblemInput, parse_input,
                              print_input, read_input)
-from gradedaut.polynomials import (DeterminantWitness, Polynomial,
-                                   default_names, polynomial_to_str)
+from gradedaut.polynomials import (DeterminantWitness, EquationList,
+                                   Polynomial, default_names,
+                                   polynomial_to_str)
 from gradedaut.report import (FilterResult, ResultBundle, _json_chunks,
                               bundle_to_data, export_cas_script, read_report,
                               report_from_text, report_to_text, write_report)
@@ -537,34 +538,50 @@ def test_composite_report_writer(tmp_path):
 
 
 def _random_poly(rng, nvars):
-    """Up to five terms: exponents 0..12, and coefficients that are
-    negative, fractional or several digits long; sometimes zero."""
-    return Polynomial({
-        tuple(rng.randint(0, 12) if rng.random() < 0.3 else 0
-              for _ in range(nvars)):
+    """Up to five terms in the slot ring of `nvars` variables, each on
+    up to four of them, the first and the last among them: exponents
+    1..12, and coefficients that are negative, fractional or several
+    digits long; sometimes zero."""
+    return Polynomial._of({
+        tuple((i, rng.randint(1, 12)) for i in sorted(
+            rng.sample(sorted({0, nvars - 1, *rng.sample(range(nvars), 4)}),
+                       rng.randrange(5)))):
         Fraction(rng.choice((1, -1, 2, -17, 1234, -99999)),
                  rng.choice((1, 1, 2, 3, 100)))
         for _ in range(rng.randrange(6))})
 
 
-def _leibniz_witness(n):
-    """det(A) * Z - 1 of a full n x n matrix, from its zero pattern."""
-    return DeterminantWitness((tuple(range(n)),) * n)
+def _block_witness_pattern(rng, n):
+    """The columns each row of an n x n matrix may take, for square
+    diagonal blocks of one to three rows, in a random order."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    rng.shuffle(sizes)
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    return tuple(tuple(range(s, s + k)) for s, k in zip(starts, sizes)
+                 for _ in range(k))
 
 
-def _random_equations(rng):
-    return tuple(_leibniz_witness(rng.randint(1, 4)) if rng.random() < 0.3
-                 else _random_poly(rng, rng.randint(1, 10))
+def _random_equations(rng, n=8):
+    """An equation list of the slot ring of an n x n matrix: a block
+    pattern's zero slots, then witnesses of that pattern and random
+    polynomials; or, at random, the polynomials alone."""
+    allowed = _block_witness_pattern(rng, n)
+    rest = tuple(DeterminantWitness(allowed) if rng.random() < 0.3
+                 else _random_poly(rng, n * n + 1)
                  for _ in range(rng.randint(1, 6)))
+    return EquationList(allowed, rest) if rng.random() < 0.5 else rest
 
 
 def test_report_writer_encodes_polynomials(quadric8_bundle, tmp_path):
-    """Seeded reports whose equations mix random polynomials in 1 to 10
-    variables, zero polynomials and witnesses with n = 1..4.  The
+    """Seeded reports whose equations mix zero slots, random slot-ring
+    polynomials, zero polynomials and witnesses of block patterns.  The
     presentation stands twice, at two depths, and the stabilizer's
-    equations at a third, so whatever the writer keeps from one
-    polynomial for the next meets other variable counts and other
-    indentations; only the whole report is compared."""
+    equations at a third, beside the ideal in its 8 variables, so
+    whatever the writer keeps from one polynomial for the next meets
+    other variable counts and other indentations; only the whole report
+    is compared."""
     rng = random.Random(18)
     path = tmp_path / "mixed.json"
     stab = quadric8_bundle.stabilizer

@@ -5,7 +5,7 @@ from time import perf_counter
 
 import pytest
 
-from oracles import random_pointed_grading
+from oracles import as_pairs, random_pointed_grading
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
@@ -14,7 +14,7 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    annihilator_forms, component_dimension,
                                    default_names, degree_of, distinct_term_degrees,
                                    grlex_key, ideal_component_basis,
-                                   monomial_basis, parse_polynomial,
+                                   monomial_basis, pairs_key, parse_polynomial,
                                    polynomial_to_str)
 from gradedaut.report import ResultBundle, bundle_to_data
 from gradedaut.ringaut import aut_ks
@@ -24,7 +24,7 @@ TINY_IDEAL = "vars = 2\nQ = [[1, 1]]\nideal = [{}]\n\n[grading]\nfree_rank = 1\n
 
 
 def T(i, nvars=8):
-    return Polynomial.variable(i - 1, nvars)
+    return Polynomial.from_term(tuple(int(j == i - 1) for j in range(nvars)), 1)
 
 
 def test_ring_arithmetic():
@@ -52,13 +52,42 @@ def test_print_canonical_order():
     assert polynomial_to_str(g, default_names(2)) == "-T(1)*T(2) - 3/2"
 
 
+def test_pairs_key_sorts_as_grlex_on_exponent_tuples():
+    """Seeded sets of exponent tuples, sparse and dense, with repeated
+    degrees: sorting their (index, exponent) pairs by pairs_key gives
+    exactly the descending grlex order of the tuples, and a polynomial
+    keyed either way lists, prints, evaluates and multiplies alike."""
+    rng = random.Random(3101)
+    for _ in range(150):
+        nvars = rng.randint(1, 30)
+        weights = rng.choice(((0, 0, 0, 0, 1, 2), (0, 1, 1, 2, 3, 7)))
+        monos = list({tuple(rng.choice(weights) for _ in range(nvars))
+                      for _ in range(rng.randint(1, 25))})
+        pairs = {m: tuple((i, e) for i, e in enumerate(m) if e) for m in monos}
+        assert (sorted(monos, key=grlex_key, reverse=True)
+                == sorted(monos, key=lambda m: pairs_key(pairs[m]),
+                          reverse=True))
+        f = Polynomial({m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3))
+                        for m in monos})
+        g = as_pairs(f)
+        assert [pairs[m] for m, _ in f.sorted_terms()] == [
+            m for m, _ in g.sorted_terms()]
+        names = default_names(nvars)
+        assert polynomial_to_str(g, names) == polynomial_to_str(f, names)
+        assert g.total_degree() == f.total_degree()
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(nvars)]
+        assert g.substitute_values(point) == f.substitute_values(point)
+        assert as_pairs(f * f + f) == g * g + g
+
+
 def test_parse_examples():
     names = default_names(8)
     f = parse_polynomial("T(1)*T(6) + T(2)*T(5) + T(3)*T(4) + T(7)*T(8)", names)
     assert f == T(1) * T(6) + T(2) * T(5) + T(3) * T(4) + T(7) * T(8)
     yz = tuple(f"Y({i})" for i in range(1, 3)) + ("Z",)
     g = parse_polynomial("-Y(1)*Z - 1", yz)
-    assert g == -(Polynomial.variable(0, 3) * Polynomial.variable(2, 3)) - Polynomial.constant(1, 3)
+    assert g == -(T(1, 3) * T(3, 3)) - Polynomial.constant(1, 3)
     h = parse_polynomial("1/2*T(1)^3 - 2", default_names(1))
     assert h.terms == {(3,): Fraction(1, 2), (0,): Fraction(-2)}
 

@@ -10,8 +10,9 @@ from gradedaut import linalg, polynomials, ringaut, weightsym
 from gradedaut.cli import main
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
-from gradedaut.polynomials import (DeterminantWitness, GradedPolyRing,
-                                   Polynomial, polynomial_to_str)
+from gradedaut.polynomials import (DeterminantWitness, EquationList,
+                                   GradedPolyRing, Polynomial,
+                                   polynomial_to_str)
 from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                build_action_basis, multiplicativity_ideal,
                                render_presentation, structured_matrix,
@@ -200,15 +201,14 @@ def _reference_witness(matrix):
         blocks.append(block)
     terms = {}
     for choice in product(*blocks):
-        expo = [0] * (n * n) + [1]  # the witness variable Z
+        slots = sorted(v for block_slots, _ in choice for v in block_slots)
         term_sign = sign
-        for slots, block_sign in choice:
-            for v in slots:
-                expo[v] = 1
+        for _, block_sign in choice:
             term_sign *= block_sign
-        terms[tuple(expo)] = Fraction(term_sign)
-    terms[(0,) * (n * n + 1)] = Fraction(-1)
-    return Polynomial(terms)
+        # one slot per row, then the witness variable Z
+        terms[tuple((v, 1) for v in slots) + ((n * n, 1),)] = Fraction(term_sign)
+    terms[()] = Fraction(-1)
+    return Polynomial._of(terms)
 
 
 def test_witness_matches_eager_expansion(quadric8_presentation):
@@ -257,7 +257,7 @@ def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
 
     # the same run with the witness expanded eagerly into a plain Polynomial
     def eager(matrix):
-        return zero_pattern_ideal(matrix)[:-1] + [_reference_witness(matrix)]
+        return EquationList(matrix.free_columns, (_reference_witness(matrix),))
 
     monkeypatch.setattr(ringaut, "zero_pattern_ideal", eager)
     reference = tmp_path / "eager.json"
@@ -361,8 +361,7 @@ def test_multiplicativity_mentions_every_composite_row(rows):
     identity = GroupAutomorphism.identity(basis.ring.grading)
     gens = (multiplicativity_ideal(basis)
             + variable_product_ideal(basis, structured_matrix(basis, identity)))
-    mentioned = {i // n for g in gens
-                 for mono in g.terms for i, e in enumerate(mono) if e}
+    mentioned = {i // n for g in gens for mono in g.terms for i, _ in mono}
     assert all(f in mentioned for f, mono in enumerate(basis.flat)
                if sum(mono) > 1)
 
@@ -399,7 +398,7 @@ def test_substitution_against_identity_pattern(quadric8_basis, quadric8_group,
     m = structured_matrix(quadric8_basis,
                           GroupAutomorphism.identity(quadric8_group))
     image = substitute_polynomial(quadric8_basis, quadric8_ideal.generators[0], m)
-    y = lambda i: Polynomial.variable(i - 1, 65)
+    y = lambda i: Polynomial._of({((i - 1, 1),): Fraction(1)})
     expect = {
         (1, 0, 0, 0, 0, 1, 0, 0): y(1) * y(46),
         (0, 1, 0, 0, 1, 0, 0, 0): y(10) * y(37),
