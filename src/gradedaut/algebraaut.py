@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import StructuralError
 from .grading import GroupElement
-from .polynomials import (GradedPolyRing, Ideal, Polynomial, _joined,
+from .polynomials import (GradedPolyRing, Ideal, Polynomial,
                           annihilator_forms, degree_of, ideal_component_basis,
                           monomial_basis, polynomial_to_str)
 from .ringaut import (AutPresentation, AutTriple, render_presentation,
@@ -52,8 +52,7 @@ def component_data(ideal: Ideal, u: GroupElement) -> ComponentData:
 
 
 def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
-                                triple: AutTriple, components=None,
-                                degrees=None):
+                                triple: AutTriple, components, degrees):
     """The linear conditions keeping the ideal invariant, as polynomials
     in the matrix slots.
 
@@ -61,13 +60,9 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
     basis of I_u, then the annihilator forms at the target degree.
     Identical conditions are kept once.  `components` maps degrees to
     their `component_data` and gains those this triple reads first;
-    `degrees` is ideal_generator_degrees(ideal), computed when not given.
+    `degrees` is ideal_generator_degrees(ideal).
     """
     basis = presentation.basis
-    if components is None:
-        components = {}
-    if degrees is None:
-        degrees = ideal_generator_degrees(ideal)
     out = []
     seen = set()
     for u in degrees:
@@ -116,11 +111,6 @@ class StabilizerTriple:
         self.base = base
         self.stabilizer_gens = stabilizer_gens
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is StabilizerTriple and self.base == other.base
-            and self.stabilizer_gens == other.stabilizer_gens)
-
     @property
     def weight_aut(self):
         return self.base.weight_aut
@@ -142,13 +132,6 @@ class StabilizerPresentation:
         self.base = base
         self.triples = triples
         self.degree_roster = degree_roster
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is StabilizerPresentation and self.ring == other.ring
-            and self.ideal == other.ideal and self.base == other.base
-            and self.triples == other.triples
-            and self.degree_roster == other.degree_roster)
 
     @property
     def n(self) -> int:
@@ -189,12 +172,10 @@ def stabilizer_presentation(base: AutPresentation,
     return StabilizerPresentation(base.ring, ideal, base, triples, degrees)
 
 
-def render_stabilizer(pres: StabilizerPresentation, write=None) -> str | None:
-    """Report for the quotient algebra: the ambient presentation plus
-    the stabilizing conditions per triple.  With `write`, the text is
-    passed to it in pieces instead of returned."""
-    if write is None:
-        return _joined(render_stabilizer, pres)
+def render_stabilizer(pres: StabilizerPresentation, write) -> None:
+    """Report for the quotient algebra, passed to `write` in pieces:
+    the ambient presentation plus the stabilizing conditions per
+    triple."""
     names = pres.slot_names()
     render_presentation(pres.base, write)
     write("\n\nideal generator degrees: "

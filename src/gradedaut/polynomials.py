@@ -286,8 +286,9 @@ class EquationList:
     for each zero slot k, row major, then the polynomials `rest`.  The
     zero slots are read off `allowed`, the columns each row may take,
     which the witness det * Z - 1 keeps too; a zero slot becomes a
-    polynomial only when it is read one generator at a time.  Behaves
-    as the tuple of its generators."""
+    polynomial only when it is read one generator at a time.  Its
+    length, iteration and integer indexing are those of the tuple of
+    its generators."""
 
     __slots__ = ("allowed", "rest")
 
@@ -311,9 +312,7 @@ class EquationList:
         yield from self.rest
 
     def __getitem__(self, key):
-        """A generator by position, or a tuple of them by slice."""
-        if type(key) is slice:
-            return tuple(self)[key]
+        """The generator at a position."""
         zeros = self.zero_slots()
         pos = range(len(zeros) + len(self.rest))[key]
         if pos >= len(zeros):
@@ -322,11 +321,6 @@ class EquationList:
 
     def __add__(self, other):
         return EquationList(self.allowed, self.rest + tuple(other))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is EquationList
-                                 and self.allowed == other.allowed
-                                 and self.rest == other.rest)
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -553,12 +547,6 @@ class GradedPolyRing:
         self.grading = grading
         self.degrees = degrees
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is GradedPolyRing
-            and self.variable_count == other.variable_count
-            and self.grading == other.grading and self.degrees == other.degrees)
-
     @classmethod
     def from_degree_matrix(cls, Q: DegreeMatrix) -> "GradedPolyRing":
         return cls(Q.var_count, Q.group, Q)
@@ -582,11 +570,6 @@ class Ideal:
             for mono in g.terms:
                 if len(mono) != ring.variable_count:
                     raise StructuralError("generator arity differs from the ring")
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Ideal
-                                 and self.ring == other.ring
-                                 and self.generators == other.generators)
 
 
 def distinct_term_degrees(ring: GradedPolyRing, f: Polynomial):

@@ -45,12 +45,6 @@ class FilterResult:
         self.retained = tuple(map(int, retained))
         self.chamber_rays = tuple(tuple(map(int, r)) for r in chamber_rays)
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is FilterResult and self.w == other.w
-            and self.retained == other.retained
-            and self.chamber_rays == other.chamber_rays)
-
 
 class ResultBundle:
     """Everything one run produced.  Later stages may be absent."""
@@ -67,15 +61,6 @@ class ResultBundle:
         self.presentation = presentation
         self.stabilizer = stabilizer
         self.filter_result = filter_result
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is ResultBundle and self.problem == other.problem
-            and self.report == other.report
-            and self.weight_auts == other.weight_auts
-            and self.presentation == other.presentation
-            and self.stabilizer == other.stabilizer
-            and self.filter_result == other.filter_result)
 
 
 def _encode_poly(f: Polynomial, nvars: int):

@@ -31,7 +31,7 @@ from operator import mul
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
 from .polynomials import (DeterminantWitness, EquationList, GradedPolyRing,
-                          Monomial, Polynomial, _joined, grlex_key,
+                          Monomial, Polynomial, grlex_key,
                           monomial_basis, monomial_mul, polynomial_to_str)
 from .validation import Stages
 from .weightsym import block_permutation
@@ -56,12 +56,6 @@ class ActionBasis:
         self.blocks = blocks
         self.flat = flat
         self._powers = {}  # (row, e, columns) -> _row_power's terms
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is ActionBasis and self.ring == other.ring
-            and self.weights == other.weights and self.blocks == other.blocks
-            and self.flat == other.flat)
 
     @property
     def n(self) -> int:
@@ -112,11 +106,6 @@ class SymbolicMatrix:
     def __init__(self, n: int, pattern: tuple[tuple[int, ...], ...]):
         self.n = n
         self.pattern = pattern
-
-    def __eq__(self, other):
-        return self is other or (type(other) is SymbolicMatrix
-                                 and self.n == other.n
-                                 and self.pattern == other.pattern)
 
     @cached_property
     def free_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -331,12 +320,6 @@ class AutTriple:
         self.weight_aut = weight_aut
         self.ideal = ideal
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is AutTriple and self.matrix == other.matrix
-            and self.weight_aut == other.weight_aut
-            and self.ideal == other.ideal)
-
 
 class AutPresentation:
     """Everything the polynomial-ring stage produces: the action basis
@@ -347,11 +330,6 @@ class AutPresentation:
         self.ring = ring
         self.basis = basis
         self.triples = triples
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is AutPresentation and self.ring == other.ring
-            and self.basis == other.basis and self.triples == other.triples)
 
     @property
     def n(self) -> int:
@@ -408,12 +386,10 @@ def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
 
 # --- rendering ---------------------------------------------------------
 
-def render_presentation(pres: AutPresentation, write=None) -> str | None:
-    """Plain-text report: variable weight table, then each triple with
-    its weight symmetry, structured matrix, and equations.  With
-    `write`, the text is passed to it in pieces instead of returned."""
-    if write is None:
-        return _joined(render_presentation, pres)
+def render_presentation(pres: AutPresentation, write) -> None:
+    """Plain-text report, passed to `write` in pieces: variable weight
+    table, then each triple with its weight symmetry, structured matrix,
+    and equations."""
     n = pres.n
     names = pres.slot_names()
     flat = (polynomial_to_str(Polynomial.from_term(m, 1), pres.ring.var_names())

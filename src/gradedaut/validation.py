@@ -37,10 +37,6 @@ class ValidationReport:
         self.has_lattice_basis = has_lattice_basis
         self.messages = messages
 
-    def __eq__(self, other):
-        return self is other or (type(other) is ValidationReport
-                                 and self.as_dict() == other.as_dict())
-
     def as_dict(self) -> dict:
         """The flags and messages by name, in the report's order."""
         return {"effective": self.effective, "pointed": self.pointed,

@@ -6,14 +6,16 @@ among the free parts of the weights, then further weights, then torsion
 unit vectors, each kept while it lowers the index of the subgroup
 generated so far.  A symmetry's free block A permutes the free parts
 with their multiplicities, so it keeps their Gram form G = sum m v v^T
-and the integer colour c(u, v) = u^T adj(G) v of every pair (Bremner,
-Dutour Sikirić, Pasechnik, Rehn and Schürmann, 2014).  The basis
+and the integer colour c(u, v) = u^T M v of every pair, M the
+primitive integer multiple of G^-1.  M is a positive multiple of
+adj(G), which colours the pairs in Bremner, Dutour Sikirić, Pasechnik,
+Rehn and Schürmann (2014), so both match the same pairs.  The basis
 images are placed one basis vector per level, and a weight may stand
 in for b_j only when its colour and multiplicity are b_j's and its
 colour against each image placed so far is b_j's against that image's
-basis vector.  Matching colours give A^T adj(G) A = adj(G), so
-det A = +-1; a full placement is kept when A permutes the free parts
-with their multiplicities.  A forces the free part of every later
+basis vector.  Matching colours give A^T M A = M, so det A = +-1; a
+full placement is kept when A permutes the free parts with their
+multiplicities.  A forces the free part of every later
 generator's image, which leaves the weights of that free part (or every
 torsion element, for a unit vector) as its candidates.  Every tuple of
 distinct images gives one matrix through the section of the generating
@@ -98,12 +100,14 @@ def aut_gen_weights(Q: DegreeMatrix) -> tuple[GroupAutomorphism, ...]:
     # the generators that are not weights are torsion unit vectors, last
     # in gens, whose images range over the whole torsion subgroup
     units = sum(g not in weight_set for g in gens)
-    # G is positive definite, since the free parts contain a lattice basis
+    # G is positive definite, since the free parts contain a lattice
+    # basis, so M, the primitive integer multiple of G^-1, is a positive
+    # multiple of adj(G)
     gram = linalg.mat_mul(tuple(zip(*frees)), frees)
-    d = linalg.det(gram)
-    adj = [[int(d * x) for x in row] for row in linalg.inverse(gram)]
+    M = linalg.primitive([x for row in linalg.inverse(gram) for x in row])
+    M = [M[i * k:i * k + k] for i in range(k)]
     colour = [[linalg.dot(u, row) for u in frees]
-              for row in linalg.mat_mul(frees, adj)]
+              for row in linalg.mat_mul(frees, M)]
     vertex = [(colour[i][i], multiplicity[v]) for i, v in enumerate(frees)]
 
     # the lattice basis has |det| = 1, so its inverse is integral

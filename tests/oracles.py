@@ -30,6 +30,18 @@ def solve(M, b):
     return tuple(x)
 
 
+def det_oracle(A):
+    """Determinant by Laplace expansion along the rows, one leaf per
+    permutation that avoids every zero entry: exact for int and Fraction
+    entries, and quick on the block patterns of the slot ring."""
+    def expand(i, free):
+        if i == len(A):
+            return 1
+        return sum((-1) ** t * A[i][j] * expand(i + 1, free[:t] + free[t + 1:])
+                   for t, j in enumerate(free) if A[i][j])
+    return expand(0, tuple(range(len(A))))
+
+
 def naive_monomial_basis(ring, w):
     """All monomials of degree w, by filtering every exponent vector in
     a box that provably contains them.
@@ -101,7 +113,7 @@ def extendable_bijections(Q: DegreeMatrix):
             if sol is None or any(x.denominator != 1 for x in sol):
                 continue
             A = tuple(tuple(int(sol[i * k + t]) for t in range(k)) for i in range(k))
-            if abs(linalg.det(A)) != 1:
+            if abs(det_oracle(A)) != 1:
                 continue
         else:
             A = ()

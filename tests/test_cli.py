@@ -14,6 +14,7 @@ from time import perf_counter
 
 import pytest
 from conftest import line_col
+from oracles import det_oracle
 
 from gradedaut import (algebraaut, gitfan, grading, linalg, polynomials,
                        ringaut, validation, weightsym)
@@ -84,7 +85,7 @@ def test_lattice_basis_scan_skips_imprimitive_vectors(tmp_path, capsys):
         vectors = [tuple(rng.choice((1, 2)) * rng.randint(-2, 2)
                          for _ in range(k)) for _ in range(rng.randint(0, 7))]
         flat = next((subset for subset in combinations(range(len(vectors)), k)
-                     if abs(linalg.det([vectors[i] for i in subset])) == 1),
+                     if abs(det_oracle([vectors[i] for i in subset])) == 1),
                     None)
         assert linalg.unimodular_subset(vectors, k) == flat, (vectors, k)
         found += flat is not None
@@ -102,6 +103,24 @@ def test_lattice_basis_scan_skips_free_parts_of_a_sublattice(tmp_path,
     start = perf_counter()
     assert main(["check", "--input", path]) == 1
     assert perf_counter() - start < 5
+    assert "lattice basis among free parts: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m", [7, 10])
+def test_lattice_basis_search_drops_unsaturated_subsets(tmp_path, capsys, m):
+    # each of m coordinate pairs of Z^2m carries (2,1), (1,2) and (1,4):
+    # the 3m weights are primitive and generate Z^2m, but two of one
+    # pair span an index 3, 7 or 2 sublattice, so no basis exists among
+    # the C(3m, 2m) subsets (116,280 for m = 7, 30,045,015 for m = 10)
+    cols = [[v[t - 2 * b] if 0 <= t - 2 * b < 2 else 0 for t in range(2 * m)]
+            for b in range(m) for v in ((2, 1), (1, 2), (1, 4))]
+    rows = [list(row) for row in zip(*cols)]
+    path = _write(tmp_path, f"vars = {3 * m}\nQ = [\n" + "".join(
+        f"    {row},\n" for row in rows)
+        + f"]\n\n[grading]\nfree_rank = {2 * m}\n")
+    start = perf_counter()
+    assert main(["check", "--input", path]) == 1
+    assert perf_counter() - start < 2
     assert "lattice basis among free parts: FAIL" in capsys.readouterr().out
 
 
@@ -288,15 +307,16 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     # the chamber of chamber10 asks one rref per candidate subset of at
     # most k = 3 of its ten weights, C(10,1) + C(10,2) + C(10,3) = 175,
     # with the subset's free parts as columns beside w0, and the double
-    # description the other 168; it asks no rank and computes no
-    # determinant; the torsion weight search makes one Hermite form per
-    # candidate block, 28 through subgroup_presentation, and one more
-    # before its lattice-basis scan
+    # description the other 168; it asks no rank and makes no Hermite
+    # form; the torsion weight search makes one Hermite form per
+    # candidate block, 28 through subgroup_presentation, one before its
+    # lattice-basis search and one for the search's one node, the free
+    # part (1) of the first weight
     problems = ROOT / "bench" / "problems"
     chamber = parse_input((problems / "chamber10.toml").read_text())
     torsion = parse_input((problems / "torsion.toml").read_text())
     calls = {}
-    for name in ("det", "rank", "rref", "hermite"):
+    for name in ("rank", "rref", "hermite"):
         _count_calls(monkeypatch, calls, linalg, name)
     w = chamber.group().from_coordinates(chamber.w)
     gitfan.git_cone(chamber.degree_matrix(), w)
@@ -305,7 +325,7 @@ def test_each_exact_question_has_one_routine(monkeypatch):
                for (M,) in calls["rref"]) == 175
     calls.clear()
     weightsym.aut_gen_weights(torsion.degree_matrix())
-    assert len(calls["hermite"]) == 29
+    assert len(calls["hermite"]) == 30
 
 
 # Z + Z/2 with both weights (1; 0): the weights miss the torsion

@@ -35,7 +35,7 @@ def test_dp4_demo_is_the_generated_surface():
     made = _problem(5)
     assert demo.rows == made.rows and demo.w == made.w
     ring = demo.ring()
-    assert demo.ideal(ring) == made.ideal(ring)
+    assert demo.ideal(ring).generators == made.ideal(ring).generators
 
 
 @pytest.mark.parametrize("r, generators, quadrics",

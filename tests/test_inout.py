@@ -401,23 +401,21 @@ def test_report_round_trip_presentation_only(quadric8_ring):
                           presentation=pres)
     text = report_to_text(bundle)
     back = report_from_text(text)
-    assert back == bundle
+    assert report_to_text(back) == text
     assert json.loads(text)["timing"] is None
     assert len(back.presentation.slot_names()) == 65
 
 
 def test_report_round_trip_full(quadric8_bundle):
     text = report_to_text(quadric8_bundle)
-    back = report_from_text(text)
-    assert back == quadric8_bundle
-    assert report_to_text(back) == text
+    assert report_to_text(report_from_text(text)) == text
 
 
 def test_report_files(tmp_path, quadric8_bundle):
     path = tmp_path / "out.json"
     write_report(quadric8_bundle, path)
-    assert read_report(path) == quadric8_bundle
     first = path.read_bytes()
+    assert report_to_text(read_report(path)).encode() == first
     write_report(quadric8_bundle, path)
     assert path.read_bytes() == first
     data = json.loads(first)
@@ -526,7 +524,7 @@ def test_composite_report_writer(tmp_path):
     assert copied.presentation is copied.stabilizer.base
     pres = stab.base
     equal = _replace(shared, presentation=_replace(pres))
-    assert equal.presentation == pres and equal.presentation is not pres
+    assert equal.presentation is not pres
     other = _replace(shared, presentation=_replace(
         pres, triples=pres.triples + pres.triples))
     for bundle in (shared, copied, equal, other):
@@ -535,6 +533,7 @@ def test_composite_report_writer(tmp_path):
         write_report(bundle, path)
         assert path.read_text(encoding="utf-8") == text
     assert report_to_text(copied) == report_to_text(shared)
+    assert report_to_text(equal) == report_to_text(shared)
 
 
 def _random_poly(rng, nvars):
@@ -915,7 +914,11 @@ def test_filtered_view_matches_filter(quadric8_bundle, quadric8_ring):
     stab = quadric8_bundle.stabilizer
     filt = quadric8_bundle.filter_result
     w = quadric8_ring.grading.from_coordinates(filt.w)
-    assert stab.restrict(filt.retained) == aut_xhat(stab, w)
+
+    def text(view):
+        return report_to_text(_replace(quadric8_bundle, stabilizer=view))
+
+    assert text(stab.restrict(filt.retained)) == text(aut_xhat(stab, w))
     assert filt.retained == (0,)
     assert filt.chamber_rays == ((0, 1, 1), (0, 1, 2), (1, 2, 3))
 

@@ -123,3 +123,17 @@ def test_every_internal_function_has_a_caller():
                and not (callers.get(function, set())
                         | callers.get(f"{name[:-3]}.{owner}", set())) - {owner}]
     assert not orphans, orphans
+
+
+# the value classes the package hashes or compares; every stage product
+# is compared by its report or printed bytes instead
+VALUE_CLASSES = {"GradingGroup", "GroupElement", "GroupAutomorphism",
+                 "DegreeMatrix", "Polynomial", "RationalCone", "ProblemInput"}
+
+
+def test_equality_only_on_value_classes():
+    defined = {node.name for tree in _modules().values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(isinstance(part, ast.FunctionDef)
+                       and part.name == "__eq__" for part in node.body)}
+    assert defined == VALUE_CLASSES
