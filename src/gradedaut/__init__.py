@@ -31,8 +31,8 @@ _MODULE_OF = {name: module for module, names in (
     ("report", ("FilterResult", "ResultBundle", "export_cas_script",
                 "read_report", "write_report")),
     ("ringaut", ("ActionBasis", "AutPresentation", "AutTriple", "aut_ks",
-                 "build_action_basis", "render_presentation",
-                 "structured_matrix", "zero_pattern_ideal")),
+                 "render_presentation", "structured_matrix",
+                 "zero_pattern_ideal")),
     ("validation", ("ValidationReport", "validate_presentation")),
     ("weightsym", ("aut_gen_weights",)),
 ) for name in names}

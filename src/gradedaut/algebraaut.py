@@ -125,9 +125,9 @@ class StabilizerPresentation:
     one equation list per admissible weight symmetry, all living in the
     common slot ring."""
 
-    def __init__(self, ring: GradedPolyRing, ideal: Ideal,
-                 base: AutPresentation, triples: tuple, degree_roster: tuple):
-        self.ring = ring
+    def __init__(self, ideal: Ideal, base: AutPresentation, triples: tuple,
+                 degree_roster: tuple):
+        self.ring = base.basis.ring
         self.ideal = ideal
         self.base = base
         self.triples = triples
@@ -143,7 +143,7 @@ class StabilizerPresentation:
     def restrict(self, indices) -> "StabilizerPresentation":
         """The presentation cut down to the triples at the given 0-based
         indices, in that order."""
-        return StabilizerPresentation(self.ring, self.ideal, self.base,
+        return StabilizerPresentation(self.ideal, self.base,
                                       tuple(self.triples[i] for i in indices),
                                       self.degree_roster)
 
@@ -169,7 +169,7 @@ def stabilizer_presentation(base: AutPresentation,
     triples = tuple(StabilizerTriple(t, stabilizer_ideal_for_triple(
                         base, ideal, t, components, degrees))
                     for t in base.triples)
-    return StabilizerPresentation(base.ring, ideal, base, triples, degrees)
+    return StabilizerPresentation(ideal, base, triples, degrees)
 
 
 def render_stabilizer(pres: StabilizerPresentation, write) -> None:

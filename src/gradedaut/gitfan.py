@@ -16,6 +16,8 @@ intersection.  Every step runs serially in the calling process.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
+from operator import index
 
 from . import linalg
 from .algebraaut import StabilizerPresentation
@@ -24,25 +26,28 @@ from .cones import (RationalCone, cone_from_rays, equal_cones,
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
 
-# Weights an all-subsets face family may range over; read when the
-# guard runs.
-SUBSET_BOUND = 20
+# Faces an all-subsets family may have, 2^20 - 1: every nonempty
+# subset of 20 weights.  Read when the guard runs.
+FACE_BOUND = 2 ** 20 - 1
 
 
 def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
     r = Q.var_count
     if faces is None:
-        if r > SUBSET_BOUND:
+        top = min(Q.group.free_rank, r) if simplicial else r
+        count = (2 ** r - 1 if top == r
+                 else sum(comb(r, size) for size in range(1, top + 1)))
+        if count > FACE_BOUND:
             raise GuardError(
-                f"all-subsets enumeration over {r} weights exceeds the bound "
-                f"{SUBSET_BOUND} (gitfan.SUBSET_BOUND); supply explicit faces")
-        top = Q.group.free_rank if simplicial else r
+                f"all-subsets family over {r} weights has {count} faces, "
+                f"above the bound {FACE_BOUND} (gitfan.FACE_BOUND); supply "
+                "explicit faces")
         return [F for size in range(1, top + 1)
                 for F in combinations(range(r), size)]
     out = []
     seen = set()
     for face in faces:
-        idx = tuple(int(i) for i in face)
+        idx = tuple(map(index, face))
         if not idx:
             raise StructuralError("empty face in the face list")
         if any(i < 1 or i > r for i in idx):

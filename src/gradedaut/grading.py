@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import prod
+from operator import index
 
 from . import linalg
 from .cones import RationalCone, cone_from_rays
@@ -28,8 +29,8 @@ class GradingGroup:
     __slots__ = ("free_rank", "torsion_orders")
 
     def __init__(self, free_rank: int, torsion_orders=()):
-        self.free_rank = free_rank
-        self.torsion_orders = tuple(map(int, torsion_orders))
+        self.free_rank = index(free_rank)
+        self.torsion_orders = tuple(map(index, torsion_orders))
         if free_rank < 0:
             raise StructuralError("free rank must be nonnegative")
         if any(a < 2 for a in self.torsion_orders):
@@ -56,7 +57,7 @@ class GradingGroup:
 
     def from_coordinates(self, coords) -> "GroupElement":
         """Element from a single (k+l)-vector, free entries first."""
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(index, coords))
         if len(coords) != self.coordinate_count:
             raise StructuralError(
                 f"expected {self.coordinate_count} coordinates, got {len(coords)}")
@@ -80,8 +81,8 @@ class GroupElement:
 
     def __init__(self, group: GradingGroup, free_part, torsion_part=()):
         orders = group.torsion_orders
-        free = tuple(map(int, free_part))
-        tors = tuple(map(int, torsion_part))
+        free = tuple(map(index, free_part))
+        tors = tuple(map(index, torsion_part))
         if len(free) != group.free_rank or len(tors) != len(orders):
             raise StructuralError("coordinate count does not match the group")
         self.group = group

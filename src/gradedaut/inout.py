@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import re
+from operator import index
 
 from .errors import InputError, StructuralError
 from .grading import DegreeMatrix, GradingGroup
@@ -38,14 +39,14 @@ class ProblemInput:
 
     def __init__(self, free_rank: int, torsion, var_count: int, rows,
                  ideal_gens=(), w=None, faces=None, mode: str = "all-subsets"):
-        self.free_rank = free_rank
-        self.torsion = tuple(map(int, torsion))
-        self.var_count = var_count
-        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        self.free_rank = index(free_rank)
+        self.torsion = tuple(map(index, torsion))
+        self.var_count = index(var_count)
+        self.rows = tuple(tuple(map(index, r)) for r in rows)
         self.ideal_gens = tuple(ideal_gens)
-        self.w = None if w is None else tuple(map(int, w))
+        self.w = None if w is None else tuple(map(index, w))
         self.faces = (None if faces is None
-                      else tuple(tuple(map(int, f)) for f in faces))
+                      else tuple(tuple(map(index, f)) for f in faces))
         self.mode = mode
         if mode not in MODES:
             raise StructuralError(f"unknown mode {mode!r}")
@@ -67,7 +68,7 @@ class ProblemInput:
         return DegreeMatrix.from_rows(self.group(), self.rows)
 
     def ring(self) -> GradedPolyRing:
-        return GradedPolyRing.from_degree_matrix(self.degree_matrix())
+        return GradedPolyRing(self.degree_matrix())
 
     def ideal(self, ring: GradedPolyRing | None = None) -> Ideal:
         ring = self.ring() if ring is None else ring

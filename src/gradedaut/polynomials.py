@@ -34,8 +34,7 @@ from operator import add
 
 from . import linalg
 from .errors import InputError, StructuralError, ValidationError
-from .grading import (DegreeMatrix, GradingGroup, GroupElement,
-                      degree_of_exponent)
+from .grading import DegreeMatrix, GroupElement, degree_of_exponent
 
 Monomial = tuple  # exponent tuples or pairs; the alias marks intent
 
@@ -535,21 +534,13 @@ def parse_polynomial(text: str, names) -> Polynomial:
 
 
 class GradedPolyRing:
-    """S = Q[T_1, ..., T_r] with deg(T_i) the i-th column of `degrees`."""
+    """S = Q[T_1, ..., T_r] with deg(T_i) the i-th column of `degrees`:
+    r and the grading group are read off the degree matrix."""
 
-    def __init__(self, variable_count: int, grading: GradingGroup,
-                 degrees: DegreeMatrix):
-        if degrees.var_count != variable_count:
-            raise StructuralError("degree matrix width differs from variable count")
-        if degrees.group != grading:
-            raise StructuralError("degree matrix lives in a different group")
-        self.variable_count = variable_count
-        self.grading = grading
+    def __init__(self, degrees: DegreeMatrix):
+        self.variable_count = degrees.var_count
+        self.grading = degrees.group
         self.degrees = degrees
-
-    @classmethod
-    def from_degree_matrix(cls, Q: DegreeMatrix) -> "GradedPolyRing":
-        return cls(Q.var_count, Q.group, Q)
 
     def var_names(self) -> tuple[str, ...]:
         return default_names(self.variable_count)

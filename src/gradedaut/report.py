@@ -16,6 +16,7 @@ import io
 import json
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import index
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import GradingGroup
@@ -41,9 +42,9 @@ class FilterResult:
     primitive rays, and the 0-based indices of the retained triples."""
 
     def __init__(self, w, retained, chamber_rays):
-        self.w = tuple(map(int, w))
-        self.retained = tuple(map(int, retained))
-        self.chamber_rays = tuple(tuple(map(int, r)) for r in chamber_rays)
+        self.w = tuple(map(index, w))
+        self.retained = tuple(map(index, retained))
+        self.chamber_rays = tuple(tuple(map(index, r)) for r in chamber_rays)
 
 
 class ResultBundle:

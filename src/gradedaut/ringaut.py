@@ -31,8 +31,8 @@ from operator import mul
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
 from .polynomials import (DeterminantWitness, EquationList, GradedPolyRing,
-                          Monomial, Polynomial, grlex_key,
-                          monomial_basis, monomial_mul, polynomial_to_str)
+                          Polynomial, grlex_key, monomial_basis, monomial_mul,
+                          polynomial_to_str)
 from .validation import Stages
 from .weightsym import block_permutation
 
@@ -45,51 +45,45 @@ _ONE = Fraction(1)
 
 class ActionBasis:
     """Concatenated monomial bases of the components S_w, w a generator
-    weight, in canonical block order."""
+    weight, in canonical block order: first occurrence along the
+    variable list.
 
-    def __init__(self, ring: GradedPolyRing,
-                 weights: tuple[GroupElement, ...],
-                 blocks: tuple[tuple[Monomial, ...], ...],
-                 flat: tuple[Monomial, ...]):
+    Everything the later stages read of the basis is made here, once:
+    the block sizes `dims` and their flat `starts`, the block of each
+    row, the row of each variable, and `factors[m]`, the pairs (a, b),
+    a <= b, with flat[a] * flat[b] = flat[m], in (a, b) order.  A
+    composite row with no pair is the product of its variables' rows
+    (Hausen-Keicher-Wolf).
+    """
+
+    def __init__(self, ring: GradedPolyRing):
         self.ring = ring
-        self.weights = weights
-        self.blocks = blocks
-        self.flat = flat
+        self.weights = ring.degrees.distinct_weights()
+        self.blocks = tuple(monomial_basis(ring, w) for w in self.weights)
+        self.flat = flat = tuple(m for b in self.blocks for m in b)
+        self.dims = tuple(map(len, self.blocks))
+        self.starts = (0, *accumulate(self.dims))
+        self.row_block = tuple(i for i, d in enumerate(self.dims)
+                               for _ in range(d))
+        index = {m: i for i, m in enumerate(flat)}
+        # every variable occurs in the action basis, which pins its row
+        r = ring.variable_count
+        self.variable_rows = tuple(index[tuple(int(i == t) for i in range(r))]
+                                   for t in range(r))
+        self.factors = factors = [[] for _ in flat]
+        for a, ma in enumerate(flat):
+            for b in range(a, len(flat)):
+                m = index.get(monomial_mul(ma, flat[b]))
+                if m is not None:
+                    factors[m].append((a, b))
         self._powers = {}  # (row, e, columns) -> _row_power's terms
 
     @property
     def n(self) -> int:
         return len(self.flat)
 
-    def block_of_flat(self, idx: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if idx < len(b):
-                return i
-            idx -= len(b)
-        raise IndexError(idx)
-
-    def flat_index(self, mono: Monomial) -> int:
-        return self.flat.index(tuple(mono))
-
-    @cached_property
-    def variable_rows(self) -> tuple[int, ...]:
-        """The flat index of each ring variable: every variable occurs
-        in the action basis, which pins its row."""
-        r = self.ring.variable_count
-        return tuple(self.flat_index(tuple(int(i == t) for i in range(r)))
-                     for t in range(r))
-
     def flat_degree(self, idx: int) -> GroupElement:
-        return self.weights[self.block_of_flat(idx)]
-
-
-def build_action_basis(ring: GradedPolyRing) -> ActionBasis:
-    """Blocks follow the canonical weight order: first occurrence along
-    the variable list.  Flat indices number the concatenation from 1."""
-    weights = ring.degrees.distinct_weights()
-    blocks = tuple(monomial_basis(ring, w) for w in weights)
-    flat = tuple(m for b in blocks for m in b)
-    return ActionBasis(ring, weights, blocks, flat)
+        return self.weights[self.row_block[idx]]
 
 
 def yz_names(n: int) -> tuple[str, ...]:
@@ -103,8 +97,8 @@ class SymbolicMatrix:
     pattern[i][j] holds the 1-based Y index (i*n + j + 1) or 0.
     """
 
-    def __init__(self, n: int, pattern: tuple[tuple[int, ...], ...]):
-        self.n = n
+    def __init__(self, pattern: tuple[tuple[int, ...], ...]):
+        self.n = len(pattern)
         self.pattern = pattern
 
     @cached_property
@@ -124,8 +118,7 @@ def structured_matrix(basis: ActionBasis, B: GroupAutomorphism) -> SymbolicMatri
     """Zero pattern of a graded map for the weight symmetry B: the rows
     of block i are free exactly on the columns of the block B sends
     block i to."""
-    block_map = block_permutation(B, basis.weights,
-                                  [len(b) for b in basis.blocks])
+    block_map = block_permutation(B, basis.weights, basis.dims)
     if block_map is None:
         raise StructuralError("automorphism is not admissible: it pairs "
                               "components of different dimensions")
@@ -135,14 +128,14 @@ def structured_matrix(basis: ActionBasis, B: GroupAutomorphism) -> SymbolicMatri
 def _pattern(basis: ActionBasis, block_map) -> SymbolicMatrix:
     """The structured matrix of a block map: block i lands in block
     block_map[i], 0-based."""
-    starts = [0, *accumulate(len(b) for b in basis.blocks)]
+    starts = basis.starts
     n = basis.n
     rows = []
     for i, j in enumerate(block_map):
         for fi in range(starts[i], starts[i + 1]):
             rows.append(tuple(fi * n + fj + 1 if starts[j] <= fj < starts[j + 1]
                               else 0 for fj in range(n)))
-    return SymbolicMatrix(n, tuple(rows))
+    return SymbolicMatrix(tuple(rows))
 
 
 def _require_det_terms(count: int):
@@ -263,46 +256,41 @@ def multiplicativity_ideal(basis: ActionBasis):
     """Coefficient equations forcing images of composite basis monomials
     to equal products of images of their factors.
 
-    For every basis monomial m with a factorization m = m' * m'' inside
-    the flat basis, the image of m and the product of the images of m'
-    and m'' are expanded over T-monomials and matched coefficient by
-    coefficient; generators are the differences, product side minus
-    direct side, deduplicated in scan order.  Composites without such a
-    pair are left to `variable_product_ideal`.
+    For every pair (a, b) in `basis.factors[m]` the image of flat[m] and
+    the product of the images of flat[a] and flat[b] are expanded over
+    T-monomials and matched coefficient by coefficient; generators are
+    the differences, product side minus direct side, deduplicated in
+    scan order.  Composites without a pair are left to
+    `variable_product_ideal`.
     """
-    n = basis.n
-    every = (range(n),) * n
+    every = (range(basis.n),) * basis.n
     out = []
     seen = set()
-    for fm, mono in enumerate(basis.flat):
+    for fm, pairs in enumerate(basis.factors):
+        if not pairs:
+            continue
         direct = _image(basis, every, [(_ONE, [(fm, 1)])])
-        for fa in range(n):
-            for fb in range(fa, n):
-                if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
-                    # a square is one row at power 2, whose cross terms
-                    # come with their coefficient 2
-                    powers = ([(fa, 2)] if fa == fb
-                              else [(fa, 1), (fb, 1)])
-                    _match_rows(direct, _image(basis, every, [(_ONE, powers)]),
-                                seen, out)
+        for fa, fb in pairs:
+            # a square is one row at power 2, whose cross terms come
+            # with their coefficient 2
+            powers = [(fa, 2)] if fa == fb else [(fa, 1), (fb, 1)]
+            _match_rows(direct, _image(basis, every, [(_ONE, powers)]),
+                        seen, out)
     return out
 
 
 def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
     """Equations for the composite basis monomials m (total degree > 1)
-    that are no product of two basis monomials, e.g. T(1)^3 in P(1,1,3):
-    the row of m must equal the product of the rows of its variables,
-    which fix every row (Hausen-Keicher-Wolf).  Both sides keep only the
-    slots `matrix` leaves free, so each product has no more terms than
-    the structured rows allow."""
-    flat = set(basis.flat)
+    with no pair in `basis.factors`, e.g. T(1)^3 in P(1,1,3): the row of
+    m must equal the product of the rows of its variables, which fix
+    every row (Hausen-Keicher-Wolf).  Both sides keep only the slots
+    `matrix` leaves free, so each product has no more terms than the
+    structured rows allow."""
     columns = matrix.free_columns
     out = []
     seen = set()
     for fm, mono in enumerate(basis.flat):
-        if sum(mono) < 2 or any(all(a <= b for a, b in zip(d, mono))
-                                and tuple(b - a for a, b in zip(d, mono)) in flat
-                                for d in basis.flat):
+        if sum(mono) < 2 or basis.factors[fm]:
             continue
         _match_rows(_image(basis, columns, [(_ONE, [(fm, 1)])]),
                     substitute_polynomial(basis, Polynomial.from_term(mono, 1),
@@ -325,9 +313,8 @@ class AutPresentation:
     """Everything the polynomial-ring stage produces: the action basis
     and one triple, with its equations, per admissible weight symmetry."""
 
-    def __init__(self, ring: GradedPolyRing, basis: ActionBasis,
-                 triples: tuple[AutTriple, ...]):
-        self.ring = ring
+    def __init__(self, basis: ActionBasis, triples: tuple[AutTriple, ...]):
+        self.ring = basis.ring
         self.basis = basis
         self.triples = triples
 
@@ -373,15 +360,15 @@ def ring_presentation(ring: GradedPolyRing, auts) -> AutPresentation:
     the finer product compatibility is enforced by the multiplicativity
     equations.
     """
-    basis = build_action_basis(ring)
-    dims = [len(b) for b in basis.blocks]
-    block_maps = [(B, block_permutation(B, basis.weights, dims)) for B in auts]
+    basis = ActionBasis(ring)
+    block_maps = [(B, block_permutation(B, basis.weights, basis.dims))
+                  for B in auts]
     # every structured matrix has the same determinant term count
-    _require_det_terms(prod(factorial(d) for d in dims))
+    _require_det_terms(prod(map(factorial, basis.dims)))
     mult_gens = tuple(multiplicativity_ideal(basis))
     triples = tuple(_build_triple(basis, B, block_map, mult_gens)
                     for B, block_map in block_maps if block_map is not None)
-    return AutPresentation(ring, basis, triples)
+    return AutPresentation(basis, triples)
 
 
 # --- rendering ---------------------------------------------------------
@@ -395,7 +382,7 @@ def render_presentation(pres: AutPresentation, write) -> None:
     flat = (polynomial_to_str(Polynomial.from_term(m, 1), pres.ring.var_names())
             for m in pres.basis.flat)
     write(f"action basis size n = {n}\nflat basis: " + ", ".join(flat))
-    if any(len(b) > 1 for b in pres.basis.blocks):
+    if any(d > 1 for d in pres.basis.dims):
         write("\nnote: some components contain several monomials; the "
               "admissibility filter compares dimensions only and the "
               "multiplicativity equations carry the rest")

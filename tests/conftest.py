@@ -46,7 +46,7 @@ def quadric8_Q(quadric8_group):
 
 @pytest.fixture(scope="session")
 def quadric8_ring(quadric8_Q):
-    return GradedPolyRing.from_degree_matrix(quadric8_Q)
+    return GradedPolyRing(quadric8_Q)
 
 
 @pytest.fixture(scope="session")

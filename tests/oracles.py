@@ -258,7 +258,7 @@ def reference_substitution(basis, f, matrix=None):
     """The image of f with each T_t replaced by its row, by repeated
     products: T_t^e by square and multiply on the row of T_t."""
     r = basis.ring.variable_count
-    rows = [reference_row_image(basis, basis.flat_index(
+    rows = [reference_row_image(basis, basis.flat.index(
                 tuple(int(i == t) for i in range(r))), matrix)
             for t in range(r)]
     result = {}

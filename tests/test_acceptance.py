@@ -193,7 +193,7 @@ def test_criterion_10_monomial_basis_vs_oracle():
     checked = 0
     while checked < 50:
         Q = random_pointed_grading(rng)
-        ring = GradedPolyRing.from_degree_matrix(Q)
+        ring = GradedPolyRing(Q)
         r = ring.variable_count
         # an achievable degree with a small witness; degrees whose
         # exhaustive box is out of reach for the oracle are redrawn

@@ -20,7 +20,7 @@ from oracles import as_pairs, det_oracle, span_equal, torus_character
 def zring(*weights):
     group = GradingGroup(1, ())
     cols = tuple(group.element((w,), ()) for w in weights)
-    return GradedPolyRing.from_degree_matrix(DegreeMatrix(cols))
+    return GradedPolyRing(DegreeMatrix(cols))
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def test_symmetry_moving_the_generator_degree():
     # the swap of Z^2 sends the generator degree (2, 1) to (1, 2), where
     # the ideal has no element: the target component is computed apart
     group = GradingGroup(2)
-    ring = GradedPolyRing.from_degree_matrix(
+    ring = GradedPolyRing(
         DegreeMatrix.from_rows(group, ((1, 1, 0, 0), (0, 0, 1, 1))))
     ideal = Ideal(ring, (ring.parse("T(1)^2*T(3) + T(2)^2*T(4)"),))
     pres = aut_grad_alg(ring, ideal)

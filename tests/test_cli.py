@@ -33,14 +33,24 @@ TINY = "vars = 2\nQ = [[1, 1]]\n\n[grading]\nfree_rank = 1\n"
 # weights (1, 1, 2) and no ideal: a composite degree-2 component
 NO_IDEAL = "vars = 3\nQ = [[1, 1, 2]]\n\n[grading]\nfree_rank = 1\n"
 
-# twenty-one pairwise distinct weights on the line x = 1, so every
-# component is one variable wide but the orbit cone enumeration is over
-# 2^21 subsets and must refuse
-WIDE = ("vars = 21\n"
-        "Q = [\n"
-        "    [" + ", ".join("1" for _ in range(21)) + "],\n"
-        "    [" + ", ".join(str(i) for i in range(1, 22)) + "],\n"
-        "]\n\n[grading]\nfree_rank = 2\n")
+# 21 weights (1, i) over Z^2, each component one variable wide: every
+# subset would be 2^21 - 1 faces, the chamber's simplicial family has
+# 21 + 210
+PENCIL = ("vars = 21\n"
+          "Q = [\n"
+          "    [" + ", ".join("1" for _ in range(21)) + "],\n"
+          "    [" + ", ".join(str(i) for i in range(1, 22)) + "],\n"
+          "]\n\n[grading]\nfree_rank = 2\n")
+# 22 weights over Z^10, the unit vectors and 12 with entries 2 then 1:
+# sum over i <= 10 of C(22, i) = 1744435 simplicial faces
+WIDE = ("vars = 22\nQ = [\n"
+        + "".join("    [" + ", ".join(str(x) for x in row) + "],\n"
+                  for row in zip(*([int(i == j) for i in range(10)]
+                                   for j in range(10)),
+                                 *([1 + (i <= j) for i in range(10)]
+                                   for j in range(12))))
+        + "]\n\n[grading]\nfree_rank = 10\n")
+WIDE_W = ",".join(["1"] * 10)
 
 
 def _write(tmp_path, text, name="problem.toml"):
@@ -239,12 +249,17 @@ def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
     calls = {}
     for module, name in ((validation, "validate_presentation"),
                          (weightsym, "aut_gen_weights"),
-                         (ringaut, "build_action_basis"),
                          (gitfan, "_face_family"),
                          (algebraaut, "component_data"),
                          # shared by validation and the weight search
                          (linalg, "unimodular_subset")):
         _count_calls(monkeypatch, calls, module, name)
+    build = ringaut.ActionBasis.__init__
+
+    def built(self, ring):
+        calls.setdefault("ActionBasis", []).append((ring,))
+        build(self, ring)
+    monkeypatch.setattr(ringaut.ActionBasis, "__init__", built)
     report = str(tmp_path / "autxhat.json")
     runs = [["check", "--input", DEMO], ["weights-aut", "--input", DEMO],
             ["autks", "--input", DEMO], ["autgradalg", "--input", DEMO],
@@ -531,8 +546,8 @@ PUBLIC_NAMES = [
     "ResultBundle", "StabilizerPresentation", "StabilizerTriple",
     "StructuralError", "ValidationError", "ValidationReport",
     "aut_gen_weights", "aut_grad_alg", "aut_ks", "aut_xhat",
-    "build_action_basis", "check_effective", "check_pointed",
-    "component_data", "component_dimension", "cone_from_rays",
+    "check_effective", "check_pointed", "component_data",
+    "component_dimension", "cone_from_rays",
     "degree_of", "degree_of_exponent", "dual_cone", "equal_cones",
     "export_cas_script", "git_cone", "ideal_generator_degrees",
     "intersect_cones", "is_homogeneous", "map_cone", "monomial_basis",
@@ -565,6 +580,18 @@ def test_package_namespace_is_lazy():
         gradedaut.no_such_name
 
 
+def test_readme_quick_start_prints_autgradalg(capsys):
+    # the library calls of the quick start print what the CLI prints,
+    # less the CLI's final newline
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    quick = capsys.readouterr()
+    assert quick.err == ""
+    assert main(["autgradalg", "--input", DEMO]) == 0
+    assert quick.out + "\n" == capsys.readouterr().out
+
+
 def test_autxhat_rejects_non_effective(tmp_path, capsys):
     path = _write(tmp_path, TINY)
     assert main(["autxhat", "--input", path, "--w", "-1"]) == 1
@@ -573,10 +600,14 @@ def test_autxhat_rejects_non_effective(tmp_path, capsys):
 
 def test_guard_refusal_exit_code(tmp_path, capsys):
     path = _write(tmp_path, WIDE)
-    assert main(["autxhat", "--input", path, "--w", "1,1"]) == 3
+    assert main(["autxhat", "--input", path, "--w", WIDE_W]) == 3
     err = capsys.readouterr().err
-    assert "refused:" in err
-    assert "subset_bound" in err or "faces" in err
+    assert err.startswith("refused: ")
+    assert "1744435 faces" in err and "gitfan.FACE_BOUND" in err
+    # the chamber guard counts the family it builds: 231 faces pass
+    path = _write(tmp_path, PENCIL, "pencil.toml")
+    assert main(["autxhat", "--input", path, "--w", "2,3"]) == 0
+    assert "git chamber of w = (2, 3):" in capsys.readouterr().out
 
 
 def test_export_from_problem(capsys):
@@ -1013,7 +1044,7 @@ def test_main_restores_gc_state(tmp_path, capsys, monkeypatch, enabled):
         (gc.enable if enabled else gc.disable)()
         for argv, code in ((["check", "--input", DEMO], 0),
                            (["check", "--input", bad], 2),
-                           (["autxhat", "--input", wide, "--w", "1,1"], 3)):
+                           (["autxhat", "--input", wide, "--w", WIDE_W], 3)):
             assert main(argv) == code
             assert gc.isenabled() is enabled
     finally:

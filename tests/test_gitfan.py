@@ -172,17 +172,30 @@ def test_orbit_cones_small_examples():
 
 
 def test_orbit_cones_subset_guard(monkeypatch):
-    with pytest.raises(GuardError, match="SUBSET_BOUND"):
+    with pytest.raises(GuardError, match=r"21 weights has 2097151 faces, "
+                       r"above the bound 1048575 \(gitfan.FACE_BOUND\)"):
         orbit_cones(zq(*([1] * 21)))
     nine = zq(*([1] * 9))
     assert len(orbit_cones(nine)) == 1
     # the guard reads the constant when it runs
-    monkeypatch.setattr(gitfan, "SUBSET_BOUND", 8)
-    with pytest.raises(GuardError, match="9 weights exceeds the bound 8"):
+    monkeypatch.setattr(gitfan, "FACE_BOUND", 8)
+    with pytest.raises(GuardError, match="511 faces, above the bound 8"):
         orbit_cones(nine)
-    with pytest.raises(GuardError):
+    # the simplicial family of nine weights over Z has nine faces
+    with pytest.raises(GuardError, match="9 faces, above the bound 8"):
         git_cone(nine, nine.group.element((1,), ()))
     assert len(orbit_cones(zq(*([1] * 21)), faces=[(1, 2), (21,)])) == 1
+
+
+def test_chamber_guard_counts_the_simplicial_family():
+    # 21 weights (1, i) over Z^2: all-subsets would be 2^21 - 1 faces,
+    # the chamber reads the 21 + 210 of at most two weights
+    pencil = free_q(*((1, i) for i in range(1, 22)))
+    assert len(_face_family(pencil, None, simplicial=True)) == 231
+    lam = git_cone(pencil, pencil.group.element((2, 3), ()))
+    assert lam.rays == ((1, 1), (1, 2))
+    with pytest.raises(GuardError, match="2097151 faces"):
+        orbit_cones(pencil)
 
 
 def test_orbit_cones_user_faces(quadric8_Q):
@@ -193,6 +206,9 @@ def test_orbit_cones_user_faces(quadric8_Q):
         orbit_cones(quadric8_Q, faces=[(0, 1)])
     with pytest.raises(StructuralError):
         orbit_cones(quadric8_Q, faces=[()])
+    # int() would truncate 1.5 to the face (1,)
+    with pytest.raises(TypeError):
+        orbit_cones(quadric8_Q, faces=[(1.5,)])
 
 
 def test_git_cone_frozen_chamber(quadric8_Q, quadric8_group):
@@ -325,7 +341,7 @@ def test_toric_chamber_symmetries_are_fan_automorphisms(name):
     rays, expected = TORIC_FANS[name]
     Q = _gale_dual(rays)
     cols = Q.columns
-    ring = GradedPolyRing.from_degree_matrix(Q)
+    ring = GradedPolyRing(Q)
     minus_k = Q.group.element(
         tuple(map(sum, zip(*(c.free_part for c in cols)))), ())
     kept = aut_xhat(aut_grad_alg(ring, Ideal(ring, ())), minus_k)

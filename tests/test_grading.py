@@ -15,6 +15,21 @@ from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent, subgroup_presentation)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GradingGroup(1, (5,)).from_coordinates([Fraction(3, 2), 2.9]),
+    lambda: GradingGroup(1.5),
+    lambda: GradingGroup(1, (2.5,)),
+    lambda: GroupElement(GradingGroup(1), (1.5,)),
+    lambda: GroupElement(GradingGroup(1, (3,)), (1,), (Fraction(1),)),
+    lambda: DegreeMatrix.from_rows(GradingGroup(1), [[1.5, 2]]),
+], ids=["from_coordinates", "free_rank", "torsion_orders", "free_part",
+        "torsion_part", "from_rows"])
+def test_non_integer_coordinates_raise(build):
+    # int() would truncate these to integers silently
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_element_reduction_and_addition(quadric8_group, quadric8_Q):
     q = quadric8_Q.columns
     s = q[0] + q[5]

@@ -392,6 +392,28 @@ def test_problem_input_rejects_inconsistent_mode():
         ProblemInput(1, (), 2, ((1, 1),), faces=((1,),))
 
 
+@pytest.mark.parametrize("fields", [
+    {"free_rank": 1.0}, {"torsion": (2.5,)}, {"var_count": 2.0},
+    {"rows": ((1, 1.5),)}, {"w": (0.5,)},
+    {"faces": ((Fraction(1),),), "mode": "user-faces"},
+], ids=["free_rank", "torsion", "var_count", "rows", "w", "faces"])
+def test_problem_input_refuses_non_integers(fields):
+    # int() would truncate these to integers silently
+    args = {"free_rank": 1, "torsion": (), "var_count": 2,
+            "rows": ((1, 1),), **fields}
+    with pytest.raises(TypeError):
+        ProblemInput(**args)
+
+
+@pytest.mark.parametrize("fields", [
+    ((0.5,), (0,), ((1,),)), ((1,), (Fraction(1),), ((1,),)),
+    ((1,), (0,), ((1.5,),)),
+], ids=["w", "retained", "rays"])
+def test_filter_result_refuses_non_integers(fields):
+    with pytest.raises(TypeError):
+        FilterResult(*fields)
+
+
 # --- result bundles ----------------------------------------------------
 
 def test_report_round_trip_presentation_only(quadric8_ring):

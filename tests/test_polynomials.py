@@ -263,16 +263,14 @@ def test_monomial_basis_quadric8(quadric8_ring):
 
 def test_monomial_basis_mixed_weights():
     z = GradingGroup(1)
-    ring = GradedPolyRing.from_degree_matrix(
-        DegreeMatrix((z.element((1,)), z.element((2,)))))
+    ring = GradedPolyRing(DegreeMatrix((z.element((1,)), z.element((2,)))))
     basis = monomial_basis(ring, z.element((2,)))
     assert basis == ((2, 0), (0, 1))
 
 
 def test_monomial_basis_refuses_unpointed():
     z = GradingGroup(1)
-    ring = GradedPolyRing.from_degree_matrix(
-        DegreeMatrix((z.element((1,)), z.element((-1,)))))
+    ring = GradedPolyRing(DegreeMatrix((z.element((1,)), z.element((-1,)))))
     with pytest.raises(ValidationError):
         monomial_basis(ring, z.element((0,)))
 
@@ -309,7 +307,7 @@ def test_integer_descent_matches_group_element_descent():
     seen = {"torsion": 0, "empty": 0}
     for _ in range(60):
         Q = random_pointed_grading(rng, kmax=3, lmax=2, rmax=5)
-        ring = GradedPolyRing.from_degree_matrix(Q)
+        ring = GradedPolyRing(Q)
         seen["torsion"] += bool(Q.group.torsion_orders)
         degrees = [ring.grading.zero()]
         for _ in range(3):
@@ -355,7 +353,7 @@ def test_monomial_basis_matches_oracle():
         Q = DegreeMatrix(cols)
         if Q.positive_functional is None:
             continue
-        ring = GradedPolyRing.from_degree_matrix(Q)
+        ring = GradedPolyRing(Q)
         e = tuple(rng.randint(0, 3) for _ in range(r))
         w = degree_of_exponent(Q, e)
         got = monomial_basis(ring, w)
@@ -377,7 +375,7 @@ def test_ideal_component_basis(quadric8_ring, quadric8_ideal):
 
 def test_ideal_component_basis_univariate():
     z = GradingGroup(1)
-    ring = GradedPolyRing.from_degree_matrix(DegreeMatrix((z.element((1,)),)))
+    ring = GradedPolyRing(DegreeMatrix((z.element((1,)),)))
     I = Ideal(ring, (ring.parse("T(1)^2"),))
     assert ideal_component_basis(I, z.element((2,))) == [(1,)]
     assert ideal_component_basis(I, z.element((1,))) == []
@@ -386,8 +384,7 @@ def test_ideal_component_basis_univariate():
 
 def test_ideal_component_basis_echelon_and_membership():
     z = GradingGroup(1)
-    g = GradedPolyRing.from_degree_matrix(
-        DegreeMatrix(tuple(z.element((1,)) for _ in range(3))))
+    g = GradedPolyRing(DegreeMatrix(tuple(z.element((1,)) for _ in range(3))))
     I = Ideal(g, (g.parse("T(1)*T(2) - T(3)^2"), g.parse("T(1)^2 + T(2)^2")))
     u = z.element((3,))
     basis = ideal_component_basis(I, u)

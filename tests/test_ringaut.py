@@ -14,9 +14,8 @@ from gradedaut.polynomials import (DeterminantWitness, EquationList,
                                    GradedPolyRing, Polynomial,
                                    polynomial_to_str)
 from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
-                               build_action_basis, multiplicativity_ideal,
-                               render_presentation, structured_matrix,
-                               substitute_polynomial,
+                               multiplicativity_ideal, render_presentation,
+                               structured_matrix, substitute_polynomial,
                                variable_product_ideal, yz_names,
                                zero_pattern_ideal)
 
@@ -31,7 +30,7 @@ DENSE_QUADRIC8 = (Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def quadric8_basis(quadric8_ring):
-    return build_action_basis(quadric8_ring)
+    return ActionBasis(quadric8_ring)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,7 @@ def zring(*rows):
     """The ring graded by Z^k, k = len(rows), whose degree matrix has
     these rows."""
     group = GradingGroup(len(rows), ())
-    return GradedPolyRing.from_degree_matrix(DegreeMatrix.from_rows(group, rows))
+    return GradedPolyRing(DegreeMatrix.from_rows(group, rows))
 
 
 def test_action_basis_quadric8(quadric8_basis):
@@ -59,12 +58,44 @@ def test_action_basis_quadric8(quadric8_basis):
 
 def test_action_basis_mixed_blocks():
     ring = zring((1, 2))
-    b = build_action_basis(ring)
+    b = ActionBasis(ring)
     assert b.flat == ((1, 0), (2, 0), (0, 1))
-    assert [len(block) for block in b.blocks] == [1, 2]
-    assert b.block_of_flat(0) == 0
-    assert b.block_of_flat(2) == 1
-    assert b.flat_index((2, 0)) == 1
+    assert b.dims == (1, 2)
+    assert b.starts == (0, 1, 3)
+    assert b.row_block == (0, 1, 1)
+    assert b.variable_rows == (0, 2)
+    # T(1)^2 = T(1) * T(1); T(2) has the same degree but no pair
+    assert b.factors == [[], [(0, 0)], []]
+
+
+def test_factor_table_matches_brute_force():
+    """On seeded gradings over Z and Z^2 whose components hold
+    composites of degree 3 or more, the factor table lists exactly the
+    pairs a <= b with flat[a] * flat[b] = flat[m], in (a, b) order, and
+    the composites without a pair are those no basis monomial divides
+    with a basis monomial as quotient."""
+    rng = random.Random(33)
+    cubes = unfactored = 0
+    for _ in range(40):
+        r = rng.randint(2, 4)
+        rows = [[rng.randint(1, 4) for _ in range(r)]]
+        if rng.random() < 0.5:
+            rows.append([rng.randint(0, 2) for _ in range(r)])
+        basis = ActionBasis(zring(*rows))
+        flat, n = basis.flat, basis.n
+        assert basis.factors == [
+            [(a, b) for a in range(n) for b in range(a, n)
+             if tuple(x + y for x, y in zip(flat[a], flat[b])) == m]
+            for m in flat]
+        members = set(flat)
+        expected = [m for m in flat if sum(m) >= 2 and not any(
+            all(x <= y for x, y in zip(d, m))
+            and tuple(y - x for x, y in zip(d, m)) in members for d in flat)]
+        assert [flat[i] for i in range(n)
+                if sum(flat[i]) >= 2 and not basis.factors[i]] == expected
+        cubes += any(sum(m) >= 3 for m in flat)
+        unfactored += len(expected)
+    assert cubes >= 5 and unfactored >= 5, (cubes, unfactored)
 
 
 def test_structured_matrix_identity_is_diagonal(quadric8_basis, quadric8_group):
@@ -93,8 +124,8 @@ def test_structured_matrix_rejects_dimension_mismatch():
     group = GradingGroup(2, ())
     cols = (group.element((1, 0), ()), group.element((0, 1), ()),
             group.element((0, 1), ()))
-    ring = GradedPolyRing.from_degree_matrix(DegreeMatrix(cols))
-    basis = build_action_basis(ring)
+    ring = GradedPolyRing(DegreeMatrix(cols))
+    basis = ActionBasis(ring)
     swap = GroupAutomorphism(group, ((0, 1), (1, 0)))
     with pytest.raises(StructuralError):
         structured_matrix(basis, swap)
@@ -123,14 +154,14 @@ def test_zero_pattern_ideal_frozen_det(quadric8_basis, quadric8_group):
 
 
 def test_zero_pattern_singular_pattern_rejected():
-    m = SymbolicMatrix(2, ((1, 2), (0, 0)))
+    m = SymbolicMatrix(((1, 2), (0, 0)))
     with pytest.raises(StructuralError):
         zero_pattern_ideal(m)
 
 
 def test_zero_pattern_non_block_rejected():
     # row supports {0, 1} and {1} overlap without forming square blocks
-    m = SymbolicMatrix(2, ((1, 2), (0, 4)))
+    m = SymbolicMatrix(((1, 2), (0, 4)))
     with pytest.raises(StructuralError):
         zero_pattern_ideal(m)
 
@@ -159,7 +190,7 @@ def _block_pattern(rng, shuffle):
         rng.shuffle(row_block)
         rng.shuffle(col_block)
     n = len(row_block)
-    return SymbolicMatrix(n, tuple(
+    return SymbolicMatrix(tuple(
         tuple(i * n + j + 1 if col_block[j] == target[row_block[i]] else 0
               for j in range(n)) for i in range(n))), sizes
 
@@ -217,8 +248,8 @@ def test_witness_matches_eager_expansion(quadric8_presentation):
     matrices = [_block_pattern(rng, shuffle=trial % 2 == 1)[0]
                 for trial in range(60)]
     n = 8
-    matrices.append(SymbolicMatrix(n, tuple(tuple(i * n + j + 1 for j in range(n))
-                                            for i in range(n))))
+    matrices.append(SymbolicMatrix(tuple(tuple(i * n + j + 1 for j in range(n))
+                                         for i in range(n))))
     matrices.extend(t.matrix for t in quadric8_presentation.triples)
     for matrix in matrices:
         witness = zero_pattern_ideal(matrix)[-1]
@@ -286,15 +317,15 @@ def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
     assert "3628800" in str(info.value)
     assert "1000000" in str(info.value)
     # the patch is where every witness term comes from
-    one = zero_pattern_ideal(SymbolicMatrix(1, ((1,),)))[-1]
+    one = zero_pattern_ideal(SymbolicMatrix(((1,),)))[-1]
     with pytest.raises(AssertionError, match="before the guard"):
         polynomial_to_str(one, yz_names(1))
 
 
 def test_zero_pattern_term_guard(monkeypatch):
     n = 3
-    full = SymbolicMatrix(n, tuple(tuple(i * n + j + 1 for j in range(n))
-                                   for i in range(n)))
+    full = SymbolicMatrix(tuple(tuple(i * n + j + 1 for j in range(n))
+                                for i in range(n)))
     assert len(zero_pattern_ideal(full)) == 1
     # the guard reads the constant when it runs
     monkeypatch.setattr(ringaut, "DET_TERM_BOUND", 5)
@@ -310,7 +341,7 @@ def test_multiplicativity_empty_for_variable_blocks(quadric8_basis):
 
 
 def test_multiplicativity_frozen_equations():
-    basis = build_action_basis(zring((1, 2)))
+    basis = ActionBasis(zring((1, 2)))
     gens = multiplicativity_ideal(basis)
     names = yz_names(3)
     assert [polynomial_to_str(g, names) for g in gens] == [
@@ -336,7 +367,7 @@ def test_multiplicativity_fixes_composites_without_a_pair():
     # 20 zero slots, the witness, and 5 equations for each of the 4
     # cubes in T(1), T(2): one per surviving slot of its row
     assert [len(t.ideal) for t in pres.triples] == [41]
-    cube, t3 = basis.flat_index((3, 0, 0)), basis.flat_index((0, 0, 1))
+    cube, t3 = basis.flat.index((3, 0, 0)), basis.flat.index((0, 0, 1))
     image = list(range(n))
     image[cube], image[t3] = t3, cube
     values = [Fraction(0)] * (n * n + 1)
@@ -357,7 +388,7 @@ def test_multiplicativity_fixes_composites_without_a_pair():
         range(1, 5), k=3))) for seed in range(12)})),
 ], ids=str)
 def test_multiplicativity_mentions_every_composite_row(rows):
-    basis = build_action_basis(zring(*rows))
+    basis = ActionBasis(zring(*rows))
     n = basis.n
     identity = GroupAutomorphism.identity(basis.ring.grading)
     gens = (multiplicativity_ideal(basis)
@@ -372,7 +403,7 @@ def test_variable_products_stay_in_the_structured_rows():
     composites T(1)^a * T(2)^b, a + b = 7, expand only over the two free
     slots of each variable row: one equation per degree-7 monomial and
     one for the T(3) column, 8 * 9 in all."""
-    basis = build_action_basis(zring((1, 1, 7)))
+    basis = ActionBasis(zring((1, 1, 7)))
     group = basis.ring.grading
     matrix = structured_matrix(basis, GroupAutomorphism.identity(group))
     gens = variable_product_ideal(basis, matrix)
@@ -424,12 +455,12 @@ def test_closed_form_matches_repeated_products(rows):
     """The closed-form images agree with the images built by repeated
     products, on the structured matrix of the identity and on a seeded
     zero pattern, for terms with an exponent of 3 or more."""
-    basis = build_action_basis(zring(*rows))
+    basis = ActionBasis(zring(*rows))
     assert max(len(b) for b in basis.blocks) >= 2
     n, r = basis.n, basis.ring.variable_count
     rng = random.Random(repr(rows))
     identity = GroupAutomorphism.identity(basis.ring.grading)
-    seeded = SymbolicMatrix(n, tuple(
+    seeded = SymbolicMatrix(tuple(
         tuple(i * n + j + 1 if rng.random() < 0.5 else 0 for j in range(n))
         for i in range(n)))
     terms = {}
@@ -448,7 +479,7 @@ def test_closed_form_matches_repeated_products(rows):
 
 
 def test_closed_form_matches_repeated_products_at_degree_400():
-    basis = build_action_basis(zring((1, 1)))
+    basis = ActionBasis(zring((1, 1)))
     f = Polynomial({(400, 0): 1, (0, 400): 1})
     matrix = structured_matrix(
         basis, GroupAutomorphism.identity(basis.ring.grading))
@@ -475,8 +506,8 @@ def test_ring_presentation_keeps_all_quadric8_symmetries(quadric8_presentation,
     auts = weightsym.aut_gen_weights(quadric8_Q)
     assert len(pres.triples) == 4
     assert [t.weight_aut for t in pres.triples] == list(auts)
-    dims = [len(b) for b in pres.basis.blocks]
-    maps = [weightsym.block_permutation(t.weight_aut, pres.basis.weights, dims)
+    maps = [weightsym.block_permutation(t.weight_aut, pres.basis.weights,
+                                        pres.basis.dims)
             for t in pres.triples]
     assert maps[1] == (0, 4, 7, 6, 1, 5, 3, 2)
     assert maps[0] == tuple(range(8))
@@ -489,7 +520,7 @@ def test_ring_presentation_drops_dimension_mismatch():
     auts = weightsym.aut_gen_weights(Q)
     swap = [a for a in auts if a.free_block == ((0, 1), (1, 0))]
     assert swap, "the coordinate swap preserves the weight set"
-    kept = {t.weight_aut for t in aut_ks(GradedPolyRing.from_degree_matrix(Q)).triples}
+    kept = {t.weight_aut for t in aut_ks(GradedPolyRing(Q)).triples}
     assert swap[0] not in kept
     assert any(a.is_identity() for a in kept)
 
