@@ -14,10 +14,10 @@ one `validation.Stages`, the pipeline that the report reader and the
 library entry points share: it validates once and runs each stage at
 most once, on the product of the stage before, serially in one
 process.  The order in which a command reads the products fixes the
-order of its refusals: the grading gate, the weight search, for
-`autxhat` the class and its chamber, the ideal gate, then the
-determinant guard.  All stdout output is a pure function of the input,
-so repeated runs are byte-identical.  Each command imports only the
+order of its refusals: the grading gate, for `autxhat` the class and
+its chamber, the weight search, the ideal gate, then the determinant
+guard.  All stdout output is a pure function of the input, so repeated
+runs are byte-identical.  Each command imports only the
 stages it runs: `check` never loads the symmetry, equation or chamber
 modules.  Only `export` and `--out` load `report`, the report and
 script writer, and with it `json`; the others never build a bundle.
@@ -139,7 +139,16 @@ def _run(args) -> int:
             print(f"{label}: {'pass' if flag else 'FAIL'}")
         for msg in checks.messages:
             print("note: " + msg)
-    else:
+    elif command == "autxhat":
+        # the class and its chamber come after the grading gate and
+        # before the weight search, the ideal gate and the heavy stages
+        checks.require(checks.grading_ok)
+        coords = _w_coords(args, problem)
+        faces = _faces_used(args, problem)
+        from .gitfan import chamber_fixers, git_cone, render_cone
+        w = problem.group().from_coordinates(coords)
+        lam = git_cone(ring.degrees, w, faces)
+    if command != "check":
         fields["weight_auts"] = stages.displays
     if command == "weights-aut":
         print(f"{len(stages.auts)} weight symmetries")
@@ -150,14 +159,6 @@ def _run(args) -> int:
         from .ringaut import render_presentation
         fields["presentation"] = stages.presentation
         _emit(render_presentation, stages.presentation, end="\n")
-    if command == "autxhat":
-        # the class and its chamber come before the ideal gate and the
-        # heavy stages
-        coords = _w_coords(args, problem)
-        faces = _faces_used(args, problem)
-        from .gitfan import chamber_fixers, git_cone, render_cone
-        w = problem.group().from_coordinates(coords)
-        lam = git_cone(ring.degrees, w, faces)
     if command in ("autgradalg", "autxhat", "export"):
         stab = fields["stabilizer"] = stages.stabilizer
         fields["presentation"] = stages.presentation

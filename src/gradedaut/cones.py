@@ -20,12 +20,13 @@ def _dd_pointed(rows, d):
     """Rays of the pointed cone {y : row . y >= 0}, rows of full rank d.
 
     Incremental double description: start from the first d independent
-    halfspaces, the pivot columns of one rref of the rows as columns,
-    whose basic cone is spanned by the columns of the inverse matrix,
-    then cut with the remaining halfspaces.  Adjacency of a positive and
-    a negative ray is decided by the zero-set inclusion test.
+    halfspaces, the pivot columns of one `integer_rref` of the rows as
+    columns, whose basic cone is spanned by the columns of the inverse
+    matrix, then cut with the remaining halfspaces.  Adjacency of a
+    positive and a negative ray is decided by the zero-set inclusion
+    test.
     """
-    chosen_idx = linalg.rref(list(zip(*rows)))[1]
+    chosen_idx = linalg.integer_rref(list(zip(*rows)))[1]
     inv = linalg.inverse([rows[i] for i in chosen_idx])
     rays = [primitive(tuple(inv[i][j] for i in range(d))) for j in range(d)]
     processed = list(chosen_idx)

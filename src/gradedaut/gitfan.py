@@ -8,9 +8,10 @@ nonempty subset, exact for the full coordinate space, while precomputed
 families can be passed through for quotients whose relevant faces were
 determined externally.  The chamber of a class in all-subsets mode needs
 only the simplicial orbit cones (Carathéodory), so it is computed from
-the subsets of at most k weights, one rref each deciding independence
-and membership together, and one double description for their
-intersection.  Every step runs serially in the calling process.
+the subsets of at most k weights, one integer elimination each deciding
+independence and membership and giving the cone's facet forms, and one
+double description for their intersection.  Every step runs serially in
+the calling process.
 """
 
 from __future__ import annotations
@@ -60,16 +61,40 @@ def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
     return out
 
 
-def _simplicial_cone_contains(vectors, w0) -> bool:
-    """The vectors span a simplicial cone containing w0, read off one
-    rref with the vectors as columns beside w0: every vector column is a
-    pivot (they are independent), w0's column is not (the system is
-    consistent), and the solution in the last column is nonnegative.  A
-    lone zero vector spans the origin, which contains only w0 = 0."""
-    R, pivots = linalg.rref([[*row, x] for row, x in zip(zip(*vectors), w0)])
-    if pivots == list(range(len(vectors))):
-        return all(row[-1] >= 0 for row in R)
-    return len(vectors) == 1 and not any(vectors[0]) and not any(w0)
+def _simplicial_forms(vectors, w0):
+    """Facet forms of the cone the vectors span, when they are linearly
+    independent and it contains w0; None otherwise.
+
+    All is read off one `integer_rref` of [V | w0 | I_k], V the m
+    vectors as columns.  Row r is u_r [V | w0 | I_k] for the identity
+    part u_r, which is primitive as the row is, and the rows u_r form a
+    basis.  The vectors are independent when the first m pivots are
+    0..m-1; then u_r V = d_r e_r for r < m, with d_r the pivot, and u_r
+    annihilates V for r >= m.  w0 lies in their span when its column is
+    not a pivot, with coordinates u_r . w0 / d_r, so in their cone when
+    each u_r . w0 for r < m is 0 or of the sign of d_r.  The dual cone
+    is then generated by sign(d_r) u_r for r < m and by +-u_r for
+    r >= m.  A lone zero vector spans the origin: it is read as m = 0,
+    which contains only w0 = 0 and has every +-u_r as forms.
+    """
+    if len(vectors) == 1 and not any(vectors[0]):
+        vectors = ()
+    m, k = len(vectors), len(w0)
+    R, pivots = linalg.integer_rref(
+        [[*(v[i] for v in vectors), w0[i], *(int(i == j) for j in range(k))]
+         for i in range(k)])
+    if pivots[:m] != list(range(m)) or m in pivots:
+        return None
+    forms = []
+    for r, row in enumerate(R):
+        u = tuple(row[m + 1:])
+        if r >= m:
+            forms += (u, tuple(-x for x in u))
+        elif row[m] and (row[m] > 0) != (row[r] > 0):
+            return None
+        else:
+            forms.append(u if row[r] > 0 else tuple(-x for x in u))
+    return forms
 
 
 def orbit_cones(Q: DegreeMatrix, faces=None):
@@ -99,9 +124,11 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     all-subsets mode only simplicial orbit cones are tested: every orbit
     cone containing w0 contains one over linearly independent weights
     (or the origin, from a weight with zero free part) that contains w0
-    too, so both families cut out the same chamber.  A lone containing
-    cone is returned as it is, otherwise one double description over the
-    union of their forms gives the chamber in canonical form.
+    too, so both families cut out the same chamber, and the test of each
+    gives the facet forms of a containing one.  A lone containing cone
+    is returned as spanned by its weights, otherwise one double
+    description over the union of their forms gives the chamber in
+    canonical form.
     """
     if w.group != Q.group:
         raise StructuralError("w lives in a different grading group")
@@ -111,16 +138,21 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     k = Q.group.free_rank
     if faces is None:
         free = [c.free_part for c in Q.columns]
-        spans = ([free[i] for i in F]
-                 for F in _face_family(Q, None, simplicial=True))
-        containing = [cone_from_rays(vectors, k) for vectors in spans
-                      if _simplicial_cone_contains(vectors, w0)]
+        containing, forms = [], []
+        for F in _face_family(Q, None, simplicial=True):
+            vectors = [free[i] for i in F]
+            found = _simplicial_forms(vectors, w0)
+            if found is not None:
+                containing.append(vectors)
+                forms += found
+        if len(containing) == 1:
+            return cone_from_rays(containing[0], k)
     else:
         containing = [cone for cone in orbit_cones(Q, faces)
                       if cone.contains(w0)]
-    if len(containing) == 1:
-        return containing[0]
-    forms = [f for cone in containing for f in cone.forms]
+        if len(containing) == 1:
+            return containing[0]
+        forms = [f for cone in containing for f in cone.forms]
     return cone_from_rays(generators_from_halfspaces(forms, k), k)
 
 

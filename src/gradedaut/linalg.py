@@ -4,16 +4,18 @@ A matrix is a list (or tuple) of rows, each row a sequence of Python
 ints or Fractions, so every operation here is exact.  Row vectors passed
 around the rest of the package are plain tuples.
 
-Elimination is fraction-free: each row is scaled to integers by the lcm
-of its denominators, which changes no reduced echelon form, and is then
-reduced by integer cross-multiplication with its content divided out.
-Fractions are built once, for the result.
+Elimination is fraction-free: `integer_rref` scales each row to
+integers by the lcm of its denominators, which changes no reduced
+echelon form, and reduces it by integer cross-multiplication with its
+content divided out.  `rref` is its Fraction view, built once for the
+result; callers that read only pivots or signs, `rank` among them,
+take the integer rows.
 
 Two eliminations serve every question.  The integer ones, a
 subgroup's index and section and whether vectors span a saturated
 sublattice, are read off one column Hermite form built by column
-operations alone; rank, inverse and nullspace off one `rref`.  The
-lattice-basis search asks one Hermite form per subset it tries: on
+operations alone; rank, inverse and nullspace off one `integer_rref`.
+The lattice-basis search asks one Hermite form per subset it tries: on
 seven coordinate blocks of (2,1), (1,2), (1,4), whose 21 primitive
 weights generate Z^14 but hold no basis, it refuses after 315 forms,
 where a scan of determinants would take all C(21, 14) = 116,280.
@@ -143,11 +145,15 @@ def unimodular_subset(vectors, k: int):
     return extend((), 0)
 
 
-def rref(M):
-    """Reduced row echelon form over the rationals.
+def integer_rref(M):
+    """Reduced row echelon form, each row scaled to integers.
 
-    Returns (rows, pivot_columns) where rows is a list of lists of
-    Fractions.
+    Returns (rows, pivot_columns): rows is a list of int lists, row r
+    with its nonzero pivot in column pivot_columns[r], of either sign,
+    and zeros in the other pivot columns; the rows past the rank are
+    zero.  A row keeps its content when no elimination step changes it,
+    and is primitive after one does.  Dividing each row by its pivot
+    gives `rref`.
     """
     R = [_integer_row(row) for row in M]
     nrows = len(R)
@@ -172,18 +178,26 @@ def rref(M):
         r += 1
         if r == nrows:
             break
+    return R, pivots
+
+
+def rref(M):
+    """Reduced row echelon form over the rationals: `integer_rref` with
+    each row divided by its pivot.
+
+    Returns (rows, pivot_columns) where rows is a list of lists of
+    Fractions.
+    """
+    R, pivots = integer_rref(M)
     zero = Fraction(0)
     out = [[Fraction(x, row[c]) if x else zero for x in row]
            for row, c in zip(R, pivots)]
-    out += [[zero] * ncols for _ in range(nrows - r)]
+    out += [[zero] * len(row) for row in R[len(pivots):]]
     return out, pivots
 
 
 def rank(M) -> int:
-    M = [list(r) for r in M]
-    if not M:
-        return 0
-    return len(rref(M)[1])
+    return len(integer_rref(M)[1])
 
 
 def nullspace(M, ncols: int | None = None):

@@ -319,25 +319,30 @@ def test_no_stage_keeps_a_process_wide_cache():
 
 
 def test_each_exact_question_has_one_routine(monkeypatch):
-    # the chamber of chamber10 asks one rref per candidate subset of at
-    # most k = 3 of its ten weights, C(10,1) + C(10,2) + C(10,3) = 175,
-    # with the subset's free parts as columns beside w0, and the double
-    # description the other 168; it asks no rank and makes no Hermite
-    # form; the torsion weight search makes one Hermite form per
-    # candidate block, 28 through subgroup_presentation, one before its
-    # lattice-basis search and one for the search's one node, the free
-    # part (1) of the first weight
+    # the chamber of chamber10 asks one integer elimination per
+    # candidate subset of at most k = 3 of its ten weights,
+    # C(10,1) + C(10,2) + C(10,3) = 175, with the subset's free parts as
+    # columns beside w0 and the identity; the two double descriptions,
+    # of the weight cone and of the chamber, ask the other 8, 6 of them
+    # through rref; it asks no rank and makes no Hermite form; the
+    # torsion weight search makes one Hermite form per candidate block,
+    # 28 through subgroup_presentation, one before its lattice-basis
+    # search and one for the search's one node, the free part (1) of
+    # the first weight
     problems = ROOT / "bench" / "problems"
     chamber = parse_input((problems / "chamber10.toml").read_text())
     torsion = parse_input((problems / "torsion.toml").read_text())
     calls = {}
-    for name in ("rank", "rref", "hermite"):
+    for name in ("rank", "rref", "integer_rref", "hermite"):
         _count_calls(monkeypatch, calls, linalg, name)
     w = chamber.group().from_coordinates(chamber.w)
     gitfan.git_cone(chamber.degree_matrix(), w)
-    assert {name: len(args) for name, args in calls.items()} == {"rref": 343}
-    assert sum([row[-1] for row in M] == list(w.free_part)
-               for (M,) in calls["rref"]) == 175
+    assert ({name: len(args) for name, args in calls.items()}
+            == {"rref": 6, "integer_rref": 183})
+    tail = [[x, *(int(i == j) for j in range(3))]
+            for i, x in enumerate(w.free_part)]
+    assert sum([row[-4:] for row in M] == tail
+               for (M,) in calls["integer_rref"]) == 175
     calls.clear()
     weightsym.aut_gen_weights(torsion.degree_matrix())
     assert len(calls["hermite"]) == 30
@@ -608,6 +613,25 @@ def test_guard_refusal_exit_code(tmp_path, capsys):
     path = _write(tmp_path, PENCIL, "pencil.toml")
     assert main(["autxhat", "--input", path, "--w", "2,3"]) == 0
     assert "git chamber of w = (2, 3):" in capsys.readouterr().out
+
+
+def test_chamber_guard_refuses_before_the_weight_search(tmp_path, capsys,
+                                                        monkeypatch):
+    # the weight search of WIDE finds 80640 symmetries in ~30 s on a
+    # 2-CPU host; the chamber's face guard, read first, refuses at once
+    calls = {}
+    _count_calls(monkeypatch, calls, weightsym, "aut_gen_weights")
+    path = _write(tmp_path, WIDE)
+    start = perf_counter()
+    assert main(["autxhat", "--input", path, "--w", WIDE_W]) == 3
+    assert perf_counter() - start < 2
+    assert "1744435 faces" in capsys.readouterr().err
+    assert calls == {}
+    # a malformed class is read before the weight search as well
+    assert main(["autxhat", "--input", path, "--w", "1,x"]) == 2
+    assert "--w must be a comma-separated integer list" in (
+        capsys.readouterr().err)
+    assert calls == {}
 
 
 def test_export_from_problem(capsys):

@@ -5,15 +5,15 @@ import pytest
 
 from gradedaut import gitfan, linalg
 from gradedaut.algebraaut import aut_grad_alg
-from gradedaut.cones import cone_from_rays, equal_cones, intersect_cones
+from gradedaut.cones import (cone_from_rays, equal_cones,
+                             generators_from_halfspaces, intersect_cones)
 from gradedaut.errors import GuardError, StructuralError, ValidationError
-from gradedaut.gitfan import (_face_family, _simplicial_cone_contains,
-                              aut_xhat, git_cone, map_cone, orbit_cones,
-                              render_cone)
+from gradedaut.gitfan import (_face_family, _simplicial_forms, aut_xhat,
+                              git_cone, map_cone, orbit_cones, render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
-from oracles import cone_member
+from oracles import cone_member, det_oracle
 
 W_CHAMBER = (1, 9, 16)
 
@@ -115,15 +115,66 @@ def test_simplicial_family_size(quadric8_Q):
     assert len(_face_family(quadric8_Q, None, simplicial=True)) == 92
     # 40 of the candidates are independent and span a cone holding w0
     free = chamber10.free_parts()
-    assert sum(_simplicial_cone_contains([free[i] for i in F], (3, 1, 13))
+    assert sum(_simplicial_forms([free[i] for i in F], (3, 1, 13)) is not None
                for F in _face_family(chamber10, None, simplicial=True)) == 40
     # orbit_cones keeps every nonempty subset
     assert len(_face_family(chamber10, None)) == 2 ** 10 - 1
     # a zero free part contributes its singleton, the origin
     assert _face_family(zq(0, 1), None, simplicial=True) == [(0,), (1,)]
-    assert _simplicial_cone_contains([(0,)], (0,))
-    assert not _simplicial_cone_contains([(0,)], (1,))
-    assert not _simplicial_cone_contains([(0, 0), (1, 0)], (0, 0))
+    assert _simplicial_forms([(0,)], (0,)) == [(1,), (-1,)]
+    assert _simplicial_forms([(0,)], (1,)) is None
+    assert _simplicial_forms([(0, 0), (1, 0)], (0, 0)) is None
+
+
+def random_candidate(rng):
+    """m <= k <= 4 vectors with entries in [-2, 2], some zero, and a w0
+    that is zero, on a ray, on a wall, inside or anywhere."""
+    k = rng.randint(1, 4)
+    m = rng.randint(1, k)
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(m)]
+    if rng.random() < 0.15:
+        vectors[rng.randrange(m)] = (0,) * k
+    kind = rng.randrange(5)
+    if kind == 0:
+        return vectors, (0,) * k
+    if kind == 4:
+        return vectors, tuple(rng.randint(-3, 3) for _ in range(k))
+    # a ray, a wall (some coefficients zero), or the interior
+    coeffs = [rng.randint(1, 2) for _ in vectors]
+    if kind == 1:
+        coeffs = [c * (i == 0) for i, c in enumerate(coeffs)]
+    elif kind == 2:
+        coeffs[rng.randrange(m)] = 0
+    return vectors, tuple(sum(c * v[t] for c, v in zip(coeffs, vectors))
+                          for t in range(k))
+
+
+def test_simplicial_forms_match_a_rational_solve():
+    rng = random.Random(34)
+    contained = origins = 0
+    for _ in range(600):
+        vectors, w0 = random_candidate(rng)
+        k, m = len(w0), len(vectors)
+        forms = _simplicial_forms(vectors, w0)
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors]
+                for u in vectors]
+        lone_zero = m == 1 and not any(vectors[0])
+        if lone_zero:
+            expected = not any(w0)
+        else:
+            expected = det_oracle(gram) != 0 and cone_member(vectors, w0)
+        assert (forms is not None) == expected, (vectors, w0)
+        if forms is None:
+            continue
+        contained += m < k
+        origins += lone_zero
+        cone = cone_from_rays(vectors, k)
+        assert all(linalg.primitive(f) == f for f in forms)
+        rebuilt = cone_from_rays(generators_from_halfspaces(forms, k), k)
+        spanned = cone_from_rays(generators_from_halfspaces(cone.forms, k), k)
+        assert equal_cones(rebuilt, spanned), (vectors, w0, forms)
+    # the seed reaches lower-dimensional cones and the origin
+    assert contained > 100 and origins > 5
 
 
 def test_git_cone_zero_free_part():
