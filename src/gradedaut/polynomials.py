@@ -17,10 +17,10 @@ with the first variable strongest; all listings in this package are
 sorted by it so identical inputs print identically.  On pairs it is the
 order of (degree, ((-index, exponent), ...)).
 
-Two kinds of slot-ring generator are kept as the zero pattern of their
-matrix and never as terms: the witness det * Z - 1, whose terms are
-expanded only when read, and the generators Y(k) of the zero slots,
-which an `EquationList` reads off the pattern.
+An `EquationList` keeps two kinds of slot-ring generator as the zero
+pattern of their matrix and never as terms: the generators Y(k) of the
+zero slots and the witness det * Z - 1.  It writes them from the
+pattern, and expands one only when it is read as a polynomial.
 """
 
 from __future__ import annotations
@@ -243,55 +243,19 @@ def _tails(cells, unused, memo):
     return tails
 
 
-class DeterminantWitness(Polynomial):
-    """det(A) * Z - 1 for an n x n matrix A of slot variables, variable
-    i*n + j holding A[i][j] and variable n*n holding Z, kept as its zero
-    pattern: `allowed[i]` lists the columns row i may take, ascending.
-
-    Each Leibniz term is one slot per row times Z, so the order of
-    `_leibniz` is the canonical, descending grlex order, and the constant
-    -1 comes last.  `terms` is expanded in that order when first read.
-    """
-
-    __slots__ = ("n", "allowed")
-
-    def __init__(self, allowed):
-        self.n = len(allowed)
-        self.allowed = allowed
-        self._hash = None
-
-    def __getattr__(self, name):
-        # only reached while the `terms` slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        n = self.n
-        signs = (_ONE, -_ONE)
-        z = ((n * n, 1),)
-        terms = {}
-        for head, parity, tails in _leibniz(self.allowed,
-                                            lambda i, c: ((i * n + c, 1),), ()):
-            for tail, p in tails:
-                terms[head + tail + z] = signs[parity ^ p]
-        terms[()] = signs[1]
-        self.terms = terms
-        return terms
-
-    def is_zero(self) -> bool:
-        return False
-
-
 class EquationList:
-    """The equations of one structured matrix in the slot ring: Y(k)
-    for each zero slot k, row major, then the polynomials `rest`.  The
-    zero slots are read off `allowed`, the columns each row may take,
-    which the witness det * Z - 1 keeps too; a zero slot becomes a
+    """The equations of one structured matrix in the slot ring, variable
+    i*n + j holding A[i][j] and variable n*n holding Z: Y(k) for each
+    zero slot k, row major, then the witness det(A) * Z - 1, then the
+    polynomials `rest`.  The zero slots and the witness are read off
+    `allowed`, the columns each row may take, ascending; each becomes a
     polynomial only when it is read one generator at a time.  Its
     length, iteration and integer indexing are those of the tuple of
     its generators."""
 
     __slots__ = ("allowed", "rest")
 
-    def __init__(self, allowed, rest):
+    def __init__(self, allowed, rest=()):
         self.allowed = allowed
         self.rest = tuple(rest)
 
@@ -301,22 +265,61 @@ class EquationList:
         return [i * n + j for i, cols in enumerate(self.allowed)
                 for j in range(n) if j not in cols]
 
+    def witness(self) -> Polynomial:
+        """det(A) * Z - 1 expanded.  Each Leibniz term is one slot per
+        row times Z, so `_leibniz` walks them in the canonical,
+        descending grlex order, and the constant -1 comes last."""
+        n = len(self.allowed)
+        signs = (_ONE, -_ONE)
+        z = ((n * n, 1),)
+        terms = {}
+        for head, parity, tails in _leibniz(self.allowed,
+                                            lambda i, c: ((i * n + c, 1),), ()):
+            for tail, p in tails:
+                terms[head + tail + z] = signs[parity ^ p]
+        terms[()] = signs[1]
+        return Polynomial._of(terms)
+
+    def write(self, names, write, sep: str) -> None:
+        """Pass the generators' text, `sep` between two, to `write`: the
+        zero slots by name, the witness one group of its Leibniz terms
+        at a time, never expanded, then `rest`."""
+        write("".join([names[v] + sep for v in self.zero_slots()]))
+        # one slot name per row, then Z; the first group sheds the
+        # " + " or " - " before its first term, keeping a minus
+        n = len(self.allowed)
+        stars = ["*"] * (n - 1) + ["*" + names[n * n]]
+        lead = 3
+        for head, parity, tails in _leibniz(
+                self.allowed, lambda i, c: names[i * n + c] + stars[i], ""):
+            signs = (" + " + head, " - " + head)
+            text = "".join([signs[parity ^ p] + tail for tail, p in tails])
+            write(("-" if lead and text[1] == "-" else "") + text[lead:])
+            lead = 0
+        write(" - 1")
+        for g in self.rest:
+            write(sep)
+            polynomial_to_str(g, names, write)
+
     def __len__(self):
         n = len(self.allowed)
-        return n * n - sum(map(len, self.allowed)) + len(self.rest)
+        return n * n - sum(map(len, self.allowed)) + 1 + len(self.rest)
 
     def __iter__(self):
         for v in self.zero_slots():
             yield Polynomial._of({((v, 1),): _ONE})
+        yield self.witness()
         yield from self.rest
 
     def __getitem__(self, key):
         """The generator at a position."""
         zeros = self.zero_slots()
-        pos = range(len(zeros) + len(self.rest))[key]
-        if pos >= len(zeros):
-            return self.rest[pos - len(zeros)]
-        return Polynomial._of({((zeros[pos], 1),): _ONE})
+        pos = range(len(self))[key]
+        if pos < len(zeros):
+            return Polynomial._of({((zeros[pos], 1),): _ONE})
+        if pos == len(zeros):
+            return self.witness()
+        return self.rest[pos - len(zeros) - 1]
 
     def __add__(self, other):
         return EquationList(self.allowed, self.rest + tuple(other))
@@ -329,24 +332,9 @@ def default_names(nvars: int) -> tuple[str, ...]:
 def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
     """Canonical rendering: terms in descending order, `*` products,
     `^` powers, unit coefficients suppressed.  With `write`, the text is
-    passed to it instead of returned, a DeterminantWitness in one piece
-    per group of its Leibniz terms."""
+    passed to it instead of returned."""
     if write is None:
         return _joined(polynomial_to_str, f, names)
-    if type(f) is DeterminantWitness:
-        # one slot name per row, then Z; then the constant
-        n = f.n
-        stars = ["*"] * (n - 1) + ["*" + names[n * n]]
-        lead = True
-        for head, parity, tails in _leibniz(
-                f.allowed, lambda i, c: names[i * n + c] + stars[i], ""):
-            signs = (" + " + head, " - " + head)
-            text = "".join([signs[parity ^ p] + tail for tail, p in tails])
-            if lead and text:
-                text = ("-" if text[1] == "-" else "") + text[3:]
-                lead = False
-            write(text)
-        return write("-1" if lead else " - 1")
     if f.is_zero():
         return write("0")
     chunks = []

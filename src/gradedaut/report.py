@@ -4,7 +4,10 @@ Result bundles persist as JSON under the schema name "graded-aut/1".
 `read_report` computes a report's sections again from its problem and
 accepts the file only if it is, byte for byte, what `write_report`
 writes of them.  The schema's "timing" key is always null, which keeps
-reports byte-stable across runs.
+reports byte-stable across runs.  An `EquationList` is written from its
+zero pattern, and its zero slots and witness det * Z - 1 are never
+expanded.  The script export writes each list as `EquationList.write`
+does.
 
 The command line loads this module only to write a report (`--out`) or
 a script (`export`), so the other commands never load it or `json`.
@@ -21,9 +24,9 @@ from operator import index
 from .errors import InputError, StructuralError, ValidationError
 from .grading import GradingGroup
 from .inout import ProblemInput, _byte_line_col, parse_input, print_input
-from .polynomials import (DeterminantWitness, GradedPolyRing, Polynomial,
+from .polynomials import (EquationList, GradedPolyRing, Polynomial,
                           _blocks, _joined, _leibniz, _long_integer_message,
-                          _pairs, polynomial_to_str)
+                          _pairs)
 from .validation import Stages, ValidationReport
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
@@ -270,65 +273,59 @@ def _zeros(nvars: int, pad: str) -> str:
 
 def _polys_chunks(gens, nvars: int, write, pad: str):
     """Pass json.dumps([_encode_poly(f, nvars) for f in gens], indent=2)
-    at `pad` to `write`, in pieces.  An EquationList gives its zero
-    slots one polynomial at a time."""
+    at `pad` to `write`, in pieces, one per term, for polynomials in one
+    variable or more, as every ring here has.  The exponents are ints,
+    so each vector is the all-zero text with the entries of its pairs
+    written in.  An EquationList's zero slots and witness are written
+    from `allowed`, the witness one row text per slot row joined once
+    per Leibniz term, never expanded."""
     if not gens:
         write("[]")
         return
-    inner = pad + "  "
-    sep = "[" + inner
-    for f in gens:
-        write(sep)
-        _poly_chunks(f, nvars, write, inner)
-        sep = "," + inner
-    write(pad + "]")
-
-
-def _poly_chunks(f: Polynomial, nvars: int, write, pad: str):
-    """Pass json.dumps(_encode_poly(f, nvars), indent=2) at `pad` to
-    `write`, one piece per term, for f in one variable or more, as
-    every ring here has.  The exponents of f are ints, so each vector is
-    the all-zero text with the entries of its pairs written in.  A
-    DeterminantWitness is written from its Leibniz terms, one row text
-    per slot row joined once per term, and never expanded."""
-    p2 = pad + "  "
-    p3 = p2 + "  "
-    p4 = p3 + "  "
-    # a term is [exponents, [num, den]]: the text from its first
-    # exponent to its last, between `head` and `coeff`, then num and
-    # den, then `shut`
+    p1, p2, p3, p4 = (pad + "  " * k for k in range(1, 5))
+    # a term is [exponents, [num, den]]: the exponents stand between
+    # `head` and `coeff`, then num and den, then `shut`
     head = "[" + p3 + "[" + p4
     coeff = p3 + "]," + p3 + "[" + p4
     shut = p3 + "]" + p2 + "]"
-    if type(f) is DeterminantWitness:
-        # the exponent of Z is the last, always 1, as is each den; a slot
-        # row with its 1 in column c is the zero row with "1" written in
-        zeros, step = _zeros(f.n, p4) + "," + p4, len(p4) + 2
-        ends = (f"1{coeff}1,{p4}1{shut},{p2}", f"1{coeff}-1,{p4}1{shut},{p2}")
-        write("[" + p2)
-        for first, parity, tails in _leibniz(f.allowed, lambda i, c: (
-                zeros[:c * step] + "1" + zeros[c * step + 1:],), ()):
-            for tail, p in tails:
-                write("".join([head, *first, *tail, ends[parity ^ p]]))
-        write(f"{head}{_zeros(f.n * f.n + 1, p4)}{coeff}-1,{p4}1{shut}"
-              f"{pad}]")
-        return
-    terms = f.sorted_terms()
-    if not terms:
-        write("[]")
-        return
     zeros = _zeros(nvars, p4)
     step = len(p4) + 2
-    sep = "[" + p2
-    for mono, c in terms:
-        text = [sep, head]
-        at = 0
-        for k, e in _pairs(mono):
-            text += zeros[at:k * step], str(e)
-            at = k * step + 1
-        text += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
-        write("".join(text))
-        sep = "," + p2
+    sep = "[" + p1
+    if type(gens) is EquationList:
+        for v in gens.zero_slots():
+            write(f"{sep}[{p2}{head}{zeros[:v * step]}1{zeros[v * step + 1:]}"
+                  f"{coeff}1,{p4}1{shut}{p1}]")
+            sep = "," + p1
+        # the exponent of Z is the last, always 1, as is each den; a slot
+        # row with its 1 in column c is the zero row with "1" written in
+        row = _zeros(len(gens.allowed), p4) + "," + p4
+        ends = (f"1{coeff}1,{p4}1{shut},{p2}", f"1{coeff}-1,{p4}1{shut},{p2}")
+        write(f"{sep}[{p2}")
+        for first, parity, tails in _leibniz(gens.allowed, lambda i, c: (
+                row[:c * step] + "1" + row[c * step + 1:],), ()):
+            for tail, p in tails:
+                write("".join([head, *first, *tail, ends[parity ^ p]]))
+        write(f"{head}{zeros}{coeff}-1,{p4}1{shut}{p1}]")
+        sep = "," + p1
+        gens = gens.rest
+    for f in gens:
+        write(sep)
+        sep = "," + p1
+        if f.is_zero():
+            write("[]")
+            continue
+        lead = "[" + p2
+        for mono, c in f.sorted_terms():
+            text = [lead, head]
+            at = 0
+            for k, e in _pairs(mono):
+                text += zeros[at:k * step], str(e)
+                at = k * step + 1
+            text += (zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}",
+                     shut)
+            write("".join(text))
+            lead = "," + p2
+        write(p1 + "]")
     write(pad + "]")
 
 
@@ -488,8 +485,8 @@ def export_cas_script(bundle: ResultBundle) -> str:
 
 
 def write_cas_script(bundle: ResultBundle, write):
-    """Pass export_cas_script(bundle) to `write` in pieces, a
-    determinant witness one group of its terms at a time."""
+    """Pass export_cas_script(bundle) to `write` in pieces, each
+    equation list as `EquationList.write` writes it."""
     pres = bundle.stabilizer or bundle.presentation
     if pres is None:
         raise ValidationError("bundle carries no presentation to export")
@@ -505,15 +502,7 @@ def write_cas_script(bundle: ResultBundle, write):
           f"ring Sp = 0,(Y(1..{n * n}),Z),dp;\n")
     for pos, (orig, gens) in enumerate(items, start=1):
         write(f"\n// triple {orig + 1} of the full list\nideal J{pos} = ")
-        sep = ""
-        zeros = gens.zero_slots()
-        if zeros:
-            write(",\n  ".join([names[v] for v in zeros]))
-            sep = ",\n  "
-        for g in gens.rest:
-            write(sep)
-            polynomial_to_str(g, names, write)
-            sep = ",\n  "
+        gens.write(names, write, ",\n  ")
         write(";\n")
     if items:
         ideal_names = [f"J{pos}" for pos in range(1, len(items) + 1)]

@@ -11,12 +11,11 @@ composite basis monomials this presents the graded automorphisms of S as
 an affine variety over the rationals.
 
 The zero slots and the witness det * Z - 1 are kept as the zero pattern
-of the matrix: an `EquationList` holds the generators Y(k) of the zero
-slots as the pattern, and a `DeterminantWitness` walks its Leibniz terms
-from the pattern each time they are printed or written and expands its
-terms only when something reads them.  Every other slot-ring term is
-keyed by its (index, exponent) pairs, so it costs what its nonzero slots
-cost.
+of the matrix: an `EquationList` holds them as the columns each row may
+take, writes the witness by walking its Leibniz terms from the pattern,
+and expands it only when it is read as a polynomial.  Every other
+slot-ring term is keyed by its (index, exponent) pairs, so it costs what
+its nonzero slots cost.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from operator import mul
 
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
-from .polynomials import (DeterminantWitness, EquationList, GradedPolyRing,
-                          Polynomial, grlex_key, monomial_basis, monomial_mul,
+from .polynomials import (EquationList, GradedPolyRing, Polynomial,
+                          grlex_key, monomial_basis, monomial_mul,
                           polynomial_to_str)
 from .validation import Stages
 from .weightsym import block_permutation
@@ -151,9 +150,9 @@ def zero_pattern_ideal(matrix: SymbolicMatrix) -> EquationList:
 
     The rows grouped by support must form a block permutation of full
     square blocks, of sizes k_i; det(A) then has prod(k_i!) terms.  The
-    count is refused above `DET_TERM_BOUND`.  The zero slots and the
-    witness keep the columns each row may take; the witness's terms are
-    walked only when read.
+    count is refused above `DET_TERM_BOUND`.  The list keeps the columns
+    each row may take, and the witness's terms are walked only when it
+    is written or read.
     """
     n = matrix.n
     allowed = matrix.free_columns
@@ -164,7 +163,7 @@ def zero_pattern_ideal(matrix: SymbolicMatrix) -> EquationList:
         raise StructuralError("the zero pattern is not a block permutation "
                               "of full square blocks")
     _require_det_terms(prod(map(factorial, rows.values())))
-    return EquationList(allowed, (DeterminantWitness(allowed),))
+    return EquationList(allowed)
 
 
 # --- substitution: S' coefficients against T monomials -----------------
@@ -395,8 +394,5 @@ def render_presentation(pres: AutPresentation, write) -> None:
     for idx, triple in enumerate(pres.triples, start=1):
         write(f"\n\ntriple {idx}: weight symmetry\n{triple.weight_aut}"
               f"\nstructured matrix:\n{triple.matrix}"
-              f"\nequations ({len(triple.ideal)} generators):")
-        write("".join(["\n  " + names[v] for v in triple.ideal.zero_slots()]))
-        for g in triple.ideal.rest:
-            write("\n  ")
-            polynomial_to_str(g, names, write)
+              f"\nequations ({len(triple.ideal)} generators):\n  ")
+        triple.ideal.write(names, write, "\n  ")

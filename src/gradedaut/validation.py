@@ -25,6 +25,16 @@ from .polynomials import (GradedPolyRing, Ideal, distinct_term_degrees,
 class ValidationReport:
     """The six standing-assumption flags and the message of each failure."""
 
+    # each flag's attribute and the label `check` prints, in the
+    # report's order
+    FLAGS = (("effective", "effective"),
+             ("pointed", "pointed"),
+             ("generators_homogeneous", "generators homogeneous"),
+             ("contained_in_square", "relations in square of maximal ideal"),
+             ("variable_components_trivial",
+              "trivial components in generator degrees"),
+             ("has_lattice_basis", "lattice basis among free parts"))
+
     def __init__(self, effective: bool, pointed: bool,
                  generators_homogeneous: bool, contained_in_square: bool,
                  variable_components_trivial: bool, has_lattice_basis: bool,
@@ -39,13 +49,13 @@ class ValidationReport:
 
     def as_dict(self) -> dict:
         """The flags and messages by name, in the report's order."""
-        return {"effective": self.effective, "pointed": self.pointed,
-                "generators_homogeneous": self.generators_homogeneous,
-                "contained_in_square": self.contained_in_square,
-                "variable_components_trivial":
-                    self.variable_components_trivial,
-                "has_lattice_basis": self.has_lattice_basis,
+        return {**{attr: getattr(self, attr) for attr, _ in self.FLAGS},
                 "messages": self.messages}
+
+    def flag_items(self):
+        """(label, flag) for each flag, in the report's order."""
+        return tuple((label, getattr(self, attr))
+                     for attr, label in self.FLAGS)
 
     @property
     def grading_ok(self) -> bool:
@@ -54,21 +64,13 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return (self.grading_ok and self.generators_homogeneous
-                and self.contained_in_square and self.variable_components_trivial)
+        """Do all six flags hold?"""
+        return all(getattr(self, attr) for attr, _ in self.FLAGS)
 
     def require(self, verdict: bool) -> None:
         """Raise every message unless `verdict` (`grading_ok` or `ok`) holds."""
         if not verdict:
             raise ValidationError("; ".join(self.messages))
-
-    def flag_items(self):
-        return (("effective", self.effective),
-                ("pointed", self.pointed),
-                ("generators homogeneous", self.generators_homogeneous),
-                ("relations in square of maximal ideal", self.contained_in_square),
-                ("trivial components in generator degrees", self.variable_components_trivial),
-                ("lattice basis among free parts", self.has_lattice_basis))
 
 
 def validate_presentation(ring: GradedPolyRing, ideal: Ideal | None = None) -> ValidationReport:

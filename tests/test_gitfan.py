@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -364,14 +363,41 @@ def test_render_cone(quadric8_Q, quadric8_group):
     assert render_cone(cone_from_rays([], 2)) == "origin (no rays)"
 
 
-# complete smooth 2-D fans, each with its weight symmetries fixing the
-# chamber of -K
+# complete smooth 2-D fans, rays in counterclockwise order, each with
+# the number of its weight symmetries fixing the chamber of -K
 TORIC_FANS = {
     "P1xP1": (((1, 0), (0, 1), (-1, 0), (0, -1)), 2),
     "dP7": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)), 2),
     "dP6": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), 12),
     "F2": (((1, 0), (0, 1), (-1, 2), (0, -1)), 1),
 }
+
+
+def _star_subdivided(rays, r, seed):
+    """The complete smooth fan made from `rays`, in counterclockwise
+    order, by star subdivisions of seeded 2-cones until it has r rays:
+    each puts u + v between the adjacent rays u and v."""
+    rng = random.Random(seed)
+    rays = list(rays)
+    while len(rays) < r:
+        k = rng.randrange(len(rays))
+        u, v = rays[k], rays[(k + 1) % len(rays)]
+        rays.insert(k + 1, (u[0] + v[0], u[1] + v[1]))
+    return tuple(rays)
+
+
+# star subdivisions of P^2 and of the Hirzebruch surfaces F_a, by
+# (surface, r, seed, symmetries); seeds whose monomial bases take well
+# under a second: on some fans with 9 or 10 rays they take minutes
+STAR_BASES = {"P2": ((1, 0), (0, 1), (-1, -1)),
+              **{f"F{a}": ((1, 0), (0, 1), (-1, a), (0, -1))
+                 for a in range(4)}}
+TORIC_FANS.update({
+    f"{base}-r{r}-s{seed}": (_star_subdivided(STAR_BASES[base], r, seed), k)
+    for base, r, seed, k in (
+        ("P2", 5, 0, 2), ("P2", 7, 0, 2), ("P2", 10, 0, 2), ("F0", 9, 0, 2),
+        ("F0", 10, 1, 1), ("F1", 8, 1, 2), ("F1", 10, 0, 1), ("F2", 8, 1, 2),
+        ("F2", 9, 0, 1), ("F3", 8, 0, 1))})
 
 
 def _gale_dual(rays):
@@ -381,6 +407,27 @@ def _gale_dual(rays):
     return DegreeMatrix.from_rows(GradingGroup(len(rays) - 2, ()),
                                   [[row[j] for row in V]
                                    for j in range(2, len(rays))])
+
+
+def _fan_automorphisms(rays):
+    """The fan automorphisms as permutations of the rays, image by
+    image.  The adjacent rays v_0 and v_1 of a smooth fan are a basis of
+    Z^2, and an automorphism g in GL(2, Z) sends them to adjacent rays
+    u and w, in either order, so g = [u w] [v_0 v_1]^-1."""
+    (a, b), (c, d) = rays[:2]
+    det = a * d - b * c  # +-1, so [v_0 v_1]^-1 is det * [[d, -c], [-b, a]]
+    r = len(rays)
+    out = []
+    for j in range(r):
+        v = rays[(j + 1) % r]
+        for u, w in ((rays[j], v), (v, rays[j])):
+            g = (det * (u[0] * d - w[0] * b), det * (w[0] * a - u[0] * c),
+                 det * (u[1] * d - w[1] * b), det * (w[1] * a - u[1] * c))
+            image = [(g[0] * x + g[1] * y, g[2] * x + g[3] * y)
+                     for x, y in rays]
+            if set(image) == set(rays):
+                out.append(image)
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(TORIC_FANS))
@@ -398,11 +445,7 @@ def test_toric_chamber_symmetries_are_fan_automorphisms(name):
     kept = aut_xhat(aut_grad_alg(ring, Ideal(ring, ())), minus_k)
     images = {tuple(t.weight_aut.apply(c) for c in cols)
               for t in kept.triples}
-    ray_set = set(rays)
-    induced = set()
-    for g in product(range(-2, 3), repeat=4):
-        image = [(g[0] * x + g[1] * y, g[2] * x + g[3] * y) for x, y in rays]
-        if g[0] * g[3] - g[1] * g[2] in (1, -1) and set(image) == ray_set:
-            induced.add(tuple(cols[rays.index(v)] for v in image))
+    induced = {tuple(cols[rays.index(v)] for v in image)
+               for image in _fan_automorphisms(rays)}
     assert len(images) == len(kept.triples) == expected
     assert images == induced

@@ -17,8 +17,7 @@ from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.gitfan import aut_xhat, git_cone
 from gradedaut.inout import (NESTING_BOUND, ProblemInput, parse_input,
                              print_input, read_input)
-from gradedaut.polynomials import (DeterminantWitness, EquationList,
-                                   Polynomial, default_names,
+from gradedaut.polynomials import (EquationList, Polynomial, default_names,
                                    polynomial_to_str)
 from gradedaut.report import (FilterResult, ResultBundle, _json_chunks,
                               bundle_to_data, export_cas_script, read_report,
@@ -586,11 +585,10 @@ def _block_witness_pattern(rng, n):
 
 def _random_equations(rng, n=8):
     """An equation list of the slot ring of an n x n matrix: a block
-    pattern's zero slots, then witnesses of that pattern and random
-    polynomials; or, at random, the polynomials alone."""
+    pattern's zero slots and witness, then random polynomials; or, at
+    random, the polynomials alone."""
     allowed = _block_witness_pattern(rng, n)
-    rest = tuple(DeterminantWitness(allowed) if rng.random() < 0.3
-                 else _random_poly(rng, n * n + 1)
+    rest = tuple(_random_poly(rng, n * n + 1)
                  for _ in range(rng.randint(1, 6)))
     return EquationList(allowed, rest) if rng.random() < 0.5 else rest
 

@@ -137,3 +137,20 @@ def test_equality_only_on_value_classes():
                and any(isinstance(part, ast.FunctionDef)
                        and part.name == "__eq__" for part in node.body)}
     assert defined == VALUE_CLASSES
+
+
+def test_no_lazy_attributes_and_no_polynomial_subclass():
+    # an attribute that a class makes on first read is a computation
+    # that any ==, hash or attribute walk can start by accident; the
+    # PEP 562 hook of the package's __init__ is a module function
+    lazy = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            lazy += [f"{name}: {node.name}.__getattr__" for part in node.body
+                     if isinstance(part, ast.FunctionDef)
+                     and part.name == "__getattr__"]
+            lazy += [f"{name}: {node.name}({base.id})" for base in node.bases
+                     if isinstance(base, ast.Name) and base.id == "Polynomial"]
+    assert not lazy, lazy
