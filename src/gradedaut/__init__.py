@@ -14,8 +14,7 @@ _MODULE_OF = {name: module for module, names in (
     ("algebraaut", ("StabilizerPresentation", "StabilizerTriple",
                     "aut_grad_alg", "component_data",
                     "ideal_generator_degrees", "render_stabilizer")),
-    ("cones", ("RationalCone", "cone_from_rays", "dual_cone", "equal_cones",
-               "intersect_cones")),
+    ("cones", ("RationalCone", "cone_from_rays", "equal_cones")),
     ("errors", ("GradedAutError", "GuardError", "InputError",
                 "StructuralError", "ValidationError")),
     ("gitfan", ("aut_xhat", "git_cone", "map_cone", "orbit_cones",

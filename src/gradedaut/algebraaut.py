@@ -184,5 +184,4 @@ def render_stabilizer(pres: StabilizerPresentation, write) -> None:
         write(f"\nstabilizing conditions for triple {idx} "
               f"({len(t.stabilizer_gens)} generators):")
         for g in t.stabilizer_gens:
-            write("\n  ")
-            polynomial_to_str(g, names, write)
+            write("\n  " + polynomial_to_str(g, names))

@@ -307,10 +307,6 @@ class GroupAutomorphism:
         return cls(group, tuple(tuple(int(i == j) for j in range(n))
                                 for i in range(n)))
 
-    def is_identity(self) -> bool:
-        """True for the identity automorphism of the group."""
-        return self == GroupAutomorphism.identity(self.group)
-
     @property
     def free_block(self) -> tuple[tuple[int, ...], ...]:
         """A, the action on the free quotient Z^k."""

@@ -81,10 +81,11 @@ class Polynomial:
     """Finite map from monomials, all of one key (see the module
     docstring), to nonzero rational coefficients.
 
-    Treated as immutable; arithmetic returns fresh objects.
+    Treated as immutable; arithmetic returns fresh objects.  The hash
+    and the canonical term order are kept once computed.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_sorted")
 
     def __init__(self, terms=None):
         """The checking constructor, for exponent tuples: the exponents
@@ -104,7 +105,7 @@ class Polynomial:
                     raise StructuralError("negative exponent in a polynomial")
                 raise StructuralError("exponents must be integers")
         self.terms = clean
-        self._hash = None
+        self._hash = self._sorted = None
 
     @classmethod
     def _of(cls, clean: dict) -> "Polynomial":
@@ -113,7 +114,7 @@ class Polynomial:
         length to nonzero Fractions and becomes the terms as it is."""
         f = object.__new__(cls)
         f.terms = clean
-        f._hash = None
+        f._hash = f._sorted = None
         return f
 
     @classmethod
@@ -183,16 +184,15 @@ class Polynomial:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    def sorted_terms(self):
-        """Terms largest-first in the canonical order."""
-        key = pairs_key if _is_pairs(next(iter(self.terms), ())) else grlex_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]),
-                      reverse=True)
-
-    def total_degree(self) -> int:
-        """The largest total degree of a term; 0 for the zero polynomial."""
-        return max((sum([e for _, e in _pairs(m)]) for m in self.terms),
-                   default=0)
+    def sorted_terms(self) -> tuple:
+        """Terms largest-first in the canonical order, sorted once."""
+        if self._sorted is None:
+            key = (pairs_key if _is_pairs(next(iter(self.terms), ()))
+                   else grlex_key)
+            self._sorted = tuple(sorted(self.terms.items(),
+                                        key=lambda kv: key(kv[0]),
+                                        reverse=True))
+        return self._sorted
 
     def substitute_values(self, values):
         """Exact evaluation at a point given as a sequence of Fractions,
@@ -280,10 +280,13 @@ class EquationList:
         terms[()] = signs[1]
         return Polynomial._of(terms)
 
-    def write(self, names, write, sep: str) -> None:
+    def write(self, names, write, sep: str, texts: dict) -> None:
         """Pass the generators' text, `sep` between two, to `write`: the
         zero slots by name, the witness one group of its Leibniz terms
-        at a time, never expanded, then `rest`."""
+        at a time, never expanded, then `rest`.  `texts`, the rendering
+        pass's dict from id(g) to (g, text), renders a generator of
+        `rest` that lists share (the multiplicativity equations) once;
+        holding g keeps its id from reuse while the pass runs."""
         write("".join([names[v] + sep for v in self.zero_slots()]))
         # one slot name per row, then Z; the first group sheds the
         # " + " or " - " before its first term, keeping a minus
@@ -298,8 +301,10 @@ class EquationList:
             lead = 0
         write(" - 1")
         for g in self.rest:
-            write(sep)
-            polynomial_to_str(g, names, write)
+            kept = texts.get(id(g))
+            if kept is None:
+                kept = texts[id(g)] = (g, polynomial_to_str(g, names))
+            write(sep + kept[1])
 
     def __len__(self):
         n = len(self.allowed)
@@ -329,14 +334,11 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"T({i + 1})" for i in range(nvars))
 
 
-def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
+def polynomial_to_str(f: Polynomial, names) -> str:
     """Canonical rendering: terms in descending order, `*` products,
-    `^` powers, unit coefficients suppressed.  With `write`, the text is
-    passed to it instead of returned."""
-    if write is None:
-        return _joined(polynomial_to_str, f, names)
+    `^` powers, unit coefficients suppressed."""
     if f.is_zero():
-        return write("0")
+        return "0"
     chunks = []
     for mono, coeff in f.sorted_terms():
         num, den = coeff.numerator, coeff.denominator
@@ -349,7 +351,7 @@ def polynomial_to_str(f: Polynomial, names, write=None) -> str | None:
         chunks.append(("- " if num < 0 else "+ ") + "*".join(factors))
     first = chunks[0]
     chunks[0] = ("-" if first[0] == "-" else "") + first[2:]
-    write(" ".join(chunks))
+    return " ".join(chunks)
 
 
 def _joined(render, *args) -> str:

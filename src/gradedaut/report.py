@@ -173,12 +173,13 @@ def bundle_to_data(bundle: ResultBundle) -> dict:
                                                      for f in gens])
 
 
-def _bundle_tree(bundle: ResultBundle,
-                 polys=lambda gens, nvars: partial(_polys_chunks, gens, nvars)
-                 ) -> dict:
+def _bundle_tree(bundle: ResultBundle, polys=None) -> dict:
     """The report's tree with each list of polynomials gens, in nvars
     variables, as polys(gens, nvars); by default a leaf that writes
-    itself, for _json_chunks."""
+    itself, for _json_chunks, all sharing one `_polys_chunks` dict."""
+    if polys is None:
+        texts = {}
+        polys = lambda gens, nvars: partial(_polys_chunks, gens, nvars, texts)
     pres = (None if bundle.presentation is None
             else _encode_presentation(bundle.presentation, polys))
     stab = bundle.stabilizer
@@ -271,14 +272,18 @@ def _zeros(nvars: int, pad: str) -> str:
     return ("," + pad).join("0" * nvars)
 
 
-def _polys_chunks(gens, nvars: int, write, pad: str):
+def _polys_chunks(gens, nvars: int, texts: dict, write, pad: str):
     """Pass json.dumps([_encode_poly(f, nvars) for f in gens], indent=2)
-    at `pad` to `write`, in pieces, one per term, for polynomials in one
-    variable or more, as every ring here has.  The exponents are ints,
-    so each vector is the all-zero text with the entries of its pairs
-    written in.  An EquationList's zero slots and witness are written
-    from `allowed`, the witness one row text per slot row joined once
-    per Leibniz term, never expanded."""
+    at `pad` to `write`, one piece per polynomial, for polynomials in
+    one variable or more, as every ring here has.  The exponents are
+    ints, so each vector is the all-zero text with the entries of its
+    pairs written in.  An EquationList's zero slots and witness are written from
+    `allowed`, the witness one row text per slot row joined once per
+    Leibniz term, never expanded.  Its `rest` goes through `texts`, as
+    in `EquationList.write`, but a text is kept with its pad and made
+    again when the pad changes: the report writes its copies of a
+    presentation one after the other, each at its own depth, so the
+    dict holds one copy's texts at a time."""
     if not gens:
         write("[]")
         return
@@ -290,7 +295,23 @@ def _polys_chunks(gens, nvars: int, write, pad: str):
     shut = p3 + "]" + p2 + "]"
     zeros = _zeros(nvars, p4)
     step = len(p4) + 2
+
+    def text(f):
+        if f.is_zero():
+            return "[]"
+        out, lead = [], "[" + p2
+        for mono, c in f.sorted_terms():
+            out += lead, head
+            at = 0
+            for k, e in _pairs(mono):
+                out += zeros[at:k * step], str(e)
+                at = k * step + 1
+            out += zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}", shut
+            lead = "," + p2
+        return "".join(out) + p1 + "]"
+
     sep = "[" + p1
+    shared = None
     if type(gens) is EquationList:
         for v in gens.zero_slots():
             write(f"{sep}[{p2}{head}{zeros[:v * step]}1{zeros[v * step + 1:]}"
@@ -307,25 +328,16 @@ def _polys_chunks(gens, nvars: int, write, pad: str):
                 write("".join([head, *first, *tail, ends[parity ^ p]]))
         write(f"{head}{zeros}{coeff}-1,{p4}1{shut}{p1}]")
         sep = "," + p1
-        gens = gens.rest
+        gens, shared = gens.rest, texts
     for f in gens:
-        write(sep)
+        if shared is None:
+            write(sep + text(f))
+        else:
+            kept = shared.get(id(f))
+            if kept is None or kept[1] != pad:
+                kept = shared[id(f)] = (f, pad, text(f))
+            write(sep + kept[2])
         sep = "," + p1
-        if f.is_zero():
-            write("[]")
-            continue
-        lead = "[" + p2
-        for mono, c in f.sorted_terms():
-            text = [lead, head]
-            at = 0
-            for k, e in _pairs(mono):
-                text += zeros[at:k * step], str(e)
-                at = k * step + 1
-            text += (zeros[at:], coeff, f"{c.numerator},{p4}{c.denominator}",
-                     shut)
-            write("".join(text))
-            lead = "," + p2
-        write(p1 + "]")
     write(pad + "]")
 
 
@@ -496,13 +508,14 @@ def write_cas_script(bundle: ResultBundle, write):
         items = [(i, gens) for i, gens in items if i in keep]
     n = pres.n
     names = pres.slot_names()
+    texts = {}  # the shared generators' text, see EquationList.write
     write("// automorphism equations, singular-like dialect\n"
           f"// {len(items)} weight symmetries, matrix size {n}\n"
           'LIB "primdec.lib";\n'
           f"ring Sp = 0,(Y(1..{n * n}),Z),dp;\n")
     for pos, (orig, gens) in enumerate(items, start=1):
         write(f"\n// triple {orig + 1} of the full list\nideal J{pos} = ")
-        gens.write(names, write, ",\n  ")
+        gens.write(names, write, ",\n  ", texts)
         write(";\n")
     if items:
         ideal_names = [f"J{pos}" for pos in range(1, len(items) + 1)]

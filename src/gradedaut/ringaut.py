@@ -23,9 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, combinations
 from math import comb, factorial, prod
-from operator import mul
+from operator import add, sub
 
 from .errors import GuardError, StructuralError
 from .grading import GroupAutomorphism, GroupElement
@@ -168,83 +168,86 @@ def zero_pattern_ideal(matrix: SymbolicMatrix) -> EquationList:
 
 # --- substitution: S' coefficients against T monomials -----------------
 #
-# Row i is sum_j Y(i, j) flat_j over its free columns j, and its e-th
-# power is the sum over the compositions alpha of e of
-# (e choose alpha) prod_j Y(i, j)^alpha_j flat_j^alpha_j.  A Y-monomial
-# records alpha on every row it meets, and different variables have
-# different rows, so each term of an image is written once: none meet.
-# Row i holds the slot indices i*n to i*n + n - 1, so the pairs of the
-# rows, joined by ascending row, are the sorted pairs of the term.
-
-def _compositions(e: int, k: int):
-    """Each alpha in N^k with |alpha| = e, the last part taking what is
-    left, with its multinomial coefficient as a product of binomials;
-    none for k = 0."""
-    if k == 1:
-        yield (e,), 1
-    elif k > 1:
-        for a in range(e + 1):
-            head = comb(e, a)
-            for rest, m in _compositions(e - a, k - 1):
-                yield (a, *rest), head * m
-
+# Row i is sum_j Y(i, j) flat_j over its k free columns j, and its e-th
+# power sums (e choose alpha) prod_j Y(i, j)^alpha_j flat_j^alpha_j over
+# |alpha| = e.  Each alpha is its support, s <= min(e, k) columns, and
+# the s - 1 cut points that split e into parts a_t with partial sums
+# c_t; its multinomial is prod_t (c_t choose a_t), so a term costs its
+# support, never e.  A Y-monomial records alpha on every row it meets,
+# and different variables have different rows, so each term of an image
+# is written once.  Row i holds the slot indices i*n to i*n + n - 1, so
+# the rows' pairs, joined by ascending row, are the term's sorted pairs.
 
 def _row_power(basis: ActionBasis, row: int, e: int, cols):
-    """The terms of the e-th power of a row over the columns `cols`:
-    (T-monomial, (Y index, exponent) pairs, multinomial coefficient)."""
-    by_variable = tuple(zip(*(basis.flat[c] for c in cols)))
-    return [(tuple(sum(map(mul, alpha, v)) for v in by_variable),
-             tuple([(row * basis.n + c, a) for c, a in zip(cols, alpha) if a]),
-             m)
-            for alpha, m in _compositions(e, len(cols))]
+    """The terms of the e-th power, e >= 1, of a row over the columns
+    `cols`: (T-monomial, (Y index, exponent) pairs, multinomial
+    coefficient), C(k + e - 1, e) of them for k columns; none for k = 0."""
+    flat, base = basis.flat, row * basis.n
+    zero = (0,) * basis.ring.variable_count
+    out = []
+    for s in range(1, min(e, len(cols)) + 1):
+        # combinations() holds its pool whole, even for no cut point
+        for cuts in combinations(range(1, e), s - 1) if s > 1 else [()]:
+            bounds = (*cuts, e)
+            parts = tuple(map(sub, bounds, (0, *cuts)))
+            m = prod(map(comb, bounds, parts))
+            for support in combinations(cols, s):
+                mono = zero
+                for a, c in zip(parts, support):
+                    mono = tuple(map(add, mono, flat[c] if a == 1
+                                     else [a * x for x in flat[c]]))
+                out.append((mono, tuple(zip([base + c for c in support], parts)),
+                            m))
+    return out
 
 
 def _image(basis: ActionBasis, columns, terms):
     """The image of sum c * prod row^e, one (c, [(row, e), ...]) per
     term with distinct rows, row i spanning the columns columns[i]: a
-    map from T-monomials to polynomials in the Y variables."""
-    constant = (0,) * basis.ring.variable_count
+    map from T-monomials to the term dicts of polynomials in the Y
+    variables."""
     memo = basis._powers
     out = {}
     for coeff, powers in terms:
-        parts = []
+        picks = [((0,) * basis.ring.variable_count, (), coeff)]
         for row, e in sorted(powers):
             key = (row, e, columns[row])
             part = memo.get(key)
             if part is None:
                 part = memo[key] = _row_power(basis, row, e, columns[row])
-            parts.append(part)
-        for picks in product(*parts):
-            mono, ys, c = constant, (), coeff
-            for part, slots, m in picks:
-                mono = monomial_mul(mono, part)
-                ys += slots
-                if m != 1:  # most compositions have multinomial 1
-                    c *= m
+            picks = [(tuple(map(add, mono, t)), ys + slots,
+                      c if m == 1 else c * m)  # most multinomials are 1
+                     for mono, ys, c in picks for t, slots, m in part]
+        for mono, ys, c in picks:
             out.setdefault(mono, {})[ys] = c
-    return {mono: Polynomial._of(ys) for mono, ys in out.items()}
+    return out
 
 
 def substitute_polynomial(basis: ActionBasis, f: Polynomial,
                           matrix: SymbolicMatrix):
     """Image of f in S under T_t -> sum_j Y_ij flat_j, i the row of T_t,
-    over the slots `matrix` leaves free.
-
-    Returns a map from T-monomials to polynomials in the Y variables.
-    """
+    over the slots `matrix` leaves free: a map from T-monomials to
+    polynomials in the Y variables."""
     rows = basis.variable_rows
-    return _image(basis, matrix.free_columns,
-                  ((c, [(i, e) for i, e in zip(rows, mono) if e])
-                   for mono, c in f.terms.items()))
+    image = _image(basis, matrix.free_columns,
+                   ((c, [(i, e) for i, e in zip(rows, mono) if e])
+                    for mono, c in f.terms.items()))
+    return {mono: Polynomial._of(ys) for mono, ys in image.items()}
 
 
-def _match_rows(direct, prod, seen, out):
+def _match_rows(direct, products, seen, out):
     """Append product minus direct side, one generator per T-monomial in
-    descending grlex order, skipping zeros and generators seen before."""
-    keys = sorted(set(direct) | set(prod), key=grlex_key, reverse=True)
-    for mu in keys:
-        zero = Polynomial.zero()
-        gen = prod.get(mu, zero) - direct.get(mu, zero)
+    descending grlex order, skipping zeros and generators seen before.
+    Each side maps T-monomials to term dicts; a generator is one
+    difference of two dicts, the direct side's a term or none."""
+    for mu in sorted(direct.keys() | products.keys(), key=grlex_key,
+                     reverse=True):
+        terms = dict(products.get(mu, ()))
+        for ys, c in direct.get(mu, {}).items():
+            c = terms.pop(ys) - c if ys in terms else -c
+            if c:
+                terms[ys] = c
+        gen = Polynomial._of(terms)
         if gen.is_zero() or gen in seen:
             continue
         seen.add(gen)
@@ -291,10 +294,9 @@ def variable_product_ideal(basis: ActionBasis, matrix: SymbolicMatrix):
     for fm, mono in enumerate(basis.flat):
         if sum(mono) < 2 or basis.factors[fm]:
             continue
+        variables = [(i, e) for i, e in zip(basis.variable_rows, mono) if e]
         _match_rows(_image(basis, columns, [(_ONE, [(fm, 1)])]),
-                    substitute_polynomial(basis, Polynomial.from_term(mono, 1),
-                                          matrix),
-                    seen, out)
+                    _image(basis, columns, [(_ONE, variables)]), seen, out)
     return out
 
 
@@ -391,8 +393,9 @@ def render_presentation(pres: AutPresentation, write) -> None:
               f"{pres.basis.flat_degree(i)}")
     write(f"\n  deg Z = {pres.ring.grading.zero()} "
           f"(per triple: {pres.witness_degree()})")
+    texts = {}  # the shared generators' text, see EquationList.write
     for idx, triple in enumerate(pres.triples, start=1):
         write(f"\n\ntriple {idx}: weight symmetry\n{triple.weight_aut}"
               f"\nstructured matrix:\n{triple.matrix}"
               f"\nequations ({len(triple.ideal)} generators):\n  ")
-        triple.ideal.write(names, write, "\n  ")
+        triple.ideal.write(names, write, "\n  ", texts)

@@ -10,6 +10,9 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from gradedaut import linalg
+from gradedaut.cones import (RationalCone, cone_from_rays,
+                             generators_from_halfspaces)
+from gradedaut.errors import StructuralError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent)
 from gradedaut.polynomials import Polynomial, monomial_mul
@@ -185,6 +188,17 @@ def as_pairs(f):
                            for m, c in f.terms.items()})
 
 
+def total_degree(f):
+    """The largest total degree of a term of f, for either monomial key;
+    0 for the zero polynomial."""
+    return max((sum(e for _, e in m) if m and type(m[0]) is tuple else sum(m)
+                for m in f.terms), default=0)
+
+
+def is_identity(a: GroupAutomorphism) -> bool:
+    return a == GroupAutomorphism.identity(a.group)
+
+
 def span_equal(gens_a, gens_b):
     """Whether two polynomial lists span the same rational vector space."""
     monos = list(dict.fromkeys(m for g in (*gens_a, *gens_b) for m in g.terms))
@@ -197,6 +211,19 @@ def span_equal(gens_a, gens_b):
     ra, rb = rows(gens_a), rows(gens_b)
     both = linalg.rank(ra + rb)
     return linalg.rank(ra) == both and linalg.rank(rb) == both
+
+
+def dual_cone(cone: RationalCone) -> RationalCone:
+    """The dual cone: the forms nonnegative on `cone`, as rays."""
+    return cone_from_rays(cone.forms, cone.dim)
+
+
+def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
+    """The intersection of two cones in one dimension, from their forms."""
+    if a.dim != b.dim:
+        raise StructuralError("cones live in different dimensions")
+    gens = generators_from_halfspaces(tuple(a.forms) + tuple(b.forms), a.dim)
+    return cone_from_rays(gens, a.dim)
 
 
 def cone_member(rays, x):

@@ -553,9 +553,9 @@ PUBLIC_NAMES = [
     "aut_gen_weights", "aut_grad_alg", "aut_ks", "aut_xhat",
     "check_effective", "check_pointed", "component_data",
     "component_dimension", "cone_from_rays",
-    "degree_of", "degree_of_exponent", "dual_cone", "equal_cones",
+    "degree_of", "degree_of_exponent", "equal_cones",
     "export_cas_script", "git_cone", "ideal_generator_degrees",
-    "intersect_cones", "is_homogeneous", "map_cone", "monomial_basis",
+    "is_homogeneous", "map_cone", "monomial_basis",
     "orbit_cones", "parse_input", "parse_polynomial",
     "polynomial_to_str", "print_input", "read_input", "read_report",
     "render_cone", "render_presentation", "render_stabilizer",

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradedaut.cones import (RationalCone, cone_from_rays, dual_cone,
-                             equal_cones, generators_from_halfspaces,
-                             intersect_cones, primitive)
+from gradedaut.cones import (RationalCone, cone_from_rays, equal_cones,
+                             generators_from_halfspaces, primitive)
 from gradedaut.errors import StructuralError
 
-from oracles import cone_member
+from oracles import cone_member, dual_cone, intersect_cones
 
 
 def units(dim):

@@ -5,14 +5,14 @@ import pytest
 from gradedaut import gitfan, linalg
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cones import (cone_from_rays, equal_cones,
-                             generators_from_halfspaces, intersect_cones)
+                             generators_from_halfspaces)
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.gitfan import (_face_family, _simplicial_forms, aut_xhat,
                               git_cone, map_cone, orbit_cones, render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
-from oracles import cone_member, det_oracle
+from oracles import cone_member, det_oracle, intersect_cones
 
 W_CHAMBER = (1, 9, 16)
 

@@ -5,7 +5,7 @@ from time import perf_counter
 
 import pytest
 
-from oracles import as_pairs, random_pointed_grading
+from oracles import as_pairs, random_pointed_grading, total_degree
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
@@ -74,11 +74,38 @@ def test_pairs_key_sorts_as_grlex_on_exponent_tuples():
             m for m, _ in g.sorted_terms()]
         names = default_names(nvars)
         assert polynomial_to_str(g, names) == polynomial_to_str(f, names)
-        assert g.total_degree() == f.total_degree()
+        assert total_degree(g) == total_degree(f)
         point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                  for _ in range(nvars)]
         assert g.substitute_values(point) == f.substitute_values(point)
         assert as_pairs(f * f + f) == g * g + g
+
+
+def test_kept_order_never_goes_stale():
+    """The kept canonical order is a fresh sort's, for both monomial
+    keys, and every new polynomial starts without one, even from
+    operands whose order is kept."""
+    rng = random.Random(3701)
+    for _ in range(60):
+        nvars = rng.randint(1, 8)
+        f = Polynomial({tuple(rng.randint(0, 3) for _ in range(nvars)):
+                        Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 12))})
+        g = Polynomial({tuple(rng.randint(0, 3) for _ in range(nvars)): 1})
+        for p, key in ((f, grlex_key), (g, grlex_key),
+                       (as_pairs(f), pairs_key), (as_pairs(g), pairs_key)):
+            assert p._sorted is None
+            fresh = sorted(p.terms.items(), key=lambda kv: key(kv[0]),
+                           reverse=True)
+            assert list(p.sorted_terms()) == fresh
+            assert list(p.sorted_terms()) == fresh
+            assert p._sorted is not None
+        for made in (f + g, f - g, f * g, -f, f * 2, f + 1,
+                     Polynomial._of(dict(f.terms))):
+            assert made._sorted is None
+            assert made.sorted_terms() == tuple(sorted(
+                made.terms.items(), key=lambda kv: grlex_key(kv[0]),
+                reverse=True))
 
 
 def test_parse_examples():

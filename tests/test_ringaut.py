@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -20,9 +22,10 @@ from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                zero_pattern_ideal)
 
 from conftest import QUADRIC8_AUT_MATRICES
-from oracles import (det_oracle, reference_multiplicativity_ideal,
-                     reference_substitution,
-                     reference_variable_product_ideal, torus_character)
+from oracles import (det_oracle, is_identity,
+                     reference_multiplicativity_ideal, reference_substitution,
+                     reference_variable_product_ideal, torus_character,
+                     total_degree)
 
 WEIGHTS112 = (Path(__file__).resolve().parent.parent
               / "bench" / "problems" / "weights112.toml")
@@ -139,7 +142,7 @@ def test_zero_pattern_ideal_identity(quadric8_basis, quadric8_group):
     # zero slots first, row major
     assert polynomial_to_str(gens[0], names) == "Y(2)"
     assert polynomial_to_str(gens[55], names) == "Y(63)"
-    assert all(len(g.terms) == 1 and g.total_degree() == 1
+    assert all(len(g.terms) == 1 and total_degree(g) == 1
                for g in list(gens)[:56])
     assert polynomial_to_str(gens[56], names) == \
         "Y(1)*Y(10)*Y(19)*Y(28)*Y(37)*Y(46)*Y(55)*Y(64)*Z - 1"
@@ -261,7 +264,7 @@ def test_witness_matches_eager_expansion(quadric8_presentation):
         names = yz_names(matrix.n)
         # compared as flags: a diff of 40321 terms takes minutes to print
         out = []
-        gens.write(names, out.append, ", ")
+        gens.write(names, out.append, ", ", {})
         printed = "".join(out) == ", ".join(polynomial_to_str(g, names)
                                             for g in (*zeros, reference))
         witness = gens.witness()
@@ -273,7 +276,7 @@ def test_witness_matches_eager_expansion(quadric8_presentation):
         if len(reference.terms) < 1000:
             nvars = matrix.n ** 2 + 1
             out = []
-            report._polys_chunks(gens, nvars, out.append, "\n")
+            report._polys_chunks(gens, nvars, {}, out.append, "\n")
             written = "".join(out) == json.dumps(
                 [report._encode_poly(f, nvars) for f in (*zeros, reference)],
                 indent=2)
@@ -305,6 +308,44 @@ def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
     # the count sees an expansion, as the first generator of each list
     zero_pattern_ideal(SymbolicMatrix(((1,),)))[0]
     assert len(expanded) == 1
+
+
+def test_autgradalg_sorts_and_renders_each_generator_once(monkeypatch,
+                                                          tmp_path, capsys):
+    """In-process `autgradalg --out` on weights112 sorts each polynomial
+    at most once, and builds the text of each multiplicativity
+    generator, which both triples share, once for stdout and once for
+    each of its two pads in the report: each text build reads the terms
+    in order once."""
+    shared, reads, texts = [], [], []
+    build, sort = ringaut.multiplicativity_ideal, Polynomial.sorted_terms
+    to_str = polynomials.polynomial_to_str
+
+    def kept(basis):
+        shared.extend(build(basis))
+        return shared
+
+    def counted_sort(self):
+        reads.append((self, self._sorted is None))
+        return sort(self)
+
+    def counted_str(f, names):
+        texts.append(f)
+        return to_str(f, names)
+
+    monkeypatch.setattr(ringaut, "multiplicativity_ideal", kept)
+    monkeypatch.setattr(Polynomial, "sorted_terms", counted_sort)
+    monkeypatch.setattr(polynomials, "polynomial_to_str", counted_str)
+    assert main(["autgradalg", "--input", str(WEIGHTS112),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert len(shared) == 468
+    sorts = Counter(id(f) for f, unsorted in reads if unsorted)
+    read = Counter(id(f) for f, _ in reads)
+    assert max(sorts.values()) == 1
+    assert [(sorts[id(g)], read[id(g)]) for g in shared] == [(1, 3)] * 468
+    built = Counter(map(id, texts))
+    assert [built[id(g)] for g in shared] == [1] * 468
 
 
 def test_aut_ks_refuses_ten_linear_variables(monkeypatch):
@@ -493,6 +534,49 @@ def test_closed_form_matches_repeated_products_at_degree_400():
     assert image == reference_substitution(basis, f, matrix)
 
 
+def _row_power_by_products(basis, row, e, cols):
+    """The e-th power of sum_j Y(row, j) flat_j, j in cols, by e - 1
+    calls of Polynomial.__mul__, keyed as _row_power's terms by (T
+    exponents, Y pairs), over the roster of the T variables then the
+    slots."""
+    r, n = basis.ring.variable_count, basis.n
+    slot = lambda j: tuple(int(v == row * n + j) for v in range(n * n))
+    line = Polynomial({basis.flat[j] + slot(j): 1 for j in cols})
+    power = line
+    for _ in range(e - 1):
+        power = power * line
+    return {(m[:r], tuple((v, a) for v, a in enumerate(m[r:]) if a)): c
+            for m, c in power.terms.items()}
+
+
+def test_row_powers_match_repeated_products():
+    """On seeded rows of k <= 5 columns and e <= 5, the closed form has
+    C(k + e - 1, e) terms, its multinomials sum to k^e, and it is the
+    power the row reaches by repeated multiplication."""
+    basis = ActionBasis(zring((1, 1, 2)))
+    assert basis.n == 6
+    rng = random.Random(37)
+    for k in range(6):
+        for e in range(1, 6):
+            row = rng.randrange(basis.n)
+            cols = tuple(sorted(rng.sample(range(basis.n), k)))
+            terms = ringaut._row_power(basis, row, e, cols)
+            assert len(terms) == math.comb(k + e - 1, e)
+            assert sum(m for _, _, m in terms) == k ** e
+            assert ({(mono, ys): m for mono, ys, m in terms}
+                    == _row_power_by_products(basis, row, e, cols))
+
+
+def test_row_power_cost_follows_the_support():
+    basis = ActionBasis(zring((1,)))
+    # one column: one term, at once, whatever the exponent
+    start = time.perf_counter()
+    assert ringaut._row_power(basis, 0, 10 ** 8, (0,)) == [
+        ((10 ** 8,), ((0, 10 ** 8),), 1)]
+    assert time.perf_counter() - start < 0.5
+    assert ringaut._row_power(basis, 0, 3, ()) == []
+
+
 def test_aut_ks_quadric8(quadric8_presentation, quadric8_ring):
     pres = quadric8_presentation
     assert len(pres.triples) == 4
@@ -527,7 +611,7 @@ def test_ring_presentation_drops_dimension_mismatch():
     assert swap, "the coordinate swap preserves the weight set"
     kept = {t.weight_aut for t in aut_ks(GradedPolyRing(Q)).triples}
     assert swap[0] not in kept
-    assert any(a.is_identity() for a in kept)
+    assert any(map(is_identity, kept))
 
 
 def test_aut_ks_maps_blocks_once(monkeypatch, quadric8_ring):

@@ -86,13 +86,11 @@ def _references(tree, modules):
 # references; every other function outside gradedaut.__all__ needs a
 # caller in the package
 REFERENCE_ONLY = {"bundle_to_data", "report_to_text", "report_from_text"}
-# methods the package does not call: the README documents the
-# predicates is_identity and total_degree as API, and the tests check
-# results with substitute_values (a polynomial's value at a point) and
-# compose (closure of the weight symmetries under composition, which
-# in a finite set holding the identity gives the inverses too)
-UNCALLED_METHODS = {"GroupAutomorphism.is_identity",
-                    "Polynomial.total_degree", "Polynomial.substitute_values",
+# methods the package does not call: the tests check results with
+# substitute_values (a polynomial's value at a point) and compose
+# (closure of the weight symmetries under composition, which in a
+# finite set holding the identity gives the inverses too)
+UNCALLED_METHODS = {"Polynomial.substitute_values",
                     "GroupAutomorphism.compose"}
 
 
