@@ -2,6 +2,7 @@
 # symmetries that fix it.  Ends by printing the computer algebra script
 # for the surviving equations.
 
+from itertools import combinations
 from pathlib import Path
 
 from gradedaut.algebraaut import aut_grad_alg
@@ -15,7 +16,11 @@ ring = problem.ring()
 ideal = problem.ideal(ring)
 w = problem.group().from_coordinates(problem.w)
 
-cones = orbit_cones(ring.degrees)
+# the orbit cones of every nonempty subset of the weights
+r = ring.degrees.var_count
+faces = [F for size in range(1, r + 1)
+         for F in combinations(range(1, r + 1), size)]
+cones = orbit_cones(ring.degrees, faces)
 print(f"{len(cones)} distinct orbit cones over all weight subsets")
 
 lam = git_cone(ring.degrees, w)

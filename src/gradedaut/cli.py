@@ -92,24 +92,22 @@ def _faces_used(args, problem):
     return None
 
 
-def _emit(render, value, path=None, end=""):
-    """render(value, write), then `end`, to the file at `path` or to
-    stdout, in writes of 64 KiB or more: stdout may be unbuffered.  The
-    file is opened for the first write, so a failed render leaves none."""
-    out = None
-
-    def sink(text):
-        nonlocal out
-        out = out or (open(path, "w", encoding="utf-8") if path
-                      else sys.stdout)
-        out.write(text)
-
-    write, flush = _blocks(sink)
+def _emit(render, value, end=""):
+    """render(value, write), then `end`, to stdout, in writes of 64 KiB
+    or more: stdout may be unbuffered."""
+    write, flush = _blocks(sys.stdout.write)
     render(value, write)
     write(end)
     flush()
+
+
+def _export(bundle, path):
+    """The bundle's script to the file at `path`, or to stdout."""
+    from .report import _write_file, write_cas_script
     if path:
-        out.close()
+        _write_file(path, write_cas_script, bundle)
+    else:
+        _emit(write_cas_script, bundle)
 
 
 def _is_report(path) -> bool:
@@ -125,8 +123,8 @@ def _is_report(path) -> bool:
 def _run(args) -> int:
     command = args.command
     if command == "export" and _is_report(args.input):
-        from .report import read_report, write_cas_script
-        _emit(write_cas_script, read_report(args.input), args.out)
+        from .report import read_report
+        _export(read_report(args.input), args.out)
         return 0
     problem = read_input(args.input)
     ring = problem.ring()
@@ -175,13 +173,12 @@ def _run(args) -> int:
         _emit(render_stabilizer, filtered, end="\n")
 
     if command == "export" or args.out:
-        from .report import (FilterResult, ResultBundle, write_cas_script,
-                             write_report)
+        from .report import FilterResult, ResultBundle, write_report
         if command == "autxhat":
             fields["filter_result"] = FilterResult(coords, retained, lam.rays)
         bundle = ResultBundle(problem, checks, **fields)
         if command == "export":
-            _emit(write_cas_script, bundle, args.out)
+            _export(bundle, args.out)
         else:
             write_report(bundle, args.out)
     return 1 if command == "check" and not checks.ok else 0

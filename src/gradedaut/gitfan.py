@@ -2,16 +2,14 @@
 the filter keeping only symmetries that fix that chamber.
 
 Everything here lives in the free quotient: torsion dies in K tensor Q,
-so cones see only the free parts of the weights.  A face family selects
-which subsets of weights span orbit cones; the default family is every
-nonempty subset, exact for the full coordinate space, while precomputed
-families can be passed through for quotients whose relevant faces were
-determined externally.  The chamber of a class in all-subsets mode needs
-only the simplicial orbit cones (Carathéodory), so it is computed from
-the subsets of at most k weights, one integer elimination each deciding
-independence and membership and giving the cone's facet forms, and one
-double description for their intersection.  Every step runs serially in
-the calling process.
+so cones see only the free parts of the weights.  In user-faces mode the
+orbit cones are those of the given faces, for quotients whose relevant
+faces were determined externally.  The chamber of a class in all-subsets
+mode needs only the simplicial orbit cones (Carathéodory), so it is
+computed from the subsets of at most k weights, one integer elimination
+each deciding independence and membership and giving the cone's facet
+forms, and one double description for their intersection.  Every step
+runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -27,38 +25,25 @@ from .cones import (RationalCone, cone_from_rays, equal_cones,
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
 
-# Faces an all-subsets family may have, 2^20 - 1: every nonempty
-# subset of 20 weights.  Read when the guard runs.
+# Candidate faces the all-subsets chamber may test, the subsets of at
+# most k weights: 2^20 - 1, every nonempty subset of 20 weights when
+# k >= 20.  Read when the guard runs.
 FACE_BOUND = 2 ** 20 - 1
 
 
-def _face_family(Q: DegreeMatrix, faces, simplicial: bool = False):
+def _face_family(Q: DegreeMatrix):
+    """The all-subsets chamber's candidates: every subset of at most k
+    weights, k the free rank, as 0-based index tuples."""
     r = Q.var_count
-    if faces is None:
-        top = min(Q.group.free_rank, r) if simplicial else r
-        count = (2 ** r - 1 if top == r
-                 else sum(comb(r, size) for size in range(1, top + 1)))
-        if count > FACE_BOUND:
-            raise GuardError(
-                f"all-subsets family over {r} weights has {count} faces, "
-                f"above the bound {FACE_BOUND} (gitfan.FACE_BOUND); supply "
-                "explicit faces")
-        return [F for size in range(1, top + 1)
-                for F in combinations(range(r), size)]
-    out = []
-    seen = set()
-    for face in faces:
-        idx = tuple(map(index, face))
-        if not idx:
-            raise StructuralError("empty face in the face list")
-        if any(i < 1 or i > r for i in idx):
-            raise StructuralError(
-                f"face {idx} uses indices outside 1..{r}")
-        key = tuple(sorted(set(idx)))
-        if key not in seen:
-            seen.add(key)
-            out.append(tuple(i - 1 for i in key))
-    return out
+    top = min(Q.group.free_rank, r)
+    count = sum(comb(r, size) for size in range(1, top + 1))
+    if count > FACE_BOUND:
+        raise GuardError(
+            f"all-subsets family over {r} weights has {count} faces, "
+            f"above the bound {FACE_BOUND} (gitfan.FACE_BOUND); supply "
+            "explicit faces")
+    return [F for size in range(1, top + 1)
+            for F in combinations(range(r), size)]
 
 
 def _simplicial_forms(vectors, w0):
@@ -97,19 +82,20 @@ def _simplicial_forms(vectors, w0):
     return forms
 
 
-def orbit_cones(Q: DegreeMatrix, faces=None):
+def orbit_cones(Q: DegreeMatrix, faces):
     """Cones spanned by the free parts of the weights along each face,
-    geometrically deduplicated, first occurrence kept.
-
-    Faces use 1-based weight indices, matching the printed variable
-    numbering; None selects every nonempty subset.
-    """
-    family = _face_family(Q, faces)
-    k = Q.group.free_rank
-    cols = Q.columns
+    geometrically deduplicated, first occurrence kept, so a face repeated
+    in any order counts once.  Faces use 1-based weight indices, matching
+    the printed variable numbering."""
+    r, k, cols = Q.var_count, Q.group.free_rank, Q.columns
     out, seen = [], set()
-    for F in family:
-        cone = cone_from_rays([cols[i].free_part for i in F], k)
+    for face in faces:
+        idx = tuple(map(index, face))
+        if not idx:
+            raise StructuralError("empty face in the face list")
+        if any(i < 1 or i > r for i in idx):
+            raise StructuralError(f"face {idx} uses indices outside 1..{r}")
+        cone = cone_from_rays([cols[i - 1].free_part for i in idx], k)
         if cone.forms not in seen:
             seen.add(cone.forms)
             out.append(cone)
@@ -139,7 +125,7 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     if faces is None:
         free = [c.free_part for c in Q.columns]
         containing, forms = [], []
-        for F in _face_family(Q, None, simplicial=True):
+        for F in _face_family(Q):
             vectors = [free[i] for i in F]
             found = _simplicial_forms(vectors, w0)
             if found is not None:

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import io
 import json
-from functools import lru_cache, partial
+import os
+import stat
+from contextlib import suppress
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import index
 
 from .errors import InputError, StructuralError, ValidationError
 from .grading import GradingGroup
 from .inout import ProblemInput, _byte_line_col, parse_input, print_input
-from .polynomials import (EquationList, GradedPolyRing, Polynomial,
-                          _blocks, _joined, _leibniz, _long_integer_message,
-                          _pairs)
+from .polynomials import (EquationList, GradedPolyRing, _blocks, _joined,
+                          _leibniz, _long_integer_message, _pairs)
 from .validation import Stages, ValidationReport
 
 # AutPresentation and StabilizerPresentation, named in annotations, are
@@ -65,18 +67,6 @@ class ResultBundle:
         self.presentation = presentation
         self.stabilizer = stabilizer
         self.filter_result = filter_result
-
-
-def _encode_poly(f: Polynomial, nvars: int):
-    """f's terms as [exponents, [num, den]], each exponent vector dense
-    over the `nvars` variables of f's ring."""
-    out = []
-    for m, c in f.sorted_terms():
-        expo = [0] * nvars
-        for i, e in _pairs(m):
-            expo[i] = e
-        out.append([expo, [c.numerator, c.denominator]])
-    return out
 
 
 def _int(x) -> int:
@@ -165,18 +155,12 @@ def _encode_stabilizer(stab: StabilizerPresentation, base: dict, polys):
                                 for t in stab.triples]}
 
 
-def bundle_to_data(bundle: ResultBundle) -> dict:
-    """The report as a JSON tree.  When the stabilizer's base is the
-    presentation itself, as the CLI builds it, one encoded dict stands
-    under both keys."""
-    return _bundle_tree(bundle, lambda gens, nvars: [_encode_poly(f, nvars)
-                                                     for f in gens])
-
-
 def _bundle_tree(bundle: ResultBundle, polys=None) -> dict:
     """The report's tree with each list of polynomials gens, in nvars
     variables, as polys(gens, nvars); by default a leaf that writes
-    itself, for _json_chunks, all sharing one `_polys_chunks` dict."""
+    itself, for _json_chunks, all sharing one `_polys_chunks` dict.
+    When the stabilizer's base is the presentation itself, as the CLI
+    builds it, one encoded dict stands under both keys."""
     if polys is None:
         texts = {}
         polys = lambda gens, nvars: partial(_polys_chunks, gens, nvars, texts)
@@ -264,7 +248,6 @@ def _json_chunks(value, write, pad: str):
         write(json.dumps(value))
 
 
-@lru_cache(maxsize=64)
 def _zeros(nvars: int, pad: str) -> str:
     """The entries of an all-zero exponent vector whose entries stand at
     `pad`: "0" each, joined by "," + pad, so entry k is at
@@ -273,16 +256,17 @@ def _zeros(nvars: int, pad: str) -> str:
 
 
 def _polys_chunks(gens, nvars: int, texts: dict, write, pad: str):
-    """Pass json.dumps([_encode_poly(f, nvars) for f in gens], indent=2)
-    at `pad` to `write`, one piece per polynomial, for polynomials in
-    one variable or more, as every ring here has.  The exponents are
+    """Pass json.dumps of the polynomials, indent=2, at `pad` to `write`,
+    one piece per polynomial: each is the list of its terms
+    [exponents, [num, den]], the exponent vector dense over `nvars`
+    variables, one or more, as every ring here has.  The exponents are
     ints, so each vector is the all-zero text with the entries of its
-    pairs written in.  An EquationList's zero slots and witness are written from
-    `allowed`, the witness one row text per slot row joined once per
-    Leibniz term, never expanded.  Its `rest` goes through `texts`, as
-    in `EquationList.write`, but a text is kept with its pad and made
-    again when the pad changes: the report writes its copies of a
-    presentation one after the other, each at its own depth, so the
+    pairs written in.  An EquationList's zero slots and witness are
+    written from `allowed`, the witness one row text per slot row joined
+    once per Leibniz term, never expanded.  Its `rest` goes through
+    `texts`, as in `EquationList.write`, but a text is kept with its pad
+    and made again when the pad changes: the report writes its copies
+    of a presentation one after the other, each at its own depth, so the
     dict holds one copy's texts at a time."""
     if not gens:
         write("[]")
@@ -356,17 +340,45 @@ def _report_chunks(value_of, write):
 
 def report_to_text(bundle: ResultBundle) -> str:
     """The report as JSON with two-space indentation, the bytes of
-    json.dumps(bundle_to_data(bundle), indent=2) plus a newline."""
+    json.dumps(tree, indent=2) plus a newline, tree the report's tree
+    with each polynomial's terms as in `_polys_chunks`."""
     return _joined(_report_chunks, _bundle_tree(bundle).__getitem__)
 
 
-def write_report(bundle: ResultBundle, path):
-    """Write report_to_text(bundle) to `path` in blocks of 64 KiB or
-    more, so the text is never held whole."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write, flush = _blocks(fh.write)
-        _report_chunks(_bundle_tree(bundle).__getitem__, write)
+def _write_file(path, render, value):
+    """render(value, write) to the file at `path`, in blocks of 64 KiB or
+    more, so the text is never held whole.  The file is opened for the
+    first block: a render that fails before it leaves the file as it was.
+    If the render or a write fails after, the file is closed, removed if
+    `path` is a regular file, never a pipe, a device or a link such as
+    /dev/stdout, and the error goes on."""
+    fh = regular = None
+
+    def sink(text):
+        nonlocal fh, regular
+        if fh is None:
+            fh = open(path, "w", encoding="utf-8")
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+        fh.write(text)
+
+    write, flush = _blocks(sink)
+    try:
+        render(value, write)
         flush()
+        if fh is not None:
+            fh.close()
+    except BaseException:
+        if fh is not None:
+            with suppress(OSError):
+                fh.close()
+            if regular:
+                os.remove(path)
+        raise
+
+
+def write_report(bundle: ResultBundle, path):
+    """Write report_to_text(bundle) to `path`; see `_write_file`."""
+    _write_file(path, _report_chunks, _bundle_tree(bundle).__getitem__)
 
 
 def read_report(path) -> ResultBundle:

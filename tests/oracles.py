@@ -9,13 +9,13 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from gradedaut import linalg
+from gradedaut import linalg, report
 from gradedaut.cones import (RationalCone, cone_from_rays,
                              generators_from_halfspaces)
 from gradedaut.errors import StructuralError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent)
-from gradedaut.polynomials import Polynomial, monomial_mul
+from gradedaut.polynomials import Polynomial, _pairs, monomial_mul
 
 
 def solve(M, b):
@@ -224,6 +224,36 @@ def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
         raise StructuralError("cones live in different dimensions")
     gens = generators_from_halfspaces(tuple(a.forms) + tuple(b.forms), a.dim)
     return cone_from_rays(gens, a.dim)
+
+
+def encode_poly(f, nvars):
+    """f's terms as a report stores them, [exponents, [num, den]], each
+    exponent vector dense over the `nvars` variables of f's ring."""
+    out = []
+    for m, c in f.sorted_terms():
+        expo = [0] * nvars
+        for i, e in _pairs(m):
+            expo[i] = e
+        out.append([expo, [c.numerator, c.denominator]])
+    return out
+
+
+def bundle_to_data(bundle):
+    """The report as a JSON tree, whose json.dumps(indent=2) plus a
+    newline is the report's text: the writer's tree with each list of
+    polynomials as plain lists.  When the stabilizer's base is the
+    presentation itself, one encoded dict stands under both keys."""
+    return report._bundle_tree(bundle, lambda gens, nvars: [
+        encode_poly(f, nvars) for f in gens])
+
+
+def every_face(Q: DegreeMatrix):
+    """Every nonempty subset of the weights, the 2^r - 1 faces of the
+    full coordinate space, with 1-based indices as `orbit_cones` takes
+    them: by size, then in lexicographic order."""
+    r = Q.var_count
+    return [F for size in range(1, r + 1)
+            for F in combinations(range(1, r + 1), size)]
 
 
 def cone_member(rays, x):

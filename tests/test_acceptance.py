@@ -26,9 +26,9 @@ from gradedaut.report import (ResultBundle, export_cas_script,
 from gradedaut.ringaut import aut_ks, yz_names
 from gradedaut.validation import validate_presentation
 from gradedaut.weightsym import aut_gen_weights
-from oracles import (as_pairs, extendable_bijections, naive_basis_box_size,
-                     naive_monomial_basis, random_pointed_grading, span_equal,
-                     torus_character)
+from oracles import (as_pairs, every_face, extendable_bijections,
+                     naive_basis_box_size, naive_monomial_basis,
+                     random_pointed_grading, span_equal, torus_character)
 
 # triple #2 of the running example: 1-based (row, column) -> slot index
 M2_SLOTS = {(1, 1): 1, (2, 5): 13, (3, 8): 24, (4, 7): 31,
@@ -119,7 +119,7 @@ def test_criterion_5_chamber_filter(quadric8_group, quadric8_Q,
     assert len(filtered.triples) == 1
     identity = GroupAutomorphism.identity(quadric8_group)
     assert filtered.triples[0].weight_aut == identity
-    assert len(orbit_cones(quadric8_Q)) <= 255
+    assert len(orbit_cones(quadric8_Q, every_face(quadric8_Q))) <= 255
     assert elapsed < 5.0
 
 

@@ -1,13 +1,18 @@
 """The command line front end, driven through main()."""
 
+import errno
 import functools
 import gc
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
+import stat
 import subprocess
 import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 from time import perf_counter
@@ -16,8 +21,9 @@ import pytest
 from conftest import line_col
 from oracles import det_oracle
 
+import gradedaut
 from gradedaut import (algebraaut, gitfan, grading, linalg, polynomials,
-                       ringaut, validation, weightsym)
+                       report, ringaut, validation, weightsym)
 from gradedaut.cli import main
 from gradedaut.errors import GuardError, ValidationError
 from gradedaut.inout import parse_input
@@ -308,11 +314,13 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
         assert len(calls["weight_cone"]) == 1, argv
 
 
-def test_no_stage_keeps_a_process_wide_cache():
-    problem = parse_input(Path(DEMO).read_text())
-    ring = problem.ring()
-    algebraaut.aut_grad_alg(ring, problem.ideal(ring))
-    for module in (grading, polynomials, weightsym, ringaut, algebraaut):
+def test_no_stage_keeps_a_process_wide_cache(tmp_path, capsys):
+    # no module of the package, after a run that writes a report
+    assert main(["autxhat", "--input", DEMO,
+                 "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    for info in pkgutil.iter_modules(gradedaut.__path__):
+        module = importlib.import_module(f"gradedaut.{info.name}")
         cached = [name for name, value in vars(module).items()
                   if hasattr(value, "cache_info")]
         assert not cached, (module.__name__, cached)
@@ -658,6 +666,59 @@ def test_export_to_file_and_from_report(tmp_path, capsys):
     assert Path(script).read_text() == text
 
 
+def _fail_after_a_block(value, write):
+    """A render that writes past the first 64 KiB block, then fails as a
+    write to a full or oversized file does."""
+    write("x" * (1 << 17))
+    raise OSError(errno.EFBIG, "File too large")
+
+
+@pytest.mark.parametrize("command, render", [
+    ("autgradalg", "_report_chunks"), ("export", "write_cas_script")])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
+                                             command, render):
+    monkeypatch.setattr(report, render, _fail_after_a_block)
+    out = tmp_path / "out.txt"
+    assert main([command, "--input", DEMO, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 27] File too large\n"
+    assert not out.exists()
+
+
+def test_failed_write_to_a_link_or_pipe_unlinks_nothing(tmp_path, monkeypatch,
+                                                        capsys):
+    # a link, as /dev/stdout is, and a pipe stay where they are
+    monkeypatch.setattr(report, "write_cas_script", _fail_after_a_block)
+    target, link, fifo = (tmp_path / name for name in ("target", "link",
+                                                       "fifo"))
+    target.write_text("")
+    link.symlink_to(target)
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(
+        target=lambda: drained.append(len(fifo.read_bytes())), daemon=True)
+    reader.start()
+    for path in (link, fifo):
+        assert main(["export", "--input", DEMO, "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 27] File too large\n"
+    reader.join(timeout=60)
+    assert drained == [1 << 17]
+    assert link.is_symlink() and target.exists()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_render_failing_before_its_first_write_keeps_the_file(tmp_path,
+                                                              capsys):
+    # a report of `check` carries no presentation, and export refuses it
+    # before it writes anything
+    checked, out = tmp_path / "check.json", tmp_path / "out.txt"
+    assert main(["check", "--input", DEMO, "--out", str(checked)]) == 0
+    out.write_text("kept\n")
+    assert main(["export", "--input", str(checked), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: bundle carries no presentation "
+                                       "to export\n")
+    assert out.read_text() == "kept\n"
+
+
 def test_export_bad_dialect(capsys):
     # export writes one dialect and takes no option to name it
     assert main(["export", "--input", DEMO, "--dialect", "maple"]) == 2
@@ -880,22 +941,36 @@ def test_dp5_stdout_is_frozen(command, capsys):
     assert hashlib.sha256(out).hexdigest() == DP5_STDOUT[command]
 
 
-def test_closed_stdout_exits_quietly():
-    """`graded-aut autks ... | head`: the reader leaves after one line,
-    and the command ends with exit code 1 and nothing on stderr."""
+def _closed_after_one_line(*argv):
+    """Run the command on dp5 with stdout a pipe whose reader leaves
+    after one line: that line, stderr and the exit code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     run = subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from gradedaut.cli import main; sys.exit(main())",
-         "autks", "--input",
-         str(ROOT / "demos" / "dp5.toml")],
+         *argv, "--input", str(ROOT / "demos" / "dp5.toml")],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert run.stdout.readline().startswith(b"action basis size")
+    line = run.stdout.readline()
     run.stdout.close()
-    assert run.stderr.read() == b""
-    assert run.wait(timeout=60) == 1
+    return line, run.stderr.read(), run.wait(timeout=60)
+
+
+def test_closed_stdout_exits_quietly():
+    """`graded-aut autks ... | head`: the reader leaves after one line,
+    and the command ends with exit code 1 and nothing on stderr."""
+    line, err, code = _closed_after_one_line("autks")
+    assert line.startswith(b"action basis size")
+    assert (err, code) == (b"", 1)
+
+
+def test_closed_out_pipe_exits_quietly():
+    # the same when the pipe is the --out file, which stays in /dev
+    line, err, code = _closed_after_one_line("export", "--out", "/dev/stdout")
+    assert line.startswith(b"// automorphism equations")
+    assert (err, code) == (b"", 1)
+    assert os.path.lexists("/dev/stdout")
 
 
 # quadric8 with the class and faces that autxhat options override
@@ -934,6 +1009,45 @@ def test_export_reads_the_filter_options_chose(tmp_path, capsys, text,
     chamber = FilterResult(coords, gitfan.chamber_fixers(stab, lam), lam.rays)
     assert script == export_cas_script(
         ResultBundle(problem, stabilizer=stab, filter_result=chamber))
+
+
+def _a_faces_problem():
+    """quadric8 in user-faces mode over its 147 a-faces: the nonempty
+    subsets of the weights on which the quadric restricts to zero or to
+    two terms or more, never to a lone monomial."""
+    text = Path(DEMO).read_text()
+    problem = parse_input(text)
+    (quadric,) = problem.ideal(problem.ring()).generators
+    supports = [{i + 1 for i, e in enumerate(m) if e} for m in quadric.terms]
+    faces = [list(F) for size in range(1, 9)
+             for F in combinations(range(1, 9), size)
+             if sum(s <= set(F) for s in supports) != 1]
+    assert len(faces) == 147
+    return text.replace('mode = "all-subsets"',
+                        f'mode = "user-faces"\nfaces = {faces}')
+
+
+# sha256 of autxhat's stdout on the a-faces problem, with or without
+# --out, and of its report
+A_FACES_STDOUT = (
+    "a47e7908643cea7c207b94589a601d6c52538e7424490fa7da0b74cc5ea28d0d")
+A_FACES_REPORT = (
+    "66bcf778670de1c340d6d6020b96ae5d890a2100eaf278730052e5eea8e62b7c")
+
+
+def test_autxhat_over_the_a_faces_of_quadric8(tmp_path, capsys):
+    path = _write(tmp_path, _a_faces_problem())
+    report = tmp_path / "report.json"
+    argv = ["autxhat", "--input", path, "--w=-2,-1,4,0"]
+    for out in ([], ["--out", str(report)]):
+        assert main(argv + out) == 0
+        stdout = capsys.readouterr().out
+        lines = stdout.splitlines()
+        assert lines[0] == "git chamber of w = (-2, -1, 4; 0):"
+        assert lines.index("") == 9  # eight chamber rays
+        assert lines[10] == "4 of 4 weight symmetries fix the chamber"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == A_FACES_STDOUT
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == A_FACES_REPORT
 
 
 def test_user_faces_mode_needs_faces(capsys):

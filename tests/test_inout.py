@@ -10,6 +10,7 @@ from time import perf_counter
 
 import pytest
 from conftest import QUADRIC8_GEN, QUADRIC8_ROWS, line_col
+from oracles import bundle_to_data
 
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cli import main
@@ -20,7 +21,7 @@ from gradedaut.inout import (NESTING_BOUND, ProblemInput, parse_input,
 from gradedaut.polynomials import (EquationList, Polynomial, default_names,
                                    polynomial_to_str)
 from gradedaut.report import (FilterResult, ResultBundle, _json_chunks,
-                              bundle_to_data, export_cas_script, read_report,
+                              export_cas_script, read_report,
                               report_from_text, report_to_text, write_report)
 from gradedaut.ringaut import aut_ks
 from gradedaut.validation import validate_presentation

@@ -5,7 +5,8 @@ from time import perf_counter
 
 import pytest
 
-from oracles import as_pairs, random_pointed_grading, total_degree
+from oracles import (as_pairs, bundle_to_data, random_pointed_grading,
+                     total_degree)
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
@@ -16,7 +17,7 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    grlex_key, ideal_component_basis,
                                    monomial_basis, pairs_key, parse_polynomial,
                                    polynomial_to_str)
-from gradedaut.report import ResultBundle, bundle_to_data
+from gradedaut.report import ResultBundle
 from gradedaut.ringaut import aut_ks
 
 

@@ -22,7 +22,7 @@ from gradedaut.ringaut import (ActionBasis, SymbolicMatrix, aut_ks,
                                zero_pattern_ideal)
 
 from conftest import QUADRIC8_AUT_MATRICES
-from oracles import (det_oracle, is_identity,
+from oracles import (det_oracle, encode_poly, is_identity,
                      reference_multiplicativity_ideal, reference_substitution,
                      reference_variable_product_ideal, torus_character,
                      total_degree)
@@ -278,7 +278,7 @@ def test_witness_matches_eager_expansion(quadric8_presentation):
             out = []
             report._polys_chunks(gens, nvars, {}, out.append, "\n")
             written = "".join(out) == json.dumps(
-                [report._encode_poly(f, nvars) for f in (*zeros, reference)],
+                [encode_poly(f, nvars) for f in (*zeros, reference)],
                 indent=2)
             assert written, str(matrix)
 

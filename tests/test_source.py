@@ -85,7 +85,7 @@ def _references(tree, modules):
 # module-level functions the package does not call that tests use as
 # references; every other function outside gradedaut.__all__ needs a
 # caller in the package
-REFERENCE_ONLY = {"bundle_to_data", "report_to_text", "report_from_text"}
+REFERENCE_ONLY = {"report_to_text", "report_from_text"}
 # methods the package does not call: the tests check results with
 # substitute_values (a polynomial's value at a point) and compose
 # (closure of the weight symmetries under composition, which in a
