@@ -2,14 +2,16 @@
 
 Both descriptions of a cone are kept exact: generating rays as primitive
 integer vectors, and supporting halfspaces as primitive integer forms.
-Conversion runs the double description method on the pointed part after
-splitting off lineality, with the classical zero-set adjacency test, so
-no numerical tolerance enters anywhere.
+Conversion reads the lineality and a basis of the forms' row space off
+one `integer_rref` of the forms, then runs the double description method
+on the pointed part in that basis, with the classical zero-set adjacency
+test, so no numerical tolerance enters anywhere.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .errors import StructuralError
@@ -17,7 +19,8 @@ from .linalg import dot, primitive
 
 
 def _dd_pointed(rows, d):
-    """Rays of the pointed cone {y : row . y >= 0}, rows of full rank d.
+    """Rays of the pointed cone {y : row . y >= 0}, rows of full rank d:
+    the forms in coordinates of a basis of their row space.
 
     Incremental double description: start from the first d independent
     halfspaces, the pivot columns of one `integer_rref` of the rows as
@@ -65,31 +68,31 @@ def generators_from_halfspaces(forms, dim: int):
 
     Lineality comes out as pairs of opposite vectors; together with the
     rays of the pointed part the result generates the cone.  The output
-    is sorted, so equal inputs give identical tuples.
+    is sorted, so equal inputs give identical tuples.  One `integer_rref`
+    of the forms gives both parts: its pivot rows b, primitive with
+    positive pivots b_c, are a basis of the row space, in which the
+    pointed part is described, and the kernel has one vector per free
+    column f, with s at f and -s b_f / b_c at each c, s the lcm of the
+    pivots.
     """
-    if dim == 0:
-        return ()
     rows = []
     for f in forms:
         p = primitive(f)
         if any(p) and p not in rows:
             rows.append(p)
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    if not rows:
-        return tuple(sorted(units + [tuple(-x for x in u) for u in units]))
-    lineality = [primitive(v) for v in linalg.nullspace(rows, ncols=dim)]
-    R, pivots = linalg.rref(rows)
-    d = len(pivots)
-    B = [primitive(R[i]) for i in range(d)]
+    R, pivots = linalg.integer_rref(rows)
+    B = [primitive(row if row[c] > 0 else [-x for x in row])
+         for row, c in zip(R, pivots)]
     projected = [tuple(dot(f, b) for b in B) for f in rows]
-    rays_y = _dd_pointed(projected, d)
-    out = set()
-    for y in rays_y:
-        out.add(primitive(tuple(sum(y[i] * B[i][t] for i in range(d))
-                                for t in range(dim))))
-    for l in lineality:
-        out.add(l)
-        out.add(tuple(-x for x in l))
+    columns = tuple(zip(*B))
+    out = {primitive(linalg.mat_vec(columns, y))
+           for y in _dd_pointed(projected, len(B))}
+    s = lcm(*(b[c] for b, c in zip(B, pivots)))
+    for f in set(range(dim)).difference(pivots):
+        v = [s * (t == f) for t in range(dim)]
+        for b, c in zip(B, pivots):
+            v[c] = -b[f] * (s // b[c])
+        out.update((primitive(v), primitive([-x for x in v])))
     out.discard((0,) * dim)
     return tuple(sorted(out))
 

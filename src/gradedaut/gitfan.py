@@ -8,8 +8,9 @@ faces were determined externally.  The chamber of a class in all-subsets
 mode needs only the simplicial orbit cones (Carathéodory), so it is
 computed from the subsets of at most k weights, one integer elimination
 each deciding independence and membership and giving the cone's facet
-forms, and one double description for their intersection.  Every step
-runs serially in the calling process.
+forms.  In both modes one double description of the containing cones'
+forms gives the chamber as its primitive extreme rays.  Every step runs
+serially in the calling process.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from operator import index
 
 from . import linalg
 from .algebraaut import StabilizerPresentation
-from .cones import (RationalCone, cone_from_rays, equal_cones,
-                    generators_from_halfspaces)
+from .cones import RationalCone, cone_from_rays, generators_from_halfspaces
 from .errors import GuardError, StructuralError, ValidationError
 from .grading import DegreeMatrix, GroupElement
 
@@ -111,10 +111,9 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     cone containing w0 contains one over linearly independent weights
     (or the origin, from a weight with zero free part) that contains w0
     too, so both families cut out the same chamber, and the test of each
-    gives the facet forms of a containing one.  A lone containing cone
-    is returned as spanned by its weights, otherwise one double
-    description over the union of their forms gives the chamber in
-    canonical form.
+    gives the facet forms of a containing one.  In both modes one double
+    description of the containing cones' forms gives the chamber as its
+    primitive extreme rays, whatever the order of the faces.
     """
     if w.group != Q.group:
         raise StructuralError("w lives in a different grading group")
@@ -122,23 +121,15 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
     if not Q.weight_cone.contains(w0):
         raise ValidationError("w is not an effective class")
     k = Q.group.free_rank
+    forms = []
     if faces is None:
         free = [c.free_part for c in Q.columns]
-        containing, forms = [], []
         for F in _face_family(Q):
-            vectors = [free[i] for i in F]
-            found = _simplicial_forms(vectors, w0)
-            if found is not None:
-                containing.append(vectors)
-                forms += found
-        if len(containing) == 1:
-            return cone_from_rays(containing[0], k)
+            forms += _simplicial_forms([free[i] for i in F], w0) or ()
     else:
-        containing = [cone for cone in orbit_cones(Q, faces)
-                      if cone.contains(w0)]
-        if len(containing) == 1:
-            return containing[0]
-        forms = [f for cone in containing for f in cone.forms]
+        for cone in orbit_cones(Q, faces):
+            if cone.contains(w0):
+                forms += cone.forms
     return cone_from_rays(generators_from_halfspaces(forms, k), k)
 
 
@@ -149,10 +140,12 @@ def map_cone(A, cone: RationalCone) -> RationalCone:
 
 
 def chamber_fixers(stab: StabilizerPresentation, lam: RationalCone):
-    """0-based indices of the triples whose free block maps the chamber
-    lam onto itself."""
+    """0-based indices of the triples whose free block A maps the chamber
+    lam onto itself.  Into itself is enough, as A has finite order n and
+    lam = A^n(lam) lies in A(lam): lam's forms test the image of each ray."""
     return tuple(i for i, t in enumerate(stab.triples)
-                 if equal_cones(map_cone(t.weight_aut.free_block, lam), lam))
+                 if all(map(lam.contains,
+                            map_cone(t.weight_aut.free_block, lam).rays)))
 
 
 def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None):

@@ -330,9 +330,11 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     # the chamber of chamber10 asks one integer elimination per
     # candidate subset of at most k = 3 of its ten weights,
     # C(10,1) + C(10,2) + C(10,3) = 175, with the subset's free parts as
-    # columns beside w0 and the identity; the two double descriptions,
-    # of the weight cone and of the chamber, ask the other 8, 6 of them
-    # through rref; it asks no rank and makes no Hermite form; the
+    # columns beside w0 and the identity; the two cone conversions, of
+    # the weight cone and of the chamber, ask the other 6, three each:
+    # one of the forms for lineality and row space, one choosing the
+    # starting halfspaces and one, through rref, for their inverse; it
+    # asks no rank and makes no Hermite form; the
     # torsion weight search makes one Hermite form per candidate block,
     # 28 through subgroup_presentation, one before its lattice-basis
     # search and one for the search's one node, the free part (1) of
@@ -346,7 +348,7 @@ def test_each_exact_question_has_one_routine(monkeypatch):
     w = chamber.group().from_coordinates(chamber.w)
     gitfan.git_cone(chamber.degree_matrix(), w)
     assert ({name: len(args) for name, args in calls.items()}
-            == {"rref": 6, "integer_rref": 183})
+            == {"rref": 2, "integer_rref": 181})
     tail = [[x, *(int(i == j) for j in range(3))]
             for i, x in enumerate(w.free_part)]
     assert sum([row[-4:] for row in M] == tail
@@ -1011,34 +1013,40 @@ def test_export_reads_the_filter_options_chose(tmp_path, capsys, text,
         ResultBundle(problem, stabilizer=stab, filter_result=chamber))
 
 
-def _a_faces_problem():
-    """quadric8 in user-faces mode over its 147 a-faces: the nonempty
-    subsets of the weights on which the quadric restricts to zero or to
-    two terms or more, never to a lone monomial."""
-    text = Path(DEMO).read_text()
-    problem = parse_input(text)
+A_FACES = str(ROOT / "demos" / "quadric8_afaces.toml")
+
+
+def _a_faces():
+    """The 147 a-faces of quadric8: the nonempty subsets of the weights
+    on which the quadric restricts to zero or to two terms or more,
+    never to a lone monomial."""
+    problem = parse_input(Path(DEMO).read_text())
     (quadric,) = problem.ideal(problem.ring()).generators
     supports = [{i + 1 for i, e in enumerate(m) if e} for m in quadric.terms]
-    faces = [list(F) for size in range(1, 9)
-             for F in combinations(range(1, 9), size)
-             if sum(s <= set(F) for s in supports) != 1]
-    assert len(faces) == 147
-    return text.replace('mode = "all-subsets"',
-                        f'mode = "user-faces"\nfaces = {faces}')
+    return tuple(F for size in range(1, 9)
+                 for F in combinations(range(1, 9), size)
+                 if sum(s <= set(F) for s in supports) != 1)
 
 
-# sha256 of autxhat's stdout on the a-faces problem, with or without
-# --out, and of its report
+# sha256 of autxhat's stdout on quadric8 over its a-faces at
+# w = (-2, -1, 4; 0), with or without --out, and of the report of
+# demos/quadric8_afaces.toml
 A_FACES_STDOUT = (
     "a47e7908643cea7c207b94589a601d6c52538e7424490fa7da0b74cc5ea28d0d")
 A_FACES_REPORT = (
-    "66bcf778670de1c340d6d6020b96ae5d890a2100eaf278730052e5eea8e62b7c")
+    "aad0bf75f88dbff836f6297eb658fc83bc6989a5da0a8c8a67281629fcbb69ba")
 
 
 def test_autxhat_over_the_a_faces_of_quadric8(tmp_path, capsys):
-    path = _write(tmp_path, _a_faces_problem())
+    problem = parse_input(Path(A_FACES).read_text())
+    assert len(_a_faces()) == 147
+    assert problem.faces == _a_faces()
+    demo = parse_input(Path(DEMO).read_text())
+    assert ((problem.rows, problem.ideal_gens, problem.torsion)
+            == (demo.rows, demo.ideal_gens, demo.torsion))
+    assert problem.w == (-2, -1, 4, 0)
     report = tmp_path / "report.json"
-    argv = ["autxhat", "--input", path, "--w=-2,-1,4,0"]
+    argv = ["autxhat", "--input", A_FACES]
     for out in ([], ["--out", str(report)]):
         assert main(argv + out) == 0
         stdout = capsys.readouterr().out
@@ -1048,6 +1056,22 @@ def test_autxhat_over_the_a_faces_of_quadric8(tmp_path, capsys):
         assert lines[10] == "4 of 4 weight symmetries fix the chamber"
         assert hashlib.sha256(stdout.encode()).hexdigest() == A_FACES_STDOUT
     assert hashlib.sha256(report.read_bytes()).hexdigest() == A_FACES_REPORT
+
+
+def test_chamber_prints_alike_in_any_face_order(tmp_path, capsys):
+    # weights (1, 0), (0, 1), (1, 1) and w = (1, 2): the faces {1, 2, 3}
+    # and {1, 2} span the same quadrant, and the first one listed is
+    # kept; either way the chamber prints as its two extreme rays
+    outputs = []
+    for faces in ("[[1, 2, 3], [1, 2]]", "[[1, 2], [1, 2, 3]]"):
+        path = _write(tmp_path, "vars = 3\nQ = [[1, 0, 1], [0, 1, 1]]\n"
+                      f"w = [1, 2]\nfaces = {faces}\n\n"
+                      "[grading]\nfree_rank = 2\n")
+        assert main(["autxhat", "--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(
+        "git chamber of w = (1, 2):\n(0, 1)\n(1, 0)\n\n")
 
 
 def test_user_faces_mode_needs_faces(capsys):

@@ -1,19 +1,24 @@
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from gradedaut import gitfan, linalg
+from gradedaut import cones, gitfan, linalg
 from gradedaut.algebraaut import aut_grad_alg
 from gradedaut.cones import (cone_from_rays, equal_cones,
                              generators_from_halfspaces)
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.gitfan import (_face_family, _simplicial_forms, aut_xhat,
-                              git_cone, map_cone, orbit_cones, render_cone)
+                              chamber_fixers, git_cone, map_cone, orbit_cones,
+                              render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
+from gradedaut.inout import read_input
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
 from oracles import cone_member, det_oracle, every_face, intersect_cones
 
+ROOT = Path(__file__).resolve().parent.parent
 W_CHAMBER = (1, 9, 16)
 
 # ten weights in Z^3 on the plane x3 = 1
@@ -52,7 +57,9 @@ def free_q(*weights):
 
 def reference_chamber(Q, w0, faces):
     """Pairwise intersection of the orbit cones of the faces containing
-    w0, the whole space when none does."""
+    w0, the whole space when none does, in canonical form: a lone
+    containing cone is converted from its forms, as an intersection
+    is."""
     k = Q.group.free_rank
     lam = None
     for cone in orbit_cones(Q, faces):
@@ -61,7 +68,7 @@ def reference_chamber(Q, w0, faces):
     if lam is None:
         units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         lam = cone_from_rays(units + [tuple(-u for u in v) for v in units], k)
-    return lam
+    return cone_from_rays(generators_from_halfspaces(lam.forms, k), k)
 
 
 def random_configuration(rng):
@@ -187,8 +194,9 @@ def test_git_cone_user_faces_keep_their_cones():
     quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
     lam = git_cone(Q, w, faces=[(1, 2, 3)])
     assert equal_cones(lam, quadrant)
-    # the lone containing orbit cone comes back as spanned by its face
-    assert lam.rays == ((0, 1), (1, 0), (1, 1))
+    # the lone containing orbit cone comes back as its extreme rays, not
+    # as spanned by its face
+    assert lam.rays == ((0, 1), (1, 0))
     assert git_cone(Q, w).rays == ((0, 1), (1, 1))
 
 
@@ -346,6 +354,63 @@ def test_map_cone(quadric8_group, quadric8_Q):
     assert equal_cones(image, lam)
     neg = map_cone(((-1, 0, 0), (0, -1, 0), (0, 0, -1)), lam)
     assert not equal_cones(neg, lam)
+
+
+def reference_fixers(stab, lam):
+    """The triples whose free block maps lam onto lam, by comparing the
+    image cone, converted to its forms, with lam."""
+    return tuple(i for i, t in enumerate(stab.triples)
+                 if equal_cones(map_cone(t.weight_aut.free_block, lam), lam))
+
+
+def fixers_without_conversion(monkeypatch, stab, lam):
+    """chamber_fixers(stab, lam), asserting that it converts no cone once
+    lam's forms are known."""
+    calls = []
+    real = cones.generators_from_halfspaces
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    lam.forms
+    with monkeypatch.context() as m:
+        m.setattr(cones, "generators_from_halfspaces", counted)
+        m.setattr(gitfan, "generators_from_halfspaces", counted)
+        kept = chamber_fixers(stab, lam)
+    assert calls == []
+    return kept
+
+
+def test_chamber_fixers_match_the_image_cones(monkeypatch, quadric8_stab,
+                                              quadric8_Q, quadric8_group):
+    # every effective class of quadric8 in [-4, 4]^3, the origin among
+    # them; classes whose chamber keeps 1, 2 or all 4 symmetries
+    classes = [w0 for w0 in product(range(-4, 5), repeat=3)
+               if quadric8_Q.weight_cone.contains(w0)]
+    assert len(classes) == 139
+    kept_sizes = set()
+    for w0 in classes:
+        lam = git_cone(quadric8_Q, quadric8_group.element(w0, (0,)))
+        expected = reference_fixers(quadric8_stab, lam)
+        kept = fixers_without_conversion(monkeypatch, quadric8_stab, lam)
+        assert kept == expected, w0
+        kept_sizes.add(len(kept))
+    assert kept_sizes == {1, 2, 4}
+
+
+@pytest.mark.parametrize("path", ["bench/problems/chamber10.toml",
+                                  "bench/problems/torsion.toml",
+                                  "bench/problems/weights112x12.toml",
+                                  "demos/dp5.toml"])
+def test_chamber_fixers_match_the_image_cones_at_w(monkeypatch, path):
+    # each problem at its own class w; for dP5 that is -K
+    problem = read_input(ROOT / path)
+    ring = problem.ring()
+    stab = aut_grad_alg(ring, problem.ideal(ring))
+    lam = git_cone(ring.degrees, problem.group().from_coordinates(problem.w))
+    expected = reference_fixers(stab, lam)
+    assert fixers_without_conversion(monkeypatch, stab, lam) == expected
 
 
 def test_render_cone(quadric8_Q, quadric8_group):
