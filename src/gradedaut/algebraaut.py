@@ -81,17 +81,17 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
         for row in src.ideal_basis:
             f = Polynomial._of({m: c for m, c in zip(src.monomials, row) if c})
             image = substitute_polynomial(basis, f, triple.matrix)
-            coeffs = [Polynomial.zero()] * tgt.dimension
+            coeffs = [{}] * tgt.dimension
             for mono, poly in image.items():
                 if mono not in position:
                     raise StructuralError(
                         "internal error: substitution left the target component")
-                coeffs[position[mono]] = poly
+                coeffs[position[mono]] = poly.terms
             for form in tgt.forms:
                 terms = {}
-                for c, poly in zip(form, coeffs):
+                for c, ys in zip(form, coeffs):
                     if c:
-                        for mono, a in poly.terms.items():
+                        for mono, a in ys.items():
                             if c != 1:  # each form has its pivot entry 1
                                 a *= c
                             terms[mono] = terms[mono] + a if mono in terms else a

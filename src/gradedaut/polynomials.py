@@ -6,12 +6,18 @@ functional is scaled to a primitive integer vector, so each budget and
 step is an int, and the remaining degree is a coordinate tuple whose
 torsion entries are read modulo the orders at the end.
 
-A monomial has one of two keys.  In a ring Q[T(1..r)] it is its
-exponent tuple, of length r: these rings are small, and monomial bases
-index them.  In the slot ring Q[Y(1..n^2), Z] of the structured matrices
-it is the tuple of its (index, exponent) pairs with positive exponent,
-by ascending 0-based index, so memory and time follow the slots a term
-meets, not the n^2 + 1 variables.  The canonical term order used for
+A `Polynomial` is an immutable canonical map from monomials to
+coefficients, with no arithmetic: each builder writes one term dict and
+wraps it once, and the parser sums each signed product of its text into
+one dict.
+
+A monomial has one of two keys, which matter only to the term order and
+the rendering.  In a ring Q[T(1..r)] it is its exponent tuple, of
+length r: these rings are small, and monomial bases index them.  In the
+slot ring Q[Y(1..n^2), Z] of the structured matrices it is the tuple of
+its (index, exponent) pairs with positive exponent, by ascending 0-based
+index, so memory and time follow the slots a term meets, not the
+n^2 + 1 variables.  The canonical term order used for
 every printed or listed output is graded lexicographic, largest first,
 with the first variable strongest; all listings in this package are
 sorted by it so identical inputs print identically.  On pairs it is the
@@ -57,23 +63,13 @@ def _is_pairs(mono: Monomial) -> bool:
     return not mono or type(mono[0]) is tuple
 
 
-def _arity(mono: Monomial):
-    """The length of an exponent tuple; None for pairs, which name
-    their variables."""
-    return None if _is_pairs(mono) else len(mono)
-
-
 def _pairs(mono: Monomial):
     """The (index, exponent) pairs of a monomial of either key."""
     return mono if _is_pairs(mono) else [(i, e) for i, e in enumerate(mono) if e]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if _is_pairs(a):
-        merged = dict(a)
-        for i, e in b:
-            merged[i] = merged.get(i, 0) + e
-        return tuple(sorted(merged.items()))
+    """The product of two exponent tuples."""
     return tuple(map(add, a, b))
 
 
@@ -81,8 +77,9 @@ class Polynomial:
     """Finite map from monomials, all of one key (see the module
     docstring), to nonzero rational coefficients.
 
-    Treated as immutable; arithmetic returns fresh objects.  The hash
-    and the canonical term order are kept once computed.
+    Immutable and without arithmetic: each builder in the package
+    writes one term dict and wraps it once.  The hash and the canonical
+    term order are kept once computed.
     """
 
     __slots__ = ("terms", "_hash", "_sorted")
@@ -109,7 +106,7 @@ class Polynomial:
 
     @classmethod
     def _of(cls, clean: dict) -> "Polynomial":
-        """The trusted constructor for arithmetic inside the package:
+        """The trusted constructor for the builders of the package:
         `clean` maps monomials of one key and, for exponent tuples, one
         length to nonzero Fractions and becomes the terms as it is."""
         f = object.__new__(cls)
@@ -118,63 +115,11 @@ class Polynomial:
         return f
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls({})
-
-    @classmethod
-    def constant(cls, c, nvars: int) -> "Polynomial":
-        return cls({(0,) * nvars: Fraction(c)})
-
-    @classmethod
     def from_term(cls, mono: Monomial, coeff) -> "Polynomial":
         return cls({tuple(mono): Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check_compatible(self, other: "Polynomial"):
-        if self.terms and other.terms:
-            if _arity(next(iter(self.terms))) != _arity(next(iter(other.terms))):
-                raise StructuralError("polynomials in different variable rosters")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not self.terms:
-                raise StructuralError("cannot infer arity; use Polynomial.constant")
-            n = _arity(next(iter(self.terms)))
-            other = Polynomial({() if n is None else (0,) * n: other})
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        return Polynomial._of(terms)
-
-    def __neg__(self):
-        return Polynomial._of({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial._of({})
-            return Polynomial._of({m: c * other for m, c in self.terms.items()})
-        self._check_compatible(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = monomial_mul(m1, m2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return Polynomial._of({m: c for m, c in terms.items() if c})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -442,10 +387,11 @@ def parse_polynomial(text: str, names) -> Polynomial:
     """Parse the plain-text grammar, e.g. `T(1)*T(6) + 2*T(7)^2 - 1/2`.
 
     `names` is the variable roster; indexed names like `Y(13)` and bare
-    names like `Z` are both resolved against it.
+    names like `Z` are both resolved against it.  Each signed product is
+    read as one coefficient and one exponent vector and summed into one
+    term dict, which the checking constructor wraps once.
     """
     roster = {name: i for i, name in enumerate(names)}
-    nvars = len(roster)
     tokens = _tokenize(text)
     k = 0
 
@@ -463,64 +409,66 @@ def parse_polynomial(text: str, names) -> Polynomial:
         k += 1
         return tok
 
-    def parse_factor():
-        tok = peek()
-        if tok[0] == "int":
-            take()
-            num = _int_token(text, tok)
-            if peek()[0] == "op" and peek()[1] == "/":
-                take()
-                den_tok = take("int")
-                den = _int_token(text, den_tok)
-                if den == 0:
-                    raise _err(text, den_tok[2], "division by zero")
-                return Polynomial.constant(Fraction(num, den), nvars)
-            return Polynomial.constant(num, nvars)
-        if tok[0] == "name":
-            take()
-            name = tok[1]
-            if peek()[0] == "op" and peek()[1] == "(":
-                take()
-                idx_tok = take("int")
-                take("op", ")")
-                name = f"{name}({idx_tok[1]})"
-            if name not in roster:
-                raise _err(text, tok[2], f"unknown variable {name!r}")
-            expo = [0] * nvars
-            expo[roster[name]] = 1
-            if peek()[0] == "op" and peek()[1] == "^":
-                take()
-                # a power of one variable is one monomial, however large
-                expo[roster[name]] = _int_token(text, take("int"))
-            return Polynomial._of({tuple(expo): Fraction(1)})
-        raise _err(text, tok[2], f"expected a term, found {tok[1]!r}" if tok[1]
-                   else "expected a term, found end of input")
+    def at(op):
+        return peek()[0] == "op" and peek()[1] == op
 
-    def parse_term():
-        acc = parse_factor()
-        while peek()[0] == "op" and peek()[1] == "*":
+    def parse_term(num):
+        """The product of factors at the cursor, as (numerator,
+        denominator, exponents), its numerator started at num."""
+        den = 1
+        expo = [0] * len(roster)
+        while True:
+            tok = peek()
+            if tok[0] == "int":
+                take()
+                num *= _int_token(text, tok)
+                if at("/"):
+                    take()
+                    den_tok = take("int")
+                    d = _int_token(text, den_tok)
+                    if d == 0:
+                        raise _err(text, den_tok[2], "division by zero")
+                    den *= d
+            elif tok[0] == "name":
+                take()
+                name = tok[1]
+                if at("("):
+                    take()
+                    idx_tok = take("int")
+                    take("op", ")")
+                    name = f"{name}({idx_tok[1]})"
+                if name not in roster:
+                    raise _err(text, tok[2], f"unknown variable {name!r}")
+                # a power of one variable is one exponent, however large
+                if at("^"):
+                    take()
+                    expo[roster[name]] += _int_token(text, take("int"))
+                else:
+                    expo[roster[name]] += 1
+            else:
+                raise _err(text, tok[2], f"expected a term, found {tok[1]!r}"
+                           if tok[1] else "expected a term, found end of input")
+            if not at("*"):
+                return num, den, expo
             take()
-            acc = acc * parse_factor()
-        return acc
 
-    result = Polynomial.zero()
+    terms = {}
     sign = 1
-    tok = peek()
-    if tok[0] == "op" and tok[1] in "+-":
-        take()
-        sign = -1 if tok[1] == "-" else 1
+    if at("+") or at("-"):
+        sign = -1 if take()[1] == "-" else 1
     while True:
-        term = parse_term()
-        result = result + term * sign
+        num, den, expo = parse_term(sign)
+        mono = tuple(expo)
+        c = Fraction(num, den)
+        terms[mono] = terms[mono] + c if mono in terms else c
         tok = peek()
         if tok[0] == "end":
             break
-        if tok[0] == "op" and tok[1] in "+-":
-            take()
-            sign = -1 if tok[1] == "-" else 1
+        if at("+") or at("-"):
+            sign = -1 if take()[1] == "-" else 1
             continue
         raise _err(text, tok[2], f"expected + or -, found {tok[1]!r}")
-    return result
+    return Polynomial(terms)
 
 
 class GradedPolyRing:
@@ -633,8 +581,9 @@ def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
     over `target`, which is monomial_basis(ring, u) and is enumerated
     when not given.
 
-    The spanning set is every product m * g_j with deg(m) = u - deg(g_j);
-    these span I_u because the g_j generate I as a module over S.
+    The spanning set is every product m * g_j with deg(m) = u - deg(g_j),
+    written as the terms of g_j shifted by m; these span I_u because the
+    g_j generate I as a module over S.
     """
     ring = I.ring
     if target is None:
@@ -646,10 +595,9 @@ def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
     for g in I.generators:
         gdeg = degree_of(ring, g)
         for m in monomial_basis(ring, u - gdeg):
-            prod = Polynomial.from_term(m, 1) * g
             row = [Fraction(0)] * len(target)
-            for mono, coeff in prod.terms.items():
-                row[index[mono]] = coeff
+            for mono, coeff in g.terms.items():
+                row[index[monomial_mul(m, mono)]] = coeff
             rows.append(row)
     reduced, pivots = linalg.rref(rows)
     return [tuple(reduced[i]) for i in range(len(pivots))]

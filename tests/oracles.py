@@ -6,7 +6,7 @@ meaningful evidence.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
 
 from gradedaut import linalg, report
@@ -15,7 +15,8 @@ from gradedaut.cones import (RationalCone, cone_from_rays,
 from gradedaut.errors import StructuralError
 from gradedaut.grading import (DegreeMatrix, GradingGroup, GroupAutomorphism,
                                degree_of_exponent)
-from gradedaut.polynomials import Polynomial, _pairs, monomial_mul
+from gradedaut.polynomials import (Polynomial, _err, _int_token, _pairs,
+                                   _tokenize)
 
 
 def solve(M, b):
@@ -275,11 +276,130 @@ def cone_member(rays, x):
     return False
 
 
+# --- polynomial arithmetic, for references ------------------------------
+
+def _mono_mul(a, b):
+    """The product of two monomials of one key: exponent tuples add
+    entrywise, (index, exponent) pairs merge by index."""
+    if a and type(a[0]) is int:
+        assert len(a) == len(b), "exponent tuples of different lengths"
+        return tuple(x + y for x, y in zip(a, b))
+    merged = dict(a)
+    for i, e in b:
+        merged[i] = merged.get(i, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _collect(terms):
+    """The polynomial of (monomial, coefficient) pairs, like monomials
+    summed and zero sums dropped."""
+    out = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return Polynomial._of({m: Fraction(c) for m, c in out.items() if c})
+
+
+def poly_add(f, g):
+    return _collect(chain(f.terms.items(), g.terms.items()))
+
+
+def poly_sub(f, g):
+    return _collect(chain(f.terms.items(),
+                          ((m, -c) for m, c in g.terms.items())))
+
+
+def poly_mul(f, g):
+    """f * g, every pair of terms multiplied out and collected."""
+    return _collect((_mono_mul(a, b), c * d) for a, c in f.terms.items()
+                    for b, d in g.terms.items())
+
+
+def reference_parse(text, names):
+    """parse_polynomial as first written, with the package's tokens and
+    diagnostics: each factor is a polynomial, each product of factors
+    and each signed sum of terms one step of the arithmetic above."""
+    roster = {name: i for i, name in enumerate(names)}
+    nvars = len(roster)
+    tokens = _tokenize(text)
+    k = 0
+
+    def peek():
+        return tokens[k]
+
+    def take(kind=None, value=None):
+        nonlocal k
+        tok = tokens[k]
+        if kind is not None and tok[0] != kind:
+            raise _err(text, tok[2], f"expected {kind}, found {tok[1]!r}" if tok[1]
+                       else f"expected {kind}, found end of input")
+        if value is not None and tok[1] != value:
+            raise _err(text, tok[2], f"expected {value!r}, found {tok[1]!r}")
+        k += 1
+        return tok
+
+    def parse_factor():
+        tok = peek()
+        if tok[0] == "int":
+            take()
+            num = _int_token(text, tok)
+            if peek()[0] == "op" and peek()[1] == "/":
+                take()
+                den_tok = take("int")
+                den = _int_token(text, den_tok)
+                if den == 0:
+                    raise _err(text, den_tok[2], "division by zero")
+                return Polynomial({(0,) * nvars: Fraction(num, den)})
+            return Polynomial({(0,) * nvars: num})
+        if tok[0] == "name":
+            take()
+            name = tok[1]
+            if peek()[0] == "op" and peek()[1] == "(":
+                take()
+                idx_tok = take("int")
+                take("op", ")")
+                name = f"{name}({idx_tok[1]})"
+            if name not in roster:
+                raise _err(text, tok[2], f"unknown variable {name!r}")
+            expo = [0] * nvars
+            expo[roster[name]] = 1
+            if peek()[0] == "op" and peek()[1] == "^":
+                take()
+                expo[roster[name]] = _int_token(text, take("int"))
+            return Polynomial({tuple(expo): 1})
+        raise _err(text, tok[2], f"expected a term, found {tok[1]!r}" if tok[1]
+                   else "expected a term, found end of input")
+
+    def parse_term():
+        acc = parse_factor()
+        while peek()[0] == "op" and peek()[1] == "*":
+            take()
+            acc = poly_mul(acc, parse_factor())
+        return acc
+
+    result = Polynomial({})
+    step = poly_add
+    tok = peek()
+    if tok[0] == "op" and tok[1] in "+-":
+        take()
+        step = poly_sub if tok[1] == "-" else poly_add
+    while True:
+        result = step(result, parse_term())
+        tok = peek()
+        if tok[0] == "end":
+            break
+        if tok[0] == "op" and tok[1] in "+-":
+            take()
+            step = poly_sub if tok[1] == "-" else poly_add
+            continue
+        raise _err(text, tok[2], f"expected + or -, found {tok[1]!r}")
+    return result
+
+
 def _ys_add(P, Q):
     """Sum of two maps T-monomial -> Y-coefficient, zeros dropped."""
     out = dict(P)
     for mono, poly in Q.items():
-        acc = out[mono] + poly if mono in out else poly
+        acc = poly_add(out[mono], poly) if mono in out else poly
         if acc.is_zero():
             out.pop(mono, None)
         else:
@@ -293,8 +413,10 @@ def _ys_mul(P, Q):
     out = {}
     for ma, pa in P.items():
         for mb, pb in Q.items():
-            key = monomial_mul(ma, mb)
-            acc = out[key] + pa * pb if key in out else pa * pb
+            key = _mono_mul(ma, mb)
+            acc = poly_mul(pa, pb)
+            if key in out:
+                acc = poly_add(out[key], acc)
             if acc.is_zero():
                 out.pop(key, None)
             else:
@@ -335,10 +457,10 @@ def reference_substitution(basis, f, matrix=None):
 def _matched(direct, product_side, seen, out):
     """Product minus direct side per T-monomial, largest first in grlex,
     each nonzero difference kept once."""
-    zero = Polynomial.zero()
+    zero = Polynomial({})
     for mu in sorted(set(direct) | set(product_side),
                      key=lambda m: (sum(m), m), reverse=True):
-        gen = product_side.get(mu, zero) - direct.get(mu, zero)
+        gen = poly_sub(product_side.get(mu, zero), direct.get(mu, zero))
         if not gen.is_zero() and gen not in seen:
             seen.add(gen)
             out.append(gen)
@@ -353,7 +475,7 @@ def reference_multiplicativity_ideal(basis):
         direct = reference_row_image(basis, fm)
         for fa in range(basis.n):
             for fb in range(fa, basis.n):
-                if monomial_mul(basis.flat[fa], basis.flat[fb]) == mono:
+                if _mono_mul(basis.flat[fa], basis.flat[fb]) == mono:
                     _matched(direct, _ys_mul(reference_row_image(basis, fa),
                                              reference_row_image(basis, fb)),
                              seen, out)

@@ -14,7 +14,8 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    polynomial_to_str)
 from gradedaut.ringaut import aut_ks, yz_names
 
-from oracles import as_pairs, det_oracle, span_equal, torus_character
+from oracles import (as_pairs, det_oracle, poly_mul, poly_sub, span_equal,
+                     torus_character)
 
 
 def zring(*weights):
@@ -182,11 +183,9 @@ def conic_direct_check(ring, ideal, M):
     """Reference test: push the relation through the matrix and decide
     membership in the degree-2 piece of the ideal by rank."""
     g = ideal.generators[0]
-    imgs = [sum((Polynomial.from_term((0,) * 3, M[i][j])
-                 * Polynomial.from_term(tuple(int(i == j) for i in range(3)), 1)
-                 for j in range(3)),
-                Polynomial.zero()) for i in range(3)]
-    pushed = imgs[0] * imgs[1] - imgs[2] * imgs[2]
+    imgs = [Polynomial({tuple(int(t == j) for t in range(3)): M[i][j]
+                        for j in range(3)}) for i in range(3)]
+    pushed = poly_sub(poly_mul(imgs[0], imgs[1]), poly_mul(imgs[2], imgs[2]))
     basis = monomial_basis(ring, ring.degrees.columns[0].scale(2))
     gv = [g.terms.get(m, 0) for m in basis]
     pv = [pushed.terms.get(m, 0) for m in basis]

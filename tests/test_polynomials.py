@@ -5,8 +5,8 @@ from time import perf_counter
 
 import pytest
 
-from oracles import (as_pairs, bundle_to_data, random_pointed_grading,
-                     total_degree)
+from oracles import (as_pairs, bundle_to_data, poly_add, poly_mul, poly_sub,
+                     random_pointed_grading, reference_parse, total_degree)
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
@@ -16,9 +16,9 @@ from gradedaut.polynomials import (GradedPolyRing, Ideal, Polynomial,
                                    default_names, degree_of, distinct_term_degrees,
                                    grlex_key, ideal_component_basis,
                                    monomial_basis, pairs_key, parse_polynomial,
-                                   polynomial_to_str)
+                                   polynomial_to_str, _tokenize)
 from gradedaut.report import ResultBundle
-from gradedaut.ringaut import aut_ks
+from gradedaut.ringaut import aut_ks, yz_names
 
 
 TINY_IDEAL = "vars = 2\nQ = [[1, 1]]\nideal = [{}]\n\n[grading]\nfree_rank = 1\n"
@@ -29,27 +29,28 @@ def T(i, nvars=8):
 
 
 def test_ring_arithmetic():
+    """The test-side arithmetic the references are built on obeys the
+    ring laws, on both monomial keys."""
     t1, t2 = T(1, 2), T(2, 2)
-    assert (t1 + t2) * (t1 - t2) == t1 * t1 - t2 * t2
-    f = 3 * t1 * t2 - Fraction(1, 2) * t2
-    assert f * Polynomial.constant(1, 2) == f
+    assert (poly_mul(poly_add(t1, t2), poly_sub(t1, t2))
+            == poly_sub(poly_mul(t1, t1), poly_mul(t2, t2)))
+    f = Polynomial({(1, 1): 3, (0, 1): Fraction(-1, 2)})
+    assert poly_mul(f, Polynomial({(0, 0): 1})) == f
     t7 = T(7)
-    lhs = (T(1) * T(6) + T(2) * T(5)) * t7
-    assert lhs == T(1) * T(6) * t7 + T(2) * T(5) * t7
-    assert (t1 - t1).is_zero()
-
-
-def test_mixed_arity_rejected():
-    with pytest.raises(StructuralError):
-        T(1, 2) + T(1, 3)
+    lhs = poly_mul(poly_add(poly_mul(T(1), T(6)), poly_mul(T(2), T(5))), t7)
+    assert lhs == poly_add(poly_mul(poly_mul(T(1), T(6)), t7),
+                           poly_mul(poly_mul(T(2), T(5)), t7))
+    assert poly_sub(t1, t1).is_zero()
+    assert as_pairs(lhs) == poly_mul(
+        poly_add(poly_mul(as_pairs(T(1)), as_pairs(T(6))),
+                 poly_mul(as_pairs(T(2)), as_pairs(T(5)))), as_pairs(t7))
 
 
 def test_print_canonical_order():
-    t1, t2 = T(1, 2), T(2, 2)
-    f = t2 + t1 * t1 * 2 - 1 * t1 * t2
+    f = Polynomial({(0, 1): 1, (2, 0): 2, (1, 1): -1})
     assert polynomial_to_str(f, default_names(2)) == "2*T(1)^2 - T(1)*T(2) + T(2)"
-    assert polynomial_to_str(Polynomial.zero(), default_names(2)) == "0"
-    g = -t1 * t2 - Fraction(3, 2)
+    assert polynomial_to_str(Polynomial({}), default_names(2)) == "0"
+    g = Polynomial({(1, 1): -1, (0, 0): Fraction(-3, 2)})
     assert polynomial_to_str(g, default_names(2)) == "-T(1)*T(2) - 3/2"
 
 
@@ -79,16 +80,18 @@ def test_pairs_key_sorts_as_grlex_on_exponent_tuples():
         point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                  for _ in range(nvars)]
         assert g.substitute_values(point) == f.substitute_values(point)
-        assert as_pairs(f * f + f) == g * g + g
+        assert (as_pairs(poly_add(poly_mul(f, f), f))
+                == poly_add(poly_mul(g, g), g))
 
 
 def test_kept_order_never_goes_stale():
     """The kept canonical order is a fresh sort's, for both monomial
-    keys, and every new polynomial starts without one, even from
-    operands whose order is kept."""
+    keys, and every new polynomial starts without one, even from a
+    polynomial whose order is kept."""
     rng = random.Random(3701)
     for _ in range(60):
         nvars = rng.randint(1, 8)
+        names = default_names(nvars)
         f = Polynomial({tuple(rng.randint(0, 3) for _ in range(nvars)):
                         Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3))
                         for _ in range(rng.randint(1, 12))})
@@ -101,8 +104,8 @@ def test_kept_order_never_goes_stale():
             assert list(p.sorted_terms()) == fresh
             assert list(p.sorted_terms()) == fresh
             assert p._sorted is not None
-        for made in (f + g, f - g, f * g, -f, f * 2, f + 1,
-                     Polynomial._of(dict(f.terms))):
+        for made in (Polynomial._of(dict(f.terms)), Polynomial(f.terms),
+                     parse_polynomial(polynomial_to_str(f, names), names)):
             assert made._sorted is None
             assert made.sorted_terms() == tuple(sorted(
                 made.terms.items(), key=lambda kv: grlex_key(kv[0]),
@@ -112,10 +115,11 @@ def test_kept_order_never_goes_stale():
 def test_parse_examples():
     names = default_names(8)
     f = parse_polynomial("T(1)*T(6) + T(2)*T(5) + T(3)*T(4) + T(7)*T(8)", names)
-    assert f == T(1) * T(6) + T(2) * T(5) + T(3) * T(4) + T(7) * T(8)
+    assert f.terms == {(1, 0, 0, 0, 0, 1, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 0): 1,
+                       (0, 0, 1, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 1): 1}
     yz = tuple(f"Y({i})" for i in range(1, 3)) + ("Z",)
     g = parse_polynomial("-Y(1)*Z - 1", yz)
-    assert g == -(T(1, 3) * T(3, 3)) - Polynomial.constant(1, 3)
+    assert g.terms == {(1, 0, 1): -1, (0, 0, 0): -1}
     h = parse_polynomial("1/2*T(1)^3 - 2", default_names(1))
     assert h.terms == {(3,): Fraction(1, 2), (0,): Fraction(-2)}
 
@@ -156,6 +160,94 @@ def test_parse_errors_carry_positions():
         parse_polynomial("T(1) * * T(2)", names)
     with pytest.raises(InputError):
         parse_polynomial("T(1) T(2)", names)
+
+
+def _seeded_text(rng, names):
+    """A polynomial text over `names` with repeated variables, ^0 and
+    huge powers, integer, fractional, long and zero coefficients, terms
+    that cancel, an optional leading sign and line breaks."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        factors = [rng.choice(names) + rng.choice(
+                       ("", "", "^0", "^1", "^2", "^3", f"^{10 ** rng.randint(5, 40)}"))
+                   for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            factors.insert(rng.randint(0, len(factors)), rng.choice(
+                ("0", "1", str(rng.randint(2, 99)), str(rng.randint(0, 9)) + "/"
+                 + str(rng.randint(1, 9)), str(rng.randint(10 ** 30, 10 ** 31)))))
+        terms.append((rng.choice("+-"), factors or [str(rng.randint(0, 5))]))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        # the same product with the other sign, its factors reordered
+        sign, factors = rng.choice(terms)
+        factors = rng.sample(factors, len(factors))
+        terms.insert(rng.randint(0, len(terms)), ("+-"[sign == "+"], factors))
+    seps = (" ", "", "\n", "  ")
+    text = "".join(rng.choice(seps) + sign + rng.choice(seps) + "*".join(factors)
+                   for sign, factors in terms)
+    return text.lstrip("+") if rng.random() < 0.5 else text
+
+
+def _one_token_inserted(rng, text, names):
+    """text with one token put in at a token boundary."""
+    cuts = [tok[2] for tok in _tokenize(text)]
+    cut = rng.choice(cuts)
+    token = rng.choice(("+", "-", "*", "/", "^", "(", ")", "0", "7", "T", "Y",
+                        "Q(1)", "T(9)", "1/0", "$", rng.choice(names)))
+    return text[:cut] + rng.choice(("", " ")) + token + text[cut:]
+
+
+def _parsed(parse, text, names):
+    try:
+        return "terms", parse(text, names).terms
+    except InputError as exc:
+        return "diagnostics", exc.diagnostics
+
+
+def test_parser_matches_reference():
+    """The one-dict parser against the parser as first written, whose
+    every factor is a polynomial and every product and sum one step of
+    the test-side arithmetic: equal terms or equal diagnostics on 6,000
+    seeded texts over the T roster and over the Y and Z roster, half of
+    them with one token inserted."""
+    rng = random.Random(4001)
+    seen = {"terms": 0, "diagnostics": 0, "zero": 0}
+    for names in (default_names(4), yz_names(2)):
+        for _ in range(1500):
+            text = _seeded_text(rng, names)
+            for case in (text, _one_token_inserted(rng, text, names)):
+                kind, got = _parsed(parse_polynomial, case, names)
+                assert (kind, got) == _parsed(reference_parse, case, names), case
+                seen[kind] += 1
+                seen["zero"] += kind == "terms" and not got
+    assert min(seen.values()) >= 300, seen
+
+
+def test_parse_builds_one_polynomial(monkeypatch):
+    """A parse sums its terms into one dict and wraps it once, whatever
+    its term count: no Polynomial per factor, product or partial sum."""
+    built = []
+    init, of = Polynomial.__init__, Polynomial._of.__func__
+
+    def counted_init(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    def counted_of(cls, clean):
+        built.append(clean)
+        return of(cls, clean)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "_of", classmethod(counted_of))
+    for text, nvars, size in (
+            ("T(1)*T(2) + 3*T(3) - 1/2", 3, 3),
+            ("T(1)*T(6) + T(2)*T(5) + T(3)*T(4) + T(7)*T(8)", 8, 4),
+            ("T(1) - T(1)", 1, 0),
+            (" + ".join(f"2*T(1)^{a}*T(2)^{b}*T(3)" for a in range(20)
+                        for b in range(25)), 3, 500)):
+        built.clear()
+        f = parse_polynomial(text, default_names(nvars))
+        assert len(built) == 1, (text[:40], len(built))
+        assert len(f.terms) == size
 
 
 def _reference_to_str(f, names):
@@ -235,7 +327,7 @@ def test_checking_constructor_boundary():
     names = default_names(2)
     # zero coefficients are dropped, on every checked path
     assert Polynomial({(1, 0): 0, (0, 1): Fraction(2)}).terms == {(0, 1): 2}
-    assert Polynomial.constant(0, 2).is_zero()
+    assert Polynomial({(0, 0): 0}).is_zero()
     f = parse_polynomial("T(1) - T(1) + 0*T(2) + 2*T(2)", names)
     assert f.terms == {(0, 1): 2}
     data = _tiny_report_data()
@@ -252,8 +344,6 @@ def test_checking_constructor_boundary():
         Polynomial({(1, -1): 1})
     with pytest.raises(StructuralError, match="must be integers"):
         Polynomial({(1, 0.5): 1})
-    with pytest.raises(StructuralError, match="different variable rosters"):
-        parse_polynomial("T(1) + 1", names) + parse_polynomial("T(1)", names[:1])
     for bad in ([0, 0, 0, 0, 0, 0], [2, 0, 0, -1, 0], [2, 0, 0, "1", 0],
                 [2, 0, 0, 1.5, 0], [2, 0, 0, True, 0]):
         det = _tiny_report_data()["presentation"]["triples"][0]["equations"][-1]
@@ -272,7 +362,7 @@ def test_degree_of(quadric8_ring):
         degree_of(quadric8_ring, mixed)
     assert len(distinct_term_degrees(quadric8_ring, mixed)) == 2
     with pytest.raises(StructuralError):
-        degree_of(quadric8_ring, Polynomial.zero())
+        degree_of(quadric8_ring, Polynomial({}))
 
 
 def test_monomial_basis_quadric8(quadric8_ring):
@@ -421,7 +511,7 @@ def test_ideal_component_basis_echelon_and_membership():
     for gen in I.generators:
         gen_deg = degree_of(g, gen)
         for m in monomial_basis(g, u - gen_deg):
-            prod = Polynomial.from_term(m, 1) * gen
+            prod = poly_mul(Polynomial.from_term(m, 1), gen)
             spanning.append([prod.terms.get(mono, Fraction(0)) for mono in mons])
     rank_span = linalg.rank(spanning)
     assert len(basis) == rank_span

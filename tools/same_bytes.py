@@ -9,6 +9,10 @@ CHANGE_ROOT/src, in a fresh process without PYTHONHASHSEED or
 GRADED_AUT_JOBS.  Both sides read the same copies of the input files
 from the same relative paths, so file names in messages agree.
 demos/dp4.toml, which takes seconds per command, runs only with --dp4.
+It also writes the running example with each ideal of INLINE_IDEALS,
+most of which the parser refuses, into both sides' directories and
+runs `check` and `autgradalg` on each, so the parser's diagnostics are
+compared too.
 
 Prints each run whose exit code, stdout, stderr or written file differs
 between the two sides, then a summary line, and exits 1 if any run
@@ -32,6 +36,35 @@ CLI = "import sys; from gradedaut.cli import main; sys.exit(main())"
 DP4 = "demos/dp4.toml"
 TIMEOUT_S = 600
 
+# demos/quadric8.toml with one ideal generator in place of its quadric
+QUADRIC8 = """vars = 8
+Q = [
+    [1, 1, 0, 0, -1, -1, 2, -2],
+    [0, 1, 1, -1, -1, 0, 1, -1],
+    [1, 1, 1, 1, 1, 1, 1, 1],
+    [1, 0, 1, 0, 1, 0, 1, 0],
+]
+ideal = ["{ideal}"]
+w = [1, 9, 16, 0]
+mode = "all-subsets"
+
+[grading]
+free_rank = 3
+torsion = [2]
+"""
+INLINE_IDEALS = {
+    "unknown_variable": "T(1)*T(6) + T(2)*T(9)",
+    "division_by_zero": "1/0",
+    "trailing_plus": "T(1)*T(6) +",
+    "missing_power": "T(1)^",
+    "long_coefficient": "7" * 5000 + "*T(1)*T(6)",
+    "zero": "T(1)*T(6) - T(6)*T(1)",
+    "leading_star": "*T(1)*T(6)",
+    "rescaled": "2*T(1)*T(6)*1/2 + T(2)*T(5) + T(3)*T(4) + T(7)*T(8)",
+}
+INLINE = {f"inline/quadric8_{name}.toml": QUADRIC8.format(ideal=ideal)
+          for name, ideal in INLINE_IDEALS.items()}
+
 
 def input_files(root: Path, dp4: bool) -> list[str]:
     """The problem files, relative to root, in a fixed order."""
@@ -44,7 +77,7 @@ def input_files(root: Path, dp4: bool) -> list[str]:
 def runs(files):
     """(argv, the file it writes, a file done with after it) of every
     run; the export of a report comes right after the run that writes
-    it."""
+    it, and the inline problems come last."""
     for path in files:
         for command in COMMANDS:
             yield [command, "--input", path], None, None
@@ -55,6 +88,9 @@ def runs(files):
             else:
                 yield argv, out, None
                 yield ["export", "--input", out], None, out
+    for path in INLINE:
+        for command in ("check", "autgradalg"):
+            yield [command, "--input", path], None, None
 
 
 def digest(data: bytes) -> str:
@@ -69,6 +105,9 @@ class Side:
         for path in files:
             (work / path).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(change_root / path, work / path)
+        for path, text in INLINE.items():
+            (work / path).parent.mkdir(parents=True, exist_ok=True)
+            (work / path).write_text(text)
         (work / "out").mkdir(parents=True)
         self.env = dict(os.environ)
         self.env.pop("PYTHONHASHSEED", None)
@@ -122,7 +161,8 @@ def main(argv=None) -> int:
                 change.drop(done)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"{total} runs on {len(files)} files: {differ} differ")
+    print(f"{total} runs on {len(files)} files and {len(INLINE)} inline "
+          f"problems: {differ} differ")
     return 1 if differ else 0
 
 
