@@ -4,9 +4,10 @@ automorphisms of the polynomial ring.
 A structured matrix descends to R = S/I exactly when it maps each graded
 piece of I into I again.  Per weight symmetry B and per generator degree
 u this is finitely many linear conditions: push an echelon basis of I_u
-through the symbolic substitution, then require every annihilator form
-of I at the target degree B(u) to kill the image.  The conditions are
-polynomials in the matrix slots and join the earlier equation lists.
+through the symbolic substitution `ringaut._image`, then require every
+annihilator form of I at the target degree B(u) to kill the image.  The
+conditions are polynomials in the matrix slots and join the earlier
+equation lists.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from .grading import GroupElement
 from .polynomials import (GradedPolyRing, Ideal, Polynomial,
                           annihilator_forms, degree_of, ideal_component_basis,
                           monomial_basis, polynomial_to_str)
-from .ringaut import (AutPresentation, AutTriple, render_presentation,
-                      substitute_polynomial)
+from .ringaut import AutPresentation, AutTriple, _image, render_presentation
 from .validation import Stages
 
 
@@ -79,14 +79,15 @@ def stabilizer_ideal_for_triple(presentation: AutPresentation, ideal: Ideal,
                 "symmetry cannot change component dimensions")
         position = {m: i for i, m in enumerate(tgt.monomials)}
         for row in src.ideal_basis:
-            f = Polynomial._of({m: c for m, c in zip(src.monomials, row) if c})
-            image = substitute_polynomial(basis, f, triple.matrix)
+            image = _image(basis, triple.matrix.free_columns, (
+                (c, [(i, e) for i, e in zip(basis.variable_rows, m) if e])
+                for m, c in zip(src.monomials, row) if c))
             coeffs = [{}] * tgt.dimension
-            for mono, poly in image.items():
+            for mono, ys in image.items():
                 if mono not in position:
                     raise StructuralError(
                         "internal error: substitution left the target component")
-                coeffs[position[mono]] = poly.terms
+                coeffs[position[mono]] = ys
             for form in tgt.forms:
                 terms = {}
                 for c, ys in zip(form, coeffs):

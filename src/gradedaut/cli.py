@@ -144,7 +144,7 @@ def _run(args) -> int:
         coords = _w_coords(args, problem)
         faces = _faces_used(args, problem)
         from .gitfan import chamber_fixers, git_cone, render_cone
-        w = problem.group().from_coordinates(coords)
+        w = ring.grading.from_coordinates(coords)
         lam = git_cone(ring.degrees, w, faces)
     if command != "check":
         fields["weight_auts"] = stages.displays

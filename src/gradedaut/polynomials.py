@@ -579,33 +579,36 @@ def component_dimension(ring: GradedPolyRing, w: GroupElement) -> int:
 def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
     """Echelon basis of the degree-u piece of I, as coefficient vectors
     over `target`, which is monomial_basis(ring, u) and is enumerated
-    when not given.
+    only when not given and some product lands in degree u.
 
     The spanning set is every product m * g_j with deg(m) = u - deg(g_j),
     written as the terms of g_j shifted by m; these span I_u because the
     g_j generate I as a module over S.
     """
     ring = I.ring
+    products = [(m, g) for g in I.generators
+                for m in monomial_basis(ring, u - degree_of(ring, g))]
+    if not products:
+        return []
     if target is None:
         target = monomial_basis(ring, u)
-    if not target:
-        return []
     index = {mono: i for i, mono in enumerate(target)}
     rows = []
-    for g in I.generators:
-        gdeg = degree_of(ring, g)
-        for m in monomial_basis(ring, u - gdeg):
-            row = [Fraction(0)] * len(target)
-            for mono, coeff in g.terms.items():
-                row[index[monomial_mul(m, mono)]] = coeff
-            rows.append(row)
+    for m, g in products:
+        row = [Fraction(0)] * len(target)
+        for mono, coeff in g.terms.items():
+            row[index[monomial_mul(m, mono)]] = coeff
+        rows.append(row)
     reduced, pivots = linalg.rref(rows)
     return [tuple(reduced[i]) for i in range(len(pivots))]
 
 
-def annihilator_forms(component_basis, dimension: int):
-    """Linear forms on Q^dimension vanishing exactly on the span of the
-    given vectors; returned as the reduced echelon kernel basis."""
-    kernel = linalg.nullspace(component_basis, ncols=dimension)
-    reduced, pivots = linalg.rref(kernel)
-    return [tuple(reduced[i]) for i in range(len(pivots))]
+def annihilator_forms(rows, dimension: int):
+    """Linear forms on Q^dimension vanishing exactly on the span of
+    `rows`, as the reduced echelon kernel basis, from one elimination:
+    the kernel of the rows with their columns reversed has one vector
+    per free column, with a 1 there and nothing at the other free
+    columns, so reversed back each vector leads with its 1 at a column
+    no other vector touches."""
+    return [v[::-1] for v in reversed(
+        linalg.nullspace([r[::-1] for r in rows], ncols=dimension))]

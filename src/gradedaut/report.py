@@ -488,7 +488,7 @@ def _checked_report(src) -> ResultBundle:
         elif key == "filter" and not ahead(b"null"):
             exported = fields.get("stabilizer", fields.get("presentation"))
             fields["filter_result"] = parsed(
-                _decode_filter, fields["problem"].group(),
+                _decode_filter, stages.ring.grading,
                 0 if exported is None else len(exported.triples))
         return _bundle_tree(ResultBundle(**fields))[key]
 

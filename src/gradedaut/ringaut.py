@@ -205,7 +205,9 @@ def _image(basis: ActionBasis, columns, terms):
     """The image of sum c * prod row^e, one (c, [(row, e), ...]) per
     term with distinct rows, row i spanning the columns columns[i]: a
     map from T-monomials to the term dicts of polynomials in the Y
-    variables."""
+    variables.  It is the package's one substitution: a polynomial in
+    the T variables passes its terms with the rows of their variables,
+    `ActionBasis.variable_rows`."""
     memo = basis._powers
     out = {}
     for coeff, powers in terms:
@@ -221,18 +223,6 @@ def _image(basis: ActionBasis, columns, terms):
         for mono, ys, c in picks:
             out.setdefault(mono, {})[ys] = c
     return out
-
-
-def substitute_polynomial(basis: ActionBasis, f: Polynomial,
-                          matrix: SymbolicMatrix):
-    """Image of f in S under T_t -> sum_j Y_ij flat_j, i the row of T_t,
-    over the slots `matrix` leaves free: a map from T-monomials to
-    polynomials in the Y variables."""
-    rows = basis.variable_rows
-    image = _image(basis, matrix.free_columns,
-                   ((c, [(i, e) for i, e in zip(rows, mono) if e])
-                    for mono, c in f.terms.items()))
-    return {mono: Polynomial._of(ys) for mono, ys in image.items()}
 
 
 def _match_rows(direct, products, seen, out):

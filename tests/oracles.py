@@ -34,6 +34,13 @@ def solve(M, b):
     return tuple(x)
 
 
+def reference_annihilator_forms(rows, dimension):
+    """The forms on Q^dimension vanishing on the span of `rows`, by two
+    eliminations: a kernel basis, then its reduced echelon form."""
+    reduced, pivots = linalg.rref(linalg.nullspace(rows, ncols=dimension))
+    return [tuple(reduced[i]) for i in range(len(pivots))]
+
+
 def det_oracle(A):
     """Determinant by Laplace expansion along the rows, one leaf per
     permutation that avoids every zero entry: exact for int and Fraction

@@ -147,6 +147,21 @@ def test_symmetry_moving_the_generator_degree():
     assert any(g.substitute_values(swapped) != 0 for g in gens)
 
 
+def test_conditions_that_vanish_are_skipped():
+    # T(1)^2*T(2)^2 spans a line of S_(2, 2), whose basis is
+    # T(1)^2*T(2)^2, T(1)*T(2)*T(3) and T(3)^2; both structured matrices
+    # scale or swap T(1) and T(2), so the image stays on that line and
+    # each triple's two conditions, one per annihilator form, are zero
+    group = GradingGroup(2)
+    ring = GradedPolyRing(
+        DegreeMatrix.from_rows(group, ((1, 0, 1), (0, 1, 1))))
+    ideal = Ideal(ring, (ring.parse("T(1)^2*T(2)^2"),))
+    pres = aut_grad_alg(ring, ideal)
+    assert [t.stabilizer_gens for t in pres.triples] == [(), ()]
+    data = component_data(ideal, group.element((2, 2)))
+    assert (data.dimension, len(data.ideal_basis), len(data.forms)) == (3, 1, 2)
+
+
 def test_refuses_ideal_meeting_variable_component():
     ring = zring(1, 2)
     bad = Ideal(ring, (ring.parse("T(1)^2"),))

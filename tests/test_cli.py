@@ -283,14 +283,17 @@ def test_each_command_runs_each_stage_once(tmp_path, monkeypatch, capsys):
 
 def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
                                                    capsys):
-    # validation reads S_q and S_(q - deg g) for the 8 weights q and the
-    # one generator g, the action basis the 8 blocks S_q, and the
-    # stabilizer S_u and S_0 for the generator degree u; a report's
-    # reader runs the stages of autgradalg again; the weight cone, which
-    # gives the positive functional and the chamber's effectiveness
-    # test, is built once per command, by its one degree matrix
+    # validation reads S_(q - deg g) for the 8 weights q and the one
+    # generator g, and no S_q, since no product m * g lands there, and
+    # its one rref is the weight cone's inverse, none an ideal piece's;
+    # the action basis reads the 8 blocks S_q, and the stabilizer S_u and
+    # S_0 for the generator degree u; a report's reader runs the stages
+    # of autgradalg again; the weight cone, which gives the positive
+    # functional and the chamber's effectiveness test, is built once per
+    # command, by its one degree matrix
     calls = {}
     _count_calls(monkeypatch, calls, polynomials, "monomial_basis")
+    _count_calls(monkeypatch, calls, linalg, "rref")
     build = grading.DegreeMatrix.weight_cone.func
 
     def counted(Q):
@@ -300,18 +303,20 @@ def test_each_stage_enumerates_its_components_once(tmp_path, monkeypatch,
     weight_cone.__set_name__(grading.DegreeMatrix, "weight_cone")
     monkeypatch.setattr(grading.DegreeMatrix, "weight_cone", weight_cone)
     report = str(tmp_path / "autxhat.json")
-    for argv, count in ((["check", "--input", DEMO], 16),
-                        (["weights-aut", "--input", DEMO], 16),
-                        (["autks", "--input", DEMO], 24),
-                        (["autgradalg", "--input", DEMO], 26),
-                        (["autxhat", "--input", DEMO, "--out", report], 26),
-                        (["export", "--input", DEMO], 26),
-                        (["export", "--input", report], 26)):
+    for argv, count in ((["check", "--input", DEMO], 8),
+                        (["weights-aut", "--input", DEMO], 8),
+                        (["autks", "--input", DEMO], 16),
+                        (["autgradalg", "--input", DEMO], 18),
+                        (["autxhat", "--input", DEMO, "--out", report], 18),
+                        (["export", "--input", DEMO], 18),
+                        (["export", "--input", report], 18)):
         calls.clear()
         assert main(argv) == 0
         capsys.readouterr()
         assert len(calls["monomial_basis"]) == count, argv
         assert len(calls["weight_cone"]) == 1, argv
+        if argv[0] == "check":
+            assert len(calls["rref"]) == 1
 
 
 def test_no_stage_keeps_a_process_wide_cache(tmp_path, capsys):

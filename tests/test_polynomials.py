@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
@@ -6,7 +7,8 @@ from time import perf_counter
 import pytest
 
 from oracles import (as_pairs, bundle_to_data, poly_add, poly_mul, poly_sub,
-                     random_pointed_grading, reference_parse, total_degree)
+                     random_pointed_grading, reference_annihilator_forms,
+                     reference_parse, total_degree)
 from gradedaut import linalg
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
@@ -539,6 +541,45 @@ def test_annihilator_forms():
     # canonical: any basis of the same span yields the same forms
     other = [(2, 2, 2, 2)]
     assert annihilator_forms(other, 4) == forms
+
+
+def test_annihilator_forms_match_two_eliminations():
+    # seeded spans in Q^1..Q^6: random rows, rows repeated or rescaled,
+    # no rows, and full rank; each must give the reduced echelon basis
+    # of the kernel that nullspace then rref gives
+    rng = random.Random(41)
+
+    def entry():
+        return (Fraction(0) if rng.random() < 0.4
+                else Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    kinds = Counter()
+    for k in range(2400):
+        d = rng.randint(1, 6)
+        kind = ("random", "repeated", "none", "full")[k % 4]
+        if kind == "none":
+            rows = []
+        elif kind == "full":
+            # upper triangular with a nonzero diagonal, rows shuffled
+            rows = [[entry() if j > i else Fraction(rng.choice((-2, 1, 3)))
+                     if j == i else Fraction(0) for j in range(d)]
+                    for i in range(d)]
+            rng.shuffle(rows)
+        else:
+            rows = [[entry() for _ in range(d)]
+                    for _ in range(rng.randint(1, d + 1))]
+            if kind == "repeated":
+                rows += [[rng.choice((1, -2)) * x for x in rng.choice(rows)]
+                         for _ in range(rng.randint(1, 3))]
+                rng.shuffle(rows)
+        forms = annihilator_forms(rows, d)
+        assert forms == reference_annihilator_forms(rows, d), (rows, d)
+        kinds[kind, min(len(forms), 2)] += 1
+    # full rank leaves no form; the other kinds often leave two or more,
+    # whose order the test pins
+    assert kinds["full", 0] == 600
+    assert kinds["none", 2] > 400
+    assert kinds["random", 2] > 100 and kinds["repeated", 2] > 100
 
 
 def test_annihilator_rank_bookkeeping():

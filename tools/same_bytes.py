@@ -9,10 +9,11 @@ CHANGE_ROOT/src, in a fresh process without PYTHONHASHSEED or
 GRADED_AUT_JOBS.  Both sides read the same copies of the input files
 from the same relative paths, so file names in messages agree.
 demos/dp4.toml, which takes seconds per command, runs only with --dp4.
-It also writes the running example with each ideal of INLINE_IDEALS,
-most of which the parser refuses, into both sides' directories and
-runs `check` and `autgradalg` on each, so the parser's diagnostics are
-compared too.
+It also writes the problems of INLINE into both sides' directories and
+runs `check` and `autgradalg` on each: the running example with each
+ideal of INLINE_IDEALS, most of which the parser refuses, so the
+parser's diagnostics are compared too, and two whole problems whose
+stabilizer and ring stages take branches no bench or demo file takes.
 
 Prints each run whose exit code, stdout, stderr or written file differs
 between the two sides, then a summary line, and exits 1 if any run
@@ -61,9 +62,25 @@ INLINE_IDEALS = {
     "zero": "T(1)*T(6) - T(6)*T(1)",
     "leading_star": "*T(1)*T(6)",
     "rescaled": "2*T(1)*T(6)*1/2 + T(2)*T(5) + T(3)*T(4) + T(7)*T(8)",
+    "moved_degree": "T(1)^2",
 }
 INLINE = {f"inline/quadric8_{name}.toml": QUADRIC8.format(ideal=ideal)
           for name, ideal in INLINE_IDEALS.items()}
+# every stabilizing condition of both triples is zero, and is skipped
+INLINE["inline/zero_conditions.toml"] = """vars = 3
+Q = [[1, 0, 1], [0, 1, 1]]
+ideal = ["T(1)^2*T(2)^2"]
+
+[grading]
+free_rank = 2
+"""
+# T(1)^3 in the block of T(3) has no pair of basis factors
+INLINE["inline/p113.toml"] = """vars = 3
+Q = [[1, 1, 3]]
+
+[grading]
+free_rank = 1
+"""
 
 
 def input_files(root: Path, dp4: bool) -> list[str]:
