@@ -14,11 +14,10 @@ _MODULE_OF = {name: module for module, names in (
     ("algebraaut", ("StabilizerPresentation", "StabilizerTriple",
                     "aut_grad_alg", "component_data",
                     "ideal_generator_degrees", "render_stabilizer")),
-    ("cones", ("RationalCone", "cone_from_rays", "equal_cones")),
+    ("cones", ("RationalCone", "cone_from_rays")),
     ("errors", ("GradedAutError", "GuardError", "InputError",
                 "StructuralError", "ValidationError")),
-    ("gitfan", ("aut_xhat", "git_cone", "map_cone", "orbit_cones",
-                "render_cone")),
+    ("gitfan", ("aut_xhat", "git_cone", "orbit_cones", "render_cone")),
     ("grading", ("DegreeMatrix", "GradingGroup", "GroupAutomorphism",
                  "GroupElement", "check_effective", "check_pointed",
                  "degree_of_exponent")),

@@ -75,11 +75,7 @@ def generators_from_halfspaces(forms, dim: int):
     column f, with s at f and -s b_f / b_c at each c, s the lcm of the
     pivots.
     """
-    rows = []
-    for f in forms:
-        p = primitive(f)
-        if any(p) and p not in rows:
-            rows.append(p)
+    rows = list(dict.fromkeys(p for p in map(primitive, forms) if any(p)))
     R, pivots = linalg.integer_rref(rows)
     B = [primitive(row if row[c] > 0 else [-x for x in row])
          for row, c in zip(R, pivots)]
@@ -100,8 +96,7 @@ def generators_from_halfspaces(forms, dim: int):
 class RationalCone:
     """A cone given by primitive generating rays; halfspaces on demand.
 
-    Structural equality compares the stored ray tuples.  Geometric
-    equality of differently presented cones is equal_cones.
+    Equality compares the stored ray tuples.
     """
 
     def __init__(self, dim: int, rays: tuple):
@@ -138,10 +133,3 @@ def cone_from_rays(vectors, dim: int) -> RationalCone:
         if any(p):
             rays.add(p)
     return RationalCone(dim, tuple(sorted(rays)))
-
-
-def equal_cones(a: RationalCone, b: RationalCone) -> bool:
-    if a.dim != b.dim:
-        return False
-    return (all(b.contains(r) for r in a.rays)
-            and all(a.contains(r) for r in b.rays))

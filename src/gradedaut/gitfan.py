@@ -130,22 +130,17 @@ def git_cone(Q: DegreeMatrix, w: GroupElement, faces=None) -> RationalCone:
         for cone in orbit_cones(Q, faces):
             if cone.contains(w0):
                 forms += cone.forms
-    return cone_from_rays(generators_from_halfspaces(forms, k), k)
-
-
-def map_cone(A, cone: RationalCone) -> RationalCone:
-    """Image of a cone under the integer matrix A (rows), same ambient
-    dimension."""
-    return cone_from_rays([linalg.mat_vec(A, r) for r in cone.rays], cone.dim)
+    return RationalCone(k, generators_from_halfspaces(forms, k))
 
 
 def chamber_fixers(stab: StabilizerPresentation, lam: RationalCone):
     """0-based indices of the triples whose free block A maps the chamber
     lam onto itself.  Into itself is enough, as A has finite order n and
-    lam = A^n(lam) lies in A(lam): lam's forms test the image of each ray."""
-    return tuple(i for i, t in enumerate(stab.triples)
-                 if all(map(lam.contains,
-                            map_cone(t.weight_aut.free_block, lam).rays)))
+    lam = A^n(lam) lies in A(lam): lam's forms test the image A r of
+    each ray r, a vector whose scale does not matter to membership."""
+    return tuple(i for i, A in enumerate(t.weight_aut.free_block
+                                         for t in stab.triples)
+                 if all(lam.contains(linalg.mat_vec(A, r)) for r in lam.rays))
 
 
 def aut_xhat(stab: StabilizerPresentation, w: GroupElement, faces=None):

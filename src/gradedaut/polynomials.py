@@ -195,8 +195,8 @@ class EquationList:
     polynomials `rest`.  The zero slots and the witness are read off
     `allowed`, the columns each row may take, ascending; each becomes a
     polynomial only when it is read one generator at a time.  Its
-    length, iteration and integer indexing are those of the tuple of
-    its generators."""
+    length, iteration and indexing are those of the tuple of its
+    generators."""
 
     __slots__ = ("allowed", "rest")
 
@@ -262,7 +262,9 @@ class EquationList:
         yield from self.rest
 
     def __getitem__(self, key):
-        """The generator at a position."""
+        """The generator at a position, or a tuple of them for a slice."""
+        if isinstance(key, slice):
+            return tuple(self[i] for i in range(len(self))[key])
         zeros = self.zero_slots()
         pos = range(len(self))[key]
         if pos < len(zeros):
@@ -332,23 +334,18 @@ def _blocks(sink):
     return write, flush
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*/+-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)"
+                    r"|(?P<op>[()^*/+-])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise _err(text, pos + len(text[pos:]) - len(stripped),
-                       f"unexpected character {stripped[0]!r}")
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise _err(text, m.start(kind),
+                       f"unexpected character {m[kind]!r}")
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -583,11 +580,14 @@ def ideal_component_basis(I: Ideal, u: GroupElement, target=None):
 
     The spanning set is every product m * g_j with deg(m) = u - deg(g_j),
     written as the terms of g_j shifted by m; these span I_u because the
-    g_j generate I as a module over S.
+    g_j generate I as a module over S.  Each S_(u - d) is enumerated
+    once, for the generators of degree d to share.
     """
     ring = I.ring
-    products = [(m, g) for g in I.generators
-                for m in monomial_basis(ring, u - degree_of(ring, g))]
+    degrees = [degree_of(ring, g) for g in I.generators]
+    shifts = {d: monomial_basis(ring, u - d) for d in dict.fromkeys(degrees)}
+    products = [(m, g) for g, d in zip(I.generators, degrees)
+                for m in shifts[d]]
     if not products:
         return []
     if target is None:

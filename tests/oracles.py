@@ -221,6 +221,20 @@ def span_equal(gens_a, gens_b):
     return linalg.rank(ra) == both and linalg.rank(rb) == both
 
 
+def equal_cones(a: RationalCone, b: RationalCone) -> bool:
+    """Geometric equality: each cone contains the other's rays."""
+    if a.dim != b.dim:
+        return False
+    return (all(b.contains(r) for r in a.rays)
+            and all(a.contains(r) for r in b.rays))
+
+
+def map_cone(A, cone: RationalCone) -> RationalCone:
+    """Image of a cone under the integer matrix A (rows), same ambient
+    dimension."""
+    return cone_from_rays([linalg.mat_vec(A, r) for r in cone.rays], cone.dim)
+
+
 def dual_cone(cone: RationalCone) -> RationalCone:
     """The dual cone: the forms nonnegative on `cone`, as rays."""
     return cone_from_rays(cone.forms, cone.dim)

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradedaut.cones import (RationalCone, cone_from_rays, equal_cones,
+from gradedaut.cones import (RationalCone, cone_from_rays,
                              generators_from_halfspaces, primitive)
 from gradedaut.errors import StructuralError
 
-from oracles import cone_member, dual_cone, intersect_cones
+from oracles import cone_member, dual_cone, equal_cones, intersect_cones
 
 
 def units(dim):

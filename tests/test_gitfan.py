@@ -6,17 +6,17 @@ import pytest
 
 from gradedaut import cones, gitfan, linalg
 from gradedaut.algebraaut import aut_grad_alg
-from gradedaut.cones import (cone_from_rays, equal_cones,
-                             generators_from_halfspaces)
+from gradedaut.cones import cone_from_rays, generators_from_halfspaces
 from gradedaut.errors import GuardError, StructuralError, ValidationError
 from gradedaut.gitfan import (_face_family, _simplicial_forms, aut_xhat,
-                              chamber_fixers, git_cone, map_cone, orbit_cones,
+                              chamber_fixers, git_cone, orbit_cones,
                               render_cone)
 from gradedaut.grading import DegreeMatrix, GradingGroup, GroupAutomorphism
 from gradedaut.inout import read_input
 from gradedaut.polynomials import GradedPolyRing, Ideal
 
-from oracles import cone_member, det_oracle, every_face, intersect_cones
+from oracles import (cone_member, det_oracle, equal_cones, every_face,
+                     intersect_cones, map_cone)
 
 ROOT = Path(__file__).resolve().parent.parent
 W_CHAMBER = (1, 9, 16)

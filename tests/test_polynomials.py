@@ -9,7 +9,7 @@ import pytest
 from oracles import (as_pairs, bundle_to_data, poly_add, poly_mul, poly_sub,
                      random_pointed_grading, reference_annihilator_forms,
                      reference_parse, total_degree)
-from gradedaut import linalg
+from gradedaut import linalg, polynomials
 from gradedaut.errors import InputError, StructuralError, ValidationError
 from gradedaut.grading import DegreeMatrix, GradingGroup, degree_of_exponent
 from gradedaut.inout import ProblemInput, parse_input
@@ -525,6 +525,26 @@ def test_ideal_component_basis_echelon_and_membership():
         assert v[lead] == 1
         pivots.append(lead)
     assert pivots == sorted(pivots)
+
+
+def test_ideal_component_basis_enumerates_each_shift_once(monkeypatch):
+    # two generators of degree 2 around one of degree 3: S_1 is read once
+    # for both quadrics, then S_0 for the cubic, then the target S_3
+    z = GradingGroup(1)
+    g = GradedPolyRing(DegreeMatrix(tuple(z.element((1,)) for _ in range(3))))
+    I = Ideal(g, (g.parse("T(1)*T(2) - T(3)^2"), g.parse("T(1)^3"),
+                  g.parse("T(1)^2 + T(2)^2")))
+    u = z.element((3,))
+    expected = ideal_component_basis(I, u)
+    asked = []
+
+    def counted(ring, w):
+        asked.append(w.free_part)
+        return monomial_basis(ring, w)
+    monkeypatch.setattr(polynomials, "monomial_basis", counted)
+    assert ideal_component_basis(I, u) == expected
+    assert asked == [(1,), (0,), (3,)]
+    assert len(expected) == 7
 
 
 def test_annihilator_forms():

@@ -282,6 +282,22 @@ def test_witness_matches_eager_expansion(quadric8_presentation):
             assert written, str(matrix)
 
 
+def test_equation_list_slices_like_its_tuple():
+    # no zero slots and no rest; two zero slots, the witness and a rest
+    x = Polynomial._of({((0, 1),): Fraction(1)})
+    y = Polynomial._of({((3, 1), (4, 2)): Fraction(-3)})
+    full = EquationList(((0, 1), (0, 1)))
+    assert full[0:1] == (full.witness(),)
+    for eqs in (full, EquationList(((0,), (1,)), (x, y))):
+        gens = tuple(eqs)
+        ends = range(-len(gens) - 2, len(gens) + 3)
+        for a in (*ends, None):
+            for b in (*ends, None):
+                for step in (None, 1, 2, -1, -2):
+                    assert eqs[a:b:step] == gens[a:b:step], (a, b, step)
+    assert len(gens) == 5
+
+
 def test_autks_prints_the_witness_unexpanded(monkeypatch, tmp_path, capsys):
     expanded = []
     expand = EquationList.witness
